@@ -42,29 +42,24 @@ MiningResult eclat_sequential(const HorizontalDatabase& db,
                                                          pair_second(key))});
   }
 
-  // --- Transformation: vertical tid-lists for the frequent pairs (second
-  // and final horizontal scan). ---
-  std::unordered_map<PairKey, TidList> tidlists =
-      invert_pairs(all, frequent_pairs);
+  // --- Transformation: exact-size vertical tid-lists for the pairs of
+  // every class that generates candidates (second and final horizontal
+  // scan). ---
+  const std::vector<EquivalenceClass> classes =
+      partition_into_classes(frequent_pairs);
+  std::vector<TidList> tidlists =
+      PairSlots(mined_pairs(classes)).invert(all, counter);
   ++result.database_scans;
 
   // --- Asynchronous phase: mine each equivalence class to completion. ---
-  const std::vector<EquivalenceClass> classes =
-      partition_into_classes(frequent_pairs);
   std::vector<std::size_t> size_histogram(3, 0);
   size_histogram[2] = frequent_pairs.size();
 
   // One arena reused across every class: level buffers warm up on the
   // first few classes, after which the recursion allocates nothing.
   TidArena arena;
-  for (const EquivalenceClass& eq_class : classes) {
-    std::vector<Atom> atoms;
-    atoms.reserve(eq_class.members.size());
-    for (Item member : eq_class.members) {
-      const PairKey key = make_pair_key(eq_class.prefix, member);
-      atoms.push_back(Atom{{eq_class.prefix, member},
-                           std::move(tidlists.at(key))});
-    }
+  for (std::vector<Atom>& atoms : atoms_by_class(classes, tidlists)) {
+    if (atoms.empty()) continue;  // singleton class: no candidates (§4.1)
     if (config.use_diffsets) {
       compute_frequent_diffsets(atoms, config.minsup, config.kernel, arena,
                                 result.itemsets, size_histogram, stats);
@@ -72,6 +67,7 @@ MiningResult eclat_sequential(const HorizontalDatabase& db,
       compute_frequent(atoms, config.minsup, config.kernel, arena,
                        result.itemsets, size_histogram, stats);
     }
+    atoms.clear();  // free the class's tid-lists before the next class
   }
 
   for (std::size_t k = 2; k < size_histogram.size(); ++k) {

@@ -32,6 +32,35 @@ std::vector<EquivalenceClass> partition_into_classes(
   return classes;
 }
 
+std::vector<PairKey> mined_pairs(std::span<const EquivalenceClass> classes) {
+  std::vector<PairKey> pairs;
+  for (const EquivalenceClass& eq_class : classes) {
+    if (eq_class.size() < 2) continue;
+    for (Item member : eq_class.members) {
+      pairs.push_back(make_pair_key(eq_class.prefix, member));
+    }
+  }
+  return pairs;
+}
+
+std::vector<std::vector<Atom>> atoms_by_class(
+    std::span<const EquivalenceClass> classes, std::span<TidList> lists) {
+  std::vector<std::vector<Atom>> atoms(classes.size());
+  std::size_t slot = 0;
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    const EquivalenceClass& eq_class = classes[c];
+    if (eq_class.size() < 2) continue;
+    atoms[c].reserve(eq_class.size());
+    for (Item member : eq_class.members) {
+      ECLAT_DCHECK(slot < lists.size());
+      atoms[c].push_back(
+          Atom{{eq_class.prefix, member}, std::move(lists[slot++])});
+    }
+  }
+  ECLAT_DCHECK(slot == lists.size());
+  return atoms;
+}
+
 std::vector<std::size_t> schedule_greedy_by_weight(
     std::span<const std::size_t> weights, std::size_t num_processors) {
   if (num_processors == 0) {

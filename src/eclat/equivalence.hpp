@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "eclat/compute_frequent.hpp"
 #include "vertical/vertical_db.hpp"
 
 namespace eclat {
@@ -40,6 +41,17 @@ struct EquivalenceClass {
 /// must be reported, but their weight is 0 so they cost nothing to place.
 std::vector<EquivalenceClass> partition_into_classes(
     std::span<const PairKey> frequent_pairs);
+
+/// The pairs whose tid-lists the mining needs: those of every class of
+/// size >= 2, class after class. Singleton classes generate no candidates
+/// (§4.1). Sorted, and each such class owns one contiguous run.
+std::vector<PairKey> mined_pairs(std::span<const EquivalenceClass> classes);
+
+/// The atoms of every class of size >= 2, indexed by class id (singleton
+/// classes get none), moved out of `lists`, which holds one tid-list per
+/// entry of mined_pairs(classes), in that order.
+std::vector<std::vector<Atom>> atoms_by_class(
+    std::span<const EquivalenceClass> classes, std::span<TidList> lists);
 
 /// Greedy schedule: `assignment[i]` is the processor that owns class i.
 /// Deterministic given the inputs (paper §5.2.1 tie-breaking).

@@ -55,14 +55,13 @@ ExternalTransformStats external_transform(
     stats.peak_memory_bytes = std::max(stats.peak_memory_bytes, group_bytes);
 
     // One horizontal pass collecting only this group's tid-lists.
-    const std::vector<PairKey> group(pairs.begin() + begin,
-                                     pairs.begin() + end);
-    std::unordered_map<PairKey, TidList> lists =
-        invert_pairs(transactions, group);
+    const std::vector<TidList> lists =
+        PairSlots(std::span(pairs).subspan(begin, end - begin))
+            .invert(transactions);
     ++stats.passes;
 
     for (std::size_t i = begin; i < end; ++i) {
-      const TidList& list = lists.at(pairs[i]);
+      const TidList& list = lists[i - begin];
       write_pod<std::uint64_t>(out, pairs[i]);
       write_pod<std::uint64_t>(out, list.size());
       out.write(reinterpret_cast<const char*>(list.data()),

@@ -42,8 +42,8 @@ struct ExternalTransformStats {
 };
 
 /// Invert `transactions` into the vertical format for exactly the pairs in
-/// `pairs` (with their known support counts, used to plan the groups), in
-/// memory-budgeted passes, writing to `out`.
+/// `pairs` (sorted and duplicate-free, with their known support counts,
+/// used to plan the groups), in memory-budgeted passes, writing to `out`.
 ExternalTransformStats external_transform(
     std::span<const Transaction> transactions,
     const std::vector<PairKey>& pairs, const std::vector<Count>& pair_counts,

@@ -143,23 +143,28 @@ MiningResult max_eclat(const HorizontalDatabase& db,
 
   const std::vector<PairKey> frequent_pairs =
       counter.frequent_pairs(config.minsup);
-  std::unordered_map<PairKey, TidList> tidlists =
-      invert_pairs(all, frequent_pairs);
   const std::vector<EquivalenceClass> classes =
       partition_into_classes(frequent_pairs);
+  std::vector<TidList> tidlists =
+      PairSlots(mined_pairs(classes)).invert(all, counter);
+  std::vector<std::vector<Atom>> class_atoms =
+      atoms_by_class(classes, tidlists);
 
   std::vector<FrequentItemset> candidates;
   TidArena arena;
   std::deque<std::array<TidSet, 2>> fold;
-  for (const EquivalenceClass& eq_class : classes) {
-    std::vector<Atom> atoms;
-    atoms.reserve(eq_class.members.size());
-    for (Item member : eq_class.members) {
-      const PairKey key = make_pair_key(eq_class.prefix, member);
-      atoms.push_back(
-          Atom{{eq_class.prefix, member}, std::move(tidlists.at(key))});
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    const EquivalenceClass& eq_class = classes[c];
+    std::vector<Atom>& atoms = class_atoms[c];
+    if (atoms.empty()) {
+      // A singleton class's pair is itself a candidate; its support is
+      // already counted, so it needs no tid-list.
+      ++local_stats.candidates;
+      const Item member = eq_class.members.front();
+      candidates.push_back(FrequentItemset{
+          {eq_class.prefix, member}, counter.get(eq_class.prefix, member)});
+      continue;
     }
-    if (atoms.empty()) continue;
     const Tid universe = class_universe(atoms);
     MaxCtx ctx{arena,      fold,       config.minsup, config.kernel,
                universe,   candidates, local_stats,   nullptr};
@@ -174,6 +179,7 @@ MiningResult max_eclat(const HorizontalDatabase& db,
                           atoms.front().items.end() - 1);
     max_recurse(ctx, 0);
     arena.prefix().clear();
+    atoms.clear();  // free the class's tid-lists before the next class
   }
 
   // Frequent singletons are candidates too (maximal when isolated).

@@ -10,7 +10,6 @@
 #include <optional>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -145,14 +144,16 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
   simd::self_check();
   // Same block partition as the simulator path: Topology{1, W} makes
   // local_partition split the database into W equal contiguous blocks,
-  // so per-block partial tid-lists concatenated in block order are
-  // globally sorted (paper §6.3) for any W.
+  // so per-block partial tid-lists laid out in block order are globally
+  // sorted (paper §6.3) for any W.
   const mc::Topology topo{1, W};
   WallStopwatch wall;
 
-  // ----- Phase 1: initialization. Per-worker local counts, then a
-  // sum-merge — exact integer arithmetic, so the merged counts equal the
-  // simulator's tree reduction for any W. -----
+  // ----- Phase 1: initialization. Per-worker local counts, then an
+  // in-place prefix sum: counters[w] ends up holding blocks 0..w, so the
+  // last one is the merged L2 and counters[w-1] is where block w's tids
+  // start in every global tid-list. Exact integer arithmetic, so the
+  // merged counts equal the simulator's tree reduction for any W. -----
   std::vector<TriangleCounter> counters(W, TriangleCounter(db.num_items()));
   std::vector<std::vector<Count>> item_partials(W);
   parallel_region(W, [&](std::size_t w) {
@@ -163,8 +164,8 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
       item_partials[w] = count_items(local, db.num_items());
     }
   });
-  TriangleCounter counter = std::move(counters[0]);
-  for (std::size_t w = 1; w < W; ++w) counter.merge(counters[w]);
+  for (std::size_t w = 1; w < W; ++w) counters[w].merge(counters[w - 1]);
+  const TriangleCounter& counter = counters.back();
   std::vector<Count> item_counts(db.num_items(), 0);
   for (const std::vector<Count>& partial : item_partials) {
     for (std::size_t i = 0; i < partial.size(); ++i) {
@@ -174,37 +175,23 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
   const double t_init = wall.elapsed_seconds();
 
   // ----- Phase 2: transformation. The plan is a pure function of the
-  // merged counts; each worker inverts its block, then per-class global
-  // tid-lists are assembled (classes striped over workers; each pair
-  // belongs to exactly one class, so writers never collide and the
-  // per-block maps are only read). -----
+  // merged counts. Every global tid-list is sized exactly at its merged
+  // count, and each worker writes its block's tids in place from the
+  // pair's count over the earlier blocks (paper §6.3): the ranges are
+  // disjoint, so writers never collide and the lists come out sorted with
+  // no merge. exchanged_pairs is class-contiguous, so each class's atoms
+  // are a moved run of lists. -----
   const par::MiningPlan plan =
       par::derive_plan(counter, config.minsup, W, config.schedule);
-  std::vector<std::unordered_map<PairKey, TidList>> block_lists(W);
+  const PairSlots pair_slots(plan.exchanged_pairs);
+  std::vector<TidList> lists = pair_slots.make_lists(counter);
   parallel_region(W, [&](std::size_t w) {
-    block_lists[w] =
-        invert_pairs(par::local_partition(db, topo, w), plan.exchanged_pairs);
+    std::vector<Tid*> cursors =
+        pair_slots.cursors(lists, w == 0 ? nullptr : &counters[w - 1]);
+    pair_slots.write(par::local_partition(db, topo, w), cursors);
   });
-  std::vector<std::vector<Atom>> class_atoms(plan.classes.size());
-  parallel_region(W, [&](std::size_t w) {
-    for (std::size_t c = w; c < plan.classes.size(); c += W) {
-      const EquivalenceClass& eq_class = plan.classes[c];
-      if (eq_class.size() < 2) continue;  // no candidates (§4.1)
-      std::vector<Atom> atoms;
-      atoms.reserve(eq_class.size());
-      for (Item member : eq_class.members) {
-        const PairKey key = make_pair_key(eq_class.prefix, member);
-        TidList tids;
-        for (std::size_t b = 0; b < W; ++b) {
-          const auto it = block_lists[b].find(key);
-          if (it == block_lists[b].end()) continue;
-          tids.insert(tids.end(), it->second.begin(), it->second.end());
-        }
-        atoms.push_back(Atom{{eq_class.prefix, member}, std::move(tids)});
-      }
-      class_atoms[c] = std::move(atoms);
-    }
-  });
+  std::vector<std::vector<Atom>> class_atoms =
+      atoms_by_class(plan.classes, lists);
   const double t_transform = wall.elapsed_seconds();
 
   // ----- Phase 3: asynchronous. Each class runs as an isolated task into

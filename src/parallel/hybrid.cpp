@@ -89,9 +89,6 @@ ParallelOutput hybrid_eclat(mc::Cluster& cluster,
     MiningPlan plan = self.compute([&] {
       return derive_plan(counter, config.minsup, hosts, config.schedule);
     });
-    const auto leader_of_pair = [&](PairKey key) {
-      return plan.assignment[plan.class_of.at(key)] * slots;
-    };
 
     // Second scan of the host partition (leader only); every processor
     // inverts its slice of the shared image.
@@ -103,8 +100,9 @@ ParallelOutput hybrid_eclat(mc::Cluster& cluster,
     std::vector<mc::Blob> outgoing(total);
     self.compute([&] {
       std::vector<wire::Writer> writers(total);
-      for (PairKey key : plan.exchanged_pairs) {
-        const std::size_t owner = leader_of_pair(key);
+      for (std::size_t s = 0; s < plan.exchanged_pairs.size(); ++s) {
+        const PairKey key = plan.exchanged_pairs[s];
+        const std::size_t owner = plan.assignment[plan.class_of[s]] * slots;
         writers[owner].put(key);
         writers[owner].put_vector(partial.at(key));
       }

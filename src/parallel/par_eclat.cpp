@@ -330,8 +330,9 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
           const bool mine_repaired = failed[q] && partition_source[q] == me;
           if (!mine_own && !mine_repaired) continue;
           const auto& lists = mine_own ? partial : repaired.at(q);
-          for (PairKey key : plan.exchanged_pairs) {
-            const std::size_t owner = class_owner[plan.class_of.at(key)];
+          for (std::size_t s = 0; s < plan.exchanged_pairs.size(); ++s) {
+            const PairKey key = plan.exchanged_pairs[s];
+            const std::size_t owner = class_owner[plan.class_of[s]];
             writers[owner].put<std::uint64_t>(q);
             writers[owner].put(key);
             writers[owner].put_vector(lists.at(key));

@@ -32,14 +32,12 @@ MiningPlan derive_plan(const TriangleCounter& counter, Count minsup,
   plan.frequent_pairs = counter.frequent_pairs(minsup);
   plan.classes = partition_into_classes(plan.frequent_pairs);
   plan.assignment = make_schedule(plan.classes, bins, heuristic, counter);
+  // Singleton classes generate no candidates (§4.1) — their 2-itemsets
+  // are already globally counted, so no tid-lists move.
+  plan.exchanged_pairs = mined_pairs(plan.classes);
   for (std::size_t c = 0; c < plan.classes.size(); ++c) {
-    // Singleton classes generate no candidates (§4.1) — their 2-itemsets
-    // are already globally counted, so no tid-lists move.
     if (plan.classes[c].size() < 2) continue;
-    for (PairKey key : plan.classes[c].pair_keys()) {
-      plan.class_of.emplace(key, c);
-      plan.exchanged_pairs.push_back(key);
-    }
+    plan.class_of.insert(plan.class_of.end(), plan.classes[c].size(), c);
   }
   return plan;
 }

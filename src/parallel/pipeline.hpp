@@ -57,10 +57,11 @@ struct MiningPlan {
   std::vector<std::size_t> assignment;
   /// Pairs belonging to classes of size >= 2 — the tid-lists that move in
   /// the vertical exchange. Singleton classes generate no candidates
-  /// (§4.1), so their lists never materialize.
+  /// (§4.1), so their lists never materialize. Sorted and class-contiguous:
+  /// each such class owns one run of consecutive entries, in class order.
   std::vector<PairKey> exchanged_pairs;
-  /// Class id owning each exchanged pair.
-  std::unordered_map<PairKey, std::size_t> class_of;
+  /// Class id owning each exchanged pair, aligned with exchanged_pairs.
+  std::vector<std::size_t> class_of;
 };
 
 /// Derive the plan from the reduced global pair counts. Pure: identical

@@ -35,9 +35,62 @@ constexpr Item pair_second(PairKey key) {
 std::vector<TidList> invert_items(std::span<const Transaction> transactions,
                                   Item num_items);
 
+class TriangleCounter;
+
+/// Slot-indexed pair inversion: the transformation phase's kernel (paper
+/// §5.2.2 / §6.3). Built once from a sorted, duplicate-free list of
+/// requested pairs; slot i is pairs[i], and every result list is indexed
+/// by slot. The K items that occur in some requested pair get dense local
+/// ids, and a K(K-1)/2 triangular table maps each local-id pair to its
+/// slot. A scan keeps only a transaction's filtered items and enumerates
+/// pairs among those, one table load per pair. Since K <= N, the table is
+/// at most half the N(N-1)/2 x 8-byte TriangleCounter.
+class PairSlots {
+ public:
+  explicit PairSlots(std::span<const PairKey> pairs);
+
+  std::size_t size() const { return pairs_.size(); }
+
+  /// Tid-lists of every slot over one scan, grown as they fill (for
+  /// callers that do not know the counts).
+  std::vector<TidList> invert(std::span<const Transaction> transactions) const;
+
+  /// Tid-lists of every slot over one scan into lists sized exactly at
+  /// `counts`, which must hold the pairs' supports over `transactions`.
+  std::vector<TidList> invert(std::span<const Transaction> transactions,
+                              const TriangleCounter& counts) const;
+
+  /// Zero-filled lists sized exactly at each pair's count in `counts`.
+  std::vector<TidList> make_lists(const TriangleCounter& counts) const;
+
+  /// Write cursors of one block into lists from make_lists: slot i starts
+  /// at before->get(pairs[i]), the pair's count over all earlier blocks,
+  /// or at 0 for the first block (`before == nullptr`).
+  std::vector<Tid*> cursors(std::span<TidList> lists,
+                            const TriangleCounter* before) const;
+
+  /// The in-place block writer (§6.3): writes the tid of every occurrence
+  /// of slot i's pair in `block` at cursors[i], advancing it. Blocks that
+  /// write through disjoint cursor ranges may run concurrently.
+  void write(std::span<const Transaction> block,
+             std::span<Tid*> cursors) const;
+
+ private:
+  static constexpr std::uint32_t kAbsent = 0xffffffffU;
+
+  template <typename Emit>
+  void scan(std::span<const Transaction> transactions, Emit&& emit) const;
+
+  std::vector<PairKey> pairs_;
+  std::vector<std::uint32_t> local_;  ///< item -> local id, or kAbsent
+  std::vector<std::uint32_t> slot_;   ///< local-id triangle -> slot
+  std::size_t k_ = 0;                 ///< number of local ids
+};
+
 /// Tid-lists of the given 2-itemsets over a span of transactions
-/// (the per-partition partial tid-lists of Eclat's transformation phase).
-/// Only pairs present in `pairs` are materialized.
+/// (the per-partition partial tid-lists of Eclat's transformation phase),
+/// keyed by pair: an adapter over PairSlots for callers that look lists up
+/// by key. `pairs` must be sorted and duplicate-free.
 std::unordered_map<PairKey, TidList> invert_pairs(
     std::span<const Transaction> transactions,
     const std::vector<PairKey>& pairs);
@@ -49,7 +102,8 @@ class TriangleCounter {
  public:
   explicit TriangleCounter(Item num_items);
 
-  /// Count every 2-subset of every transaction in the span.
+  /// Count every 2-subset of every transaction in the span. Items must be
+  /// strictly sorted; an item >= num_items() throws std::out_of_range.
   void count(std::span<const Transaction> transactions);
 
   /// Support of pair {a, b}; a != b.

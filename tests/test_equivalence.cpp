@@ -52,6 +52,30 @@ TEST(EquivalenceClass, EmptyInputGivesNoClasses) {
   EXPECT_TRUE(partition_into_classes(std::vector<PairKey>{}).empty());
 }
 
+TEST(EquivalenceClass, MinedPairsSkipSingletonClasses) {
+  // S_D = {DE} generates no candidates, so its list is never needed.
+  const auto classes = partition_into_classes(paper_l2());
+  std::vector<PairKey> expected = paper_l2();
+  expected.pop_back();
+  EXPECT_EQ(mined_pairs(classes), expected);
+}
+
+TEST(EquivalenceClass, AtomsByClassMoveContiguousRuns) {
+  const auto classes = partition_into_classes(paper_l2());
+  std::vector<TidList> lists;
+  for (Tid t = 0; t < 7; ++t) lists.push_back({t, t + 10});
+  const std::vector<std::vector<Atom>> atoms = atoms_by_class(classes, lists);
+  ASSERT_EQ(atoms.size(), 3u);
+  ASSERT_EQ(atoms[0].size(), 4u);
+  ASSERT_EQ(atoms[1].size(), 3u);
+  EXPECT_TRUE(atoms[2].empty());  // singleton class
+  EXPECT_EQ(atoms[0][3].items, (Itemset{0, 4}));
+  EXPECT_EQ(atoms[0][3].tids, (TidList{3, 13}));
+  EXPECT_EQ(atoms[1][0].items, (Itemset{1, 2}));
+  EXPECT_EQ(atoms[1][0].tids, (TidList{4, 14}));
+  for (const TidList& list : lists) EXPECT_TRUE(list.empty());  // moved out
+}
+
 TEST(ScheduleGreedy, AssignsHeaviestFirstToLeastLoaded) {
   std::vector<EquivalenceClass> classes = {
       {0, {1, 2, 3, 4}},  // weight 6

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+
+#include "common/check.hpp"
+#include "common/rng.hpp"
 #include "gen/quest.hpp"
 
 namespace eclat {
@@ -14,6 +19,73 @@ std::vector<Transaction> sample_transactions() {
       {2, {0, 2}},
       {3, {0, 1, 2, 3}},
   };
+}
+
+// The reference inversion the slot kernel must reproduce: one hash probe
+// per 2-subset of every transaction.
+std::unordered_map<PairKey, TidList> hash_probe_inversion(
+    std::span<const Transaction> transactions,
+    const std::vector<PairKey>& pairs) {
+  std::unordered_map<PairKey, TidList> lists;
+  for (PairKey key : pairs) lists.emplace(key, TidList{});
+  for (const Transaction& t : transactions) {
+    for (std::size_t i = 0; i < t.items.size(); ++i) {
+      for (std::size_t j = i + 1; j < t.items.size(); ++j) {
+        const auto it = lists.find(make_pair_key(t.items[i], t.items[j]));
+        if (it != lists.end()) it->second.push_back(t.tid);
+      }
+    }
+  }
+  return lists;
+}
+
+// Checks the slot kernel (growing and exact-size) and the keyed adapter
+// against the oracle.
+void expect_matches_oracle(std::span<const Transaction> transactions,
+                           const std::vector<PairKey>& pairs,
+                           Item num_items) {
+  const auto oracle = hash_probe_inversion(transactions, pairs);
+  const PairSlots slots(pairs);
+  ASSERT_EQ(slots.size(), pairs.size());
+  const std::vector<TidList> grown = slots.invert(transactions);
+  TriangleCounter counts(std::max<Item>(num_items, 2));
+  counts.count(transactions);
+  const std::vector<TidList> exact = slots.invert(transactions, counts);
+  const auto keyed = invert_pairs(transactions, pairs);
+  ASSERT_EQ(grown.size(), pairs.size());
+  ASSERT_EQ(exact.size(), pairs.size());
+  ASSERT_EQ(keyed.size(), pairs.size());
+  for (std::size_t s = 0; s < pairs.size(); ++s) {
+    const TidList& expected = oracle.at(pairs[s]);
+    EXPECT_EQ(grown[s], expected) << "slot " << s;
+    EXPECT_EQ(exact[s], expected) << "slot " << s;
+    EXPECT_EQ(keyed.at(pairs[s]), expected) << "slot " << s;
+  }
+}
+
+HorizontalDatabase quest_db(std::size_t transactions, Item items,
+                            std::uint64_t seed) {
+  gen::QuestConfig config;
+  config.num_transactions = transactions;
+  config.num_items = items;
+  config.num_patterns = 20;
+  config.avg_pattern_length = 4;
+  config.avg_transaction_length = 8;
+  config.seed = seed;
+  return gen::QuestGenerator(config).generate();
+}
+
+// A seeded random, sorted subset of all pairs over `num_items` items.
+std::vector<PairKey> random_pairs(Item num_items, double keep,
+                                  std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<PairKey> pairs;
+  for (Item a = 0; a < num_items; ++a) {
+    for (Item b = a + 1; b < num_items; ++b) {
+      if (rng.uniform() < keep) pairs.push_back(make_pair_key(a, b));
+    }
+  }
+  return pairs;
 }
 
 TEST(PairKey, PacksAndUnpacksCanonically) {
@@ -70,6 +142,117 @@ TEST(InvertPairs, PairTidlistEqualsItemTidlistIntersection) {
     EXPECT_EQ(lists.at(key),
               intersect(items[pair_first(key)], items[pair_second(key)]));
   }
+}
+
+TEST(PairSlots, MatchesHashProbeOracleOnQuestDatabases) {
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    const HorizontalDatabase db = quest_db(400, 40, seed);
+    TriangleCounter counter(db.num_items());
+    counter.count(db.transactions());
+    SCOPED_TRACE(seed);
+    // The frequent pairs (what the miners request) and a random sparse
+    // subset of all pairs (items a requested pair never pairs up with).
+    expect_matches_oracle(db.transactions(), counter.frequent_pairs(4),
+                          db.num_items());
+    expect_matches_oracle(db.transactions(),
+                          random_pairs(db.num_items(), 0.1, seed),
+                          db.num_items());
+  }
+}
+
+TEST(PairSlots, EmptyPairList) {
+  const auto transactions = sample_transactions();
+  expect_matches_oracle(transactions, {}, 4);
+  EXPECT_TRUE(PairSlots({}).invert(transactions).empty());
+}
+
+TEST(PairSlots, PairsWhoseItemsNeverOccur) {
+  const auto transactions = sample_transactions();
+  const std::vector<PairKey> pairs = {make_pair_key(0, 7),
+                                      make_pair_key(5, 6)};
+  expect_matches_oracle(transactions, pairs, 8);
+  for (const TidList& list : PairSlots(pairs).invert(transactions)) {
+    EXPECT_TRUE(list.empty());
+  }
+}
+
+TEST(PairSlots, ItemsAboveEveryRequestedItem) {
+  const std::vector<Transaction> transactions = {
+      {0, {0, 1, 5, 9}}, {1, {1, 8, 9}}, {2, {0, 1, 2, 3, 9}}, {3, {7, 9}}};
+  const std::vector<PairKey> pairs = {make_pair_key(0, 1),
+                                      make_pair_key(1, 2)};
+  expect_matches_oracle(transactions, pairs, 10);
+  const std::vector<TidList> lists = PairSlots(pairs).invert(transactions);
+  EXPECT_EQ(lists[0], (TidList{0, 2}));
+  EXPECT_EQ(lists[1], (TidList{2}));
+}
+
+TEST(PairSlots, ZeroAndOneItemTransactions) {
+  const std::vector<Transaction> transactions = {
+      {0, {}}, {1, {2}}, {2, {1, 2}}, {3, {}}, {4, {1}}, {5, {1, 2}}};
+  const std::vector<PairKey> pairs = {make_pair_key(1, 2)};
+  expect_matches_oracle(transactions, pairs, 3);
+  EXPECT_EQ(PairSlots(pairs).invert(transactions)[0], (TidList{2, 5}));
+}
+
+TEST(PairSlots, TwoItemsOnePair) {
+  // K = 2: a one-cell slot table.
+  const auto transactions = sample_transactions();
+  const std::vector<PairKey> pairs = {make_pair_key(2, 3)};
+  expect_matches_oracle(transactions, pairs, 4);
+  EXPECT_EQ(PairSlots(pairs).invert(transactions)[0], (TidList{3}));
+}
+
+// The §6.3 invariant: W blocks written concurrently in place, each from
+// its pairs' counts over the earlier blocks, give byte for byte the lists
+// of one pass over the whole database, at any W.
+TEST(PairSlots, BlockWriterMatchesSinglePassAtAnyWorkerCount) {
+  const HorizontalDatabase db = quest_db(700, 40, 11);
+  TriangleCounter whole(db.num_items());
+  whole.count(db.transactions());
+  const std::vector<PairKey> pairs = whole.frequent_pairs(3);
+  ASSERT_FALSE(pairs.empty());
+  const PairSlots slots(pairs);
+  const std::vector<TidList> single = slots.invert(db.transactions());
+  for (std::size_t workers = 1; workers <= 5; ++workers) {
+    SCOPED_TRACE(workers);
+    const std::vector<Block> blocks = db.block_partition(workers);
+    // Prefix sums of the block counts: prefix[w] covers blocks 0..w.
+    std::vector<TriangleCounter> prefix(workers,
+                                        TriangleCounter(db.num_items()));
+    for (std::size_t w = 0; w < workers; ++w) {
+      prefix[w].count(db.view(blocks[w]));
+      if (w > 0) prefix[w].merge(prefix[w - 1]);
+    }
+    std::vector<TidList> lists = slots.make_lists(prefix.back());
+    std::vector<std::thread> pool;
+    for (std::size_t w = 0; w < workers; ++w) {
+      pool.emplace_back([&, w] {
+        std::vector<Tid*> cursors =
+            slots.cursors(lists, w == 0 ? nullptr : &prefix[w - 1]);
+        slots.write(db.view(blocks[w]), cursors);
+      });
+    }
+    for (std::thread& t : pool) t.join();
+    ASSERT_EQ(lists.size(), single.size());
+    for (std::size_t s = 0; s < lists.size(); ++s) {
+      ASSERT_EQ(lists[s], single[s]) << "slot " << s;
+    }
+  }
+}
+
+TEST(PairSlotsDeathTest, RejectsUnsortedOrDuplicatedPairs) {
+#if ECLAT_DCHECKS_ENABLED
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::vector<PairKey> unsorted = {make_pair_key(1, 2),
+                                         make_pair_key(0, 3)};
+  const std::vector<PairKey> duplicated = {make_pair_key(0, 3),
+                                           make_pair_key(0, 3)};
+  EXPECT_DEATH(PairSlots{unsorted}, "ECLAT_CHECK");
+  EXPECT_DEATH(PairSlots{duplicated}, "ECLAT_CHECK");
+#else
+  GTEST_SKIP() << "DCHECKs are compiled out of this build";
+#endif
 }
 
 TEST(TriangleCounter, CountsAllPairsOfEachTransaction) {
@@ -139,6 +322,8 @@ TEST(TriangleCounter, InvalidArgumentsThrow) {
   EXPECT_THROW(counter.get(1, 1), std::out_of_range);
   EXPECT_THROW(counter.get(0, 3), std::out_of_range);
   EXPECT_THROW(TriangleCounter{1}, std::invalid_argument);
+  const std::vector<Transaction> out_of_range = {{0, {0, 1, 3}}};
+  EXPECT_THROW(counter.count(out_of_range), std::out_of_range);
 }
 
 }  // namespace
