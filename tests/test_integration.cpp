@@ -14,19 +14,25 @@ namespace {
 
 using testutil::same_itemsets;
 
+// gtest names each case by the raw bytes of its parameter, so the struct
+// must have no padding: `items` is 64-bit to keep every byte initialised
+// and the test names stable from build to build.
 struct CrossParam {
   std::size_t transactions;
-  Item items;
+  std::uint64_t items;
   std::uint64_t seed;
   Count minsup;
 };
+static_assert(sizeof(CrossParam) == 4 * sizeof(std::uint64_t),
+              "CrossParam must have no padding bytes");
 
 class AllAlgorithmsAgree : public ::testing::TestWithParam<CrossParam> {};
 
 TEST_P(AllAlgorithmsAgree, OnGeneratedDatabases) {
   const CrossParam param = GetParam();
   const HorizontalDatabase db =
-      testutil::small_quest_db(param.transactions, param.items, param.seed);
+      testutil::small_quest_db(param.transactions,
+                               static_cast<Item>(param.items), param.seed);
 
   AprioriConfig apriori_config;
   apriori_config.minsup = param.minsup;
