@@ -145,9 +145,9 @@ void write_micro_row(std::FILE* out, const MicroRow& row, bool last) {
   }
   std::fprintf(out,
                ", \"winner\": \"%s\", \"chunk_containers\": "
-               "{\"array\": %zu, \"bitset\": %zu, \"run\": %zu}}%s\n",
+               "{\"array\": %zu, \"bitset\": %zu}}%s\n",
                row.winner, row.chunks.array, row.chunks.bitset,
-               row.chunks.run, last ? "" : ",");
+               last ? "" : ",");
 }
 
 struct EndToEndRow {

@@ -16,6 +16,35 @@ Tid class_universe(const std::vector<Atom>& class_atoms) {
   return universe;
 }
 
+Tid seed_class(const std::vector<Atom>& class_atoms, IntersectKernel kernel,
+               TidArena& arena, IntersectStats* stats) {
+  ECLAT_DCHECK(!class_atoms.empty());
+  const Tid universe = class_universe(class_atoms);
+  TidArena::Level& root = arena.level(0);
+  root.reset();
+  for (const Atom& atom : class_atoms) {
+    TidSet& slot = root.scratch();
+    seed_tidset(atom.tids, universe, kernel, slot, stats);
+    root.commit(atom.items.back(), atom.support());
+  }
+  arena.prefix().assign(class_atoms.front().items.begin(),
+                        class_atoms.front().items.end() - 1);
+  return universe;
+}
+
+void emit_itemset(const Itemset& prefix, Item suffix, Count support,
+                  std::vector<FrequentItemset>& out,
+                  std::vector<std::size_t>& size_histogram) {
+  const std::size_t size = prefix.size() + 1;
+  if (size_histogram.size() <= size) size_histogram.resize(size + 1, 0);
+  ++size_histogram[size];
+  FrequentItemset& found = out.emplace_back();
+  found.items.reserve(size);
+  found.items.assign(prefix.begin(), prefix.end());
+  found.items.push_back(suffix);
+  found.support = support;
+}
+
 std::optional<TidList> intersect_with_kernel(const TidList& a,
                                              const TidList& b, Count minsup,
                                              IntersectKernel kernel,
@@ -35,19 +64,6 @@ std::optional<TidList> intersect_with_kernel(const TidList& a,
 }
 
 namespace {
-
-void emit(const Itemset& prefix, Item suffix, Count support,
-          std::vector<FrequentItemset>& out,
-          std::vector<std::size_t>& size_histogram) {
-  const std::size_t size = prefix.size() + 1;
-  if (size_histogram.size() <= size) size_histogram.resize(size + 1, 0);
-  ++size_histogram[size];
-  FrequentItemset& found = out.emplace_back();
-  found.items.reserve(size);
-  found.items.assign(prefix.begin(), prefix.end());
-  found.items.push_back(suffix);
-  found.support = support;
-}
 
 /// Mine the class held in the first `used` slots of arena level `depth`,
 /// whose members share the items in arena.prefix(). Emission order is the
@@ -75,7 +91,8 @@ void mine(TidArena& arena, std::size_t depth, Count minsup,
       const std::optional<Count> support = intersect_support(
           cur.sets[i], cur.sets[n - 1], minsup, kernel, stats);
       if (support) {
-        emit(prefix, cur.suffixes[n - 1], *support, out, size_histogram);
+        emit_itemset(prefix, cur.suffixes[n - 1], *support, out,
+                     size_histogram);
       }
     } else {
       next.reset();
@@ -86,7 +103,7 @@ void mine(TidArena& arena, std::size_t depth, Count minsup,
           continue;
         }
         const Count support = slot.support();
-        emit(prefix, cur.suffixes[j], support, out, size_histogram);
+        emit_itemset(prefix, cur.suffixes[j], support, out, size_histogram);
         next.commit(cur.suffixes[j], support);
       }
       if (next.used >= 2) {
@@ -114,23 +131,10 @@ void compute_frequent(const std::vector<Atom>& class_atoms, Count minsup,
                             class_atoms.front().items.begin()));
   }
 #endif
-  const Tid universe = class_universe(class_atoms);
-
-  // Seed level 0 with the atoms in the kernel's preferred representation.
-  TidArena::Level& root = arena.level(0);
-  root.reset();
-  for (const Atom& atom : class_atoms) {
-    TidSet& slot = root.scratch();
-    seed_tidset(atom.tids, universe, kernel, slot, stats);
-    root.commit(atom.items.back(), atom.support());
-  }
-
-  Itemset& prefix = arena.prefix();
-  prefix.assign(class_atoms.front().items.begin(),
-                class_atoms.front().items.end() - 1);
+  const Tid universe = seed_class(class_atoms, kernel, arena, stats);
   mine(arena, 0, minsup, kernel, universe, out, size_histogram, stats,
        guard);
-  prefix.clear();
+  arena.prefix().clear();
 }
 
 void compute_frequent(const std::vector<Atom>& class_atoms, Count minsup,

@@ -16,19 +16,6 @@ std::optional<TidList> difference_bounded(std::span<const Tid> a,
 
 namespace {
 
-void emit(const Itemset& prefix, Item suffix, Count support,
-          std::vector<FrequentItemset>& out,
-          std::vector<std::size_t>& size_histogram) {
-  const std::size_t size = prefix.size() + 1;
-  if (size_histogram.size() <= size) size_histogram.resize(size + 1, 0);
-  ++size_histogram[size];
-  FrequentItemset& found = out.emplace_back();
-  found.items.reserve(size);
-  found.items.assign(prefix.begin(), prefix.end());
-  found.items.push_back(suffix);
-  found.support = support;
-}
-
 /// Mine the diffset class in arena level `depth`: slot s holds the
 /// diffset d(P·suffixes[s]) with support supports[s]. Joins run in the
 /// diffset orientation d(PXY) = d(PY) \ d(PX), i.e. operands (j, i).
@@ -54,7 +41,7 @@ void mine(TidArena& arena, std::size_t depth, Count minsup,
         continue;
       }
       const Count support = cur.supports[i] - slot.support();
-      emit(prefix, cur.suffixes[j], support, out, size_histogram);
+      emit_itemset(prefix, cur.suffixes[j], support, out, size_histogram);
       next.commit(cur.suffixes[j], support);
     }
     if (next.used >= 2) {
@@ -74,21 +61,11 @@ void compute_frequent_diffsets(const std::vector<Atom>& class_atoms,
                                std::vector<std::size_t>& size_histogram,
                                IntersectStats* stats) {
   if (class_atoms.size() < 2) return;
-  const Tid universe = class_universe(class_atoms);
-
   // Seed level 0 with the atoms' *tid-lists*; the representation switch
   // happens at the first join below.
-  TidArena::Level& root = arena.level(0);
-  root.reset();
-  for (const Atom& atom : class_atoms) {
-    TidSet& slot = root.scratch();
-    seed_tidset(atom.tids, universe, kernel, slot, stats);
-    root.commit(atom.items.back(), atom.support());
-  }
-
+  const Tid universe = seed_class(class_atoms, kernel, arena, stats);
+  const TidArena::Level& root = arena.level(0);
   Itemset& prefix = arena.prefix();
-  prefix.assign(class_atoms.front().items.begin(),
-                class_atoms.front().items.end() - 1);
 
   // First join switches representation: d(XY) = t(X) \ t(Y) — note the
   // (i, j) orientation here versus (j, i) in the diffset recursion.
@@ -109,7 +86,7 @@ void compute_frequent_diffsets(const std::vector<Atom>& class_atoms,
         continue;
       }
       const Count support = parent_support - slot.support();
-      emit(prefix, root.suffixes[j], support, out, size_histogram);
+      emit_itemset(prefix, root.suffixes[j], support, out, size_histogram);
       next.commit(root.suffixes[j], support);
     }
     if (next.used >= 2) {

@@ -17,14 +17,6 @@
 
 namespace eclat {
 
-/// An itemset with its diffset from the recursion prefix and its exact
-/// support (which a diffset alone cannot reproduce).
-struct DiffAtom {
-  Itemset items;
-  TidList diffset;
-  Count support = 0;
-};
-
 /// Drop-in alternative to compute_frequent: identical results, diffset
 /// representation internally. `class_atoms` are tid-list atoms exactly as
 /// for compute_frequent. Stats count diffset elements (or bitset words)

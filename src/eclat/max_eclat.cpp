@@ -165,18 +165,9 @@ MiningResult max_eclat(const HorizontalDatabase& db,
           {eq_class.prefix, member}, counter.get(eq_class.prefix, member)});
       continue;
     }
-    const Tid universe = class_universe(atoms);
+    const Tid universe = seed_class(atoms, config.kernel, arena, nullptr);
     MaxCtx ctx{arena,      fold,       config.minsup, config.kernel,
                universe,   candidates, local_stats,   nullptr};
-    TidArena::Level& root = arena.level(0);
-    root.reset();
-    for (const Atom& atom : atoms) {
-      TidSet& slot = root.scratch();
-      seed_tidset(atom.tids, universe, config.kernel, slot, nullptr);
-      root.commit(atom.items.back(), atom.support());
-    }
-    arena.prefix().assign(atoms.front().items.begin(),
-                          atoms.front().items.end() - 1);
     max_recurse(ctx, 0);
     arena.prefix().clear();
     atoms.clear();  // free the class's tid-lists before the next class

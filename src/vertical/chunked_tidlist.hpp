@@ -4,20 +4,17 @@
 //
 //   array   sorted u16 list            (sparse chunks, STTNI intersect)
 //   bitset  1024 words, one bit/tid    (dense chunks, SIMD word-AND)
-//   run     sorted (start,last) pairs  (clustered chunks)
 //
 // so a mid-density tid-list no longer pays the all-or-nothing 1/64
 // cliff of the flat sparse/dense split: its hot chunks go bitset, its
 // cold ones stay array, and each chunk pair dispatches to the cheapest
 // pairwise kernel (thresholds and derivation in DESIGN.md §5).
 //
-// Chunk-local thresholds (speed-oriented, not Roaring's space-oriented
-// 4096): a chunk holding c of its 65536 tids becomes a bitset at
-// c >= 1024 (local density 1/64 — where 8-words-per-iteration SIMD AND
-// beats the 8-lane STTNI block merge), and a run container when
-// 8 · runs <= c at assign time (intersection outputs rematerialize as
-// array or bitset by cardinality; run structure is not recomputed on
-// kernel outputs).
+// Chunk-local threshold (speed-oriented, not Roaring's space-oriented
+// 4096): a chunk holding c of its 65536 tids is a bitset at c >= 1024
+// (local density 1/64 — where 8-words-per-iteration SIMD AND beats the
+// 8-lane STTNI block merge) and an array below. Every assign and every
+// kernel output picks the container by this one rule.
 //
 // Storage is pooled (one u16 pool, one word pool, one chunk-meta
 // vector), and every assign/intersect reuses pool capacity, so a
@@ -39,19 +36,18 @@ namespace eclat {
 
 class ChunkedTidList {
  public:
-  enum class ContainerType : std::uint8_t { kArray, kBitset, kRun };
+  enum class ContainerType : std::uint8_t { kArray, kBitset };
 
   /// Chunk counts by container type (bench reporting).
   struct ContainerHistogram {
     std::size_t array = 0;
     std::size_t bitset = 0;
-    std::size_t run = 0;
   };
 
   ChunkedTidList() = default;
 
   /// Rebuild in place from a sorted tid-list over [0, universe),
-  /// choosing each chunk's container by the local thresholds above.
+  /// choosing each chunk's container by the local threshold above.
   void assign(std::span<const Tid> tids, Tid universe);
 
   /// Rebuild from a flat word bitmap (count = its popcount) — the
@@ -171,33 +167,26 @@ class ChunkedTidList {
   struct Chunk {
     std::uint16_t key = 0;  ///< tid >> 16
     ContainerType type = ContainerType::kArray;
-    std::uint32_t offset = 0;       ///< u16 pool (array: elements; run:
-                                    ///< (start,last) pairs) or word pool
-                                    ///< (bitset: kChunkWords words)
+    std::uint32_t offset = 0;       ///< u16 pool (array elements) or word
+                                    ///< pool (bitset: kChunkWords words)
     std::uint32_t cardinality = 0;  ///< tids in this chunk
-    std::uint32_t run_count = 0;    ///< runs (kRun only)
   };
 
   static constexpr std::size_t kChunkSpan = 1U << 16;
   static constexpr std::size_t kChunkWords = kChunkSpan / 64;
   /// Local-density 1/64 crossover: array→bitset at this cardinality.
   static constexpr std::size_t kBitsetChunkMin = 1024;
-  /// Run container at assign time when 8·runs <= cardinality.
-  static constexpr std::size_t kRunCompression = 8;
   /// STTNI compress stores 8 u16 lanes past the true result.
   static constexpr std::size_t kU16Slack = 8;
 
   std::span<const std::uint16_t> array_of(const Chunk& c) const;
-  std::span<const std::uint16_t> runs_of(const Chunk& c) const;
   std::span<const std::uint64_t> words_of(const Chunk& c) const;
 
   // Output staging: stage_* grows the pool and returns the offset;
   // emit_* trims the pool to the true cardinality, converts the staged
-  // payload to the cheaper container when it crossed a threshold
-  // (kernel outputs choose array or bitset only — run structure is not
-  // recomputed), appends the chunk, and accumulates count_. A staged
-  // region must be emitted before the next stage_* call (the pools may
-  // reallocate).
+  // payload to the other container when it crossed the threshold,
+  // appends the chunk, and accumulates count_. A staged region must be
+  // emitted before the next stage_* call (the pools may reallocate).
   std::uint32_t stage_u16(std::size_t capacity);
   void emit_array(std::uint16_t key, std::uint32_t offset, std::size_t card);
   std::uint32_t stage_words();
@@ -239,7 +228,7 @@ class ChunkedTidList {
                            IntersectStats* stats);
 
   std::vector<Chunk> chunks_;            // sorted by key
-  std::vector<std::uint16_t> u16_pool_;  // array elements + run pairs
+  std::vector<std::uint16_t> u16_pool_;  // array chunk elements
   std::vector<std::uint64_t> word_pool_;  // bitset chunk payloads
   Tid universe_ = 0;
   std::size_t count_ = 0;

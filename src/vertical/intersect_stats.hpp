@@ -34,11 +34,9 @@ struct IntersectStats {
 
   // Per-container-type chunk kernel operations (one per chunk pair the
   // chunked kernels actually touched). A pair involving a bitset chunk
-  // counts as bitset, else a pair involving a run chunk counts as run,
-  // else array.
+  // counts as bitset, else as array.
   std::uint64_t chunk_array_ops = 0;
   std::uint64_t chunk_bitset_ops = 0;
-  std::uint64_t chunk_run_ops = 0;
 
   // SIMD dispatch hits: calls that ran through a vector kernel from the
   // runtime-dispatched table (scalar fallback calls are not counted).

@@ -439,7 +439,7 @@ TEST(TidSet, KernelNamesRoundTrip) {
 constexpr Tid kChunkUniverse = 1u << 18;
 
 /// Adversarial single lists for the chunked container: chunk-boundary
-/// values, run-heavy spans, single-tid chunks, and a bitset-dense chunk.
+/// values, consecutive spans, single-tid chunks, and a bitset-dense chunk.
 std::vector<TidList> chunked_adversarial_lists() {
   std::vector<TidList> lists;
   lists.push_back({});
@@ -447,10 +447,10 @@ std::vector<TidList> chunked_adversarial_lists() {
   lists.push_back({65535});                       // last tid of chunk 0
   lists.push_back({65536});                       // first tid of chunk 1
   lists.push_back({65535, 65536, 131071, 131072});  // both boundary sides
-  TidList runs;  // run-compressed: long consecutive spans
-  for (Tid t = 100; t < 5100; ++t) runs.push_back(t);
-  for (Tid t = 70000; t < 70100; ++t) runs.push_back(t);
-  lists.push_back(std::move(runs));
+  TidList spans;  // consecutive tids: a bitset chunk and an array chunk
+  for (Tid t = 100; t < 5100; ++t) spans.push_back(t);
+  for (Tid t = 70000; t < 70100; ++t) spans.push_back(t);
+  lists.push_back(std::move(spans));
   TidList singles;  // one tid per chunk
   for (Tid c = 0; c < 4; ++c) singles.push_back(c * 65536 + 17);
   lists.push_back(std::move(singles));
@@ -478,21 +478,49 @@ TEST(ChunkedTidList, RoundTripOnAdversarialLists) {
 }
 
 TEST(ChunkedTidList, HistogramReflectsContainerTypes) {
-  // Chunk 0: 2000 scattered tids — too sparse for a bitset (card < 1024
-  // needs... 2000 >= 1024, so bitset), chunk 1: a pure run, chunk 2: a
-  // small array. Build each regime explicitly.
+  // A chunk is a bitset at 1024 tids and an array below, whatever the
+  // tids' layout. Both sides of the cutoff are pinned through the sorted
+  // list assign and the word-bitmap conversion.
+  constexpr Tid kChunk = 65536;
+  constexpr Tid kUniverse = 5 * kChunk;
   TidList tids;
-  for (Tid t = 0; t < 60000; t += 30) tids.push_back(t);  // 2000 ≥ 1024 → bitset
-  for (Tid t = 65536; t < 65536 + 512; ++t) tids.push_back(t);  // 1 run, 512 card
-  tids.push_back(131072 + 5);  // 1-element array
-  tids.push_back(131072 + 99);
-  ChunkedTidList chunks;
-  chunks.assign(tids, kChunkUniverse);
-  const ChunkedTidList::ContainerHistogram hist = chunks.histogram();
-  EXPECT_EQ(hist.bitset, 1u);
-  EXPECT_EQ(hist.run, 1u);
-  EXPECT_EQ(hist.array, 1u);
-  EXPECT_EQ(chunks.to_tidlist(), tids);
+  for (Tid t = 0; t < 60000; t += 30) tids.push_back(t);  // 2000: bitset
+  for (Tid t = kChunk; t < kChunk + 512; ++t) tids.push_back(t);  // array
+  for (Tid i = 0; i < 1023; ++i) tids.push_back(2 * kChunk + 3 * i);  // array
+  for (Tid i = 0; i < 1024; ++i) tids.push_back(3 * kChunk + 3 * i);  // bitset
+  tids.push_back(4 * kChunk + 5);  // 2-element array
+  tids.push_back(4 * kChunk + 99);
+  BitsetTidList bits;
+  bits.assign(tids, kUniverse);
+  ChunkedTidList from_list;
+  ChunkedTidList from_words;
+  from_list.assign(tids, kUniverse);
+  from_words.assign_from_words(bits.words(), kUniverse, bits.count());
+  for (const ChunkedTidList* chunks : {&from_list, &from_words}) {
+    const ChunkedTidList::ContainerHistogram hist = chunks->histogram();
+    EXPECT_EQ(hist.bitset, 2u);
+    EXPECT_EQ(hist.array, 3u);
+    EXPECT_EQ(chunks->to_tidlist(), tids);
+  }
+
+  // A lone chunk on either side of the cutoff: the 1023-tid list takes
+  // the conversion's array-only decode, the 1024-tid list its popcount
+  // pass.
+  for (const std::size_t card : {std::size_t{1023}, std::size_t{1024}}) {
+    TidList chunk;
+    for (std::size_t i = 0; i < card; ++i) {
+      chunk.push_back(kChunk + static_cast<Tid>(3 * i));
+    }
+    bits.assign(chunk, kUniverse);
+    from_list.assign(chunk, kUniverse);
+    from_words.assign_from_words(bits.words(), kUniverse, bits.count());
+    for (const ChunkedTidList* chunks : {&from_list, &from_words}) {
+      const ChunkedTidList::ContainerHistogram hist = chunks->histogram();
+      EXPECT_EQ(hist.bitset, card >= 1024 ? 1u : 0u) << card;
+      EXPECT_EQ(hist.array, card >= 1024 ? 0u : 1u) << card;
+      EXPECT_EQ(chunks->to_tidlist(), chunk) << card;
+    }
+  }
 }
 
 TEST(TidSet, ChunkedIntersectionAgreesOnMultiChunkInputs) {
@@ -504,7 +532,7 @@ TEST(TidSet, ChunkedIntersectionAgreesOnMultiChunkInputs) {
       cases.emplace_back(adversarial[i], adversarial[j]);
     }
   }
-  // Density grid across the array/bitset/run container regimes.
+  // Density grid across the array/bitset container regimes.
   for (double da : {0.001, 0.01, 0.05}) {
     for (double db : {0.001, 0.05}) {
       cases.emplace_back(random_list(rng, kChunkUniverse, da),
