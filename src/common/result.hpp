@@ -43,8 +43,16 @@ struct MiningResult {
 };
 
 /// Canonical order (by size, then lexicographic) so results from different
-/// algorithms compare with operator== in tests.
+/// algorithms compare with operator== in tests. Linear when each size's
+/// itemsets already arrive in lexicographic order (Eclat's commit order):
+/// itemsets move in place into one run per size, keeping their relative
+/// order, and only a run that is not already sorted gets sorted.
 void normalize(MiningResult& result);
+
+/// One LevelStats{k, 0, |Lk|} per size k = 1..max_size(), counted in one
+/// pass over the itemsets in any order; sizes with no itemsets below the
+/// largest get a zero-count level.
+std::vector<LevelStats> level_stats(const MiningResult& result);
 
 /// Convert a relative minimum support (e.g. 0.001 for the paper's 0.1%)
 /// into the absolute transaction count used internally (ceiling, >= 1).

@@ -48,23 +48,33 @@ MiningResult read_result(std::istream& stream) {
   }
   MiningResult result;
   const auto count = read_pod<std::uint64_t>(stream);
-  result.itemsets.reserve(count);
+  // Header counts are untrusted, as in the ECLATHDB reader (data/io.cpp):
+  // a forged itemset count or length must never drive a large allocation
+  // before the stream has delivered the bytes behind it. Reservations are
+  // capped and items are read in capped chunks, so a malformed stream
+  // always surfaces as std::runtime_error, never as OOM.
+  constexpr std::uint64_t kReserveCap = 4096;
+  result.itemsets.reserve(
+      static_cast<std::size_t>(std::min(count, kReserveCap)));
   for (std::uint64_t i = 0; i < count; ++i) {
     FrequentItemset f;
     const auto length = read_pod<std::uint32_t>(stream);
-    f.items.resize(length);
-    stream.read(reinterpret_cast<char*>(f.items.data()),
-                static_cast<std::streamsize>(length * sizeof(Item)));
-    if (!stream) throw std::runtime_error("truncated result file");
+    for (std::size_t done = 0; done < length;) {
+      const std::size_t chunk = static_cast<std::size_t>(
+          std::min<std::uint64_t>(length - done, kReserveCap));
+      f.items.resize(done + chunk);
+      stream.read(reinterpret_cast<char*>(f.items.data() + done),
+                  static_cast<std::streamsize>(chunk * sizeof(Item)));
+      if (!stream) throw std::runtime_error("truncated result file");
+      done += chunk;
+    }
     if (!is_sorted_itemset(f.items)) {
       throw std::runtime_error("corrupt result file: unsorted itemset");
     }
     f.support = read_pod<Count>(stream);
     result.itemsets.push_back(std::move(f));
   }
-  for (std::size_t k = 1; k <= result.max_size(); ++k) {
-    result.levels.push_back(LevelStats{k, 0, result.count_of_size(k)});
-  }
+  result.levels = level_stats(result);
   return result;
 }
 
@@ -124,9 +134,7 @@ MiningResult read_result_text(std::istream& stream) {
     result.itemsets.push_back(std::move(f));
   }
   normalize(result);
-  for (std::size_t k = 1; k <= result.max_size(); ++k) {
-    result.levels.push_back(LevelStats{k, 0, result.count_of_size(k)});
-  }
+  result.levels = level_stats(result);
   return result;
 }
 

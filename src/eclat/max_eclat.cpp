@@ -187,9 +187,7 @@ MiningResult max_eclat(const HorizontalDatabase& db,
   result.itemsets = maximal_of(raw);
   result.database_scans = 2;
   normalize(result);
-  for (std::size_t k = 1; k <= result.max_size(); ++k) {
-    result.levels.push_back(LevelStats{k, 0, result.count_of_size(k)});
-  }
+  result.levels = level_stats(result);
   if (stats) *stats = local_stats;
   return result;
 }

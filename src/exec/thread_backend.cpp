@@ -149,23 +149,24 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
   const mc::Topology topo{1, W};
   WallStopwatch wall;
 
-  // ----- Phase 1: initialization. Per-worker local counts, then an
-  // in-place prefix sum: counters[w] ends up holding blocks 0..w, so the
-  // last one is the merged L2 and counters[w-1] is where block w's tids
-  // start in every global tid-list. Exact integer arithmetic, so the
-  // merged counts equal the simulator's tree reduction for any W. -----
-  std::vector<TriangleCounter> counters(W, TriangleCounter(db.num_items()));
+  // ----- Phase 1: initialization. Per-worker local counts, each into a
+  // counter its worker allocates and zeroes itself, then an in-place
+  // prefix sum: counters[w] ends up holding blocks 0..w, so the last one
+  // is the merged L2 and counters[w-1] is where block w's tids start in
+  // every global tid-list. Exact integer arithmetic, so the merged counts
+  // equal the simulator's tree reduction for any W. -----
+  std::vector<std::optional<TriangleCounter>> counters(W);
   std::vector<std::vector<Count>> item_partials(W);
   parallel_region(W, [&](std::size_t w) {
     const std::span<const Transaction> local =
         par::local_partition(db, topo, w);
-    counters[w].count(local);
+    counters[w].emplace(db.num_items()).count(local);
     if (config.include_singletons) {
       item_partials[w] = count_items(local, db.num_items());
     }
   });
-  for (std::size_t w = 1; w < W; ++w) counters[w].merge(counters[w - 1]);
-  const TriangleCounter& counter = counters.back();
+  for (std::size_t w = 1; w < W; ++w) counters[w]->merge(*counters[w - 1]);
+  const TriangleCounter& counter = *counters.back();
   std::vector<Count> item_counts(db.num_items(), 0);
   for (const std::vector<Count>& partial : item_partials) {
     for (std::size_t i = 0; i < partial.size(); ++i) {
@@ -187,7 +188,7 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
   std::vector<TidList> lists = pair_slots.make_lists(counter);
   parallel_region(W, [&](std::size_t w) {
     std::vector<Tid*> cursors =
-        pair_slots.cursors(lists, w == 0 ? nullptr : &counters[w - 1]);
+        pair_slots.cursors(lists, w == 0 ? nullptr : &*counters[w - 1]);
     pair_slots.write(par::local_partition(db, topo, w), cursors);
   });
   std::vector<std::vector<Atom>> class_atoms =
@@ -509,9 +510,21 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
 
   // ----- Phase 4: final reduction in commit order — singletons, pairs,
   // then the class slots by ascending class id, then normalize. This is
-  // what makes the output independent of scheduling and interleaving. -----
+  // what makes the output independent of scheduling and interleaving.
+  // Each size's itemsets arrive in lexicographic order, so normalize
+  // only places them by size. -----
   par::ParallelOutput output;
   output.result.database_scans = 3;  // two horizontal scans + vertical read
+  std::size_t itemsets = plan.frequent_pairs.size();
+  if (config.include_singletons) {
+    itemsets += static_cast<std::size_t>(
+        std::count_if(item_counts.begin(), item_counts.end(),
+                      [&](Count n) { return n >= config.minsup; }));
+  }
+  for (const std::vector<FrequentItemset>& slot : slots) {
+    itemsets += slot.size();
+  }
+  output.result.itemsets.reserve(itemsets);
   if (config.include_singletons) {
     par::append_singletons(output.result, item_counts, config.minsup);
   }

@@ -310,10 +310,7 @@ ParallelOutput candidate_distribution(
         }
       }
       normalize(merged);
-      for (std::size_t size = 1; size <= merged.max_size(); ++size) {
-        merged.levels.push_back(
-            LevelStats{size, 0, merged.count_of_size(size)});
-      }
+      merged.levels = level_stats(merged);
       // eclat-lint: allow(det-thread) single-writer publish of the run's result
       std::lock_guard lock(output_mutex);
       output.result = std::move(merged);

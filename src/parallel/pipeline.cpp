@@ -97,9 +97,7 @@ void append_frequent_pairs(MiningResult& result,
 
 void finalize_result(MiningResult& result) {
   normalize(result);
-  for (std::size_t k = 1; k <= result.max_size(); ++k) {
-    result.levels.push_back(LevelStats{k, 0, result.count_of_size(k)});
-  }
+  result.levels = level_stats(result);
 }
 
 }  // namespace eclat::par

@@ -76,9 +76,7 @@ MiningResult partition_mine(const HorizontalDatabase& db,
 
   result.database_scans = 2;
   normalize(result);
-  for (std::size_t k = 1; k <= result.max_size(); ++k) {
-    result.levels.push_back(LevelStats{k, 0, result.count_of_size(k)});
-  }
+  result.levels = level_stats(result);
   if (stats) {
     stats->candidates = candidates.size();
     stats->false_positives = false_positives;

@@ -44,6 +44,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 #include <vector>
 
 #include "common/rng.hpp"
+#include "mutate.hpp"
 
 namespace {
 
@@ -70,35 +71,6 @@ std::string serialize(const eclat::HorizontalDatabase& db) {
   return out.str();
 }
 
-/// Apply one of: truncation, byte flips, or a splice of random bytes —
-/// the same mutation model as the wire fuzzer.
-std::string mutate(std::string bytes, eclat::Rng& rng) {
-  switch (rng.below(3)) {
-    case 0:  // truncate
-      if (!bytes.empty()) bytes.resize(rng.below(bytes.size()));
-      break;
-    case 1: {  // flip up to 8 bytes
-      if (bytes.empty()) break;
-      const std::size_t flips = 1 + rng.below(8);
-      for (std::size_t f = 0; f < flips; ++f) {
-        bytes[rng.below(bytes.size())] ^=
-            static_cast<char>(1 + rng.below(255));
-      }
-      break;
-    }
-    default: {  // splice random garbage at a random offset
-      const std::size_t at = bytes.empty() ? 0 : rng.below(bytes.size());
-      std::string garbage(rng.below(24), '\0');
-      for (char& byte : garbage) {
-        byte = static_cast<char>(rng.below(256));
-      }
-      bytes.insert(at, garbage);
-      break;
-    }
-  }
-  return bytes;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -107,7 +79,8 @@ int main(int argc, char** argv) {
       argc > 2 ? std::strtoull(argv[2], nullptr, 0) : 0xECDB;
   eclat::Rng rng(seed);
   for (int i = 0; i < iterations; ++i) {
-    const std::string bytes = mutate(serialize(valid_db(rng)), rng);
+    const std::string bytes =
+        eclat::fuzz::mutate(serialize(valid_db(rng)), rng);
     LLVMFuzzerTestOneInput(reinterpret_cast<const std::uint8_t*>(bytes.data()),
                            bytes.size());
   }

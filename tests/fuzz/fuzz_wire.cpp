@@ -68,6 +68,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 #include <cstdlib>
 
 #include "common/rng.hpp"
+#include "mutate.hpp"
 
 namespace {
 
@@ -97,35 +98,6 @@ eclat::mc::Blob valid_itemset_blob(eclat::Rng& rng) {
   return writer.take();
 }
 
-/// Apply one of: truncation, byte flips, or a splice of random bytes.
-eclat::mc::Blob mutate(eclat::mc::Blob blob, eclat::Rng& rng) {
-  switch (rng.below(3)) {
-    case 0:  // truncate
-      if (!blob.empty()) blob.resize(rng.below(blob.size()));
-      break;
-    case 1: {  // flip up to 8 bytes
-      if (blob.empty()) break;
-      const std::size_t flips = 1 + rng.below(8);
-      for (std::size_t f = 0; f < flips; ++f) {
-        blob[rng.below(blob.size())] ^=
-            static_cast<std::uint8_t>(1 + rng.below(255));
-      }
-      break;
-    }
-    default: {  // splice random garbage at a random offset
-      const std::size_t at = blob.empty() ? 0 : rng.below(blob.size());
-      std::vector<std::uint8_t> garbage(rng.below(24));
-      for (std::uint8_t& byte : garbage) {
-        byte = static_cast<std::uint8_t>(rng.below(256));
-      }
-      blob.insert(blob.begin() + static_cast<std::ptrdiff_t>(at),
-                  garbage.begin(), garbage.end());
-      break;
-    }
-  }
-  return blob;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -134,7 +106,7 @@ int main(int argc, char** argv) {
       argc > 2 ? std::strtoull(argv[2], nullptr, 0) : 0xA11CE;
   eclat::Rng rng(seed);
   for (int i = 0; i < iterations; ++i) {
-    const eclat::mc::Blob blob = mutate(
+    const eclat::mc::Blob blob = eclat::fuzz::mutate(
         (i % 2 == 0) ? valid_pair_blob(rng) : valid_itemset_blob(rng), rng);
     LLVMFuzzerTestOneInput(blob.data(), blob.size());
   }

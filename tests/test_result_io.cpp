@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
+#include <optional>
 #include <sstream>
+#include <string>
 
 #include "eclat/eclat_seq.hpp"
 #include "test_util.hpp"
@@ -76,6 +79,34 @@ TEST(ResultIo, BinaryRejectsCorruptItemsets) {
   const Count support = 1;
   stream.write(reinterpret_cast<const char*>(&support), 8);
   EXPECT_THROW(read_result(stream), std::runtime_error);
+}
+
+/// An ECLATRES header claiming `count` itemsets, followed by nothing but
+/// an optional first itemset length.
+std::string forged_header(std::uint64_t count,
+                          std::optional<std::uint32_t> length = {}) {
+  std::string bytes = "ECLATRES";
+  bytes.append(reinterpret_cast<const char*>(&count), sizeof(count));
+  if (length) {
+    bytes.append(reinterpret_cast<const char*>(&*length), sizeof(*length));
+  }
+  return bytes;
+}
+
+TEST(ResultIo, BinaryRejectsForgedCountsWithoutLargeAllocations) {
+  // A forged itemset count or length is malformed input: it must surface
+  // as std::runtime_error, never as std::length_error or std::bad_alloc
+  // from a reservation sized by the header.
+  const auto read_bytes = [](const std::string& bytes) {
+    std::stringstream stream(bytes);
+    return read_result(stream);
+  };
+  EXPECT_THROW(read_bytes(forged_header(std::uint64_t{1} << 62)),
+               std::runtime_error);
+  EXPECT_THROW(read_bytes(forged_header(std::uint64_t{1} << 40)),
+               std::runtime_error);
+  EXPECT_THROW(read_bytes(forged_header(1, 0xFFFFFFFFu)),
+               std::runtime_error);
 }
 
 TEST(ResultIo, TextRejectsMissingMarker) {
