@@ -1,6 +1,7 @@
 #include "common/result.hpp"
 
 #include <cmath>
+#include <stdexcept>
 #include <utility>
 
 namespace eclat {
@@ -71,6 +72,11 @@ std::vector<LevelStats> level_stats(const MiningResult& result) {
 }
 
 Count absolute_support(double fraction, std::size_t num_transactions) {
+  // Negated so that NaN fails too; a fraction outside [0, 1] would make
+  // the cast below undefined or wrap the threshold.
+  if (!(fraction >= 0.0 && fraction <= 1.0)) {
+    throw std::invalid_argument("support fraction must be in [0, 1]");
+  }
   const double raw = fraction * static_cast<double>(num_transactions);
   const Count support = static_cast<Count>(std::ceil(raw));
   return support == 0 ? 1 : support;

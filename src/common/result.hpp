@@ -56,6 +56,8 @@ std::vector<LevelStats> level_stats(const MiningResult& result);
 
 /// Convert a relative minimum support (e.g. 0.001 for the paper's 0.1%)
 /// into the absolute transaction count used internally (ceiling, >= 1).
+/// Throws std::invalid_argument unless `fraction` is in [0, 1] (NaN is
+/// not).
 Count absolute_support(double fraction, std::size_t num_transactions);
 
 }  // namespace eclat

@@ -7,7 +7,14 @@ namespace eclat {
 HorizontalDatabase::HorizontalDatabase(std::vector<Transaction> transactions,
                                        Item num_items)
     : transactions_(std::move(transactions)), num_items_(num_items) {
-  for (const Transaction& t : transactions_) {
+  for (std::size_t i = 0; i < transactions_.size(); ++i) {
+    const Transaction& t = transactions_[i];
+    if (t.tid >= kTidLimit) {
+      throw std::invalid_argument("tid out of range");
+    }
+    if (i > 0 && t.tid <= transactions_[i - 1].tid) {
+      throw std::invalid_argument("tids must be strictly increasing");
+    }
     if (!is_sorted_itemset(t.items)) {
       throw std::invalid_argument("transaction items must be strictly sorted");
     }

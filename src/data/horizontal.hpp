@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -24,6 +25,11 @@ struct Transaction {
   friend bool operator==(const Transaction&, const Transaction&) = default;
 };
 
+/// Every tid is below this bound. Tid-lists are built by appending tids
+/// in transaction order and a class's tid universe is its last tid + 1,
+/// so the largest Tid value would wrap that universe to 0.
+inline constexpr Tid kTidLimit = std::numeric_limits<Tid>::max();
+
 /// A contiguous block of a database assigned to one processor.
 struct Block {
   std::size_t begin = 0;  ///< index of the first transaction in the block
@@ -38,6 +44,10 @@ struct Block {
 class HorizontalDatabase {
  public:
   HorizontalDatabase() = default;
+  /// Throws std::invalid_argument unless every transaction's items are
+  /// strictly increasing and below `num_items`, and the tids are strictly
+  /// increasing and below kTidLimit. Tids may skip values (a sample keeps
+  /// the tids it drew).
   HorizontalDatabase(std::vector<Transaction> transactions, Item num_items);
 
   std::size_t size() const { return transactions_.size(); }

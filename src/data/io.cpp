@@ -66,6 +66,15 @@ HorizontalDatabase read_binary(std::istream& stream) {
   for (std::uint64_t i = 0; i < num_transactions; ++i) {
     Transaction t;
     t.tid = read_pod<Tid>(stream);
+    // The constructor's tid contract, checked here so that a bad stream
+    // fails as std::runtime_error like every other malformed input.
+    if (t.tid >= kTidLimit) {
+      throw std::runtime_error("corrupt binary database: tid out of range");
+    }
+    if (!transactions.empty() && t.tid <= transactions.back().tid) {
+      throw std::runtime_error(
+          "corrupt binary database: tids not strictly increasing");
+    }
     const auto count = read_pod<std::uint32_t>(stream);
     t.items.reserve(static_cast<std::size_t>(
         std::min<std::uint64_t>(count, kReserveCap)));

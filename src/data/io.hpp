@@ -6,7 +6,7 @@
 //   num_items                  u32
 //   num_transactions           u64
 //   repeated per transaction:
-//     tid                      u32
+//     tid                      u32, strictly increasing, < 0xFFFFFFFF
 //     item_count               u32
 //     items                    item_count * u32, strictly increasing
 //
@@ -26,7 +26,7 @@ namespace eclat {
 void write_binary(const HorizontalDatabase& db, std::ostream& stream);
 
 /// Parse a database from the binary format; throws std::runtime_error on a
-/// malformed stream.
+/// malformed stream, including tids out of order or out of range.
 HorizontalDatabase read_binary(std::istream& stream);
 
 void write_binary_file(const HorizontalDatabase& db, const std::string& path);

@@ -41,7 +41,8 @@ struct IntersectStats {
   // SIMD dispatch hits: calls that ran through a vector kernel from the
   // runtime-dispatched table (scalar fallback calls are not counted).
   std::uint64_t simd_word_calls = 0;    ///< word AND/ANDNOT block kernels
-  std::uint64_t simd_sparse_calls = 0;  ///< u16 intersect / gallop kernels
+  std::uint64_t simd_sparse_calls = 0;  ///< u16 intersect, u32 merge and
+                                        ///< gallop kernels
 };
 
 }  // namespace eclat

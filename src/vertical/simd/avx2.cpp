@@ -11,6 +11,9 @@
 // 256-entry shuffle table compresses the match mask into the output.
 // _mm_cmpestrm (explicit length), NOT _mm_cmpistrm: the implicit-length
 // form treats the value 0 as a terminator and tid 0 is a valid tid.
+// The u32 merge compares 8×u32 blocks through eight broadcast compares
+// and compresses with a 256-entry vpermd table; it keeps the scalar
+// merge's exact state between blocks (see merge_u32_impl).
 #if defined(__AVX2__) && defined(__SSE4_2__)
 #include <immintrin.h>
 
@@ -173,6 +176,100 @@ std::size_t avx2_intersect_u16_count(const std::uint16_t* a, std::size_t na,
   return intersect_u16_impl<true>(a, na, b, nb, nullptr, visited);
 }
 
+/// mask (8 bits, one per u32 lane) -> vpermd control moving the selected
+/// lanes to the front in order; the slots past them are don't-cares.
+constexpr std::array<std::array<std::uint32_t, 8>, 256>
+make_compress_u32_table() {
+  std::array<std::array<std::uint32_t, 8>, 256> table{};
+  for (std::size_t mask = 0; mask < 256; ++mask) {
+    std::size_t pos = 0;
+    for (std::uint32_t lane = 0; lane < 8; ++lane) {
+      if ((mask >> lane & 1U) != 0) table[mask][pos++] = lane;
+    }
+  }
+  return table;
+}
+
+constexpr auto kCompressU32 = make_compress_u32_table();
+
+/// Bit per lane of v <= m, unsigned: max_epu32(v, m) == m. The signed
+/// epi32 compares would order 0x80000000 below 0x7FFFFFFF.
+unsigned lanes_at_most(__m256i v, __m256i m) {
+  return static_cast<unsigned>(_mm256_movemask_ps(_mm256_castsi256_ps(
+      _mm256_cmpeq_epi32(_mm256_max_epu32(v, m), m))));
+}
+
+/// Block merge with the scalar reference's exact accounting. (i, j, k)
+/// is always a state the scalar merge passes through. A block step
+/// compares a[i..i+8) with b[j..j+8) and moves to the state after every
+/// element <= m = min(a[i+7], b[j+7]) is consumed: all matches <= m lie
+/// in both blocks, and everything left is > m. The bound
+/// k + min(na - i, nb - j) never increases along the scalar's steps (a
+/// mismatch lowers min(...) by at most one; a match raises k by one and
+/// lowers min(...) by one), so if it holds at the new state it held at
+/// every step in between. If it fails there, the scalar loop replays
+/// from the old state and stops exactly where the reference does; it
+/// also runs the tail once either side has under 8 elements left.
+/// k <= min(i, j) on entry to a step, so the 8-lane store at out + k
+/// stays inside min(na, nb).
+template <bool kWrite>
+MergeResult merge_u32_impl(const std::uint32_t* a, std::size_t na,
+                           const std::uint32_t* b, std::size_t nb,
+                           std::size_t minsup, std::uint32_t* out,
+                           std::size_t* visited) {
+  std::size_t i = 0;
+  std::size_t j = 0;
+  std::size_t k = 0;
+  while (i + 8 <= na && j + 8 <= nb) {
+    const __m256i va =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
+    const __m256i vb =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j));
+    // Lanes of va equal to some b[j..j+8): eight independent compares
+    // against broadcasts, ORed as a tree (a chain of lane rotations
+    // would serialize them).
+    const auto eq = [va, b, j](std::size_t lane) {
+      return _mm256_cmpeq_epi32(
+          va, _mm256_set1_epi32(static_cast<int>(b[j + lane])));
+    };
+    const __m256i any = _mm256_or_si256(
+        _mm256_or_si256(_mm256_or_si256(eq(0), eq(1)),
+                        _mm256_or_si256(eq(2), eq(3))),
+        _mm256_or_si256(_mm256_or_si256(eq(4), eq(5)),
+                        _mm256_or_si256(eq(6), eq(7))));
+    const auto match = static_cast<unsigned>(
+        _mm256_movemask_ps(_mm256_castsi256_ps(any)));
+    if constexpr (kWrite) {
+      const __m256i perm = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(kCompressU32[match].data()));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + k),
+                          _mm256_permutevar8x32_epi32(va, perm));
+    }
+    const __m256i m =
+        _mm256_set1_epi32(static_cast<int>(std::min(a[i + 7], b[j + 7])));
+    const std::size_t next_i =
+        i + static_cast<std::size_t>(std::popcount(lanes_at_most(va, m)));
+    const std::size_t next_j =
+        j + static_cast<std::size_t>(std::popcount(lanes_at_most(vb, m)));
+    const std::size_t next_k =
+        k + static_cast<std::size_t>(std::popcount(match));
+    if (next_k + std::min(na - next_i, nb - next_j) < minsup) break;
+    i = next_i;
+    j = next_j;
+    k = next_k;
+  }
+  return scalar_merge_u32_from(a, na, b, nb, minsup, out, visited, i, j, k);
+}
+
+MergeResult avx2_merge_u32(const std::uint32_t* a, std::size_t na,
+                           const std::uint32_t* b, std::size_t nb,
+                           std::size_t minsup, std::uint32_t* out,
+                           std::size_t* visited) {
+  return out != nullptr
+             ? merge_u32_impl<true>(a, na, b, nb, minsup, out, visited)
+             : merge_u32_impl<false>(a, na, b, nb, minsup, out, visited);
+}
+
 /// First index in [lo, nl) with large[index] >= target. Doubling probes
 /// bracket the gap, binary search narrows it to <= 32 elements, and an
 /// 8-wide compare scan finds the boundary inside the final window. The
@@ -267,6 +364,7 @@ const KernelTable& avx2_table() {
       .andnot_words = &avx2_andnot_words,
       .intersect_u16 = &avx2_intersect_u16,
       .intersect_u16_count = &avx2_intersect_u16_count,
+      .merge_u32 = &avx2_merge_u32,
       .gallop_u32 = &avx2_gallop_u32,
       .gallop_u32_count = &avx2_gallop_u32_count,
       // No AVX2 bit-position compress instruction exists (vpcompressd is

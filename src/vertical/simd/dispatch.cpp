@@ -116,7 +116,13 @@ const KernelTable& kernels_for(IsaLevel level) {
   ECLAT_UNREACHABLE("invalid IsaLevel");
 }
 
-const KernelTable& kernels() { return kernels_for(active_level()); }
+const KernelTable& kernels() {
+  // Hot path: every sparse merge asks once. The detected table resolves
+  // through CPUID and the build probes a single time; afterwards this is
+  // one flag test and one load.
+  static const KernelTable& detected = kernels_for(detected_isa_level());
+  return g_override.set ? kernels_for(g_override.level) : detected;
+}
 
 void override_isa_level(std::optional<IsaLevel> level) {
   g_override.set = level.has_value();
@@ -182,6 +188,55 @@ void self_check() {
   ECLAT_CHECK(std::memcmp(got_u16, want_u16,
                           got_n * sizeof(std::uint16_t)) == 0);
   ECLAT_CHECK(table.intersect_u16_count(sa, 24, sb, 21, nullptr) == want_n);
+
+  // u32 merge: count, abort decision, visited and bytes against the
+  // scalar reference. Below the high tids a holds 0, 3, 6, ... and b
+  // 0, 5, 10, ..., so they match on multiples of 15 from tid 0; both
+  // end in the signed-compare trap 0x7FFFFFFF/0x80000000 and 0xFFFFFFFE.
+  std::uint32_t ma[40];
+  std::uint32_t mb[30];
+  for (std::size_t i = 0; i < 36; ++i) {
+    ma[i] = static_cast<std::uint32_t>(i * 3);
+  }
+  for (std::size_t i = 0; i < 26; ++i) {
+    mb[i] = static_cast<std::uint32_t>(i * 5);
+  }
+  const std::uint32_t high[4] = {0x7FFFFFFFU, 0x80000000U, 0x80000001U,
+                                 0xFFFFFFFEU};
+  std::memcpy(ma + 36, high, sizeof(high));
+  mb[26] = high[0];
+  mb[27] = high[1];
+  mb[28] = 0x90000000U;
+  mb[29] = high[3];
+  struct MergeCase {
+    std::size_t na;
+    std::size_t nb;
+    std::size_t minsup;
+  };
+  // Exact support 11, three of it in the high tids: minsup 0 and 11 run
+  // to the end; 12 aborts in the tail; 40 and 22 abort in the first and
+  // in a later block.
+  const MergeCase merge_cases[] = {
+      {40, 30, 0}, {40, 30, 11}, {40, 30, 12}, {40, 30, 40}, {40, 30, 22},
+      {7, 30, 0},  {40, 9, 2}};
+  for (const MergeCase& c : merge_cases) {
+    std::uint32_t got_m[40];
+    std::uint32_t want_m[40];
+    std::size_t got_visited = 0;
+    std::size_t want_visited = 0;
+    const MergeResult got = table.merge_u32(ma, c.na, mb, c.nb, c.minsup,
+                                            got_m, &got_visited);
+    const MergeResult want = detail::scalar_merge_u32(
+        ma, c.na, mb, c.nb, c.minsup, want_m, &want_visited);
+    ECLAT_CHECK(got.count == want.count && got.aborted == want.aborted);
+    ECLAT_CHECK(got_visited == want_visited);
+    ECLAT_CHECK(std::memcmp(got_m, want_m,
+                            got.count * sizeof(std::uint32_t)) == 0);
+    const MergeResult counted =
+        table.merge_u32(ma, c.na, mb, c.nb, c.minsup, nullptr, nullptr);
+    ECLAT_CHECK(counted.count == want.count &&
+                counted.aborted == want.aborted);
+  }
 
   // Gallop: a short probe list against a long run with scattered hits.
   std::uint32_t small[9];

@@ -39,6 +39,13 @@ enum class IsaLevel : std::uint8_t {
 /// Canonical lowercase name ("scalar", "avx2", "avx512").
 const char* isa_name(IsaLevel level);
 
+/// What merge_u32 reports: the matches it found and whether the support
+/// bound stopped it before either list ran out.
+struct MergeResult {
+  std::size_t count = 0;
+  bool aborted = false;
+};
+
 /// The kernel table: raw loops over unowned memory. All pointers are
 /// non-null in every table (unsupported levels fall back to the next
 /// lower implementation), so call sites never branch on availability.
@@ -65,6 +72,18 @@ struct KernelTable {
   std::size_t (*intersect_u16_count)(const std::uint16_t* a, std::size_t na,
                                      const std::uint16_t* b, std::size_t nb,
                                      std::size_t* visited);
+
+  /// Sorted-u32 merge a ∩ b under the paper's §5.3 support bound: with k
+  /// matches after consuming a[0..i) and b[0..j), the merge stops once
+  /// k + min(na - i, nb - j) < minsup. minsup 0 never stops (the plain
+  /// merge). When out != nullptr the matches go to out (capacity
+  /// >= min(na, nb)); nullptr counts only. `visited` accumulates i + j at
+  /// the stop. Every level returns exactly the scalar reference's count,
+  /// abort decision, `visited` and out[0..count), aborted or not.
+  MergeResult (*merge_u32)(const std::uint32_t* a, std::size_t na,
+                           const std::uint32_t* b, std::size_t nb,
+                           std::size_t minsup, std::uint32_t* out,
+                           std::size_t* visited);
 
   /// Galloping membership intersection for heavily skewed sorted u32
   /// pairs: every element of `small` is searched in `large` (exponential

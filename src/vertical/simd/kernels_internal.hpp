@@ -28,6 +28,18 @@ std::size_t scalar_intersect_u16(const std::uint16_t* a, std::size_t na,
 std::size_t scalar_intersect_u16_count(const std::uint16_t* a, std::size_t na,
                                        const std::uint16_t* b, std::size_t nb,
                                        std::size_t* visited);
+MergeResult scalar_merge_u32(const std::uint32_t* a, std::size_t na,
+                             const std::uint32_t* b, std::size_t nb,
+                             std::size_t minsup, std::uint32_t* out,
+                             std::size_t* visited);
+/// The scalar merge started from a state (i, j, k) that it passes
+/// through itself. The vector merges call it to finish their tails and
+/// to replay a block whose end state fails the bound.
+MergeResult scalar_merge_u32_from(const std::uint32_t* a, std::size_t na,
+                                  const std::uint32_t* b, std::size_t nb,
+                                  std::size_t minsup, std::uint32_t* out,
+                                  std::size_t* visited, std::size_t i,
+                                  std::size_t j, std::size_t k);
 std::size_t scalar_gallop_u32(const std::uint32_t* small, std::size_t ns,
                               const std::uint32_t* large, std::size_t nl,
                               std::uint32_t* out, std::size_t* visited);

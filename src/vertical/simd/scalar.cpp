@@ -88,6 +88,33 @@ std::size_t scalar_intersect_u16_count(const std::uint16_t* a, std::size_t na,
 
 namespace {
 
+/// Branchless merge step: consume the smaller head, or both on a match.
+/// `out[k]` is written on every step (k < min(na, nb) while both lists
+/// last) and kept only when k advances. The bound is checked before each
+/// step, exactly where the three-way merge it replaces checked it.
+template <bool kWrite>
+MergeResult merge_from(const std::uint32_t* a, std::size_t na,
+                       const std::uint32_t* b, std::size_t nb,
+                       std::size_t minsup, std::uint32_t* out,
+                       std::size_t* visited, std::size_t i, std::size_t j,
+                       std::size_t k) {
+  bool aborted = false;
+  while (i < na && j < nb) {
+    if (k + std::min(na - i, nb - j) < minsup) {
+      aborted = true;
+      break;
+    }
+    const std::uint32_t x = a[i];
+    const std::uint32_t y = b[j];
+    if constexpr (kWrite) out[k] = x;
+    k += static_cast<std::size_t>(x == y);
+    i += static_cast<std::size_t>(x <= y);
+    j += static_cast<std::size_t>(y <= x);
+  }
+  if (visited != nullptr) *visited += i + j;
+  return {k, aborted};
+}
+
 /// First index in [lo, nl) with large[index] >= target: doubling probes
 /// from lo, then binary search within the bracket. Mirrors
 /// gallop_lower_bound in tidlist.cpp, including probe accounting.
@@ -118,6 +145,24 @@ std::size_t gallop_lower_bound_u32(const std::uint32_t* large, std::size_t nl,
 }
 
 }  // namespace
+
+MergeResult scalar_merge_u32_from(const std::uint32_t* a, std::size_t na,
+                                  const std::uint32_t* b, std::size_t nb,
+                                  std::size_t minsup, std::uint32_t* out,
+                                  std::size_t* visited, std::size_t i,
+                                  std::size_t j, std::size_t k) {
+  return out != nullptr
+             ? merge_from<true>(a, na, b, nb, minsup, out, visited, i, j, k)
+             : merge_from<false>(a, na, b, nb, minsup, out, visited, i, j,
+                                 k);
+}
+
+MergeResult scalar_merge_u32(const std::uint32_t* a, std::size_t na,
+                             const std::uint32_t* b, std::size_t nb,
+                             std::size_t minsup, std::uint32_t* out,
+                             std::size_t* visited) {
+  return scalar_merge_u32_from(a, na, b, nb, minsup, out, visited, 0, 0, 0);
+}
 
 std::size_t scalar_gallop_u32(const std::uint32_t* small, std::size_t ns,
                               const std::uint32_t* large, std::size_t nl,
@@ -194,6 +239,7 @@ const KernelTable& scalar_table() {
       .andnot_words = &scalar_andnot_words,
       .intersect_u16 = &scalar_intersect_u16,
       .intersect_u16_count = &scalar_intersect_u16_count,
+      .merge_u32 = &scalar_merge_u32,
       .gallop_u32 = &scalar_gallop_u32,
       .gallop_u32_count = &scalar_gallop_u32_count,
       .decode_words = &scalar_decode_words,

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.hpp"
+#include "vertical/simd/dispatch.hpp"
 
 namespace eclat {
 
@@ -13,6 +14,29 @@ bool is_valid_tidlist(std::span<const Tid> tids) {
   return true;
 }
 
+namespace {
+
+/// a ∩ b through the dispatched merge kernel under the §5.3 bound
+/// (minsup 0 never stops). With `out`, the matches are written to it:
+/// sized to min(|a|, |b|) for the kernel, then shrunk to the result.
+simd::MergeResult merge(std::span<const Tid> a, std::span<const Tid> b,
+                        Count minsup, TidList* out, std::size_t* visited) {
+  ECLAT_DCHECK(is_valid_tidlist(a));
+  ECLAT_DCHECK(is_valid_tidlist(b));
+  const simd::KernelTable& kt = simd::kernels();
+  if (out == nullptr) {
+    return kt.merge_u32(a.data(), a.size(), b.data(), b.size(), minsup,
+                        nullptr, visited);
+  }
+  out->resize(std::min(a.size(), b.size()));
+  const simd::MergeResult result = kt.merge_u32(
+      a.data(), a.size(), b.data(), b.size(), minsup, out->data(), visited);
+  out->resize(result.count);
+  return result;
+}
+
+}  // namespace
+
 TidList intersect(std::span<const Tid> a, std::span<const Tid> b) {
   TidList out;
   intersect_into(a, b, out);
@@ -21,44 +45,11 @@ TidList intersect(std::span<const Tid> a, std::span<const Tid> b) {
 
 void intersect_into(std::span<const Tid> a, std::span<const Tid> b,
                     TidList& out, std::size_t* visited) {
-  ECLAT_DCHECK(is_valid_tidlist(a));
-  ECLAT_DCHECK(is_valid_tidlist(b));
-  out.clear();
-  out.reserve(std::min(a.size(), b.size()));
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      out.push_back(a[i]);
-      ++i;
-      ++j;
-    }
-  }
-  if (visited != nullptr) *visited += i + j;
+  merge(a, b, 0, &out, visited);
 }
 
 std::size_t intersection_size(std::span<const Tid> a, std::span<const Tid> b) {
-  ECLAT_DCHECK(is_valid_tidlist(a));
-  ECLAT_DCHECK(is_valid_tidlist(b));
-  std::size_t count = 0;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      ++count;
-      ++i;
-      ++j;
-    }
-  }
-  return count;
+  return merge(a, b, 0, nullptr, nullptr).count;
 }
 
 std::optional<TidList> intersect_short_circuit(std::span<const Tid> a,
@@ -72,63 +63,20 @@ std::optional<TidList> intersect_short_circuit(std::span<const Tid> a,
 bool intersect_short_circuit_into(std::span<const Tid> a,
                                   std::span<const Tid> b, Count minsup,
                                   TidList& out, std::size_t* visited) {
-  ECLAT_DCHECK(is_valid_tidlist(a));
-  ECLAT_DCHECK(is_valid_tidlist(b));
-  // Result support <= matched + remaining elements of the shorter list.
+  // Result support <= min(|a|, |b|): the bound fails before the first
+  // step, so skip sizing `out`.
   if (std::min(a.size(), b.size()) < minsup) return false;
-  out.clear();
-  out.reserve(std::min(a.size(), b.size()));
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    const std::size_t bound =
-        out.size() + std::min(a.size() - i, b.size() - j);
-    if (bound < minsup) {
-      if (visited != nullptr) *visited += i + j;
-      return false;
-    }
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      out.push_back(a[i]);
-      ++i;
-      ++j;
-    }
-  }
-  if (visited != nullptr) *visited += i + j;
-  return out.size() >= minsup;
+  const simd::MergeResult result = merge(a, b, minsup, &out, visited);
+  return !result.aborted && result.count >= minsup;
 }
 
 std::optional<Count> intersect_count_bounded(std::span<const Tid> a,
                                              std::span<const Tid> b,
                                              Count minsup,
                                              std::size_t* visited) {
-  ECLAT_DCHECK(is_valid_tidlist(a));
-  ECLAT_DCHECK(is_valid_tidlist(b));
-  if (std::min(a.size(), b.size()) < minsup) return std::nullopt;
-  std::size_t count = 0;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (count + std::min(a.size() - i, b.size() - j) < minsup) {
-      if (visited != nullptr) *visited += i + j;
-      return std::nullopt;
-    }
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      ++count;
-      ++i;
-      ++j;
-    }
-  }
-  if (visited != nullptr) *visited += i + j;
-  if (count < minsup) return std::nullopt;
-  return count;
+  const simd::MergeResult result = merge(a, b, minsup, nullptr, visited);
+  if (result.aborted || result.count < minsup) return std::nullopt;
+  return result.count;
 }
 
 namespace {

@@ -31,6 +31,17 @@ void count_simd_sparse(IntersectStats* stats) {
   }
 }
 
+/// Records one sparse∩sparse merge (the dispatched merge_u32 kernel):
+/// `visited` tids scanned, and an abort when `short_circuited`.
+void count_merge(IntersectStats* stats, std::size_t visited,
+                 bool short_circuited) {
+  if (stats == nullptr) return;
+  ++stats->merge_calls;
+  stats->tids_scanned += visited;
+  if (short_circuited) ++stats->short_circuited;
+  count_simd_sparse(stats);
+}
+
 /// Galloping sparse∩sparse through the dispatched kernel table.
 void gallop_into_dispatch(std::span<const Tid> a, std::span<const Tid> b,
                           TidList& out, std::size_t* visited,
@@ -374,23 +385,15 @@ bool intersect_into(const TidSet& a, const TidSet& b, Count minsup,
       ECLAT_DCHECK(a.rep_ == TidRep::kSparse && b.rep_ == TidRep::kSparse);
       intersect_into(a.tids_, b.tids_, out.tids_, vp);
       out.rep_ = TidRep::kSparse;
-      ok = out.tids_.size() >= minsup;
-      if (stats != nullptr) {
-        ++stats->merge_calls;
-        stats->tids_scanned += visited;
-      }
-      return ok;
+      count_merge(stats, visited, false);
+      return out.tids_.size() >= minsup;
     }
     case IntersectKernel::kMergeShortCircuit: {
       ECLAT_DCHECK(a.rep_ == TidRep::kSparse && b.rep_ == TidRep::kSparse);
       ok = intersect_short_circuit_into(a.tids_, b.tids_, minsup, out.tids_,
                                         vp);
       out.rep_ = TidRep::kSparse;
-      if (stats != nullptr) {
-        ++stats->merge_calls;
-        stats->tids_scanned += visited;
-        if (!ok) ++stats->short_circuited;
-      }
+      count_merge(stats, visited, !ok);
       return ok;
     }
     case IntersectKernel::kGallop: {
@@ -492,20 +495,14 @@ bool intersect_into(const TidSet& a, const TidSet& b, Count minsup,
     ok = intersect_short_circuit_into(a.tids_, b.tids_, minsup, out.tids_,
                                       vp);
     out.rep_ = TidRep::kSparse;
-    if (stats != nullptr) {
-      ++stats->merge_calls;
-      stats->tids_scanned += visited;
-      if (!ok) ++stats->short_circuited;
-    }
+    count_merge(stats, visited, !ok);
   } else {
-    // Bound bookkeeping cannot pay off at minsup <= 1: plain merge.
+    // The bound cannot fire at minsup <= 1: the plain merge, which
+    // never counts as short-circuited.
     intersect_into(a.tids_, b.tids_, out.tids_, vp);
     out.rep_ = TidRep::kSparse;
     ok = out.tids_.size() >= minsup;
-    if (stats != nullptr) {
-      ++stats->merge_calls;
-      stats->tids_scanned += visited;
-    }
+    count_merge(stats, visited, false);
   }
   if (ok) out.normalize(universe, stats);
   return ok;
@@ -527,21 +524,13 @@ std::optional<Count> intersect_support(const TidSet& a, const TidSet& b,
       // minsup 0 disarms the bound: a full scan, checked afterwards.
       const std::optional<Count> count =
           intersect_count_bounded(a.tids_, b.tids_, 0, vp);
-      result = (count && *count >= minsup) ? count : std::nullopt;
-      if (stats != nullptr) {
-        ++stats->merge_calls;
-        stats->tids_scanned += visited;
-      }
-      return result;
+      count_merge(stats, visited, false);
+      return (count && *count >= minsup) ? count : std::nullopt;
     }
     case IntersectKernel::kMergeShortCircuit: {
       ECLAT_DCHECK(a.rep_ == TidRep::kSparse && b.rep_ == TidRep::kSparse);
       result = intersect_count_bounded(a.tids_, b.tids_, minsup, vp);
-      if (stats != nullptr) {
-        ++stats->merge_calls;
-        stats->tids_scanned += visited;
-        if (!result) ++stats->short_circuited;
-      }
+      count_merge(stats, visited, !result);
       return result;
     }
     case IntersectKernel::kGallop: {
@@ -642,11 +631,7 @@ std::optional<Count> intersect_support(const TidSet& a, const TidSet& b,
     return result;
   }
   result = intersect_count_bounded(a.tids_, b.tids_, minsup, vp);
-  if (stats != nullptr) {
-    ++stats->merge_calls;
-    stats->tids_scanned += visited;
-    if (!result) ++stats->short_circuited;
-  }
+  count_merge(stats, visited, !result);
   return result;
 }
 

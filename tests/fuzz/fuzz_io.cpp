@@ -12,6 +12,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/check.hpp"
 #include "data/horizontal.hpp"
@@ -24,11 +25,14 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   try {
     const eclat::HorizontalDatabase db = eclat::read_binary(in);
     // Input that survives parsing must still satisfy the reader's own
-    // invariants — check the strongest one.
-    for (const eclat::Transaction& t : db.transactions()) {
-      for (const eclat::Item item : t.items) {
+    // invariants: items in range, tids strictly increasing and in range.
+    const std::vector<eclat::Transaction>& rows = db.transactions();
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      for (const eclat::Item item : rows[r].items) {
         ECLAT_CHECK(item < db.num_items());
       }
+      ECLAT_CHECK(rows[r].tid < eclat::kTidLimit);
+      ECLAT_CHECK(r == 0 || rows[r - 1].tid < rows[r].tid);
     }
   } catch (const std::runtime_error&) {
     // Malformed input detected and rejected: exactly the contract.

@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <sstream>
+#include <stdexcept>
 
 #include "data/io.hpp"
 
@@ -44,6 +45,21 @@ TEST(HorizontalDatabase, RejectsOutOfRangeItem) {
   std::vector<Transaction> transactions = {{0, {1, 9}}};
   EXPECT_THROW(HorizontalDatabase(std::move(transactions), 5),
                std::invalid_argument);
+}
+
+TEST(HorizontalDatabase, RejectsTidsOutOfOrderOrOutOfRange) {
+  std::vector<Transaction> descending = {{1, {0}}, {0, {1}}};
+  EXPECT_THROW(HorizontalDatabase(std::move(descending), 5),
+               std::invalid_argument);
+  std::vector<Transaction> repeated = {{2, {0}}, {2, {1}}};
+  EXPECT_THROW(HorizontalDatabase(std::move(repeated), 5),
+               std::invalid_argument);
+  std::vector<Transaction> largest = {{kTidLimit, {0}}};
+  EXPECT_THROW(HorizontalDatabase(std::move(largest), 5),
+               std::invalid_argument);
+  // Gaps are fine: a sample keeps the tids it drew.
+  std::vector<Transaction> gapped = {{3, {0}}, {7, {1}}, {kTidLimit - 1, {2}}};
+  EXPECT_EQ(HorizontalDatabase(std::move(gapped), 5).size(), 3u);
 }
 
 TEST(HorizontalDatabase, AverageTransactionLength) {

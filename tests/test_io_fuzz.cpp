@@ -84,9 +84,15 @@ TEST(IoFuzz, MutatedStreamsNeverCrash) {
     try {
       const HorizontalDatabase db = parse(bytes);
       // A mutation that survives parsing must still satisfy the reader's
-      // own invariants — spot-check the strongest one.
-      for (const Transaction& t : db.transactions()) {
+      // own invariants: items in range, tids strictly increasing and in
+      // range (the miners' tid-lists depend on it).
+      for (std::size_t r = 0; r < db.size(); ++r) {
+        const Transaction& t = db.transactions()[r];
         for (const Item item : t.items) ASSERT_LT(item, db.num_items());
+        ASSERT_LT(t.tid, kTidLimit);
+        if (r > 0) {
+          ASSERT_LT(db.transactions()[r - 1].tid, t.tid);
+        }
       }
     } catch (const std::runtime_error&) {
       // Malformed input detected and rejected: exactly the contract.
@@ -175,6 +181,39 @@ TEST(IoFuzz, NonIncreasingItemsAreRejected) {
   bytes.append(reinterpret_cast<const char*>(&count), sizeof(count));
   bytes.append(reinterpret_cast<const char*>(items), sizeof(items));
   EXPECT_THROW((void)parse(bytes), std::runtime_error);
+}
+
+/// A well-formed stream of `rows`, whatever their tids.
+std::string forged_stream(const std::vector<Transaction>& rows,
+                          std::uint32_t num_items) {
+  std::string bytes = forged_header(num_items, rows.size());
+  for (const Transaction& t : rows) {
+    const auto count = static_cast<std::uint32_t>(t.items.size());
+    bytes.append(reinterpret_cast<const char*>(&t.tid), sizeof(t.tid));
+    bytes.append(reinterpret_cast<const char*>(&count), sizeof(count));
+    bytes.append(reinterpret_cast<const char*>(t.items.data()),
+                 t.items.size() * sizeof(Item));
+  }
+  return bytes;
+}
+
+TEST(IoFuzz, DescendingTidsAreRejected) {
+  // Stored with descending tids, these baskets would mine without the
+  // frequent {0 1 2} (support 2) under short-circuit and gallop: both
+  // merge tid-lists that must be sorted.
+  const std::vector<Transaction> rows = {
+      {4, {0, 1, 2}}, {3, {0, 1}}, {2, {1, 2}}, {1, {0, 1, 2}}, {0, {0, 2}}};
+  EXPECT_THROW((void)parse(forged_stream(rows, 3)), std::runtime_error);
+  // The same rows in ascending tid order parse.
+  const std::vector<Transaction> ascending(rows.rbegin(), rows.rend());
+  EXPECT_EQ(parse(forged_stream(ascending, 3)).size(), rows.size());
+}
+
+TEST(IoFuzz, LargestTidIsRejected) {
+  // Tid 0xFFFFFFFF would wrap a class's tid universe (last tid + 1) to 0,
+  // and the bitset kernel would write out of bounds.
+  const std::vector<Transaction> rows = {{0, {0, 1}}, {0xFFFFFFFFU, {0, 1}}};
+  EXPECT_THROW((void)parse(forged_stream(rows, 2)), std::runtime_error);
 }
 
 TEST(IoFuzz, WrongMagicAndWrongVersionAreRejected) {

@@ -7,6 +7,8 @@
 
 #include "common/rng.hpp"
 #include "eclat/compute_frequent.hpp"
+#include "eclat/eclat_seq.hpp"
+#include "gen/quest.hpp"
 #include "vertical/bitset_tidlist.hpp"
 #include "vertical/chunked_tidlist.hpp"
 #include "vertical/simd/dispatch.hpp"
@@ -645,8 +647,9 @@ TEST(TidSet, OutputsByteIdenticalAcrossIsaLevels) {
 TEST(TidSet, ScalarKernelsHonorForceOverride) {
   simd::override_isa_level(simd::IsaLevel::kScalar);
   EXPECT_EQ(simd::kernels().level, simd::IsaLevel::kScalar);
-  // Under forced scalar the stats-visited counts are exact (the SIMD
-  // paths may consume operands in blocks; scalar is the reference).
+  // merge_u32 reports the same `visited` at every level, so this count
+  // holds under any ISA; the gallop kernels' probe counts are the ones
+  // that differ per level.
   TidList a, b;
   for (Tid t = 0; t < 100; ++t) a.push_back(t);
   for (Tid t = 100; t < 300; ++t) b.push_back(t);
@@ -697,6 +700,223 @@ TEST(TidSet, NormalizeHoldsInsideTheStayBand) {
   EXPECT_EQ(set.rep(), TidRep::kChunked);
   EXPECT_EQ(stats.sparsified, 1u);
   EXPECT_EQ(set.to_tidlist(), small);
+}
+
+// ---- merge_u32: every ISA level against the merge loop it replaced ----
+
+/// The three-way merge the tid-list layer ran before merge_u32, with the
+/// §5.3 bound checked before every step: the oracle for the kernel's
+/// count, abort decision, `visited` and output bytes.
+simd::MergeResult three_way_merge(const TidList& a, const TidList& b,
+                                  std::size_t minsup, TidList& out,
+                                  std::size_t& visited) {
+  out.clear();
+  std::size_t i = 0;
+  std::size_t j = 0;
+  bool aborted = false;
+  while (i < a.size() && j < b.size()) {
+    if (out.size() + std::min(a.size() - i, b.size() - j) < minsup) {
+      aborted = true;
+      break;
+    }
+    if (a[i] < b[j]) {
+      ++i;
+    } else if (b[j] < a[i]) {
+      ++j;
+    } else {
+      out.push_back(a[i]);
+      ++i;
+      ++j;
+    }
+  }
+  visited = i + j;
+  return {out.size(), aborted};
+}
+
+/// Index lists of one shape; `shape` picks identical/nested, disjoint
+/// ranges, interleaved, one overlap, or a random partial overlap.
+std::pair<std::vector<std::size_t>, std::vector<std::size_t>> shaped_indices(
+    int shape, std::size_t na, std::size_t nb, Rng& rng) {
+  std::vector<std::size_t> a;
+  std::vector<std::size_t> b;
+  switch (shape) {
+    case 0:  // nested: the shorter list is a prefix of the longer one
+      for (std::size_t i = 0; i < na; ++i) a.push_back(i);
+      for (std::size_t i = 0; i < nb; ++i) b.push_back(i);
+      break;
+    case 1:  // disjoint ranges: all of a below all of b
+      for (std::size_t i = 0; i < na; ++i) a.push_back(i);
+      for (std::size_t i = 0; i < nb; ++i) b.push_back(na + i);
+      break;
+    case 2:  // interleaved, no match
+    case 3:  // interleaved with exactly one match
+      for (std::size_t i = 0; i < na; ++i) a.push_back(2 * i);
+      for (std::size_t i = 0; i < nb; ++i) b.push_back(2 * i + 1);
+      if (shape == 3 && na > 0 && nb > 0) {
+        const std::size_t p = std::min(na, nb) / 2;
+        b[p] = a[p];
+      }
+      break;
+    default: {  // random partial overlap
+      const std::size_t span = std::max(na, nb) + (na + nb) / 2 + 1;
+      const auto draw = [&rng, span](std::size_t n) {
+        std::vector<std::size_t> pool(span);
+        for (std::size_t i = 0; i < span; ++i) pool[i] = i;
+        for (std::size_t i = 0; i < n; ++i) {
+          std::swap(pool[i], pool[i + rng.below(span - i)]);
+        }
+        pool.resize(n);
+        std::sort(pool.begin(), pool.end());
+        return pool;
+      };
+      a = draw(na);
+      b = draw(nb);
+    }
+  }
+  return {a, b};
+}
+
+/// Maps indices to tids in one of three ranges: multiples of 3 from tid
+/// 0, straddling the signed-compare trap 0x7FFFFFFF/0x80000000, or
+/// ending at 0xFFFFFFFE.
+TidList to_tids(const std::vector<std::size_t>& indices, int range,
+                std::size_t top) {
+  TidList tids;
+  for (const std::size_t i : indices) {
+    switch (range) {
+      case 0:
+        tids.push_back(static_cast<Tid>(3 * i));
+        break;
+      case 1:
+        tids.push_back(static_cast<Tid>(0x80000000U - top / 2 + i));
+        break;
+      default:
+        tids.push_back(static_cast<Tid>(0xFFFFFFFEU - (top - i)));
+    }
+  }
+  return tids;
+}
+
+TEST(MergeKernel, EveryIsaLevelMatchesTheThreeWayMerge) {
+  const simd::IsaLevel levels[] = {simd::IsaLevel::kScalar,
+                                   simd::IsaLevel::kAvx2,
+                                   simd::IsaLevel::kAvx512};
+  Rng rng(1997);
+  std::size_t checked = 0;
+  for (std::size_t na = 0; na <= 40; ++na) {
+    for (std::size_t nb = 0; nb <= 40; ++nb) {
+      for (int shape = 0; shape < 5; ++shape) {
+        const auto [ia, ib] = shaped_indices(shape, na, nb, rng);
+        std::size_t top = 0;
+        for (const std::size_t i : ia) top = std::max(top, i);
+        for (const std::size_t i : ib) top = std::max(top, i);
+        for (int range = 0; range < 3; ++range) {
+          const TidList a = to_tids(ia, range, top);
+          const TidList b = to_tids(ib, range, top);
+          ASSERT_TRUE(is_valid_tidlist(a) && is_valid_tidlist(b));
+          TidList full;
+          std::size_t unused = 0;
+          const std::size_t exact =
+              three_way_merge(a, b, 0, full, unused).count;
+          std::vector<std::size_t> minsups = {0, 1, exact, exact + 1,
+                                              std::min(na, nb) + 1};
+          if (exact > 0) minsups.push_back(exact - 1);
+          for (const std::size_t minsup : minsups) {
+            TidList want;
+            std::size_t want_visited = 0;
+            const simd::MergeResult oracle =
+                three_way_merge(a, b, minsup, want, want_visited);
+            for (const simd::IsaLevel level : levels) {
+              const simd::KernelTable& kt = simd::kernels_for(level);
+              // Exactly min(na, nb) elements: ASan reports any store past
+              // them.
+              TidList got(std::min(na, nb));
+              std::size_t got_visited = 0;
+              const simd::MergeResult r =
+                  kt.merge_u32(a.data(), na, b.data(), nb, minsup,
+                               got.data(), &got_visited);
+              const auto where = [&] {
+                return ::testing::Message()
+                       << simd::isa_name(kt.level) << " na=" << na
+                       << " nb=" << nb << " shape=" << shape
+                       << " range=" << range << " minsup=" << minsup;
+              };
+              ASSERT_EQ(r.count, oracle.count) << where();
+              ASSERT_EQ(r.aborted, oracle.aborted) << where();
+              ASSERT_EQ(got_visited, want_visited) << where();
+              got.resize(r.count);
+              ASSERT_EQ(got, want) << where();
+              std::size_t count_visited = 0;
+              const simd::MergeResult counted = kt.merge_u32(
+                  a.data(), na, b.data(), nb, minsup, nullptr,
+                  &count_visited);
+              ASSERT_EQ(counted.count, oracle.count) << where();
+              ASSERT_EQ(counted.aborted, oracle.aborted) << where();
+              ASSERT_EQ(count_visited, want_visited) << where();
+              ++checked;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 41u * 41 * 5 * 3 * 5 * 3);
+}
+
+TEST(MergeKernel, MiningStatsAreEqualAtEveryIsaLevel) {
+  // Quest baskets renumbered 2048 tids apart: every tid-list stays far
+  // below the chunked threshold (n·1024 < U), so `auto` takes its
+  // sparse∩sparse path too, and at minsup 30 no pair is skewed enough
+  // (32×) to gallop, whose probe counts differ per level.
+  gen::QuestConfig quest;
+  quest.num_transactions = 3000;
+  quest.num_items = 100;
+  quest.num_patterns = 30;
+  quest.avg_pattern_length = 4;
+  quest.avg_transaction_length = 8;
+  quest.seed = 15;
+  std::vector<Transaction> baskets =
+      gen::QuestGenerator(quest).generate().transactions();
+  for (std::size_t i = 0; i < baskets.size(); ++i) {
+    baskets[i].tid = static_cast<Tid>(i * 2048);
+  }
+  const HorizontalDatabase db(std::move(baskets), quest.num_items);
+  const simd::IsaLevel levels[] = {simd::IsaLevel::kScalar,
+                                   simd::IsaLevel::kAvx2,
+                                   simd::IsaLevel::kAvx512};
+  for (const IntersectKernel kernel :
+       {IntersectKernel::kMerge, IntersectKernel::kMergeShortCircuit,
+        IntersectKernel::kAuto}) {
+    EclatConfig config;
+    config.minsup = 30;
+    config.kernel = kernel;
+    std::optional<MiningResult> first_result;
+    std::optional<IntersectStats> first;
+    for (const simd::IsaLevel level : levels) {
+      simd::override_isa_level(level);
+      IntersectStats stats;
+      const MiningResult result = eclat_sequential(db, config, &stats);
+      if (!first) {
+        EXPECT_GT(stats.merge_calls, 0u) << kernel_name(kernel);
+        // Only the plain merge never aborts.
+        EXPECT_EQ(stats.short_circuited > 0, kernel != IntersectKernel::kMerge)
+            << kernel_name(kernel);
+        EXPECT_EQ(stats.merge_calls, stats.intersections)
+            << kernel_name(kernel);
+        first_result = result;
+        first = stats;
+        continue;
+      }
+      const std::string where = std::string(kernel_name(kernel)) + " at " +
+                                simd::isa_name(simd::active_level());
+      EXPECT_EQ(result.itemsets, first_result->itemsets) << where;
+      EXPECT_EQ(stats.intersections, first->intersections) << where;
+      EXPECT_EQ(stats.tids_scanned, first->tids_scanned) << where;
+      EXPECT_EQ(stats.short_circuited, first->short_circuited) << where;
+      EXPECT_EQ(stats.merge_calls, first->merge_calls) << where;
+    }
+  }
+  simd::override_isa_level(std::nullopt);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "common/result.hpp"
 
 namespace eclat {
@@ -42,6 +45,24 @@ TEST(Result, AbsoluteSupportCeilsAndFloorsAtOne) {
   EXPECT_EQ(absolute_support(0.001, 100), 1u);
   EXPECT_EQ(absolute_support(0.0015, 1000), 2u);  // ceil(1.5)
   EXPECT_EQ(absolute_support(0.0, 1000), 1u);     // never zero
+  EXPECT_EQ(absolute_support(1.0, 1000), 1000u);
+}
+
+TEST(Result, AbsoluteSupportRejectsFractionsOutsideZeroToOne) {
+  // Each of these used to reach an undefined or wrapping double -> Count
+  // conversion (1e30 came back as 1, so the run mined at minsup 1).
+  const double bad[] = {-0.5,
+                        -1e-300,
+                        1.0000001,
+                        1e30,
+                        std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  for (const double fraction : bad) {
+    EXPECT_THROW((void)absolute_support(fraction, 50000),
+                 std::invalid_argument)
+        << fraction;
+  }
 }
 
 TEST(Result, NormalizeOrdersBySizeThenLex) {
