@@ -25,7 +25,9 @@ MiningResult dhp(const HorizontalDatabase& db, const DhpConfig& config,
   // Working copy of the transactions (trimming shrinks it level by level).
   std::vector<Itemset> working;
   working.reserve(db.size());
-  for (const Transaction& t : db.transactions()) working.push_back(t.items);
+  for (const Transaction& t : db.transactions()) {
+    working.emplace_back(t.items.begin(), t.items.end());
+  }
 
   // --- Scan 1: count items AND hash all pairs into the filter table. ---
   std::vector<Count> item_counts(db.num_items(), 0);

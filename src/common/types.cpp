@@ -14,14 +14,14 @@ std::string to_string(const Itemset& itemset) {
   return out;
 }
 
-bool is_sorted_itemset(const Itemset& itemset) {
+bool is_sorted_itemset(std::span<const Item> itemset) {
   for (std::size_t i = 1; i < itemset.size(); ++i) {
     if (itemset[i - 1] >= itemset[i]) return false;
   }
   return true;
 }
 
-bool is_subset(const Itemset& sub, const Itemset& super) {
+bool is_subset(std::span<const Item> sub, std::span<const Item> super) {
   return std::includes(super.begin(), super.end(), sub.begin(), sub.end());
 }
 

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,10 +40,10 @@ struct FrequentItemset {
 std::string to_string(const Itemset& itemset);
 
 /// True iff `itemset` is strictly increasing (the class invariant).
-bool is_sorted_itemset(const Itemset& itemset);
+bool is_sorted_itemset(std::span<const Item> itemset);
 
 /// True iff `sub` is a subset of `super` (both must be sorted).
-bool is_subset(const Itemset& sub, const Itemset& super);
+bool is_subset(std::span<const Item> sub, std::span<const Item> super);
 
 /// Lexicographic comparison used to order itemsets within a level.
 bool lex_less(const Itemset& a, const Itemset& b);

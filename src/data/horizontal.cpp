@@ -2,32 +2,41 @@
 
 #include <stdexcept>
 
+#include "common/check.hpp"
+
 namespace eclat {
 
-HorizontalDatabase::HorizontalDatabase(std::vector<Transaction> transactions,
-                                       Item num_items)
-    : transactions_(std::move(transactions)), num_items_(num_items) {
-  for (std::size_t i = 0; i < transactions_.size(); ++i) {
-    const Transaction& t = transactions_[i];
-    if (t.tid >= kTidLimit) {
-      throw std::invalid_argument("tid out of range");
-    }
-    if (i > 0 && t.tid <= transactions_[i - 1].tid) {
-      throw std::invalid_argument("tids must be strictly increasing");
-    }
-    if (!is_sorted_itemset(t.items)) {
-      throw std::invalid_argument("transaction items must be strictly sorted");
-    }
-    for (Item item : t.items) {
-      if (item >= num_items_) {
-        throw std::invalid_argument("item id out of range");
-      }
-    }
+HorizontalDatabase::HorizontalDatabase(
+    std::span<const Transaction> transactions, Item num_items) {
+  std::size_t total = 0;
+  for (const Transaction& t : transactions) total += t.items.size();
+  DatabaseBuilder builder;
+  builder.reserve(transactions.size(), total);
+  for (const Transaction& t : transactions) builder.add(t.tid, t.items);
+  *this = std::move(builder).finish(num_items);
+}
+
+HorizontalDatabase::HorizontalDatabase(const HorizontalDatabase& other)
+    : items_(other.items_),
+      transactions_(other.transactions_),
+      num_items_(other.num_items_) {
+  // The copied rows still view `other`: point them at this copy's items,
+  // which hold the rows back to back in the same order.
+  const Item* cursor = items_.data();
+  for (Transaction& t : transactions_) {
+    t.items = ItemSpan(cursor, t.items.size());
+    cursor += t.items.size();
   }
 }
 
+HorizontalDatabase& HorizontalDatabase::operator=(
+    const HorizontalDatabase& other) {
+  if (this != &other) *this = HorizontalDatabase(other);
+  return *this;
+}
+
 std::span<const Transaction> HorizontalDatabase::view(
-    const Block& block) const {
+    const Block& block) const& {
   if (block.begin > block.end || block.end > transactions_.size()) {
     throw std::out_of_range("block out of range");
   }
@@ -36,19 +45,13 @@ std::span<const Transaction> HorizontalDatabase::view(
 
 double HorizontalDatabase::average_transaction_length() const {
   if (transactions_.empty()) return 0.0;
-  std::size_t total = 0;
-  for (const Transaction& t : transactions_) total += t.items.size();
-  return static_cast<double>(total) /
+  return static_cast<double>(items_.size()) /
          static_cast<double>(transactions_.size());
 }
 
 std::size_t HorizontalDatabase::byte_size() const {
-  std::size_t bytes = 0;
-  for (const Transaction& t : transactions_) {
-    bytes += sizeof(Tid) + sizeof(std::uint32_t) +
-             t.items.size() * sizeof(Item);
-  }
-  return bytes;
+  return transactions_.size() * (sizeof(Tid) + sizeof(std::uint32_t)) +
+         items_.size() * sizeof(Item);
 }
 
 std::vector<Block> HorizontalDatabase::block_partition(
@@ -64,6 +67,47 @@ std::vector<Block> HorizontalDatabase::block_partition(
     cursor += len;
   }
   return blocks;
+}
+
+void DatabaseBuilder::reserve(std::size_t rows, std::size_t items) {
+  items_.reserve(items);
+  rows_.reserve(rows);
+  offsets_.reserve(rows + 1);
+}
+
+void DatabaseBuilder::end_row(Tid tid) {
+  if (tid >= kTidLimit) {
+    throw std::invalid_argument("tid out of range");
+  }
+  if (!rows_.empty() && tid <= rows_.back().tid) {
+    throw std::invalid_argument("tids must be strictly increasing");
+  }
+  const std::span<const Item> row(items_.data() + offsets_.back(),
+                                  items_.size() - offsets_.back());
+  if (!is_sorted_itemset(row)) {
+    throw std::invalid_argument("transaction items must be strictly sorted");
+  }
+  // Sorted rows put their largest item last, so finish() checks every
+  // item's range against this one maximum.
+  if (!row.empty()) max_item_ = std::max(max_item_, row.back());
+  rows_.push_back(Transaction{tid, {}});
+  offsets_.push_back(items_.size());
+}
+
+HorizontalDatabase DatabaseBuilder::finish(Item num_items) && {
+  ECLAT_CHECK(items_.size() == offsets_.back());  // no row left open
+  if (!items_.empty() && max_item_ >= num_items) {
+    throw std::invalid_argument("item id out of range");
+  }
+  HorizontalDatabase db;
+  db.items_ = std::move(items_);
+  db.transactions_ = std::move(rows_);
+  db.num_items_ = num_items;
+  for (std::size_t r = 0; r < db.transactions_.size(); ++r) {
+    db.transactions_[r].items = ItemSpan(db.items_.data() + offsets_[r],
+                                         offsets_[r + 1] - offsets_[r]);
+  }
+  return db;
 }
 
 DatabaseStats compute_stats(const HorizontalDatabase& db) {

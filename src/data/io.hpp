@@ -11,8 +11,9 @@
 //     items                    item_count * u32, strictly increasing
 //
 // Text format (for interoperability with SPMF/Borgelt-style tools): one
-// transaction per line, items as whitespace-separated integers; tids are
-// assigned by line number.
+// transaction per line, items as whitespace-separated decimal integers.
+// Lines holding no item are skipped, and tids number the other lines
+// 0..n-1 in order.
 #pragma once
 
 #include <iosfwd>
@@ -25,8 +26,13 @@ namespace eclat {
 /// Serialize `db` to `stream` in the binary format above.
 void write_binary(const HorizontalDatabase& db, std::ostream& stream);
 
-/// Parse a database from the binary format; throws std::runtime_error on a
-/// malformed stream, including tids out of order or out of range.
+/// Parse a database from the binary format in one pass over fixed-size
+/// chunks, checking every row once; throws std::runtime_error on a
+/// malformed stream, including tids out of order or out of range. Header
+/// counts never size an allocation: a stream that can seek is measured
+/// first, and one that claims more transactions than its bytes can hold
+/// throws before anything is allocated. Bytes after the last declared
+/// transaction are ignored.
 HorizontalDatabase read_binary(std::istream& stream);
 
 void write_binary_file(const HorizontalDatabase& db, const std::string& path);
@@ -37,6 +43,8 @@ void write_text(const HorizontalDatabase& db, std::ostream& stream);
 
 /// Parse the text format. Items on a line are sorted and deduplicated;
 /// `num_items` is inferred as max item id + 1 unless a larger floor is given.
+/// A token that is not a decimal below 0xFFFFFFFF throws std::runtime_error
+/// naming its 1-based line.
 HorizontalDatabase read_text(std::istream& stream, Item min_num_items = 0);
 
 void write_text_file(const HorizontalDatabase& db, const std::string& path);

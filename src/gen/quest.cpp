@@ -106,8 +106,7 @@ Itemset QuestGenerator::corrupt(const Pattern& pattern) {
 }
 
 HorizontalDatabase QuestGenerator::generate() {
-  std::vector<Transaction> transactions;
-  transactions.reserve(config_.num_transactions);
+  DatabaseBuilder builder;
 
   // A pattern that overflowed the previous transaction's budget and was
   // deferred (the "assigned to the next transaction" half of the rule).
@@ -156,11 +155,10 @@ HorizontalDatabase QuestGenerator::generate() {
     }
 
     std::sort(basket.begin(), basket.end());
-    transactions.push_back(
-        Transaction{static_cast<Tid>(t), std::move(basket)});
+    builder.add(static_cast<Tid>(t), basket);
   }
 
-  return HorizontalDatabase(std::move(transactions), config_.num_items);
+  return std::move(builder).finish(config_.num_items);
 }
 
 HorizontalDatabase t10_i6(std::size_t num_transactions, std::uint64_t seed) {

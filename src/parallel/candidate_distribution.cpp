@@ -25,17 +25,13 @@ void put_transactions(wire::Writer& writer,
   }
 }
 
-std::vector<Transaction> get_transactions(wire::Reader& reader) {
+/// Append the transactions of one redistribution blob to `builder`.
+void get_transactions(wire::Reader& reader, DatabaseBuilder& builder) {
   const auto count = reader.get<std::uint64_t>();
-  std::vector<Transaction> transactions;
-  transactions.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    Transaction t;
-    t.tid = reader.get<Tid>();
-    t.items = reader.get_vector<Item>();
-    transactions.push_back(std::move(t));
+    const auto tid = reader.get<Tid>();
+    builder.add(tid, reader.get_vector<Item>());
   }
-  return transactions;
 }
 
 }  // namespace
@@ -113,7 +109,7 @@ ParallelOutput candidate_distribution(
 
     // --- Count-Distribution iterations until the redistribution pass. ---
     bool redistributed = false;
-    std::vector<Transaction> replica;      // local DB after redistribution
+    HorizontalDatabase replica;            // local DB after redistribution
     std::size_t replica_bytes = 0;
     std::unordered_set<Item> my_prefixes;  // first items of my classes
 
@@ -170,14 +166,15 @@ ParallelOutput candidate_distribution(
         std::vector<mc::Blob> incoming =
             self.all_to_all(std::move(outgoing));
         self.compute([&] {
+          // Blocks are contiguous tid ranges in processor order, so the
+          // blobs concatenate into strictly increasing tids.
+          DatabaseBuilder builder;
           for (const mc::Blob& blob : incoming) {
             wire::Reader reader(blob);
-            std::vector<Transaction> chunk = get_transactions(reader);
-            replica.insert(replica.end(),
-                           std::make_move_iterator(chunk.begin()),
-                           std::make_move_iterator(chunk.end()));
+            get_transactions(reader, builder);
           }
-          replica_bytes = partition_bytes(replica);
+          replica = std::move(builder).finish(db.num_items());
+          replica_bytes = partition_bytes(replica.transactions());
         });
         self.disk_write(replica_bytes);
 
@@ -232,7 +229,8 @@ ParallelOutput candidate_distribution(
       });
 
       const std::span<const Transaction> scan_span =
-          redistributed ? std::span<const Transaction>(replica) : block;
+          redistributed ? std::span<const Transaction>(replica.transactions())
+                        : block;
       self.disk_read(redistributed ? replica_bytes : block_bytes);
       self.compute([&] { tree.count_all(scan_span); });
       ++result.database_scans;

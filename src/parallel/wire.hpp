@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <ranges>
 #include <set>
 #include <span>
 #include <stdexcept>
@@ -43,8 +44,9 @@ class Writer {
     std::memcpy(blob_.data() + offset, &value, sizeof(T));
   }
 
-  template <typename T>
-  void put_vector(const std::vector<T>& values) {
+  template <std::ranges::contiguous_range Values>
+  void put_vector(const Values& values) {
+    using T = std::ranges::range_value_t<Values>;
     static_assert(std::is_trivially_copyable_v<T>);
     put<std::uint64_t>(values.size());
     if (values.empty()) return;  // data() may be null; memcpy(_, null, 0) is UB

@@ -31,9 +31,7 @@ MiningResult partition_mine(const HorizontalDatabase& db,
   const std::vector<Block> blocks = db.block_partition(chunks);
   for (const Block& block : blocks) {
     if (block.size() == 0) continue;
-    const auto span = db.view(block);
-    HorizontalDatabase chunk(
-        std::vector<Transaction>(span.begin(), span.end()), db.num_items());
+    const HorizontalDatabase chunk(db.view(block), db.num_items());
     EclatConfig local_config;
     local_config.minsup = local_minsup(config.minsup, block.size(),
                                        db.size());

@@ -28,10 +28,9 @@ HorizontalDatabase draw_sample(const HorizontalDatabase& db, double fraction,
   indexes.resize(want);
   std::sort(indexes.begin(), indexes.end());
 
-  std::vector<Transaction> transactions;
-  transactions.reserve(want);
-  for (std::size_t index : indexes) transactions.push_back(db[index]);
-  return HorizontalDatabase(std::move(transactions), db.num_items());
+  DatabaseBuilder builder;
+  for (std::size_t index : indexes) builder.add(db[index].tid, db[index].items);
+  return std::move(builder).finish(db.num_items());
 }
 
 Accuracy compare(const MiningResult& exact, const MiningResult& approx) {

@@ -165,7 +165,7 @@ void TriangleCounter::count(std::span<const Transaction> transactions) {
   const std::size_t n = num_items_;
   Count* const counts = counts_.data();
   for (const Transaction& t : transactions) {
-    const Itemset& items = t.items;
+    const std::span<const Item> items = t.items;
     if (items.size() < 2) continue;
     ECLAT_DCHECK(is_sorted_itemset(items));
     // Sorted, so the last item bounds every pair of the transaction.

@@ -56,17 +56,16 @@ namespace {
 /// strictly increasing duplicate-free items in [0, num_items).
 eclat::HorizontalDatabase valid_db(eclat::Rng& rng) {
   const eclat::Item num_items = static_cast<eclat::Item>(4 + rng.below(60));
-  std::vector<eclat::Transaction> transactions;
+  eclat::DatabaseBuilder builder;
   const std::size_t rows = rng.below(12);
   for (std::size_t i = 0; i < rows; ++i) {
     eclat::Itemset items;
     for (eclat::Item item = 0; item < num_items; ++item) {
       if (rng.below(4) == 0) items.push_back(item);
     }
-    transactions.push_back(
-        eclat::Transaction{static_cast<eclat::Tid>(i), std::move(items)});
+    builder.add(static_cast<eclat::Tid>(i), items);
   }
-  return eclat::HorizontalDatabase(std::move(transactions), num_items);
+  return std::move(builder).finish(num_items);
 }
 
 std::string serialize(const eclat::HorizontalDatabase& db) {

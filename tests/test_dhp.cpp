@@ -96,8 +96,7 @@ TEST(Dhp, EmptyAndDegenerate) {
   config.minsup = 1;
   EXPECT_TRUE(dhp(HorizontalDatabase{}, config).itemsets.empty());
 
-  std::vector<Transaction> one = {{0, {0, 1}}};
-  const HorizontalDatabase db(std::move(one), 2);
+  const HorizontalDatabase db = testutil::database_of({{0, {0, 1}}}, 2);
   const MiningResult result = dhp(db, config);
   EXPECT_EQ(result.itemsets.size(), 3u);  // {0}, {1}, {0,1}
 }

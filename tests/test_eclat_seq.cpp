@@ -227,8 +227,7 @@ TEST(EclatSeq, EmptyAndDegenerateDatabases) {
                   .itemsets.empty());
 
   // Single transaction, single item.
-  std::vector<Transaction> one = {{0, {0}}};
-  const HorizontalDatabase db(std::move(one), 1);
+  const HorizontalDatabase db = testutil::database_of({{0, {0}}}, 1);
   const MiningResult result = eclat_sequential(db, config);
   ASSERT_EQ(result.itemsets.size(), 1u);
   EXPECT_EQ(result.itemsets[0].items, (Itemset{0}));

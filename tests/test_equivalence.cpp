@@ -163,15 +163,16 @@ TEST(SupportWeight, SumsPairwiseMinSupports) {
   // Build a counter with known pair supports: sup(0,1)=10, sup(0,2)=4,
   // sup(0,3)=7.
   TriangleCounter counter(4);
-  std::vector<Transaction> transactions;
+  DatabaseBuilder builder;
   Tid tid = 0;
   auto add_pairs = [&](Item a, Item b, int times) {
-    for (int i = 0; i < times; ++i) transactions.push_back({tid++, {a, b}});
+    for (int i = 0; i < times; ++i) builder.add(tid++, Itemset{a, b});
   };
   add_pairs(0, 1, 10);
   add_pairs(0, 2, 4);
   add_pairs(0, 3, 7);
-  counter.count(transactions);
+  const HorizontalDatabase db = std::move(builder).finish(4);
+  counter.count(db.transactions());
 
   EquivalenceClass eq_class{0, {1, 2, 3}};
   // Pairs (1,2): min(10,4)=4; (1,3): min(10,7)=7; (2,3): min(4,7)=4.

@@ -55,16 +55,16 @@ par::ParallelOutput run_mc(const HorizontalDatabase& db,
 /// equivalence classes, so under the static greedy schedule one worker
 /// owns nearly everything and the others must steal to help.
 HorizontalDatabase skewed_db() {
-  std::vector<Transaction> transactions;
+  DatabaseBuilder builder;
   for (Tid t = 0; t < 600; ++t) {
     Itemset items;
     for (Item i = 0; i < 12; ++i) {
       if ((t + i) % 3 != 0) items.push_back(i);
     }
     items.push_back(static_cast<Item>(12 + t % 6));
-    transactions.push_back({t, std::move(items)});
+    builder.add(t, items);
   }
-  return HorizontalDatabase(std::move(transactions), 18);
+  return std::move(builder).finish(18);
 }
 
 TEST(ExecBackend, ThreadsMatchesMcAndOracleAcrossKernelsAndMinsup) {

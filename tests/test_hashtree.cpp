@@ -25,6 +25,11 @@ std::map<Itemset, Count> brute_force_counts(
   return counts;
 }
 
+/// Count one basket; the row views `items` for the call only.
+void count_basket(HashTree& tree, Tid tid, const Itemset& items) {
+  tree.count_transaction(Transaction{tid, items});
+}
+
 TEST(HashTree, InsertAndFind) {
   HashTree tree(2);
   tree.insert({1, 2});
@@ -54,9 +59,9 @@ TEST(HashTree, CountsSimpleTransactions) {
   tree.insert({0, 1});
   tree.insert({1, 2});
   tree.insert({0, 2});
-  tree.count_transaction({0, {0, 1, 2}});
-  tree.count_transaction({1, {1, 2}});
-  tree.count_transaction({2, {0}});  // too short, no candidate fits
+  count_basket(tree, 0, {0, 1, 2});
+  count_basket(tree, 1, {1, 2});
+  count_basket(tree, 2, {0});  // too short, no candidate fits
   EXPECT_EQ(tree.find({0, 1})->count, 1u);
   EXPECT_EQ(tree.find({1, 2})->count, 2u);
   EXPECT_EQ(tree.find({0, 2})->count, 1u);
@@ -73,7 +78,7 @@ TEST(HashTree, NoDoubleCountingThroughMultipleHashPaths) {
   tree.insert({0, 2});
   tree.insert({2, 4});
   tree.insert({0, 4});
-  tree.count_transaction({0, {0, 2, 4, 6, 8}});
+  count_basket(tree, 0, {0, 2, 4, 6, 8});
   EXPECT_EQ(tree.find({0, 2})->count, 1u);
   EXPECT_EQ(tree.find({2, 4})->count, 1u);
   EXPECT_EQ(tree.find({0, 4})->count, 1u);

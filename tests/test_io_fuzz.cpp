@@ -4,12 +4,15 @@
 // the asan-ubsan preset) and never allocate unbounded memory from a
 // forged header count. Mirrors tests/test_wire_fuzz.cpp for the on-disk
 // format instead of the wire format.
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <istream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +20,8 @@
 #include "common/rng.hpp"
 #include "data/horizontal.hpp"
 #include "data/io.hpp"
+#include "gen/quest.hpp"
+#include "test_util.hpp"
 
 namespace eclat {
 namespace {
@@ -36,16 +41,16 @@ HorizontalDatabase parse(const std::string& bytes) {
 /// strictly increasing duplicate-free items in [0, num_items).
 HorizontalDatabase valid_db(Rng& rng) {
   const Item num_items = static_cast<Item>(4 + rng.below(60));
-  std::vector<Transaction> transactions;
+  DatabaseBuilder builder;
   const std::size_t rows = rng.below(12);
   for (std::size_t i = 0; i < rows; ++i) {
     Itemset items;
     for (Item item = 0; item < num_items; ++item) {
       if (rng.below(4) == 0) items.push_back(item);
     }
-    transactions.push_back(Transaction{static_cast<Tid>(i), std::move(items)});
+    builder.add(static_cast<Tid>(i), items);
   }
-  return HorizontalDatabase(std::move(transactions), num_items);
+  return std::move(builder).finish(num_items);
 }
 
 /// Apply one of: truncation, byte flips, or a splice of random bytes —
@@ -184,10 +189,10 @@ TEST(IoFuzz, NonIncreasingItemsAreRejected) {
 }
 
 /// A well-formed stream of `rows`, whatever their tids.
-std::string forged_stream(const std::vector<Transaction>& rows,
+std::string forged_stream(const std::vector<testutil::Basket>& rows,
                           std::uint32_t num_items) {
   std::string bytes = forged_header(num_items, rows.size());
-  for (const Transaction& t : rows) {
+  for (const testutil::Basket& t : rows) {
     const auto count = static_cast<std::uint32_t>(t.items.size());
     bytes.append(reinterpret_cast<const char*>(&t.tid), sizeof(t.tid));
     bytes.append(reinterpret_cast<const char*>(&count), sizeof(count));
@@ -201,18 +206,19 @@ TEST(IoFuzz, DescendingTidsAreRejected) {
   // Stored with descending tids, these baskets would mine without the
   // frequent {0 1 2} (support 2) under short-circuit and gallop: both
   // merge tid-lists that must be sorted.
-  const std::vector<Transaction> rows = {
+  const std::vector<testutil::Basket> rows = {
       {4, {0, 1, 2}}, {3, {0, 1}}, {2, {1, 2}}, {1, {0, 1, 2}}, {0, {0, 2}}};
   EXPECT_THROW((void)parse(forged_stream(rows, 3)), std::runtime_error);
   // The same rows in ascending tid order parse.
-  const std::vector<Transaction> ascending(rows.rbegin(), rows.rend());
+  const std::vector<testutil::Basket> ascending(rows.rbegin(), rows.rend());
   EXPECT_EQ(parse(forged_stream(ascending, 3)).size(), rows.size());
 }
 
 TEST(IoFuzz, LargestTidIsRejected) {
   // Tid 0xFFFFFFFF would wrap a class's tid universe (last tid + 1) to 0,
   // and the bitset kernel would write out of bounds.
-  const std::vector<Transaction> rows = {{0, {0, 1}}, {0xFFFFFFFFU, {0, 1}}};
+  const std::vector<testutil::Basket> rows = {{0, {0, 1}},
+                                              {0xFFFFFFFFU, {0, 1}}};
   EXPECT_THROW((void)parse(forged_stream(rows, 2)), std::runtime_error);
 }
 
@@ -226,6 +232,103 @@ TEST(IoFuzz, WrongMagicAndWrongVersionAreRejected) {
   wrong_version[8] = 99;
   EXPECT_THROW((void)parse(wrong_version), std::runtime_error);
   EXPECT_THROW((void)parse(std::string()), std::runtime_error);
+}
+
+// --- The loader's bounds: only the stream's bytes size an allocation. ---
+
+TEST(LoaderBounds, ClaimBeyondTheStreamThrowsBeforeAllocating) {
+  // Two empty rows: 16 bytes after the header hold at most 2 rows.
+  std::string body = forged_stream({{0, {}}, {1, {}}}, 4).substr(24);
+  EXPECT_EQ(parse(forged_header(4, 2) + body).size(), 2u);
+  // One row more than the bytes can hold, and a claim that would need
+  // terabytes if it sized anything: both throw on the header alone.
+  for (const std::uint64_t claim : {std::uint64_t{3}, std::uint64_t{1} << 40}) {
+    try {
+      (void)parse(forged_header(4, claim) + body);
+      ADD_FAILURE() << "parsed a claim of " << claim;
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("header claims"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
+TEST(LoaderBounds, ItemCountPastTheEndThrows) {
+  std::string bytes = forged_stream({{0, {1, 2, 3}}}, 4);
+  bytes.resize(bytes.size() - sizeof(Item));
+  EXPECT_THROW((void)parse(bytes), std::runtime_error);
+  // The same with a second row declared after it.
+  bytes = forged_stream({{0, {1}}, {1, {1, 2, 3}}}, 4);
+  bytes.resize(bytes.size() - 2);
+  EXPECT_THROW((void)parse(bytes), std::runtime_error);
+}
+
+TEST(LoaderBounds, BytesAfterTheLastTransactionAreIgnored) {
+  const std::string bytes = forged_stream({{0, {1, 3}}, {5, {0}}}, 4);
+  for (const std::string& tail :
+       {std::string("x"), std::string(13, '\xff'), bytes}) {
+    const HorizontalDatabase db = parse(bytes + tail);
+    EXPECT_EQ(serialize(db), bytes);
+  }
+}
+
+/// Serves a byte string through underflow() in pieces of `piece` bytes
+/// and cannot seek, as a pipe or socket stream does.
+class PipeBuffer : public std::streambuf {
+ public:
+  PipeBuffer(std::string bytes, std::size_t piece)
+      : bytes_(std::move(bytes)), piece_(piece) {}
+
+ protected:
+  int_type underflow() override {
+    if (gptr() != nullptr && gptr() < egptr()) {
+      return traits_type::to_int_type(*gptr());
+    }
+    if (served_ == bytes_.size()) return traits_type::eof();
+    const std::size_t n = std::min(piece_, bytes_.size() - served_);
+    char* const begin = bytes_.data() + served_;
+    setg(begin, begin, begin + n);
+    served_ += n;
+    return traits_type::to_int_type(*gptr());
+  }
+
+ private:
+  std::string bytes_;
+  std::size_t piece_;
+  std::size_t served_ = 0;
+};
+
+HorizontalDatabase parse_unseekable(const std::string& bytes) {
+  PipeBuffer buffer(bytes, 1000);
+  std::istream in(&buffer);
+  return read_binary(in);
+}
+
+TEST(LoaderBounds, UnseekableStreamLoadsTheSameDatabase) {
+  // Over 256 KiB, so the body spans several chunks.
+  gen::QuestConfig config;
+  config.num_transactions = 30000;
+  config.num_items = 200;
+  const std::string bytes = serialize(gen::QuestGenerator(config).generate());
+  ASSERT_GT(bytes.size(), std::size_t{3} << 18);
+  std::istringstream probe(bytes);
+  ASSERT_NE(probe.rdbuf()->pubseekoff(0, std::ios::end, std::ios::in),
+            std::streampos(-1));
+  PipeBuffer pipe(bytes, 1000);
+  ASSERT_EQ(pipe.pubseekoff(0, std::ios::end, std::ios::in),
+            std::streampos(-1));
+
+  const HorizontalDatabase seekable = parse(bytes);
+  const HorizontalDatabase unseekable = parse_unseekable(bytes);
+  EXPECT_EQ(serialize(seekable), bytes);
+  EXPECT_EQ(serialize(unseekable), bytes);
+  // Without a length to check a claim against, a forged count fails as a
+  // truncated stream, still as std::runtime_error.
+  EXPECT_THROW((void)parse_unseekable(forged_header(4, std::uint64_t{1} << 40)),
+               std::runtime_error);
+  EXPECT_THROW((void)parse_unseekable(bytes.substr(0, bytes.size() - 1)),
+               std::runtime_error);
 }
 
 }  // namespace

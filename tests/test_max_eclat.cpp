@@ -59,9 +59,9 @@ INSTANTIATE_TEST_SUITE_P(Supports, MaxEclatSweep,
 
 TEST(MaxEclat, TopElementShortcutFires) {
   // Four identical tid-lists: every class collapses via its top element.
-  std::vector<Transaction> transactions;
-  for (Tid t = 0; t < 6; ++t) transactions.push_back({t, {0, 1, 2, 3}});
-  const HorizontalDatabase db(std::move(transactions), 4);
+  DatabaseBuilder builder;
+  for (Tid t = 0; t < 6; ++t) builder.add(t, Itemset{0, 1, 2, 3});
+  const HorizontalDatabase db = std::move(builder).finish(4);
   MaxEclatConfig config;
   config.minsup = 3;
   MaxEclatStats stats;
@@ -107,10 +107,8 @@ TEST(MaxEclat, MaximalFamilyIsAntichain) {
 
 TEST(MaxEclat, IsolatedSingletonIsMaximal) {
   // Item 4 is frequent but never co-occurs frequently with anything.
-  std::vector<Transaction> transactions = {
-      {0, {0, 1}}, {1, {0, 1}}, {2, {0, 1, 4}}, {3, {4}}, {4, {4}},
-  };
-  const HorizontalDatabase db(std::move(transactions), 5);
+  const HorizontalDatabase db = testutil::database_of(
+      {{0, {0, 1}}, {1, {0, 1}}, {2, {0, 1, 4}}, {3, {4}}, {4, {4}}}, 5);
   MaxEclatConfig config;
   config.minsup = 2;
   const MiningResult result = max_eclat(db, config);

@@ -129,12 +129,12 @@ TEST(ParEclat, DeterministicMakespan) {
 
 TEST(ParEclat, NoFrequentPairsStillTerminates) {
   // Every item appears once: no frequent 2-itemsets at minsup 2.
-  std::vector<Transaction> transactions;
+  DatabaseBuilder builder;
   for (Tid t = 0; t < 8; ++t) {
-    transactions.push_back(
-        {t, {static_cast<Item>(2 * t), static_cast<Item>(2 * t + 1)}});
+    builder.add(t, Itemset{static_cast<Item>(2 * t),
+                           static_cast<Item>(2 * t + 1)});
   }
-  const HorizontalDatabase db(std::move(transactions), 16);
+  const HorizontalDatabase db = std::move(builder).finish(16);
   mc::Cluster cluster(mc::Topology{2, 2});
   ParEclatConfig config;
   config.minsup = 2;

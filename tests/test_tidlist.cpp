@@ -875,8 +875,8 @@ TEST(MergeKernel, MiningStatsAreEqualAtEveryIsaLevel) {
   quest.avg_pattern_length = 4;
   quest.avg_transaction_length = 8;
   quest.seed = 15;
-  std::vector<Transaction> baskets =
-      gen::QuestGenerator(quest).generate().transactions();
+  const HorizontalDatabase generated = gen::QuestGenerator(quest).generate();
+  std::vector<Transaction> baskets = generated.transactions();
   for (std::size_t i = 0; i < baskets.size(); ++i) {
     baskets[i].tid = static_cast<Tid>(i * 2048);
   }

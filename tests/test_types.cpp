@@ -17,19 +17,19 @@ TEST(Types, ToStringFormatsItemset) {
 }
 
 TEST(Types, IsSortedItemset) {
-  EXPECT_TRUE(is_sorted_itemset({}));
-  EXPECT_TRUE(is_sorted_itemset({5}));
-  EXPECT_TRUE(is_sorted_itemset({1, 2, 3}));
-  EXPECT_FALSE(is_sorted_itemset({1, 1}));
-  EXPECT_FALSE(is_sorted_itemset({2, 1}));
+  EXPECT_TRUE(is_sorted_itemset(Itemset{}));
+  EXPECT_TRUE(is_sorted_itemset(Itemset{5}));
+  EXPECT_TRUE(is_sorted_itemset(Itemset{1, 2, 3}));
+  EXPECT_FALSE(is_sorted_itemset(Itemset{1, 1}));
+  EXPECT_FALSE(is_sorted_itemset(Itemset{2, 1}));
 }
 
 TEST(Types, IsSubset) {
-  EXPECT_TRUE(is_subset({}, {1, 2}));
-  EXPECT_TRUE(is_subset({2}, {1, 2, 3}));
-  EXPECT_TRUE(is_subset({1, 3}, {1, 2, 3}));
-  EXPECT_FALSE(is_subset({4}, {1, 2, 3}));
-  EXPECT_FALSE(is_subset({1, 4}, {1, 2, 3}));
+  EXPECT_TRUE(is_subset(Itemset{}, Itemset{1, 2}));
+  EXPECT_TRUE(is_subset(Itemset{2}, Itemset{1, 2, 3}));
+  EXPECT_TRUE(is_subset(Itemset{1, 3}, Itemset{1, 2, 3}));
+  EXPECT_FALSE(is_subset(Itemset{4}, Itemset{1, 2, 3}));
+  EXPECT_FALSE(is_subset(Itemset{1, 4}, Itemset{1, 2, 3}));
 }
 
 TEST(Types, LexLess) {

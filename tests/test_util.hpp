@@ -13,6 +13,21 @@
 
 namespace eclat::testutil {
 
+/// One basket of a literal test database.
+struct Basket {
+  Tid tid = 0;
+  Itemset items;
+};
+
+/// A database of literal baskets, built the way every producer builds one.
+/// Throws std::invalid_argument as DatabaseBuilder does.
+inline HorizontalDatabase database_of(const std::vector<Basket>& baskets,
+                                      Item num_items) {
+  DatabaseBuilder builder;
+  for (const Basket& basket : baskets) builder.add(basket.tid, basket.items);
+  return std::move(builder).finish(num_items);
+}
+
 /// gtest name generator for topology-parameterised suites ("H2P4").
 /// Built with += rather than chained operator+, which trips a GCC 12
 /// -Wrestrict false positive in the inlined char_traits copy.
@@ -87,12 +102,13 @@ inline HorizontalDatabase small_quest_db(std::size_t transactions = 300,
 
 /// Hand-built database with known frequent itemsets.
 inline HorizontalDatabase handmade_db() {
-  std::vector<Transaction> transactions = {
-      {0, {0, 1, 2, 3}}, {1, {0, 1, 2}}, {2, {0, 1}},    {3, {0, 2, 3}},
-      {4, {1, 2}},       {5, {0, 1, 2}}, {6, {3}},       {7, {0, 1, 3}},
-      {8, {0, 1, 2, 3}}, {9, {2, 3}},
-  };
-  return HorizontalDatabase(std::move(transactions), 4);
+  return database_of(
+      {
+          {0, {0, 1, 2, 3}}, {1, {0, 1, 2}}, {2, {0, 1}},    {3, {0, 2, 3}},
+          {4, {1, 2}},       {5, {0, 1, 2}}, {6, {3}},       {7, {0, 1, 3}},
+          {8, {0, 1, 2, 3}}, {9, {2, 3}},
+      },
+      4);
 }
 
 inline bool same_itemsets(const MiningResult& a, const MiningResult& b) {

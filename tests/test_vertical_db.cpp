@@ -8,17 +8,22 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "gen/quest.hpp"
+#include "test_util.hpp"
 
 namespace eclat {
 namespace {
 
-std::vector<Transaction> sample_transactions() {
-  return {
-      {0, {0, 1, 2}},
-      {1, {1, 2}},
-      {2, {0, 2}},
-      {3, {0, 1, 2, 3}},
-  };
+using testutil::database_of;
+
+HorizontalDatabase sample_db() {
+  return database_of(
+      {
+          {0, {0, 1, 2}},
+          {1, {1, 2}},
+          {2, {0, 2}},
+          {3, {0, 1, 2, 3}},
+      },
+      4);
 }
 
 // The reference inversion the slot kernel must reproduce: one hash probe
@@ -101,7 +106,8 @@ TEST(PairKey, OrdersLexicographically) {
 }
 
 TEST(InvertItems, BuildsSortedTidLists) {
-  const auto transactions = sample_transactions();
+  const HorizontalDatabase db = sample_db();
+  const std::span<const Transaction> transactions(db.transactions());
   const std::vector<TidList> lists = invert_items(transactions, 4);
   ASSERT_EQ(lists.size(), 4u);
   EXPECT_EQ(lists[0], (TidList{0, 2, 3}));
@@ -111,7 +117,8 @@ TEST(InvertItems, BuildsSortedTidLists) {
 }
 
 TEST(InvertPairs, BuildsOnlyRequestedPairs) {
-  const auto transactions = sample_transactions();
+  const HorizontalDatabase db = sample_db();
+  const std::span<const Transaction> transactions(db.transactions());
   const std::vector<PairKey> pairs = {make_pair_key(0, 1),
                                       make_pair_key(1, 2)};
   const auto lists = invert_pairs(transactions, pairs);
@@ -161,13 +168,15 @@ TEST(PairSlots, MatchesHashProbeOracleOnQuestDatabases) {
 }
 
 TEST(PairSlots, EmptyPairList) {
-  const auto transactions = sample_transactions();
+  const HorizontalDatabase db = sample_db();
+  const std::span<const Transaction> transactions(db.transactions());
   expect_matches_oracle(transactions, {}, 4);
   EXPECT_TRUE(PairSlots({}).invert(transactions).empty());
 }
 
 TEST(PairSlots, PairsWhoseItemsNeverOccur) {
-  const auto transactions = sample_transactions();
+  const HorizontalDatabase db = sample_db();
+  const std::span<const Transaction> transactions(db.transactions());
   const std::vector<PairKey> pairs = {make_pair_key(0, 7),
                                       make_pair_key(5, 6)};
   expect_matches_oracle(transactions, pairs, 8);
@@ -177,8 +186,10 @@ TEST(PairSlots, PairsWhoseItemsNeverOccur) {
 }
 
 TEST(PairSlots, ItemsAboveEveryRequestedItem) {
-  const std::vector<Transaction> transactions = {
-      {0, {0, 1, 5, 9}}, {1, {1, 8, 9}}, {2, {0, 1, 2, 3, 9}}, {3, {7, 9}}};
+  const HorizontalDatabase db = database_of(
+      {{0, {0, 1, 5, 9}}, {1, {1, 8, 9}}, {2, {0, 1, 2, 3, 9}}, {3, {7, 9}}},
+      10);
+  const std::span<const Transaction> transactions(db.transactions());
   const std::vector<PairKey> pairs = {make_pair_key(0, 1),
                                       make_pair_key(1, 2)};
   expect_matches_oracle(transactions, pairs, 10);
@@ -188,8 +199,9 @@ TEST(PairSlots, ItemsAboveEveryRequestedItem) {
 }
 
 TEST(PairSlots, ZeroAndOneItemTransactions) {
-  const std::vector<Transaction> transactions = {
-      {0, {}}, {1, {2}}, {2, {1, 2}}, {3, {}}, {4, {1}}, {5, {1, 2}}};
+  const HorizontalDatabase db = database_of(
+      {{0, {}}, {1, {2}}, {2, {1, 2}}, {3, {}}, {4, {1}}, {5, {1, 2}}}, 3);
+  const std::span<const Transaction> transactions(db.transactions());
   const std::vector<PairKey> pairs = {make_pair_key(1, 2)};
   expect_matches_oracle(transactions, pairs, 3);
   EXPECT_EQ(PairSlots(pairs).invert(transactions)[0], (TidList{2, 5}));
@@ -197,7 +209,8 @@ TEST(PairSlots, ZeroAndOneItemTransactions) {
 
 TEST(PairSlots, TwoItemsOnePair) {
   // K = 2: a one-cell slot table.
-  const auto transactions = sample_transactions();
+  const HorizontalDatabase db = sample_db();
+  const std::span<const Transaction> transactions(db.transactions());
   const std::vector<PairKey> pairs = {make_pair_key(2, 3)};
   expect_matches_oracle(transactions, pairs, 4);
   EXPECT_EQ(PairSlots(pairs).invert(transactions)[0], (TidList{3}));
@@ -257,7 +270,8 @@ TEST(PairSlotsDeathTest, RejectsUnsortedOrDuplicatedPairs) {
 
 TEST(TriangleCounter, CountsAllPairsOfEachTransaction) {
   TriangleCounter counter(4);
-  const auto transactions = sample_transactions();
+  const HorizontalDatabase db = sample_db();
+  const std::span<const Transaction> transactions(db.transactions());
   counter.count(transactions);
   EXPECT_EQ(counter.get(0, 1), 2u);  // tids 0, 3
   EXPECT_EQ(counter.get(0, 2), 3u);  // tids 0, 2, 3
@@ -272,14 +286,15 @@ TEST(TriangleCounter, IndexingCoversWholeTriangleWithoutCollision) {
   // every cell reads back 1 (no aliasing in the triangular indexing).
   constexpr Item kN = 17;
   TriangleCounter counter(kN);
-  std::vector<Transaction> transactions;
+  DatabaseBuilder builder;
   Tid tid = 0;
   for (Item a = 0; a < kN; ++a) {
     for (Item b = a + 1; b < kN; ++b) {
-      transactions.push_back({tid++, {a, b}});
+      builder.add(tid++, Itemset{a, b});
     }
   }
-  counter.count(transactions);
+  const HorizontalDatabase db = std::move(builder).finish(kN);
+  counter.count(db.transactions());
   for (Item a = 0; a < kN; ++a) {
     for (Item b = a + 1; b < kN; ++b) {
       EXPECT_EQ(counter.get(a, b), 1u) << "pair " << a << "," << b;
@@ -290,10 +305,10 @@ TEST(TriangleCounter, IndexingCoversWholeTriangleWithoutCollision) {
 TEST(TriangleCounter, MergeAccumulatesElementwise) {
   TriangleCounter a(3);
   TriangleCounter b(3);
-  std::vector<Transaction> first = {{0, {0, 1}}};
-  std::vector<Transaction> second = {{1, {0, 1}}, {2, {1, 2}}};
-  a.count(first);
-  b.count(second);
+  const HorizontalDatabase first = database_of({{0, {0, 1}}}, 3);
+  const HorizontalDatabase second = database_of({{1, {0, 1}}, {2, {1, 2}}}, 3);
+  a.count(first.transactions());
+  b.count(second.transactions());
   a.merge(b);
   EXPECT_EQ(a.get(0, 1), 2u);
   EXPECT_EQ(a.get(1, 2), 1u);
@@ -308,7 +323,8 @@ TEST(TriangleCounter, MergeRejectsSizeMismatch) {
 
 TEST(TriangleCounter, FrequentPairsSortedAndThresholded) {
   TriangleCounter counter(4);
-  counter.count(sample_transactions());
+  const HorizontalDatabase db = sample_db();
+  counter.count(db.transactions());
   const std::vector<PairKey> frequent = counter.frequent_pairs(2);
   ASSERT_EQ(frequent.size(), 3u);
   EXPECT_EQ(frequent[0], make_pair_key(0, 1));
@@ -322,8 +338,8 @@ TEST(TriangleCounter, InvalidArgumentsThrow) {
   EXPECT_THROW(counter.get(1, 1), std::out_of_range);
   EXPECT_THROW(counter.get(0, 3), std::out_of_range);
   EXPECT_THROW(TriangleCounter{1}, std::invalid_argument);
-  const std::vector<Transaction> out_of_range = {{0, {0, 1, 3}}};
-  EXPECT_THROW(counter.count(out_of_range), std::out_of_range);
+  const HorizontalDatabase out_of_range = database_of({{0, {0, 1, 3}}}, 4);
+  EXPECT_THROW(counter.count(out_of_range.transactions()), std::out_of_range);
 }
 
 }  // namespace
