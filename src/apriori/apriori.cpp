@@ -35,11 +35,12 @@ MiningResult apriori(const HorizontalDatabase& db,
   result.levels.push_back(
       LevelStats{1, static_cast<std::size_t>(db.num_items()), level.size()});
 
-  // --- L2: either a triangular count array (one scan, no hash tree) or
-  // the generic hash-tree path, selected by config. ---
+  // --- L2: either a triangular count array over the frequent items (one
+  // scan, no hash tree) or the generic hash-tree path, selected by
+  // config. ---
   std::size_t k = 2;
   if (config.triangle_l2 && db.num_items() >= 2 && !level.empty()) {
-    TriangleCounter counter(db.num_items());
+    TriangleCounter counter(item_counts, config.minsup);
     counter.count(all);
     ++result.database_scans;
     std::vector<Itemset> next_level;

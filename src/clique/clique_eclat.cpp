@@ -1,6 +1,5 @@
 #include "clique/clique_eclat.hpp"
 
-#include <algorithm>
 #include <unordered_map>
 
 #include "apriori/apriori.hpp"
@@ -19,12 +18,12 @@ MiningResult clique_eclat(const HorizontalDatabase& db,
   const std::span<const Transaction> all(db.transactions());
 
   // Initialization: identical to Eclat.
-  TriangleCounter counter(std::max<Item>(db.num_items(), 2));
+  const std::vector<Count> item_counts = count_items(all, db.num_items());
+  TriangleCounter counter(item_counts, config.minsup);
   counter.count(all);
   ++result.database_scans;
 
   if (config.include_singletons) {
-    const std::vector<Count> item_counts = count_items(all, db.num_items());
     for (Item item = 0; item < db.num_items(); ++item) {
       if (item_counts[item] >= config.minsup) {
         result.itemsets.push_back(FrequentItemset{{item}, item_counts[item]});

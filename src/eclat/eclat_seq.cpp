@@ -1,7 +1,5 @@
 #include "eclat/eclat_seq.hpp"
 
-#include <algorithm>
-
 #include "apriori/apriori.hpp"
 #include "eclat/diffsets.hpp"
 #include "eclat/equivalence.hpp"
@@ -15,14 +13,14 @@ MiningResult eclat_sequential(const HorizontalDatabase& db,
   MiningResult result;
   const std::span<const Transaction> all(db.transactions());
 
-  // --- Initialization: count 2-itemsets (and, optionally, singletons) in
-  // one scan. ---
-  TriangleCounter counter(std::max<Item>(db.num_items(), 2));
+  // --- Initialization: count items, then the 2-itemsets of frequent
+  // items, in one scan. ---
+  const std::vector<Count> item_counts = count_items(all, db.num_items());
+  TriangleCounter counter(item_counts, config.minsup);
   counter.count(all);
   ++result.database_scans;
 
   if (config.include_singletons) {
-    const std::vector<Count> item_counts = count_items(all, db.num_items());
     for (Item item = 0; item < db.num_items(); ++item) {
       if (item_counts[item] >= config.minsup) {
         result.itemsets.push_back(

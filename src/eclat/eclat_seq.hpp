@@ -1,10 +1,11 @@
 // Sequential Eclat: the single-processor specialization of the paper's
 // algorithm (and the baseline for the speedup curves of Figure 7).
 //
-// Phases: (1) count all 2-itemsets in one horizontal scan via a triangular
-// array; (2) invert the database into tid-lists of the frequent 2-itemsets
-// (second scan) and split L2 into equivalence classes; (3) mine each class
-// to completion with Compute_Frequent. No hash trees, no candidate pruning.
+// Phases: (1) count items, then the 2-itemsets of frequent items, in one
+// horizontal scan via a triangular array; (2) invert the database into
+// tid-lists of the frequent 2-itemsets (second scan) and split L2 into
+// equivalence classes; (3) mine each class to completion with
+// Compute_Frequent. No hash trees, no candidate pruning.
 #pragma once
 
 #include "common/result.hpp"
@@ -23,8 +24,10 @@ struct EclatConfig {
   /// AND-NOT.
   bool use_diffsets = false;
   /// Also report frequent 1-itemsets. The paper's Eclat never counts
-  /// singletons (§5.1); they are counted here in the same pass as the pairs
-  /// so results are comparable with Apriori. Disable for strict paper mode.
+  /// singletons (§5.1); here they are always counted, in the same pass as
+  /// the pairs, so that only pairs of frequent items are counted. Reporting
+  /// them makes results comparable with Apriori. Disable for strict paper
+  /// mode.
   bool include_singletons = true;
 };
 

@@ -137,9 +137,9 @@ MiningResult max_eclat(const HorizontalDatabase& db,
   const std::span<const Transaction> all(db.transactions());
 
   // Initialization identical to Eclat: one scan for item + pair counts.
-  TriangleCounter counter(std::max<Item>(db.num_items(), 2));
-  counter.count(all);
   const std::vector<Count> item_counts = count_items(all, db.num_items());
+  TriangleCounter counter(item_counts, config.minsup);
+  counter.count(all);
 
   const std::vector<PairKey> frequent_pairs =
       counter.frequent_pairs(config.minsup);

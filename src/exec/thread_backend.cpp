@@ -149,30 +149,32 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
   const mc::Topology topo{1, W};
   WallStopwatch wall;
 
-  // ----- Phase 1: initialization. Per-worker local counts, each into a
-  // counter its worker allocates and zeroes itself, then an in-place
-  // prefix sum: counters[w] ends up holding blocks 0..w, so the last one
-  // is the merged L2 and counters[w-1] is where block w's tids start in
-  // every global tid-list. Exact integer arithmetic, so the merged counts
-  // equal the simulator's tree reduction for any W. -----
-  std::vector<std::optional<TriangleCounter>> counters(W);
+  // ----- Phase 1: initialization. Per-worker item counts, summed into
+  // the global ones; then each worker counts its block's pairs of
+  // frequent items (C2 = L1 x L1) into a counter it allocates and zeroes
+  // itself from those read-only sums, and an in-place prefix sum:
+  // counters[w] ends up holding blocks 0..w, so the last one is the
+  // merged L2 and counters[w-1] is where block w's tids start in every
+  // global tid-list. Exact integer arithmetic, so the merged counts equal
+  // the simulator's tree reduction for any W. -----
   std::vector<std::vector<Count>> item_partials(W);
   parallel_region(W, [&](std::size_t w) {
-    const std::span<const Transaction> local =
-        par::local_partition(db, topo, w);
-    counters[w].emplace(db.num_items()).count(local);
-    if (config.include_singletons) {
-      item_partials[w] = count_items(local, db.num_items());
-    }
+    item_partials[w] =
+        count_items(par::local_partition(db, topo, w), db.num_items());
   });
-  for (std::size_t w = 1; w < W; ++w) counters[w]->merge(*counters[w - 1]);
-  const TriangleCounter& counter = *counters.back();
   std::vector<Count> item_counts(db.num_items(), 0);
   for (const std::vector<Count>& partial : item_partials) {
     for (std::size_t i = 0; i < partial.size(); ++i) {
       item_counts[i] += partial[i];
     }
   }
+  std::vector<std::optional<TriangleCounter>> counters(W);
+  parallel_region(W, [&](std::size_t w) {
+    counters[w].emplace(item_counts, config.minsup)
+        .count(par::local_partition(db, topo, w));
+  });
+  for (std::size_t w = 1; w < W; ++w) counters[w]->merge(*counters[w - 1]);
+  const TriangleCounter& counter = *counters.back();
   const double t_init = wall.elapsed_seconds();
 
   // ----- Phase 2: transformation. The plan is a pure function of the

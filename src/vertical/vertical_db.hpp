@@ -37,14 +37,60 @@ std::vector<TidList> invert_items(std::span<const Transaction> transactions,
 
 class TriangleCounter;
 
+namespace detail {
+
+/// Dense ids for a set of kept items, in item order, and the row-major
+/// upper triangle over them: one cell per pair of kept ids. It is the
+/// shared core of PairSlots, which keeps the items of its requested
+/// pairs, and of a filtered TriangleCounter, which keeps the frequent
+/// items. scan() visits the cell of every kept pair of each transaction.
+class DenseTriangle {
+ public:
+  static constexpr std::uint32_t kAbsent = 0xffffffffU;
+
+  DenseTriangle() = default;
+  /// `marks` covers the items below its size, and an entry other than
+  /// kAbsent keeps its item. Kept items get the ids 0, 1, ... in order.
+  explicit DenseTriangle(std::vector<std::uint32_t> marks);
+
+  bool empty() const { return id_.empty(); }
+  /// K(K-1)/2, for the K kept items.
+  std::size_t cells() const { return k_ < 2 ? 0 : k_ * (k_ - 1) / 2; }
+  /// The dense id of `item`, or kAbsent.
+  std::uint32_t id(Item item) const {
+    return item < id_.size() ? id_[item] : kAbsent;
+  }
+  /// The cell of the ids a < b.
+  std::size_t cell(std::size_t a, std::size_t b) const;
+  /// The kept items, ascending: item of each dense id.
+  std::vector<Item> items() const;
+
+  /// Calls visit(cell, tid) for every pair of kept items in each
+  /// transaction, in row-major cell order per transaction. Items at or
+  /// above the table's end are dropped; returns whether there were any.
+  template <typename Visit>
+  bool scan(std::span<const Transaction> transactions, Visit&& visit) const;
+
+  friend bool operator==(const DenseTriangle&,
+                         const DenseTriangle&) = default;
+
+ private:
+  std::vector<std::uint32_t> id_;  ///< item -> dense id, or kAbsent
+  std::size_t k_ = 0;
+};
+
+}  // namespace detail
+
 /// Slot-indexed pair inversion: the transformation phase's kernel (paper
 /// §5.2.2 / §6.3). Built once from a sorted, duplicate-free list of
 /// requested pairs; slot i is pairs[i], and every result list is indexed
 /// by slot. The K items that occur in some requested pair get dense local
 /// ids, and a K(K-1)/2 triangular table maps each local-id pair to its
 /// slot. A scan keeps only a transaction's filtered items and enumerates
-/// pairs among those, one table load per pair. Since K <= N, the table is
-/// at most half the N(N-1)/2 x 8-byte TriangleCounter.
+/// pairs among those, one table load per pair. The miners request
+/// frequent pairs, whose items are frequent, so K is at most the K of
+/// their filtered TriangleCounter and the 4-byte table at most half its
+/// 8-byte triangle.
 class PairSlots {
  public:
   explicit PairSlots(std::span<const PairKey> pairs);
@@ -82,9 +128,8 @@ class PairSlots {
   void scan(std::span<const Transaction> transactions, Emit&& emit) const;
 
   std::vector<PairKey> pairs_;
-  std::vector<std::uint32_t> local_;  ///< item -> local id, or kAbsent
-  std::vector<std::uint32_t> slot_;   ///< local-id triangle -> slot
-  std::size_t k_ = 0;                 ///< number of local ids
+  detail::DenseTriangle ids_;        ///< requested items -> local ids
+  std::vector<std::uint32_t> slot_;  ///< local-id triangle -> slot
 };
 
 /// Tid-lists of the given 2-itemsets over a span of transactions
@@ -96,28 +141,42 @@ std::unordered_map<PairKey, TidList> invert_pairs(
     const std::vector<PairKey>& pairs);
 
 /// Upper-triangular 2-itemset support counter (paper §5.1): local counts of
-/// all C(N,2) pairs in one pass over a horizontal partition, O(1) space per
-/// pair, no hash structures.
+/// pairs in one pass over a horizontal partition, O(1) space per pair, no
+/// hash structures. The num_items constructor counts all C(N,2) pairs, as
+/// the paper does. The filtered one counts only the pairs of the K items
+/// whose count reaches minsup (C2 = L1 x L1), in a K(K-1)/2 triangle over
+/// their dense ids. A pair with an infrequent item is infrequent itself,
+/// so both give the same frequent pairs and supports.
 class TriangleCounter {
  public:
+  /// Counts every pair of items below `num_items`, which must be >= 2.
   explicit TriangleCounter(Item num_items);
 
-  /// Count every 2-subset of every transaction in the span. Items must be
-  /// strictly sorted; an item >= num_items() throws std::out_of_range.
+  /// Counts the pairs of the items whose count in `item_counts` is >=
+  /// `minsup`; num_items() is item_counts.size(). Fewer than two such
+  /// items give an empty triangle.
+  TriangleCounter(std::span<const Count> item_counts, Count minsup);
+
+  /// Count every counted 2-subset of every transaction in the span. Items
+  /// must be strictly sorted; an item >= num_items() throws
+  /// std::out_of_range.
   void count(std::span<const Transaction> transactions);
 
-  /// Support of pair {a, b}; a != b.
+  /// Support of pair {a, b}; a != b, and both must be counted, or it
+  /// throws std::out_of_range.
   Count get(Item a, Item b) const;
 
   /// Element-wise accumulate another counter (the sum-reduction step).
+  /// Both must count the same items, or it throws std::invalid_argument.
   void merge(const TriangleCounter& other);
 
   Item num_items() const { return num_items_; }
 
-  /// All pairs whose count is >= minsup, in lexicographic order.
+  /// All counted pairs whose count is >= minsup, in lexicographic order.
   std::vector<PairKey> frequent_pairs(Count minsup) const;
 
-  /// Direct access for the Memory Channel reduction (row-major triangle).
+  /// Direct access for the Memory Channel reduction (row-major triangle
+  /// over the counted items).
   std::span<const Count> raw() const { return counts_; }
   std::span<Count> raw() { return counts_; }
 
@@ -125,6 +184,7 @@ class TriangleCounter {
   std::size_t index(Item a, Item b) const;
 
   Item num_items_;
+  detail::DenseTriangle ids_;  ///< counted items; empty: every item
   std::vector<Count> counts_;
 };
 

@@ -133,6 +133,41 @@ TEST(ExecBackend, StealHeavySkewStaysIdentical) {
   EXPECT_EQ(result_to_bytes(pinned.result), reference);
 }
 
+// Universes of fewer than two items have no pair to count: the thread
+// backend mines them as sequential Eclat and the mc backend do.
+TEST(ExecBackend, TinyItemUniversesMatchSequentialAndMc) {
+  const std::vector<testutil::Basket> baskets[] = {
+      {{0, {}}, {1, {}}, {2, {}}, {3, {}}},
+      {{0, {0}}, {1, {}}, {2, {0}}, {3, {0}}},
+      {{0, {0, 1}}, {1, {0}}, {2, {1}}, {3, {0, 1}}},
+  };
+  const std::size_t expected_itemsets[] = {0, 1, 3};
+  for (Item num_items = 0; num_items <= 2; ++num_items) {
+    const HorizontalDatabase db =
+        testutil::database_of(baskets[num_items], num_items);
+    EclatConfig seq_config;
+    seq_config.minsup = 2;
+    const MiningResult oracle = eclat_sequential(db, seq_config);
+    ASSERT_EQ(oracle.itemsets.size(), expected_itemsets[num_items]);
+    const std::vector<std::uint8_t> reference = result_to_bytes(oracle);
+    par::ParEclatConfig config;
+    config.minsup = 2;
+    EXPECT_EQ(result_to_bytes(run_mc(db, config, {1, 2}).result), reference)
+        << "num_items=" << num_items;
+    for (std::size_t threads : {1u, 2u, 3u}) {
+      for (exec::ClassScheduler scheduler :
+           {exec::ClassScheduler::kStatic,
+            exec::ClassScheduler::kWorkStealing}) {
+        EXPECT_EQ(
+            result_to_bytes(run_threads(db, config, threads, scheduler).result),
+            reference)
+            << "num_items=" << num_items << " threads=" << threads
+            << " scheduler=" << exec::to_string(scheduler);
+      }
+    }
+  }
+}
+
 TEST(ExecBackend, PhaseAccountingAndRunReport) {
   const HorizontalDatabase db = small_quest_db();
   par::ParEclatConfig config;

@@ -4,7 +4,13 @@
 #include <gtest/gtest.h>
 
 #include "api/mining.hpp"
+#include "apriori/apriori.hpp"
+#include "clique/clique_eclat.hpp"
 #include "data/io.hpp"
+#include "data/result_io.hpp"
+#include "eclat/eclat_seq.hpp"
+#include "eclat/max_eclat.hpp"
+#include "exec/thread_backend.hpp"
 #include "parallel/candidate_distribution.hpp"
 #include "parallel/data_distribution.hpp"
 #include "test_util.hpp"
@@ -175,6 +181,99 @@ TEST(Integration, DownwardClosureHoldsOnAllResults) {
           << to_string(f.items) << " vs " << to_string(subset);
       EXPECT_GT(subset_support, 0u);
     }
+  }
+}
+
+// A large item universe: a T10.I4 database over N = 1000 items and its
+// image with every item id multiplied by kSpread, over 200,000 items.
+// Counting all C(N,2) pairs of the image would take 2.0e10 cells
+// (160 GB); the native paths count pairs of frequent items only, so each
+// must mine the image of its own N = 1000 result in small memory.
+class LargeItemUniverse : public ::testing::Test {
+ protected:
+  static constexpr Item kSpread = 200;
+  static constexpr Count kMinsup = 20;  // 0.67%: 678 of 1000 items frequent
+
+  LargeItemUniverse() : small_(t10i4()), large_(spread(small_)) {}
+
+  static HorizontalDatabase t10i4() {
+    gen::QuestConfig config;
+    config.num_transactions = 3000;
+    config.avg_transaction_length = 10;
+    config.avg_pattern_length = 4;
+    config.num_items = 1000;
+    config.num_patterns = 2000;
+    config.seed = 17;
+    return gen::QuestGenerator(config).generate();
+  }
+
+  static HorizontalDatabase spread(const HorizontalDatabase& db) {
+    DatabaseBuilder builder;
+    Itemset items;
+    for (const Transaction& t : db.transactions()) {
+      items.assign(t.items.begin(), t.items.end());
+      for (Item& item : items) item *= kSpread;
+      builder.add(t.tid, items);
+    }
+    return std::move(builder).finish(db.num_items() * kSpread);
+  }
+
+  // The bytes of `small`'s image, after checking it found 3-itemsets.
+  static std::vector<std::uint8_t> image(MiningResult small) {
+    EXPECT_GT(small.count_of_size(3), 0u);
+    for (FrequentItemset& itemset : small.itemsets) {
+      for (Item& item : itemset.items) item *= kSpread;
+    }
+    return result_to_bytes(small);
+  }
+
+  const HorizontalDatabase small_;
+  const HorizontalDatabase large_;
+};
+
+TEST_F(LargeItemUniverse, SequentialEclatWithTidsetsAndDiffsets) {
+  ASSERT_EQ(large_.num_items(), 200'000u);
+  for (bool diffsets : {false, true}) {
+    EclatConfig config;
+    config.minsup = kMinsup;
+    config.use_diffsets = diffsets;
+    EXPECT_EQ(result_to_bytes(eclat_sequential(large_, config)),
+              image(eclat_sequential(small_, config)))
+        << "diffsets=" << diffsets;
+  }
+}
+
+TEST_F(LargeItemUniverse, Apriori) {
+  AprioriConfig config;
+  config.minsup = kMinsup;
+  EXPECT_EQ(result_to_bytes(apriori(large_, config)),
+            image(apriori(small_, config)));
+}
+
+TEST_F(LargeItemUniverse, MaxEclat) {
+  MaxEclatConfig config;
+  config.minsup = kMinsup;
+  EXPECT_EQ(result_to_bytes(max_eclat(large_, config)),
+            image(max_eclat(small_, config)));
+}
+
+TEST_F(LargeItemUniverse, CliqueEclat) {
+  CliqueEclatConfig config;
+  config.minsup = kMinsup;
+  EXPECT_EQ(result_to_bytes(clique_eclat(large_, config)),
+            image(clique_eclat(small_, config)));
+}
+
+TEST_F(LargeItemUniverse, ThreadBackend) {
+  par::ParEclatConfig config;
+  config.minsup = kMinsup;
+  for (std::size_t threads : {1u, 2u, 3u}) {
+    exec::ThreadBackendOptions options;
+    options.threads = threads;
+    exec::ThreadBackend backend(options);
+    EXPECT_EQ(result_to_bytes(backend.mine(large_, config).result),
+              image(backend.mine(small_, config).result))
+        << "threads=" << threads;
   }
 }
 

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <string>
 #include <thread>
 
+#include "apriori/apriori.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "gen/quest.hpp"
@@ -340,6 +343,139 @@ TEST(TriangleCounter, InvalidArgumentsThrow) {
   EXPECT_THROW(TriangleCounter{1}, std::invalid_argument);
   const HorizontalDatabase out_of_range = database_of({{0, {0, 1, 3}}}, 4);
   EXPECT_THROW(counter.count(out_of_range.transactions()), std::out_of_range);
+}
+
+// The filtered counter against the full one: the same count for every
+// pair of counted items, an out_of_range for every other pair, the same
+// frequent pairs, and a K(K-1)/2 triangle.
+TEST(TriangleCounter, FilteredCountsEqualFullCountsOfCountedItems) {
+  bool filtered_some = false;
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    const HorizontalDatabase db = quest_db(600, 60, seed);
+    TriangleCounter full(db.num_items());
+    full.count(db.transactions());
+    const std::vector<Count> items =
+        count_items(db.transactions(), db.num_items());
+    for (Count minsup : {Count{0}, Count{1}, Count{20}, Count{60}, Count{100},
+                          Count{150}, Count{100'000}}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " minsup " +
+                   std::to_string(minsup));
+      TriangleCounter filtered(items, minsup);
+      filtered.count(db.transactions());
+      ASSERT_EQ(filtered.num_items(), db.num_items());
+      const auto k = static_cast<std::size_t>(std::count_if(
+          items.begin(), items.end(), [&](Count n) { return n >= minsup; }));
+      filtered_some |= k >= 2 && k < db.num_items();
+      EXPECT_EQ(filtered.raw().size(), k < 2 ? 0 : k * (k - 1) / 2);
+      for (Item a = 0; a < db.num_items(); ++a) {
+        for (Item b = a + 1; b < db.num_items(); ++b) {
+          if (items[a] >= minsup && items[b] >= minsup) {
+            ASSERT_EQ(filtered.get(a, b), full.get(a, b)) << a << "," << b;
+          } else {
+            ASSERT_THROW(filtered.get(b, a), std::out_of_range);
+          }
+        }
+      }
+      EXPECT_EQ(filtered.frequent_pairs(minsup), full.frequent_pairs(minsup));
+    }
+  }
+  EXPECT_TRUE(filtered_some);
+}
+
+TEST(TriangleCounter, FilteredBelowTwoCountedItemsIsEmpty) {
+  const HorizontalDatabase db = sample_db();  // item counts 3, 3, 4, 1
+  const std::vector<Count> items =
+      count_items(db.transactions(), db.num_items());
+  for (Count minsup : {Count{5}, Count{4}}) {  // K = 0, then K = 1 (item 2)
+    SCOPED_TRACE(minsup);
+    TriangleCounter counter(items, minsup);
+    counter.count(db.transactions());
+    EXPECT_EQ(counter.num_items(), 4u);
+    EXPECT_TRUE(counter.raw().empty());
+    EXPECT_TRUE(counter.frequent_pairs(0).empty());
+    EXPECT_THROW(counter.get(0, 2), std::out_of_range);
+  }
+  // Item universes of 0 and 1 items.
+  const HorizontalDatabase one = database_of({{0, {0}}, {1, {}}}, 1);
+  for (const std::vector<Count>& counts :
+       {std::vector<Count>{}, std::vector<Count>{1}}) {
+    TriangleCounter counter(counts, 1);
+    if (counts.size() == 1) counter.count(one.transactions());
+    EXPECT_EQ(counter.num_items(), counts.size());
+    EXPECT_TRUE(counter.raw().empty());
+    EXPECT_TRUE(counter.frequent_pairs(0).empty());
+  }
+}
+
+TEST(TriangleCounter, FilteredGetOfUncountedItemThrows) {
+  const HorizontalDatabase db = sample_db();
+  TriangleCounter counter(count_items(db.transactions(), db.num_items()), 2);
+  counter.count(db.transactions());
+  EXPECT_EQ(counter.raw().size(), 3u);  // items 0, 1, 2
+  EXPECT_EQ(counter.get(0, 1), 2u);
+  EXPECT_EQ(counter.get(2, 0), 3u);
+  EXPECT_EQ(counter.get(1, 2), 3u);
+  EXPECT_THROW(counter.get(0, 3), std::out_of_range);  // item 3 has 1
+  EXPECT_THROW(counter.get(3, 2), std::out_of_range);
+  EXPECT_THROW(counter.get(1, 1), std::out_of_range);
+  EXPECT_THROW(counter.get(0, 4), std::out_of_range);
+}
+
+TEST(TriangleCounter, FilteredMergeNeedsTheSameCountedItems) {
+  const std::vector<Count> first = {5, 5, 0, 5};
+  const std::vector<Count> second = {5, 0, 5, 5};
+  TriangleCounter a(first, 1);
+  const TriangleCounter b(second, 1);  // as many cells, other items
+  EXPECT_EQ(a.raw().size(), b.raw().size());
+  EXPECT_THROW(a.merge(b), std::invalid_argument);
+  EXPECT_THROW(a.merge(TriangleCounter(4)), std::invalid_argument);
+  EXPECT_THROW(a.merge(TriangleCounter(std::vector<Count>{5, 5, 0}, 1)),
+               std::invalid_argument);
+  EXPECT_NO_THROW(a.merge(TriangleCounter(first, 2)));
+  // Every item counted: the num_items counter's state.
+  TriangleCounter all(first, 0);
+  EXPECT_NO_THROW(all.merge(TriangleCounter(4)));
+}
+
+TEST(TriangleCounter, FilteredCountRejectsOutOfRangeItem) {
+  TriangleCounter counter(std::vector<Count>{3, 0, 3}, 1);
+  const HorizontalDatabase out_of_range = database_of({{0, {0, 2, 3}}}, 4);
+  EXPECT_THROW(counter.count(out_of_range.transactions()), std::out_of_range);
+}
+
+// The thread backend's initialization: per-block filtered counters, built
+// from the whole database's item counts, counted on W threads and
+// prefix-merged, equal one count over the whole database at any W; every
+// prefix equals a count over its blocks.
+TEST(TriangleCounter, FilteredBlockCountersPrefixMergeToOneWholeCount) {
+  const HorizontalDatabase db = quest_db(700, 40, 11);
+  const std::vector<Count> items =
+      count_items(db.transactions(), db.num_items());
+  constexpr Count kMinsup = 120;
+  TriangleCounter whole(items, kMinsup);
+  whole.count(db.transactions());
+  ASSERT_LT(whole.raw().size(), 40u * 39u / 2u);
+  ASSERT_FALSE(whole.frequent_pairs(3).empty());
+  for (std::size_t workers = 1; workers <= 5; ++workers) {
+    SCOPED_TRACE(workers);
+    const std::vector<Block> blocks = db.block_partition(workers);
+    std::vector<std::optional<TriangleCounter>> prefix(workers);
+    std::vector<std::thread> pool;
+    for (std::size_t w = 0; w < workers; ++w) {
+      pool.emplace_back([&, w] {
+        prefix[w].emplace(items, kMinsup).count(db.view(blocks[w]));
+      });
+    }
+    for (std::thread& t : pool) t.join();
+    TriangleCounter upto(items, kMinsup);
+    for (std::size_t w = 0; w < workers; ++w) {
+      if (w > 0) prefix[w]->merge(*prefix[w - 1]);
+      upto.count(db.view(blocks[w]));
+      ASSERT_TRUE(std::ranges::equal(prefix[w]->raw(), upto.raw()))
+          << "prefix " << w;
+    }
+    ASSERT_TRUE(std::ranges::equal(prefix.back()->raw(), whole.raw()));
+  }
 }
 
 }  // namespace
