@@ -3,32 +3,34 @@
 //
 //   1. Micro: intersection throughput (tids/s) of each kernel on
 //      equal-density pairs over a 256K-tid universe, density swept from
-//      0.1% to 50%. Both adaptive thresholds (chunked entry 1/1024,
-//      dense entry 1/128) sit inside the sweep, so kAuto should track
-//      the merge kernels at the sparse end, the chunked containers in
-//      the mid band, and the bitset word-AND on the dense half.
+//      0.1% to 50%. The adaptive threshold (dense entry 1/128) sits
+//      inside the sweep, so kAuto should track the merge kernels at the
+//      sparse end and the bitset word-AND on the dense half.
 //   2. End-to-end: sequential Eclat wall time per kernel on a
 //      T10.I4-style Quest database (avg pattern length 4, N = 1000) and
 //      on a dense variant (N = 64) where the bitset representation
-//      engages; itemset counts are cross-checked for identity.
+//      engages; every kernel's result bytes must equal the first
+//      kernel's.
 //
 // Writes a JSON trajectory to BENCH_kernels.json so the ratios are
 // comparable across commits.
 //
 //   ./bench_kernels [--kernel=all] [--scale=0.5] [--support=0.0025]
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/check.hpp"
 #include "common/clock.hpp"
 #include "common/rng.hpp"
+#include "data/result_io.hpp"
 #include "eclat/eclat_seq.hpp"
-#include "vertical/chunked_tidlist.hpp"
 #include "vertical/tidset.hpp"
 
 namespace {
@@ -38,10 +40,10 @@ using namespace eclat;
 constexpr IntersectKernel kAllKernels[] = {
     IntersectKernel::kMerge, IntersectKernel::kMergeShortCircuit,
     IntersectKernel::kGallop, IntersectKernel::kBitset,
-    IntersectKernel::kChunked, IntersectKernel::kAuto};
+    IntersectKernel::kAuto};
 
 constexpr std::string_view kKernelChoices[] = {
-    "all", "merge", "short-circuit", "gallop", "bitset", "chunked", "auto"};
+    "all", "merge", "short-circuit", "gallop", "bitset", "auto"};
 
 /// Random sorted tid-list over [0, universe) with the given density.
 TidList random_tidlist(Rng& rng, Tid universe, double density) {
@@ -105,7 +107,6 @@ struct MicroRow {
   double density = 0.0;
   double skew = 1.0;  ///< |longer| / |shorter| for the skewed-pair sweep
   double tids_per_second[std::size(kAllKernels)] = {};
-  ChunkedTidList::ContainerHistogram chunks;  ///< operand a's containers
   /// Fastest single (non-auto) kernel in this band.
   const char* winner = "";
   double winner_tps = 0.0;
@@ -143,17 +144,14 @@ void write_micro_row(std::FILE* out, const MicroRow& row, bool last) {
     std::fprintf(out, ", \"%s\": %.0f", kernel_name(kAllKernels[k]),
                  row.tids_per_second[k]);
   }
-  std::fprintf(out,
-               ", \"winner\": \"%s\", \"chunk_containers\": "
-               "{\"array\": %zu, \"bitset\": %zu}}%s\n",
-               row.winner, row.chunks.array, row.chunks.bitset,
+  std::fprintf(out, ", \"winner\": \"%s\"}%s\n", row.winner,
                last ? "" : ",");
 }
 
 struct EndToEndRow {
   std::string database;
   Count minsup = 0;
-  std::size_t itemsets = 0;   ///< identical across kernels (checked)
+  std::size_t itemsets = 0;  ///< the first kernel's count (bytes checked)
   double seconds[std::size(kAllKernels)] = {};
 };
 
@@ -166,6 +164,7 @@ EndToEndRow run_end_to_end(const std::string& name,
 
   std::printf("%-16s |D|=%zu minsup=%llu\n", name.c_str(), db.size(),
               static_cast<unsigned long long>(row.minsup));
+  std::vector<std::uint8_t> first_bytes;
   for (std::size_t k = 0; k < std::size(kAllKernels); ++k) {
     EclatConfig eclat_config;
     eclat_config.minsup = row.minsup;
@@ -173,13 +172,16 @@ EndToEndRow run_end_to_end(const std::string& name,
     WallStopwatch watch;
     const MiningResult result = eclat_sequential(db, eclat_config);
     row.seconds[k] = watch.elapsed_seconds();
-    if (row.itemsets == 0) {
+    std::vector<std::uint8_t> bytes = result_to_bytes(result);
+    if (k == 0) {
       row.itemsets = result.itemsets.size();
-    } else if (row.itemsets != result.itemsets.size()) {
-      std::fprintf(stderr, "kernel %s diverged: %zu itemsets vs %zu\n",
-                   kernel_name(kAllKernels[k]), result.itemsets.size(),
-                   row.itemsets);
-      ECLAT_UNREACHABLE("intersect kernels disagree on the itemset count");
+      first_bytes = std::move(bytes);
+    } else if (bytes != first_bytes) {
+      std::fprintf(stderr,
+                   "kernel %s diverged from %s: %zu itemsets vs %zu\n",
+                   kernel_name(kAllKernels[k]), kernel_name(kAllKernels[0]),
+                   result.itemsets.size(), row.itemsets);
+      ECLAT_UNREACHABLE("intersect kernels disagree on the result bytes");
     }
     std::printf("  %-14s %8.3f s  (%zu itemsets)\n",
                 kernel_name(kAllKernels[k]), row.seconds[k], row.itemsets);
@@ -199,11 +201,11 @@ int main(int argc, char** argv) {
   const double support = flags.get_double("support", 0.0025);
   const bool write_json = flags.get_bool("json", true);
 
-  // ---- Micro: density sweep over a 256K universe (4 chunks) ------------
-  // The grid brackets every representation boundary: the chunked entry
-  // threshold (1/1024 ≈ 0.001), the dense entry (1/128 ≈ 0.008), and the
-  // mid band (0.016–0.0625) where the result of a dense AND leaves the
-  // dense stay band and the conversion discipline is priced.
+  // ---- Micro: density sweep over a 256K universe -----------------------
+  // The grid brackets the representation boundary, the dense entry
+  // (1/128 ≈ 0.008), and covers the mid band where a dense AND's result
+  // leaves the dense stay band (0.008–0.03) or holds inside it (0.045,
+  // 0.0625), so the conversion discipline is priced.
   constexpr Tid kUniverse = 1 << 18;
   constexpr double kDensities[] = {0.001, 0.002, 0.004,  0.008, 0.016, 0.03,
                                    0.045, 0.0625, 0.1,   0.25,  0.5};
@@ -228,9 +230,6 @@ int main(int argc, char** argv) {
       row.tids_per_second[k] =
           intersect_throughput(a, b, kUniverse, kAllKernels[k]);
     }
-    ChunkedTidList chunks;
-    chunks.assign(a, kUniverse);
-    row.chunks = chunks.histogram();
     finish_row(row);
   };
 

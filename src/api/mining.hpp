@@ -38,7 +38,7 @@ struct MineOptions {
   /// Intersection kernel for the Eclat-family algorithms (kEclat,
   /// kEclatDiffsets, kParEclat, kHybridEclat); Apriori-family algorithms
   /// ignore it. See kernel_from_name for the flag spellings
-  /// ("merge", "short-circuit", "gallop", "bitset", "chunked", "auto").
+  /// ("merge", "short-circuit", "gallop", "bitset", "auto").
   IntersectKernel kernel = IntersectKernel::kMergeShortCircuit;
   /// Cluster shape for the parallel algorithms; ignored by sequential ones.
   mc::Topology topology{1, 1};
@@ -57,9 +57,9 @@ struct MineOptions {
   /// exec::ExecClassQuarantined).
   std::uint32_t exec_max_retries = 2;
   /// Per-worker TidArena memory budget in bytes on the threads backend;
-  /// 0 = unlimited. Over budget, workers degrade gracefully (demote
-  /// representations, then fail and retry the one class) instead of
-  /// growing without bound.
+  /// 0 = unlimited. Over budget, workers degrade gracefully (release dead
+  /// arena slots, then fail and retry the one class, then quarantine the
+  /// run) instead of growing without bound.
   std::size_t exec_mem_budget = 0;
   /// Deterministic fault schedule for the threads backend (tests/chaos;
   /// empty = fault-free production default).

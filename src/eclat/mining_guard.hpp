@@ -22,7 +22,7 @@ class MiningGuard {
 
   /// Called at bounded intervals during class mining. Implementations may
   /// throw to abandon the class; they must not mutate the arena except
-  /// through representations-preserving hooks (TidArena::relieve_memory).
+  /// to release dead slots (TidArena::relieve_memory).
   virtual void checkpoint() = 0;
 };
 

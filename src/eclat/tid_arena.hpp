@@ -102,24 +102,14 @@ class TidArena {
 
   /// Memory-pressure relief, called from a MiningGuard checkpoint (so no
   /// scratch() reference is outstanding): slots past each level's `used`
-  /// cursor hold only dead data and are released outright; live slots are
-  /// demoted to the chunked representation when `demote_live` allows it
-  /// (kAuto/kChunked kernels — the forced sparse/dense kernels must keep
-  /// their representation). Returns the number of sets demoted. The
-  /// arena stays structurally valid: mining continues on the demoted
-  /// sets through the mixed-representation kernels.
-  std::size_t relieve_memory(bool demote_live) {
-    std::size_t demoted = 0;
+  /// cursor hold only dead data and are released outright; live slots
+  /// are left as they are. The arena stays structurally valid.
+  void relieve_memory() {
     for (Level& level : levels_) {
-      for (std::size_t s = 0; s < level.sets.size(); ++s) {
-        if (s >= level.used) {
-          level.sets[s].release();
-        } else if (demote_live && level.sets[s].demote_to_chunked()) {
-          ++demoted;
-        }
+      for (std::size_t s = level.used; s < level.sets.size(); ++s) {
+        level.sets[s].release();
       }
     }
-    return demoted;
   }
 
  private:

@@ -5,16 +5,12 @@
 // arena is outstanding. The degradation ladder, in order:
 //
 //   1. relieve: dead slots (past each level's `used` cursor) are
-//      released outright; live tid-sets are demoted to the chunked
-//      representation when the active kernel dispatches mixed
-//      representations (kAuto/kChunked) — u16 containers roughly halve
-//      a sparse list's bytes and drop a dense bitmap's empty chunks;
+//      released outright; live tid-sets stay as they are;
 //   2. fail the class: still over budget after relief, the checkpoint
 //      throws ClassMemoryExceeded — a TaskFailure, so only this class's
 //      attempt dies. The worker drops its arena caches (the backend
 //      calls TidArena::clear() on this failure) and the class is
-//      retried — possibly on another worker — against a fresh arena
-//      with demotion active from level 0;
+//      retried — possibly on another worker — against a fresh arena;
 //   3. quarantine: a class that exceeds the budget more than
 //      --exec-max-retries times can genuinely not be mined within it,
 //      and the run ends in the typed clean abort (ExecClassQuarantined)
@@ -25,7 +21,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 
 #include "eclat/tid_arena.hpp"
@@ -47,11 +42,8 @@ class ClassMemoryExceeded final : public TaskFailure {
 
 class ArenaBudget {
  public:
-  /// `demotable` — the active kernel tolerates representation demotion
-  /// (kAuto/kChunked); forced sparse/dense kernels skip straight to
-  /// failing the class.
-  ArenaBudget(TidArena& arena, std::size_t budget_bytes, bool demotable)
-      : arena_(arena), budget_(budget_bytes), demotable_(demotable) {}
+  ArenaBudget(TidArena& arena, std::size_t budget_bytes)
+      : arena_(arena), budget_(budget_bytes) {}
 
   void set_class(std::size_t class_id) { class_id_ = class_id; }
 
@@ -61,7 +53,7 @@ class ArenaBudget {
     std::size_t bytes = arena_.memory_bytes();
     if (bytes > peak_bytes_) peak_bytes_ = bytes;
     if (bytes <= budget_) return;
-    demotions_ += arena_.relieve_memory(demotable_);
+    arena_.relieve_memory();
     bytes = arena_.memory_bytes();
     if (bytes > budget_) {
       throw ClassMemoryExceeded(class_id_, bytes, budget_);
@@ -69,15 +61,12 @@ class ArenaBudget {
   }
 
   bool enabled() const { return budget_ != 0; }
-  std::uint64_t demotions() const { return demotions_; }
   std::size_t peak_bytes() const { return peak_bytes_; }
 
  private:
   TidArena& arena_;
   std::size_t budget_;
-  bool demotable_;
   std::size_t class_id_ = 0;
-  std::uint64_t demotions_ = 0;
   std::size_t peak_bytes_ = 0;
 };
 

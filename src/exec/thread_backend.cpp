@@ -236,7 +236,6 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
   std::uint64_t stat_failures_total = 0;
   std::uint64_t stat_retries_total = 0;
   std::uint64_t stat_reclaims_total = 0;
-  std::uint64_t stat_demotions_total = 0;
   std::uint64_t stat_peak_bytes = 0;
 
   if (!isolation_) {
@@ -289,10 +288,7 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
     std::atomic<std::uint64_t> stat_failures{0};
     std::atomic<std::uint64_t> stat_retries{0};
     std::atomic<std::uint64_t> stat_reclaims{0};
-    std::vector<std::uint64_t> worker_demotions(W, 0);
     std::vector<std::uint64_t> worker_peak(W, 0);
-    const bool demotable = config.kernel == IntersectKernel::kAuto ||
-                           config.kernel == IntersectKernel::kChunked;
 
     // The message is written before the release-store on the flag, and
     // the post-join read acquires the flag first — so the string is safe
@@ -360,7 +356,7 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
 
     parallel_region(W, [&](std::size_t w) {
       TidArena arena;
-      ArenaBudget budget(arena, mem_budget_, demotable);
+      ArenaBudget budget(arena, mem_budget_);
       std::vector<FrequentItemset> scratch;
       std::vector<std::size_t> histogram;
       const auto scan = [&](std::size_t self) {
@@ -427,9 +423,8 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
                   c, acquisitions.load(std::memory_order_relaxed) + backoff);
             }
             // Fresh arena for whatever runs here next: a failed attempt
-            // may have left demoted or oversized scratch behind.
+            // may have left oversized scratch behind.
             arena.clear();
-            if (budget.enabled()) arena.relieve_memory(false);
             break;
           }
         }
@@ -486,7 +481,6 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
         scan(w);
         std::this_thread::yield();
       }
-      worker_demotions[w] = budget.demotions();
       worker_peak[w] = budget.peak_bytes();
     });
 
@@ -504,7 +498,6 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
     stat_retries_total = stat_retries.load(std::memory_order_relaxed);
     stat_reclaims_total = stat_reclaims.load(std::memory_order_relaxed);
     for (std::size_t w = 0; w < W; ++w) {
-      stat_demotions_total += worker_demotions[w];
       stat_peak_bytes = std::max<std::uint64_t>(stat_peak_bytes, worker_peak[w]);
     }
   }
@@ -551,7 +544,6 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
   output.exec_task_failures = stat_failures_total;
   output.exec_task_retries = stat_retries_total;
   output.exec_stall_reclaims = stat_reclaims_total;
-  output.exec_arena_demotions = stat_demotions_total;
   output.exec_arena_peak_bytes = stat_peak_bytes;
   return output;
 }

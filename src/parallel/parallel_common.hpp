@@ -71,9 +71,6 @@ struct ParallelOutput {
   std::uint64_t exec_task_retries = 0;
   /// Parked leases reclaimed by the monotonic-progress watchdog.
   std::uint64_t exec_stall_reclaims = 0;
-  /// Live tid-sets demoted to the chunked representation by the arena
-  /// memory-budget relief pass.
-  std::uint64_t exec_arena_demotions = 0;
   /// Peak per-worker arena bytes observed (max over workers; 0 when the
   /// budget is disabled, since metering is off).
   std::uint64_t exec_arena_peak_bytes = 0;

@@ -35,12 +35,6 @@ void BitsetTidList::assign(std::span<const Tid> tids, Tid universe) {
   count_ = tids.size();
 }
 
-void BitsetTidList::reset(Tid universe) {
-  universe_ = universe;
-  words_.assign(word_count_for(universe), 0);
-  count_ = 0;
-}
-
 void BitsetTidList::append_to(TidList& out) const {
   const std::size_t old = out.size();
   out.resize(old + count_);

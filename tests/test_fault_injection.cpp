@@ -152,7 +152,7 @@ TEST(FaultInjection, CrashRecoveryIdenticalAcrossIntersectKernels) {
   const IntersectKernel kernels[] = {
       IntersectKernel::kMerge, IntersectKernel::kMergeShortCircuit,
       IntersectKernel::kGallop, IntersectKernel::kBitset,
-      IntersectKernel::kChunked, IntersectKernel::kAuto};
+      IntersectKernel::kAuto};
 
   for (IntersectKernel kernel : kernels) {
     for (std::size_t victim = 0; victim < topology.total(); ++victim) {
@@ -470,7 +470,7 @@ TEST(FaultInjection, ReplicaLossEveryReplicationLevelEveryKernel) {
   const IntersectKernel kernels[] = {
       IntersectKernel::kMerge, IntersectKernel::kMergeShortCircuit,
       IntersectKernel::kGallop, IntersectKernel::kBitset,
-      IntersectKernel::kChunked, IntersectKernel::kAuto};
+      IntersectKernel::kAuto};
 
   // speculate=false routes the victim's unfinished classes through the
   // post-gather recovery rounds, where replica availability is actually

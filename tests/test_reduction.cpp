@@ -29,7 +29,7 @@ namespace {
 constexpr IntersectKernel kAllKernels[] = {
     IntersectKernel::kMerge, IntersectKernel::kMergeShortCircuit,
     IntersectKernel::kGallop, IntersectKernel::kBitset,
-    IntersectKernel::kChunked, IntersectKernel::kAuto};
+    IntersectKernel::kAuto};
 
 /// The canonical order by a full comparison sort: size, then lexicographic.
 std::vector<FrequentItemset> reference_sort(

@@ -10,7 +10,6 @@
 #include "eclat/eclat_seq.hpp"
 #include "gen/quest.hpp"
 #include "vertical/bitset_tidlist.hpp"
-#include "vertical/chunked_tidlist.hpp"
 #include "vertical/simd/dispatch.hpp"
 #include "vertical/tidset.hpp"
 
@@ -299,7 +298,7 @@ TEST(TidSet, SeedRepresentationFollowsKernel) {
 constexpr IntersectKernel kAllKernels[] = {
     IntersectKernel::kMerge, IntersectKernel::kMergeShortCircuit,
     IntersectKernel::kGallop, IntersectKernel::kBitset,
-    IntersectKernel::kChunked, IntersectKernel::kAuto};
+    IntersectKernel::kAuto};
 
 TEST(TidSet, IntersectionAgreesWithReferenceAcrossKernels) {
   Rng rng(55);
@@ -435,147 +434,82 @@ TEST(TidSet, KernelNamesRoundTrip) {
   EXPECT_FALSE(kernel_from_name("").has_value());
 }
 
-// ---- Chunked container and SIMD-dispatch properties ----
+// ---- Wide-universe and SIMD-dispatch properties ----
 
-/// Universe spanning four 2^16-tid chunks.
-constexpr Tid kChunkUniverse = 1u << 18;
+/// Universe of 2^18 tids: `auto` turns a list dense at 2,048 tids.
+constexpr Tid kWideUniverse = 1u << 18;
 
-/// Adversarial single lists for the chunked container: chunk-boundary
-/// values, consecutive spans, single-tid chunks, and a bitset-dense chunk.
-std::vector<TidList> chunked_adversarial_lists() {
+/// Adversarial single lists over the wide universe: tids around 2^16
+/// and 2^17, consecutive spans, one tid per 2^16-tid block, and a
+/// 15,000-tid region dense enough to seed as a bitmap.
+std::vector<TidList> wide_adversarial_lists() {
   std::vector<TidList> lists;
   lists.push_back({});
   lists.push_back({0});
-  lists.push_back({65535});                       // last tid of chunk 0
-  lists.push_back({65536});                       // first tid of chunk 1
-  lists.push_back({65535, 65536, 131071, 131072});  // both boundary sides
-  TidList spans;  // consecutive tids: a bitset chunk and an array chunk
+  lists.push_back({65535});
+  lists.push_back({65536});
+  lists.push_back({65535, 65536, 131071, 131072});
+  TidList spans;  // 5,100 consecutive tids in two runs: dense
   for (Tid t = 100; t < 5100; ++t) spans.push_back(t);
   for (Tid t = 70000; t < 70100; ++t) spans.push_back(t);
   lists.push_back(std::move(spans));
-  TidList singles;  // one tid per chunk
+  TidList singles;  // one tid per 2^16-tid block
   for (Tid c = 0; c < 4; ++c) singles.push_back(c * 65536 + 17);
   lists.push_back(std::move(singles));
-  TidList dense_chunk;  // chunk 2 dense enough for its bitset container
-  for (Tid t = 131072; t < 131072 + 30000; t += 2) dense_chunk.push_back(t);
-  lists.push_back(std::move(dense_chunk));
+  TidList dense_region;
+  for (Tid t = 131072; t < 131072 + 30000; t += 2) dense_region.push_back(t);
+  lists.push_back(std::move(dense_region));
   return lists;
 }
 
-TEST(ChunkedTidList, RoundTripOnAdversarialLists) {
-  for (const TidList& tids : chunked_adversarial_lists()) {
-    ChunkedTidList chunks;
-    chunks.assign(tids, kChunkUniverse);
-    EXPECT_EQ(chunks.count(), tids.size());
-    EXPECT_EQ(chunks.to_tidlist(), tids);
-    for (const Tid probe :
-         {Tid{0}, Tid{17}, Tid{65535}, Tid{65536}, Tid{131072},
-          Tid{131073}, Tid{5099}, Tid{5100}, kChunkUniverse - 1}) {
-      EXPECT_EQ(chunks.test(probe),
-                std::binary_search(tids.begin(), tids.end(), probe))
-          << probe;
-    }
-    EXPECT_FALSE(chunks.test(kChunkUniverse));  // out of range: never set
-  }
-}
-
-TEST(ChunkedTidList, HistogramReflectsContainerTypes) {
-  // A chunk is a bitset at 1024 tids and an array below, whatever the
-  // tids' layout. Both sides of the cutoff are pinned through the sorted
-  // list assign and the word-bitmap conversion.
-  constexpr Tid kChunk = 65536;
-  constexpr Tid kUniverse = 5 * kChunk;
-  TidList tids;
-  for (Tid t = 0; t < 60000; t += 30) tids.push_back(t);  // 2000: bitset
-  for (Tid t = kChunk; t < kChunk + 512; ++t) tids.push_back(t);  // array
-  for (Tid i = 0; i < 1023; ++i) tids.push_back(2 * kChunk + 3 * i);  // array
-  for (Tid i = 0; i < 1024; ++i) tids.push_back(3 * kChunk + 3 * i);  // bitset
-  tids.push_back(4 * kChunk + 5);  // 2-element array
-  tids.push_back(4 * kChunk + 99);
-  BitsetTidList bits;
-  bits.assign(tids, kUniverse);
-  ChunkedTidList from_list;
-  ChunkedTidList from_words;
-  from_list.assign(tids, kUniverse);
-  from_words.assign_from_words(bits.words(), kUniverse, bits.count());
-  for (const ChunkedTidList* chunks : {&from_list, &from_words}) {
-    const ChunkedTidList::ContainerHistogram hist = chunks->histogram();
-    EXPECT_EQ(hist.bitset, 2u);
-    EXPECT_EQ(hist.array, 3u);
-    EXPECT_EQ(chunks->to_tidlist(), tids);
-  }
-
-  // A lone chunk on either side of the cutoff: the 1023-tid list takes
-  // the conversion's array-only decode, the 1024-tid list its popcount
-  // pass.
-  for (const std::size_t card : {std::size_t{1023}, std::size_t{1024}}) {
-    TidList chunk;
-    for (std::size_t i = 0; i < card; ++i) {
-      chunk.push_back(kChunk + static_cast<Tid>(3 * i));
-    }
-    bits.assign(chunk, kUniverse);
-    from_list.assign(chunk, kUniverse);
-    from_words.assign_from_words(bits.words(), kUniverse, bits.count());
-    for (const ChunkedTidList* chunks : {&from_list, &from_words}) {
-      const ChunkedTidList::ContainerHistogram hist = chunks->histogram();
-      EXPECT_EQ(hist.bitset, card >= 1024 ? 1u : 0u) << card;
-      EXPECT_EQ(hist.array, card >= 1024 ? 0u : 1u) << card;
-      EXPECT_EQ(chunks->to_tidlist(), chunk) << card;
-    }
-  }
-}
-
-TEST(TidSet, ChunkedIntersectionAgreesOnMultiChunkInputs) {
+TEST(TidSet, IntersectionAgreesOnWideUniverseInputs) {
   Rng rng(88);
   std::vector<std::pair<TidList, TidList>> cases;
-  const std::vector<TidList> adversarial = chunked_adversarial_lists();
+  const std::vector<TidList> adversarial = wide_adversarial_lists();
   for (std::size_t i = 0; i < adversarial.size(); ++i) {
     for (std::size_t j = i; j < adversarial.size(); ++j) {
       cases.emplace_back(adversarial[i], adversarial[j]);
     }
   }
-  // Density grid across the array/bitset container regimes.
+  // Density grid across both sides of the dense threshold (1/128).
   for (double da : {0.001, 0.01, 0.05}) {
     for (double db : {0.001, 0.05}) {
-      cases.emplace_back(random_list(rng, kChunkUniverse, da),
-                         random_list(rng, kChunkUniverse, db));
+      cases.emplace_back(random_list(rng, kWideUniverse, da),
+                         random_list(rng, kWideUniverse, db));
     }
   }
+  constexpr IntersectKernel kernel = IntersectKernel::kAuto;
   for (const auto& [a, b] : cases) {
     const TidList exact = intersect(a, b);
-    for (IntersectKernel kernel :
-         {IntersectKernel::kChunked, IntersectKernel::kAuto}) {
-      // Bounded-abort exactness: the short-circuit decision must match
-      // the exact result size for minsup below, at, and above it.
-      for (const Count minsup :
-           {Count{1}, std::max<Count>(1, exact.size()),
-            static_cast<Count>(exact.size() + 1), Count{100000}}) {
-        TidSet sa, sb, out;
-        seed_tidset(a, kChunkUniverse, kernel, sa, nullptr);
-        seed_tidset(b, kChunkUniverse, kernel, sb, nullptr);
-        const bool ok = intersect_into(sa, sb, minsup, kernel,
-                                       kChunkUniverse, out, nullptr);
-        EXPECT_EQ(ok, exact.size() >= minsup)
-            << kernel_name(kernel) << " minsup=" << minsup;
-        if (ok) {
-          EXPECT_EQ(out.to_tidlist(), exact) << kernel_name(kernel);
-        }
-        const std::optional<Count> support =
-            intersect_support(sa, sb, minsup, kernel, nullptr);
-        EXPECT_EQ(support.has_value(), exact.size() >= minsup)
-            << kernel_name(kernel) << " minsup=" << minsup;
-        if (support) {
-          EXPECT_EQ(*support, exact.size()) << kernel_name(kernel);
-        }
+    // Bounded-abort exactness: the short-circuit decision must match the
+    // exact result size for minsup below, at, and above it.
+    for (const Count minsup :
+         {Count{1}, std::max<Count>(1, exact.size()),
+          static_cast<Count>(exact.size() + 1), Count{100000}}) {
+      TidSet sa, sb, out;
+      seed_tidset(a, kWideUniverse, kernel, sa, nullptr);
+      seed_tidset(b, kWideUniverse, kernel, sb, nullptr);
+      const bool ok =
+          intersect_into(sa, sb, minsup, kernel, kWideUniverse, out, nullptr);
+      EXPECT_EQ(ok, exact.size() >= minsup) << "minsup=" << minsup;
+      if (ok) {
+        EXPECT_EQ(out.to_tidlist(), exact);
+      }
+      const std::optional<Count> support =
+          intersect_support(sa, sb, minsup, kernel, nullptr);
+      EXPECT_EQ(support.has_value(), exact.size() >= minsup)
+          << "minsup=" << minsup;
+      if (support) {
+        EXPECT_EQ(*support, exact.size());
       }
     }
   }
 }
 
-TEST(TidSet, ChunkedDifferenceAgreesOnMultiChunkInputs) {
+TEST(TidSet, DifferenceAgreesOnWideUniverseInputs) {
   Rng rng(99);
   std::vector<std::pair<TidList, TidList>> cases;
-  const std::vector<TidList> adversarial = chunked_adversarial_lists();
+  const std::vector<TidList> adversarial = wide_adversarial_lists();
   for (std::size_t i = 0; i < adversarial.size(); ++i) {
     for (std::size_t j = 0; j < adversarial.size(); ++j) {
       cases.emplace_back(adversarial[i], adversarial[j]);
@@ -583,28 +517,25 @@ TEST(TidSet, ChunkedDifferenceAgreesOnMultiChunkInputs) {
   }
   for (double da : {0.001, 0.05}) {
     for (double db : {0.001, 0.05}) {
-      cases.emplace_back(random_list(rng, kChunkUniverse, da),
-                         random_list(rng, kChunkUniverse, db));
+      cases.emplace_back(random_list(rng, kWideUniverse, da),
+                         random_list(rng, kWideUniverse, db));
     }
   }
+  constexpr IntersectKernel kernel = IntersectKernel::kAuto;
   for (const auto& [a, b] : cases) {
     const TidList exact = difference(a, b);
-    for (IntersectKernel kernel :
-         {IntersectKernel::kChunked, IntersectKernel::kAuto}) {
-      // Budgets straddling the exact size check the abort decision.
-      for (const std::size_t budget :
-           {std::size_t{0}, exact.size() > 0 ? exact.size() - 1 : 0,
-            exact.size(), exact.size() + 100}) {
-        TidSet sa, sb, out;
-        seed_tidset(a, kChunkUniverse, kernel, sa, nullptr);
-        seed_tidset(b, kChunkUniverse, kernel, sb, nullptr);
-        const bool ok = difference_into(sa, sb, budget, kernel,
-                                        kChunkUniverse, out, nullptr);
-        EXPECT_EQ(ok, exact.size() <= budget)
-            << kernel_name(kernel) << " budget=" << budget;
-        if (ok) {
-          EXPECT_EQ(out.to_tidlist(), exact) << kernel_name(kernel);
-        }
+    // Budgets straddling the exact size check the abort decision.
+    for (const std::size_t budget :
+         {std::size_t{0}, exact.size() > 0 ? exact.size() - 1 : 0,
+          exact.size(), exact.size() + 100}) {
+      TidSet sa, sb, out;
+      seed_tidset(a, kWideUniverse, kernel, sa, nullptr);
+      seed_tidset(b, kWideUniverse, kernel, sb, nullptr);
+      const bool ok =
+          difference_into(sa, sb, budget, kernel, kWideUniverse, out, nullptr);
+      EXPECT_EQ(ok, exact.size() <= budget) << "budget=" << budget;
+      if (ok) {
+        EXPECT_EQ(out.to_tidlist(), exact);
       }
     }
   }
@@ -620,16 +551,16 @@ TEST(TidSet, OutputsByteIdenticalAcrossIsaLevels) {
                                    simd::IsaLevel::kAvx2,
                                    simd::IsaLevel::kAvx512};
   for (int trial = 0; trial < 6; ++trial) {
-    const TidList a = random_list(rng, kChunkUniverse, 0.004 * (trial + 1));
-    const TidList b = random_list(rng, kChunkUniverse, 0.02);
+    const TidList a = random_list(rng, kWideUniverse, 0.004 * (trial + 1));
+    const TidList b = random_list(rng, kWideUniverse, 0.02);
     for (IntersectKernel kernel : kAllKernels) {
       std::optional<TidList> reference;
       for (const simd::IsaLevel level : levels) {
         simd::override_isa_level(level);
         TidSet sa, sb, out;
-        seed_tidset(a, kChunkUniverse, kernel, sa, nullptr);
-        seed_tidset(b, kChunkUniverse, kernel, sb, nullptr);
-        ASSERT_TRUE(intersect_into(sa, sb, 1, kernel, kChunkUniverse, out,
+        seed_tidset(a, kWideUniverse, kernel, sa, nullptr);
+        seed_tidset(b, kWideUniverse, kernel, sb, nullptr);
+        ASSERT_TRUE(intersect_into(sa, sb, 1, kernel, kWideUniverse, out,
                                    nullptr));
         const TidList decoded = out.to_tidlist();
         if (!reference) {
@@ -663,43 +594,50 @@ TEST(TidSet, ScalarKernelsHonorForceOverride) {
 }
 
 TEST(TidSet, PreferredRepFollowsThresholds) {
-  // Dense at n·128 >= U, chunked at n·1024 >= U, sparse below, empty
-  // sparse.
+  // Dense at n·128 >= U (the boundary itself goes dense), sparse below,
+  // empty sparse.
   EXPECT_EQ(TidSet::preferred_rep(0, 1024), TidRep::kSparse);
-  EXPECT_EQ(TidSet::preferred_rep(8, 1024), TidRep::kDense);
-  EXPECT_EQ(TidSet::preferred_rep(7, 1024), TidRep::kChunked);
-  EXPECT_EQ(TidSet::preferred_rep(1, 1024), TidRep::kChunked);
-  EXPECT_EQ(TidSet::preferred_rep(1, 1025), TidRep::kSparse);
+  EXPECT_EQ(TidSet::preferred_rep(8, 1024), TidRep::kDense);   // = U
+  EXPECT_EQ(TidSet::preferred_rep(7, 1024), TidRep::kSparse);  // < U
+  EXPECT_EQ(TidSet::preferred_rep(1, 1024), TidRep::kSparse);
+  EXPECT_EQ(TidSet::preferred_rep(8, 1025), TidRep::kSparse);
   EXPECT_EQ(TidSet::preferred_rep(1, 128), TidRep::kDense);
+  EXPECT_EQ(TidSet::preferred_rep(1, 129), TidRep::kSparse);
 }
 
 TEST(TidSet, NormalizeHoldsInsideTheStayBand) {
-  // 1000 tids over universe 64000: 1000·128 >= 64000 → dense.
-  constexpr Tid kUniverse = 64000;
+  // 1000 tids over universe 65536: 1000·128 >= 65536 → dense.
+  constexpr Tid kUniverse = 65536;
   TidList big;
   for (Tid t = 0; t < 1000; ++t) big.push_back(t * 64);
   TidSet set;
   seed_tidset(big, kUniverse, IntersectKernel::kAuto, set, nullptr);
   ASSERT_EQ(set.rep(), TidRep::kDense);
 
-  // 250 tids: below the dense entry threshold (250·128 < 64000) but
-  // inside the stay band (250·1024 >= 64000) — normalize must hold dense.
+  // 250 tids: below the dense entry threshold (250·128 < 65536) but
+  // inside the stay band (250·1024 >= 65536) — normalize must hold dense.
+  // 64 tids sit on the band's edge (64·1024 = 65536) and hold too.
   IntersectStats stats;
-  TidList mid(big.begin(), big.begin() + 250);
-  set.assign_dense(mid, kUniverse);
-  set.normalize(kUniverse, &stats);
-  EXPECT_EQ(set.rep(), TidRep::kDense);
-  EXPECT_EQ(stats.hysteresis_holds, 1u);
+  for (const int n : {250, 64}) {
+    const TidList mid(big.begin(), big.begin() + n);
+    set.assign_dense(mid, kUniverse);
+    set.normalize(kUniverse, &stats);
+    EXPECT_EQ(set.rep(), TidRep::kDense) << n;
+  }
+  EXPECT_EQ(stats.hysteresis_holds, 2u);
   EXPECT_EQ(stats.sparsified, 0u);
 
-  // 50 tids: 50·1024 < 64000 — past the stay band, so it converts
-  // (50·8192 >= 64000 keeps it chunked rather than fully sparse).
-  TidList small(big.begin(), big.begin() + 50);
-  set.assign_dense(small, kUniverse);
-  set.normalize(kUniverse, &stats);
-  EXPECT_EQ(set.rep(), TidRep::kChunked);
-  EXPECT_EQ(stats.sparsified, 1u);
-  EXPECT_EQ(set.to_tidlist(), small);
+  // 63 tids (63·1024 < 65536) and 50 tids are past the stay band, so
+  // each converts straight to sparse.
+  for (const int n : {63, 50}) {
+    const TidList small(big.begin(), big.begin() + n);
+    set.assign_dense(small, kUniverse);
+    set.normalize(kUniverse, &stats);
+    EXPECT_EQ(set.rep(), TidRep::kSparse) << n;
+    EXPECT_EQ(set.to_tidlist(), small) << n;
+  }
+  EXPECT_EQ(stats.sparsified, 2u);
+  EXPECT_EQ(stats.hysteresis_holds, 2u);
 }
 
 // ---- merge_u32: every ISA level against the merge loop it replaced ----
@@ -865,7 +803,7 @@ TEST(MergeKernel, EveryIsaLevelMatchesTheThreeWayMerge) {
 
 TEST(MergeKernel, MiningStatsAreEqualAtEveryIsaLevel) {
   // Quest baskets renumbered 2048 tids apart: every tid-list stays far
-  // below the chunked threshold (n·1024 < U), so `auto` takes its
+  // below the dense threshold (n·128 < U), so `auto` takes its
   // sparse∩sparse path too, and at minsup 30 no pair is skewed enough
   // (32×) to gallop, whose probe counts differ per level.
   gen::QuestConfig quest;
