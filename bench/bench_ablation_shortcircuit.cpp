@@ -35,7 +35,6 @@ int main(int argc, char** argv) {
   const Case cases[] = {
       {"merge", IntersectKernel::kMerge},
       {"short-circuit", IntersectKernel::kMergeShortCircuit},
-      {"gallop", IntersectKernel::kGallop},
   };
   for (const Case& c : cases) {
     EclatConfig config;

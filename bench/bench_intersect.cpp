@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/rng.hpp"
+#include "vertical/simd/dispatch.hpp"
 #include "vertical/tidlist.hpp"
 #include "vertical/tidset.hpp"
 
@@ -71,13 +72,18 @@ void BM_IntersectShortCircuitMiss(benchmark::State& state) {
 BENCHMARK(BM_IntersectShortCircuitMiss)->Range(1 << 10, 1 << 18);
 
 void BM_IntersectGallopSkewed(benchmark::State& state) {
-  // 1000:1 size skew — galloping's home turf.
+  // 1000:1 size skew — galloping's home turf. The dispatched gallop
+  // kernel, the one `auto` runs on skewed sparse pairs.
   Rng rng(4);
   const auto universe = static_cast<eclat::Tid>(state.range(0));
   const TidList small = random_tidlist(rng, universe, 0.001);
   const TidList large = random_tidlist(rng, universe, 0.5);
+  TidList out(small.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(eclat::intersect_gallop(small, large));
+    benchmark::DoNotOptimize(eclat::simd::kernels().gallop_u32(
+        small.data(), small.size(), large.data(), large.size(), out.data(),
+        nullptr));
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_IntersectGallopSkewed)->Range(1 << 12, 1 << 20);
@@ -97,10 +103,10 @@ BENCHMARK(BM_IntersectMergeSkewed)->Range(1 << 12, 1 << 20);
 // --- Density sweep through the dispatched TidSet kernels -------------------
 //
 // Equal-density pairs over a fixed 64K-tid universe, density from 0.1% up
-// to 50%. The threshold (n * 64 >= U, i.e. density 1/64) sits inside the
-// sweep, so kAuto runs sparse merge at the low end and the dense word-AND
-// at the high end; kBitset shows what forcing the bitset costs on sparse
-// inputs, kMergeShortCircuit what the merge costs on dense ones.
+// to 50%. The dense threshold (n * 128 >= U, i.e. density 1/128) sits
+// inside the sweep, so kAuto runs the sparse merge at the low end and the
+// dense word-AND from 1% up; kMergeShortCircuit shows what the merge
+// costs on dense inputs.
 
 constexpr double kSweepDensities[] = {0.001, 0.01, 0.05, 0.1, 0.25, 0.5};
 constexpr eclat::Tid kSweepUniverse = 1 << 16;
@@ -116,8 +122,9 @@ void density_sweep(benchmark::State& state, IntersectKernel kernel) {
   eclat::seed_tidset(a, kSweepUniverse, kernel, sa, nullptr);
   eclat::seed_tidset(b, kSweepUniverse, kernel, sb, nullptr);
   for (auto _ : state) {
-    bool alive = eclat::intersect_into(sa, sb, 1, kernel, kSweepUniverse,
-                                       out, nullptr);
+    const bool alive = eclat::intersect(sa, sb, 1, kernel, kSweepUniverse,
+                                        &out, nullptr)
+                           .has_value();
     benchmark::DoNotOptimize(alive);
     benchmark::DoNotOptimize(out);
   }
@@ -130,11 +137,6 @@ void BM_IntersectDensityMerge(benchmark::State& state) {
   density_sweep(state, IntersectKernel::kMergeShortCircuit);
 }
 BENCHMARK(BM_IntersectDensityMerge)->DenseRange(0, 5);
-
-void BM_IntersectDensityBitset(benchmark::State& state) {
-  density_sweep(state, IntersectKernel::kBitset);
-}
-BENCHMARK(BM_IntersectDensityBitset)->DenseRange(0, 5);
 
 void BM_IntersectDensityAuto(benchmark::State& state) {
   density_sweep(state, IntersectKernel::kAuto);

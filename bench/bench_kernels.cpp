@@ -5,21 +5,28 @@
 //      equal-density pairs over a 256K-tid universe, density swept from
 //      0.1% to 50%. The adaptive threshold (dense entry 1/128) sits
 //      inside the sweep, so kAuto should track the merge kernels at the
-//      sparse end and the bitset word-AND on the dense half.
-//   2. End-to-end: sequential Eclat wall time per kernel on a
-//      T10.I4-style Quest database (avg pattern length 4, N = 1000) and
-//      on a dense variant (N = 64) where the bitset representation
-//      engages; every kernel's result bytes must equal the first
-//      kernel's.
+//      sparse end and the bitset word-AND on the dense half. Beside the
+//      three library kernels run two reference columns, the joins auto
+//      picks from: `gallop` (the dispatched gallop_u32 on sorted lists)
+//      and `bitset` (BitsetTidList::and_bounded on two flat bitmaps),
+//      called directly in the same chained shape, so the per-band winner
+//      and "auto vs best" compare auto against each join on its own.
+//   2. End-to-end: sequential Eclat wall time per kernel, the median of
+//      kEndToEndRepeats interleaved calls, on a T10.I4-style Quest
+//      database (avg pattern length 4, N = 1000) and on a dense variant
+//      (N = 64) where the bitset representation engages; every call's
+//      result bytes must equal the first kernel's.
 //
 // Writes a JSON trajectory to BENCH_kernels.json so the ratios are
 // comparable across commits.
 //
 //   ./bench_kernels [--kernel=all] [--scale=0.5] [--support=0.0025]
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -31,19 +38,28 @@
 #include "common/rng.hpp"
 #include "data/result_io.hpp"
 #include "eclat/eclat_seq.hpp"
+#include "vertical/bitset_tidlist.hpp"
+#include "vertical/simd/dispatch.hpp"
 #include "vertical/tidset.hpp"
 
 namespace {
 
 using namespace eclat;
 
-constexpr IntersectKernel kAllKernels[] = {
-    IntersectKernel::kMerge, IntersectKernel::kMergeShortCircuit,
-    IntersectKernel::kGallop, IntersectKernel::kBitset,
-    IntersectKernel::kAuto};
+constexpr IntersectKernel kAllKernels[] = {IntersectKernel::kMerge,
+                                           IntersectKernel::kMergeShortCircuit,
+                                           IntersectKernel::kAuto};
 
-constexpr std::string_view kKernelChoices[] = {
-    "all", "merge", "short-circuit", "gallop", "bitset", "auto"};
+constexpr std::string_view kKernelChoices[] = {"all", "merge",
+                                               "short-circuit", "auto"};
+
+/// Micro columns: the library kernels around the two reference joins.
+/// kAuto stays last (kAutoIndex).
+constexpr const char* kMicroColumns[] = {"merge", "short-circuit", "gallop",
+                                         "bitset", "auto"};
+
+/// Eclat calls per kernel and database in the end-to-end section.
+constexpr int kEndToEndRepeats = 9;
 
 /// Random sorted tid-list over [0, universe) with the given density.
 TidList random_tidlist(Rng& rng, Tid universe, double density) {
@@ -55,9 +71,10 @@ TidList random_tidlist(Rng& rng, Tid universe, double density) {
   return tids;
 }
 
-/// Tids per second of the recursion's steady-state intersection pattern
-/// through the dispatched kernel, timed over enough repetitions to fill
-/// ~50 ms of wall clock.
+/// Tids per second of the recursion's steady-state intersection pattern,
+/// timed over enough repetitions to fill ~50 ms of wall clock.
+/// `join(x, y, out)` stores x ∩ y in `out` and returns its support, or
+/// nullopt when it misses minsup 1.
 ///
 /// Each timed iteration is one parent join plus one reuse of its child
 /// (c = a ∩ b, then c ∩ a), matching how the mining recursion treats a
@@ -66,34 +83,27 @@ TidList random_tidlist(Rng& rng, Tid universe, double density) {
 /// result normalization on every call while never crediting the cheaper
 /// representation it buys — the chained shape prices both sides, and the
 /// per-iteration tid count (|a|+|b| plus |c|+|a|) is identical across
-/// kernels, so the ratios stay comparable. When the child comes up
+/// columns, so the ratios stay comparable. When the child comes up
 /// empty the reuse leg drops out (nothing to intersect), again
-/// identically for every kernel.
-double intersect_throughput(const TidList& a, const TidList& b, Tid universe,
-                            IntersectKernel kernel) {
-  TidSet sa;
-  TidSet sb;
-  TidSet child;
-  TidSet grandchild;
-  seed_tidset(a, universe, kernel, sa, nullptr);
-  seed_tidset(b, universe, kernel, sb, nullptr);
-  double tids_per_call = static_cast<double>(a.size() + b.size());
-
+/// identically for every column.
+template <typename List, typename Join>
+double chained_throughput(const List& a, const List& b, double a_tids,
+                          double b_tids, Join join) {
+  List child;
+  List grandchild;
   // Warm up (first calls size the output buffers), then calibrate.
-  const bool reuse =
-      intersect_into(sa, sb, 1, kernel, universe, child, nullptr);
-  if (reuse) {
-    tids_per_call += static_cast<double>(child.support() + a.size());
-    intersect_into(child, sa, 1, kernel, universe, grandchild, nullptr);
+  const std::optional<Count> kept = join(a, b, child);
+  double tids_per_call = a_tids + b_tids;
+  if (kept) {
+    tids_per_call += static_cast<double>(*kept) + a_tids;
+    join(child, a, grandchild);
   }
   std::size_t reps = 1;
   for (;;) {
     WallStopwatch watch;
     for (std::size_t r = 0; r < reps; ++r) {
-      intersect_into(sa, sb, 1, kernel, universe, child, nullptr);
-      if (reuse) {
-        intersect_into(child, sa, 1, kernel, universe, grandchild, nullptr);
-      }
+      join(a, b, child);
+      if (kept) join(child, a, grandchild);
     }
     const double seconds = watch.elapsed_seconds();
     if (seconds >= 0.05) {
@@ -103,31 +113,77 @@ double intersect_throughput(const TidList& a, const TidList& b, Tid universe,
   }
 }
 
+/// A library kernel through the TidSet dispatch.
+double kernel_throughput(const TidList& a, const TidList& b, Tid universe,
+                         IntersectKernel kernel) {
+  TidSet sa;
+  TidSet sb;
+  seed_tidset(a, universe, kernel, sa, nullptr);
+  seed_tidset(b, universe, kernel, sb, nullptr);
+  return chained_throughput(
+      sa, sb, static_cast<double>(a.size()), static_cast<double>(b.size()),
+      [&](const TidSet& x, const TidSet& y, TidSet& out) {
+        return intersect(x, y, 1, kernel, universe, &out, nullptr);
+      });
+}
+
+/// Reference column: the dispatched gallop kernel on sorted lists, the
+/// shorter searched in the longer, whatever the skew.
+double gallop_throughput(const TidList& a, const TidList& b) {
+  return chained_throughput(
+      a, b, static_cast<double>(a.size()), static_cast<double>(b.size()),
+      [](const TidList& x, const TidList& y,
+         TidList& out) -> std::optional<Count> {
+        const TidList& small = x.size() <= y.size() ? x : y;
+        const TidList& large = x.size() <= y.size() ? y : x;
+        out.resize(small.size());
+        out.resize(simd::kernels().gallop_u32(small.data(), small.size(),
+                                              large.data(), large.size(),
+                                              out.data(), nullptr));
+        if (out.empty()) return std::nullopt;
+        return out.size();
+      });
+}
+
+/// Reference column: the bounded word-AND on two flat bitmaps, whatever
+/// the density.
+double bitset_throughput(const TidList& a, const TidList& b, Tid universe) {
+  BitsetTidList ba;
+  BitsetTidList bb;
+  ba.assign(a, universe);
+  bb.assign(b, universe);
+  return chained_throughput(
+      ba, bb, static_cast<double>(a.size()), static_cast<double>(b.size()),
+      [](const BitsetTidList& x, const BitsetTidList& y,
+         BitsetTidList& out) -> std::optional<Count> {
+        return BitsetTidList::and_bounded(x, y, 1, &out, nullptr);
+      });
+}
+
 struct MicroRow {
   double density = 0.0;
   double skew = 1.0;  ///< |longer| / |shorter| for the skewed-pair sweep
-  double tids_per_second[std::size(kAllKernels)] = {};
-  /// Fastest single (non-auto) kernel in this band.
+  double tids_per_second[std::size(kMicroColumns)] = {};
+  /// Fastest single (non-auto) column in this band.
   const char* winner = "";
   double winner_tps = 0.0;
 };
 
-/// Index of kAuto in kAllKernels (last entry).
-constexpr std::size_t kAutoIndex = std::size(kAllKernels) - 1;
+/// Index of kAuto in kMicroColumns (last entry).
+constexpr std::size_t kAutoIndex = std::size(kMicroColumns) - 1;
 
 void finish_row(MicroRow& row) {
-  for (std::size_t k = 0; k < std::size(kAllKernels); ++k) {
-    if (k == kAutoIndex) continue;
+  for (std::size_t k = 0; k < kAutoIndex; ++k) {
     if (row.tids_per_second[k] > row.winner_tps) {
       row.winner_tps = row.tids_per_second[k];
-      row.winner = kernel_name(kAllKernels[k]);
+      row.winner = kMicroColumns[k];
     }
   }
 }
 
 void print_row(const MicroRow& row, const char* label) {
   std::printf("%-9s |", label);
-  for (std::size_t k = 0; k < std::size(kAllKernels); ++k) {
+  for (std::size_t k = 0; k < std::size(kMicroColumns); ++k) {
     std::printf(" %13.1f", row.tids_per_second[k] * 1e-6);
   }
   const double autok = row.tids_per_second[kAutoIndex];
@@ -140,8 +196,8 @@ void print_row(const MicroRow& row, const char* label) {
 void write_micro_row(std::FILE* out, const MicroRow& row, bool last) {
   std::fprintf(out, "    {\"density\": %g, \"skew\": %g", row.density,
                row.skew);
-  for (std::size_t k = 0; k < std::size(kAllKernels); ++k) {
-    std::fprintf(out, ", \"%s\": %.0f", kernel_name(kAllKernels[k]),
+  for (std::size_t k = 0; k < std::size(kMicroColumns); ++k) {
+    std::fprintf(out, ", \"%s\": %.0f", kMicroColumns[k],
                  row.tids_per_second[k]);
   }
   std::fprintf(out, ", \"winner\": \"%s\"}%s\n", row.winner,
@@ -152,7 +208,7 @@ struct EndToEndRow {
   std::string database;
   Count minsup = 0;
   std::size_t itemsets = 0;  ///< the first kernel's count (bytes checked)
-  double seconds[std::size(kAllKernels)] = {};
+  double seconds[std::size(kAllKernels)] = {};  ///< median per kernel
 };
 
 EndToEndRow run_end_to_end(const std::string& name,
@@ -164,27 +220,40 @@ EndToEndRow run_end_to_end(const std::string& name,
 
   std::printf("%-16s |D|=%zu minsup=%llu\n", name.c_str(), db.size(),
               static_cast<unsigned long long>(row.minsup));
+  // Interleaved: each round calls every kernel once, so drift over the
+  // run spreads evenly across kernels.
+  std::vector<double> samples[std::size(kAllKernels)];
   std::vector<std::uint8_t> first_bytes;
-  for (std::size_t k = 0; k < std::size(kAllKernels); ++k) {
-    EclatConfig eclat_config;
-    eclat_config.minsup = row.minsup;
-    eclat_config.kernel = kAllKernels[k];
-    WallStopwatch watch;
-    const MiningResult result = eclat_sequential(db, eclat_config);
-    row.seconds[k] = watch.elapsed_seconds();
-    std::vector<std::uint8_t> bytes = result_to_bytes(result);
-    if (k == 0) {
-      row.itemsets = result.itemsets.size();
-      first_bytes = std::move(bytes);
-    } else if (bytes != first_bytes) {
-      std::fprintf(stderr,
-                   "kernel %s diverged from %s: %zu itemsets vs %zu\n",
-                   kernel_name(kAllKernels[k]), kernel_name(kAllKernels[0]),
-                   result.itemsets.size(), row.itemsets);
-      ECLAT_UNREACHABLE("intersect kernels disagree on the result bytes");
+  for (int rep = 0; rep < kEndToEndRepeats; ++rep) {
+    for (std::size_t k = 0; k < std::size(kAllKernels); ++k) {
+      EclatConfig eclat_config;
+      eclat_config.minsup = row.minsup;
+      eclat_config.kernel = kAllKernels[k];
+      WallStopwatch watch;
+      const MiningResult result = eclat_sequential(db, eclat_config);
+      samples[k].push_back(watch.elapsed_seconds());
+      std::vector<std::uint8_t> bytes = result_to_bytes(result);
+      if (first_bytes.empty()) {
+        row.itemsets = result.itemsets.size();
+        first_bytes = std::move(bytes);
+      } else if (bytes != first_bytes) {
+        std::fprintf(stderr,
+                     "kernel %s diverged from %s: %zu itemsets vs %zu\n",
+                     kernel_name(kAllKernels[k]),
+                     kernel_name(kAllKernels[0]), result.itemsets.size(),
+                     row.itemsets);
+        ECLAT_UNREACHABLE("intersect kernels disagree on the result bytes");
+      }
     }
-    std::printf("  %-14s %8.3f s  (%zu itemsets)\n",
-                kernel_name(kAllKernels[k]), row.seconds[k], row.itemsets);
+  }
+  for (std::size_t k = 0; k < std::size(kAllKernels); ++k) {
+    std::vector<double>& times = samples[k];
+    std::nth_element(times.begin(), times.begin() + kEndToEndRepeats / 2,
+                     times.end());
+    row.seconds[k] = times[kEndToEndRepeats / 2];
+    std::printf("  %-14s %8.3f s median of %d  (%zu itemsets)\n",
+                kernel_name(kAllKernels[k]), row.seconds[k],
+                kEndToEndRepeats, row.itemsets);
   }
   return row;
 }
@@ -214,21 +283,25 @@ int main(int argc, char** argv) {
               kUniverse, simd::isa_name(simd::kernels().level));
   print_rule('=', 120);
   std::printf("%-9s |", "density");
-  for (IntersectKernel kernel : kAllKernels) {
-    std::printf(" %13s", kernel_name(kernel));
+  for (const char* column : kMicroColumns) {
+    std::printf(" %13s", column);
   }
   std::printf(" | auto vs best\n");
   print_rule('-', 120);
 
   const auto fill_row = [&](MicroRow& row, const TidList& a,
                             const TidList& b) {
-    for (std::size_t k = 0; k < std::size(kAllKernels); ++k) {
-      if (kernel_filter != "all" &&
-          kernel_filter != kernel_name(kAllKernels[k])) {
-        continue;
+    for (std::size_t k = 0; k < std::size(kMicroColumns); ++k) {
+      const std::string_view column = kMicroColumns[k];
+      if (kernel_filter != "all" && kernel_filter != column) continue;
+      if (column == "gallop") {
+        row.tids_per_second[k] = gallop_throughput(a, b);
+      } else if (column == "bitset") {
+        row.tids_per_second[k] = bitset_throughput(a, b, kUniverse);
+      } else {
+        row.tids_per_second[k] = kernel_throughput(
+            a, b, kUniverse, *kernel_from_name(column));
       }
-      row.tids_per_second[k] =
-          intersect_throughput(a, b, kUniverse, kAllKernels[k]);
     }
     finish_row(row);
   };
@@ -303,8 +376,10 @@ int main(int argc, char** argv) {
     eclat::bench::write_backend_fields(out, "host", "wall",
                                        bench_watch.elapsed_seconds());
     std::fprintf(out,
-                 "  \"universe\": %u,\n  \"micro_tids_per_second\": [\n",
-                 kUniverse);
+                 "  \"universe\": %u,\n  \"reference_columns\": "
+                 "[\"gallop\", \"bitset\"],\n  \"end_to_end_repeats\": %d,\n"
+                 "  \"micro_tids_per_second\": [\n",
+                 kUniverse, kEndToEndRepeats);
     for (std::size_t i = 0; i < micro.size(); ++i) {
       write_micro_row(out, micro[i], i + 1 == micro.size());
     }

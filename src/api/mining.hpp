@@ -38,7 +38,7 @@ struct MineOptions {
   /// Intersection kernel for the Eclat-family algorithms (kEclat,
   /// kEclatDiffsets, kParEclat, kHybridEclat); Apriori-family algorithms
   /// ignore it. See kernel_from_name for the flag spellings
-  /// ("merge", "short-circuit", "gallop", "bitset", "auto").
+  /// ("merge", "short-circuit", "auto").
   IntersectKernel kernel = IntersectKernel::kMergeShortCircuit;
   /// Cluster shape for the parallel algorithms; ignored by sequential ones.
   mc::Topology topology{1, 1};

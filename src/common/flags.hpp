@@ -30,7 +30,7 @@ class Flags {
   std::uint64_t get_uint(const std::string& name,
                          std::uint64_t fallback) const;
 
-  /// Value restricted to an enumerated set (e.g. --kernel=merge|gallop).
+  /// Value restricted to an enumerated set (e.g. --kernel=merge|auto).
   /// Returns `fallback` when absent; throws std::invalid_argument naming
   /// the flag and the allowed values when present but not in `choices`.
   std::string get_choice(const std::string& name,

@@ -57,7 +57,7 @@ std::optional<TidList> intersect_with_kernel(const TidList& a,
   TidSet result;
   seed_tidset(a, universe, kernel, sa, stats);
   seed_tidset(b, universe, kernel, sb, stats);
-  if (!intersect_into(sa, sb, minsup, kernel, universe, result, stats)) {
+  if (!intersect(sa, sb, minsup, kernel, universe, &result, stats)) {
     return std::nullopt;
   }
   return result.to_tidlist();
@@ -85,31 +85,21 @@ void mine(TidArena& arena, std::size_t depth, Count minsup,
     // so a cancellation or budget check is never starved.
     if (guard != nullptr) guard->checkpoint();
     prefix.push_back(cur.suffixes[i]);
-    if (i + 2 == n) {
-      // Single join (i, n-1) whose child class is at most a singleton —
-      // it can never recurse, so evaluate support without materializing.
-      const std::optional<Count> support = intersect_support(
-          cur.sets[i], cur.sets[n - 1], minsup, kernel, stats);
-      if (support) {
-        emit_itemset(prefix, cur.suffixes[n - 1], *support, out,
-                     size_histogram);
-      }
-    } else {
-      next.reset();
-      for (std::size_t j = i + 1; j < n; ++j) {
-        TidSet& slot = next.scratch();
-        if (!intersect_into(cur.sets[i], cur.sets[j], minsup, kernel,
-                            universe, slot, stats)) {
-          continue;
-        }
-        const Count support = slot.support();
-        emit_itemset(prefix, cur.suffixes[j], support, out, size_histogram);
-        next.commit(cur.suffixes[j], support);
-      }
-      if (next.used >= 2) {
-        mine(arena, depth + 1, minsup, kernel, universe, out,
-             size_histogram, stats, guard);
-      }
+    // The last row's single join (n-2, n-1) has a child class of at most
+    // one member, which can never recurse: count its support only.
+    const bool leaf = i + 2 == n;
+    next.reset();
+    for (std::size_t j = i + 1; j < n; ++j) {
+      TidSet* const slot = leaf ? nullptr : &next.scratch();
+      const std::optional<Count> support = intersect(
+          cur.sets[i], cur.sets[j], minsup, kernel, universe, slot, stats);
+      if (!support) continue;
+      emit_itemset(prefix, cur.suffixes[j], *support, out, size_histogram);
+      if (slot != nullptr) next.commit(cur.suffixes[j], *support);
+    }
+    if (next.used >= 2) {
+      mine(arena, depth + 1, minsup, kernel, universe, out, size_histogram,
+           stats, guard);
     }
     prefix.pop_back();
   }

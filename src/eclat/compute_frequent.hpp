@@ -69,8 +69,8 @@ void compute_frequent(const std::vector<Atom>& class_atoms, Count minsup,
 
 /// Single intersection through the selected kernel, on plain tid-lists.
 /// Returns an empty optional when the result provably misses `minsup`.
-/// For the dense kernels (kBitset, and kAuto when it picks the bitset)
-/// the universe is taken as max(a.back(), b.back()) + 1.
+/// For kAuto's density thresholds the universe is taken as
+/// max(a.back(), b.back()) + 1.
 std::optional<TidList> intersect_with_kernel(const TidList& a,
                                              const TidList& b, Count minsup,
                                              IntersectKernel kernel,

@@ -33,11 +33,9 @@ void mine(TidArena& arena, std::size_t depth, Count minsup,
     prefix.push_back(cur.suffixes[i]);
     next.reset();
     for (std::size_t j = i + 1; j < n; ++j) {
-      if (stats != nullptr) ++stats->intersections;
       TidSet& slot = next.scratch();
       if (!difference_into(cur.sets[j], cur.sets[i], budget, kernel,
                            universe, slot, stats)) {
-        if (stats != nullptr) ++stats->short_circuited;
         continue;
       }
       const Count support = cur.supports[i] - slot.support();
@@ -78,11 +76,9 @@ void compute_frequent_diffsets(const std::vector<Atom>& class_atoms,
     prefix.push_back(root.suffixes[i]);
     next.reset();
     for (std::size_t j = i + 1; j < n; ++j) {
-      if (stats != nullptr) ++stats->intersections;
       TidSet& slot = next.scratch();
       if (!difference_into(root.sets[i], root.sets[j], budget, kernel,
                            universe, slot, stats)) {
-        if (stats != nullptr) ++stats->short_circuited;
         continue;
       }
       const Count support = parent_support - slot.support();

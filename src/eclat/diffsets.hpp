@@ -20,9 +20,10 @@ namespace eclat {
 /// Drop-in alternative to compute_frequent: identical results, diffset
 /// representation internally. `class_atoms` are tid-list atoms exactly as
 /// for compute_frequent. Stats count diffset elements (or bitset words)
-/// actually scanned. Sparse kernels all use the bounded merge difference
-/// (galloping has no difference analogue); kBitset/kAuto use the dense
-/// AND-NOT where the representation allows.
+/// actually scanned. The paper's kernels use the bounded merge difference;
+/// kAuto uses the dense AND-NOT where the representation allows, and the
+/// bounded merge difference on sparse pairs (galloping has no difference
+/// analogue).
 void compute_frequent_diffsets(const std::vector<Atom>& class_atoms,
                                Count minsup, IntersectKernel kernel,
                                TidArena& arena,

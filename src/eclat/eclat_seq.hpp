@@ -19,9 +19,9 @@ struct EclatConfig {
   IntersectKernel kernel = IntersectKernel::kMergeShortCircuit;
   /// Mine with diffsets (dEclat) instead of tid-list intersections —
   /// identical results, smaller intermediate sets on dense data. The
-  /// `kernel` selection applies to the difference kernels too: sparse
-  /// kernels use the bounded merge difference, kBitset/kAuto the dense
-  /// AND-NOT.
+  /// `kernel` selection applies to the difference kernels too: the
+  /// paper's kernels use the bounded merge difference, kAuto the dense
+  /// AND-NOT where both lists are dense.
   bool use_diffsets = false;
   /// Also report frequent 1-itemsets. The paper's Eclat never counts
   /// singletons (§5.1); here they are always counted, in the same pass as

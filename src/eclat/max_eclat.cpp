@@ -59,8 +59,8 @@ void max_recurse(MaxCtx& ctx, std::size_t depth) {
     *top = cur.sets[0];
     bool alive = true;
     for (std::size_t i = 1; i < n && alive; ++i) {
-      if (intersect_into(*top, cur.sets[i], ctx.minsup, ctx.kernel,
-                         ctx.universe, *spare, ctx.istats)) {
+      if (intersect(*top, cur.sets[i], ctx.minsup, ctx.kernel, ctx.universe,
+                    spare, ctx.istats)) {
         std::swap(top, spare);
       } else {
         alive = false;
@@ -86,12 +86,10 @@ void max_recurse(MaxCtx& ctx, std::size_t depth) {
     next.reset();
     prefix.push_back(cur.suffixes[i]);
     for (std::size_t j = i + 1; j < n; ++j) {
-      TidSet& slot = next.scratch();
-      if (!intersect_into(cur.sets[i], cur.sets[j], ctx.minsup, ctx.kernel,
-                          ctx.universe, slot, ctx.istats)) {
-        continue;
-      }
-      next.commit(cur.suffixes[j], slot.support());
+      const std::optional<Count> support =
+          intersect(cur.sets[i], cur.sets[j], ctx.minsup, ctx.kernel,
+                    ctx.universe, &next.scratch(), ctx.istats);
+      if (support) next.commit(cur.suffixes[j], *support);
     }
     if (next.used == 0) {
       prefix.pop_back();

@@ -51,64 +51,36 @@ TidList BitsetTidList::to_tidlist() const {
   return out;
 }
 
-std::size_t BitsetTidList::assign_and(const BitsetTidList& a,
-                                      const BitsetTidList& b) {
-  ECLAT_DCHECK(a.universe_ == b.universe_);
-  universe_ = a.universe_;
-  const std::size_t n = std::min(a.words_.size(), b.words_.size());
-  words_.resize(n);
-  const std::size_t count = static_cast<std::size_t>(simd::kernels().and_words(
-      a.words_.data(), b.words_.data(), words_.data(), n));
-  count_ = count;
-  return count;
-}
-
-bool BitsetTidList::assign_and_bounded(const BitsetTidList& a,
-                                       const BitsetTidList& b, Count minsup,
-                                       std::uint64_t* words_scanned) {
+std::optional<std::size_t> BitsetTidList::and_bounded(
+    const BitsetTidList& a, const BitsetTidList& b, Count minsup,
+    BitsetTidList* out, std::uint64_t* words_scanned) {
   ECLAT_DCHECK(a.universe_ == b.universe_);
   // Result popcount <= min of the input popcounts: the same pre-scan
   // rejection the sparse short-circuit kernel applies.
-  if (std::min(a.count_, b.count_) < minsup) return false;
-  universe_ = a.universe_;
-  const std::size_t n = std::min(a.words_.size(), b.words_.size());
-  words_.resize(n);
-  const simd::KernelTable& kt = simd::kernels();
-  std::size_t count = 0;
-  for (std::size_t w = 0; w < n; w += kBoundBlockWords) {
-    const std::size_t k = std::min(kBoundBlockWords, n - w);
-    count += static_cast<std::size_t>(kt.and_words(
-        a.words_.data() + w, b.words_.data() + w, words_.data() + w, k));
-    // Even if every remaining bit survives the AND, the result caps at
-    // count + 64 * (words remaining); abort once that drops below minsup.
-    if (count + 64 * (n - w - k) < minsup) {
-      if (words_scanned != nullptr) *words_scanned += w + k;
-      return false;
-    }
-  }
-  if (words_scanned != nullptr) *words_scanned += n;
-  count_ = count;
-  return count >= minsup;
-}
-
-std::optional<std::size_t> BitsetTidList::and_count(
-    const BitsetTidList& a, const BitsetTidList& b, Count minsup,
-    std::uint64_t* words_scanned) {
-  ECLAT_DCHECK(a.universe_ == b.universe_);
   if (std::min(a.count_, b.count_) < minsup) return std::nullopt;
   const std::size_t n = std::min(a.words_.size(), b.words_.size());
+  std::uint64_t* dst = nullptr;
+  if (out != nullptr) {
+    out->universe_ = a.universe_;
+    out->words_.resize(n);
+    dst = out->words_.data();
+  }
   const simd::KernelTable& kt = simd::kernels();
   std::size_t count = 0;
   for (std::size_t w = 0; w < n; w += kBoundBlockWords) {
     const std::size_t k = std::min(kBoundBlockWords, n - w);
     count += static_cast<std::size_t>(
-        kt.and_words(a.words_.data() + w, b.words_.data() + w, nullptr, k));
+        kt.and_words(a.words_.data() + w, b.words_.data() + w,
+                     dst != nullptr ? dst + w : nullptr, k));
+    // Even if every remaining bit survives the AND, the result caps at
+    // count + 64 * (words remaining); abort once that drops below minsup.
     if (count + 64 * (n - w - k) < minsup) {
       if (words_scanned != nullptr) *words_scanned += w + k;
       return std::nullopt;
     }
   }
   if (words_scanned != nullptr) *words_scanned += n;
+  if (out != nullptr) out->count_ = count;
   if (count < minsup) return std::nullopt;
   return count;
 }

@@ -1,10 +1,12 @@
 // Dense bitset representation of a tid-list: one bit per transaction over
 // a fixed tid universe, packed into 64-bit words. The intersection of two
 // bitsets is a word-wise AND with a running popcount — branch-free, eight
-// tids per byte, and the compiler vectorizes the loop (see ECLAT_NATIVE).
-// This is the "vertical bitmap" kernel of the many-core FIM literature
-// (PAPERS.md: Zymbler), profitable once a list's density over the universe
-// exceeds ~1/128 (see TidSet for the adaptive selection rule).
+// tids per byte, through the runtime-dispatched SIMD word kernels. One
+// bounded AND serves both the materialized and the support-only join (a
+// null output counts only). This is the "vertical bitmap" kernel of the
+// many-core FIM literature (PAPERS.md: Zymbler), profitable once a list's
+// density over the universe exceeds ~1/128 (see TidSet for the adaptive
+// selection rule).
 #pragma once
 
 #include <cstdint>
@@ -44,24 +46,19 @@ class BitsetTidList {
   void append_to(TidList& out) const;
   TidList to_tidlist() const;
 
-  /// this = a & b (exact). Requires a and b over the same universe.
-  /// Returns the popcount of the result.
-  std::size_t assign_and(const BitsetTidList& a, const BitsetTidList& b);
-
-  /// Short-circuited AND (the bitset analogue of the paper's §5.3 bound):
-  /// aborts as soon as the running popcount plus 64·(words remaining)
-  /// provably stays below `minsup`. Returns false iff aborted (contents
-  /// are then unspecified); `words_scanned`, when given, accumulates the
-  /// number of words actually ANDed either way.
-  bool assign_and_bounded(const BitsetTidList& a, const BitsetTidList& b,
-                          Count minsup, std::uint64_t* words_scanned);
-
-  /// Support-only AND: the popcount of a & b without materializing it,
-  /// with the same short-circuit bound (nullopt iff provably < minsup).
-  static std::optional<std::size_t> and_count(const BitsetTidList& a,
-                                              const BitsetTidList& b,
-                                              Count minsup,
-                                              std::uint64_t* words_scanned);
+  /// a & b under the bitset analogue of the paper's §5.3 bound: the
+  /// popcount of the result when it reaches `minsup`, nullopt as soon as
+  /// the running popcount plus 64·(words remaining) provably stays below
+  /// it (minsup 0 never stops: the exact AND). With `out`, the result is
+  /// stored there (its contents are unspecified on nullopt); nullptr
+  /// counts only. `words_scanned`, when given, accumulates the number of
+  /// words actually ANDed either way. Requires a and b over the same
+  /// universe.
+  static std::optional<std::size_t> and_bounded(const BitsetTidList& a,
+                                                const BitsetTidList& b,
+                                                Count minsup,
+                                                BitsetTidList* out,
+                                                std::uint64_t* words_scanned);
 
   /// this = a & ~b, aborting once the running popcount exceeds `budget`
   /// (the diffset pruning bound: a difference larger than

@@ -230,8 +230,7 @@ std::size_t avx2_lower_bound_u32(const std::uint32_t* large, std::size_t nl,
   return lo;
 }
 
-template <bool kCount>
-std::size_t gallop_u32_impl(const std::uint32_t* small, std::size_t ns,
+std::size_t avx2_gallop_u32(const std::uint32_t* small, std::size_t ns,
                             const std::uint32_t* large, std::size_t nl,
                             std::uint32_t* out, std::size_t* visited) {
   std::size_t j = 0;
@@ -243,25 +242,13 @@ std::size_t gallop_u32_impl(const std::uint32_t* small, std::size_t ns,
     j = avx2_lower_bound_u32(large, nl, j, small[i], probes);
     if (j == nl) break;
     if (large[j] == small[i]) {
-      if constexpr (!kCount) out[k] = small[i];
+      if (out != nullptr) out[k] = small[i];
       ++k;
       ++j;
     }
   }
   if (visited != nullptr) *visited += scanned;
   return k;
-}
-
-std::size_t avx2_gallop_u32(const std::uint32_t* small, std::size_t ns,
-                            const std::uint32_t* large, std::size_t nl,
-                            std::uint32_t* out, std::size_t* visited) {
-  return gallop_u32_impl<false>(small, ns, large, nl, out, visited);
-}
-
-std::size_t avx2_gallop_u32_count(const std::uint32_t* small, std::size_t ns,
-                                  const std::uint32_t* large, std::size_t nl,
-                                  std::size_t* visited) {
-  return gallop_u32_impl<true>(small, ns, large, nl, nullptr, visited);
 }
 
 }  // namespace
@@ -273,7 +260,6 @@ const KernelTable& avx2_table() {
       .andnot_words = &avx2_andnot_words,
       .merge_u32 = &avx2_merge_u32,
       .gallop_u32 = &avx2_gallop_u32,
-      .gallop_u32_count = &avx2_gallop_u32_count,
       // No AVX2 bit-position compress instruction exists (vpcompressd is
       // AVX-512); the zero-skipping scalar decode is the best fit here.
       .decode_words = &scalar_decode_words,

@@ -132,7 +132,6 @@ const KernelTable& avx512_table() {
       .andnot_words = &avx512_andnot_words,
       .merge_u32 = avx2_table().merge_u32,
       .gallop_u32 = avx2_table().gallop_u32,
-      .gallop_u32_count = avx2_table().gallop_u32_count,
       .decode_words = &avx512_decode_words,
   };
   return table;

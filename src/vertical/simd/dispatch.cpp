@@ -234,7 +234,7 @@ void self_check() {
   ECLAT_CHECK(got_g == want_g);
   ECLAT_CHECK(std::memcmp(got_u32, want_u32,
                           got_g * sizeof(std::uint32_t)) == 0);
-  ECLAT_CHECK(table.gallop_u32_count(small, 9, large, 400, nullptr) ==
+  ECLAT_CHECK(table.gallop_u32(small, 9, large, 400, nullptr, nullptr) ==
               want_g);
 }
 

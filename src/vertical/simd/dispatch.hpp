@@ -11,7 +11,9 @@
 // Dispatch contract (DESIGN.md §5): every kernel in every table computes
 // the exact same mathematical result — the ISA level changes throughput
 // only, never bytes. The differential tests pin this by re-mining under
-// `override_isa_level` at every level the host supports.
+// `override_isa_level` at every level the host supports. Each kernel that
+// can store a result takes a nullable output and counts only without one,
+// so no join keeps a separate count-only entry.
 //
 // The table is resolved once per process and immutable afterwards, so a
 // per-worker "copy" is one pointer load; `self_check()` lets each
@@ -75,16 +77,13 @@ struct KernelTable {
 
   /// Galloping membership intersection for heavily skewed sorted u32
   /// pairs: every element of `small` is searched in `large` (exponential
-  /// probe, then a vectorized window scan). Returns the result size; out
-  /// capacity >= ns. `visited` counts small elements plus search probes.
+  /// probe, then a vectorized window scan). Returns the result size. As
+  /// for merge_u32, out != nullptr receives the matches (capacity >= ns)
+  /// and nullptr counts only. `visited` counts small elements plus
+  /// search probes; the probe count differs by level, the result never.
   std::size_t (*gallop_u32)(const std::uint32_t* small, std::size_t ns,
                             const std::uint32_t* large, std::size_t nl,
                             std::uint32_t* out, std::size_t* visited);
-
-  /// Count-only variant of gallop_u32.
-  std::size_t (*gallop_u32_count)(const std::uint32_t* small, std::size_t ns,
-                                  const std::uint32_t* large, std::size_t nl,
-                                  std::size_t* visited);
 
   /// Decode the set-bit positions of words[0..n) in ascending order into
   /// out (capacity >= popcount of the range), each offset by `base`.

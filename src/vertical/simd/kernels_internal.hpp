@@ -37,9 +37,6 @@ MergeResult scalar_merge_u32_from(const std::uint32_t* a, std::size_t na,
 std::size_t scalar_gallop_u32(const std::uint32_t* small, std::size_t ns,
                               const std::uint32_t* large, std::size_t nl,
                               std::uint32_t* out, std::size_t* visited);
-std::size_t scalar_gallop_u32_count(const std::uint32_t* small, std::size_t ns,
-                                    const std::uint32_t* large, std::size_t nl,
-                                    std::size_t* visited);
 std::size_t scalar_decode_words(const std::uint64_t* words, std::size_t n,
                                 std::uint32_t base, std::uint32_t* out);
 

@@ -74,8 +74,8 @@ MergeResult merge_from(const std::uint32_t* a, std::size_t na,
 }
 
 /// First index in [lo, nl) with large[index] >= target: doubling probes
-/// from lo, then binary search within the bracket. Mirrors
-/// gallop_lower_bound in tidlist.cpp, including probe accounting.
+/// from lo, then binary search within the bracket. `probes`, when
+/// non-null, accumulates the elements compared against.
 std::size_t gallop_lower_bound_u32(const std::uint32_t* large, std::size_t nl,
                                    std::size_t lo, std::uint32_t target,
                                    std::size_t* probes) {
@@ -134,26 +134,7 @@ std::size_t scalar_gallop_u32(const std::uint32_t* small, std::size_t ns,
     j = gallop_lower_bound_u32(large, nl, j, small[i], probes);
     if (j == nl) break;
     if (large[j] == small[i]) {
-      out[k++] = small[i];
-      ++j;
-    }
-  }
-  if (visited != nullptr) *visited += scanned;
-  return k;
-}
-
-std::size_t scalar_gallop_u32_count(const std::uint32_t* small, std::size_t ns,
-                                    const std::uint32_t* large, std::size_t nl,
-                                    std::size_t* visited) {
-  std::size_t j = 0;
-  std::size_t k = 0;
-  std::size_t scanned = 0;
-  std::size_t* probes = visited != nullptr ? &scanned : nullptr;
-  for (std::size_t i = 0; i < ns; ++i) {
-    ++scanned;
-    j = gallop_lower_bound_u32(large, nl, j, small[i], probes);
-    if (j == nl) break;
-    if (large[j] == small[i]) {
+      if (out != nullptr) out[k] = small[i];
       ++k;
       ++j;
     }
@@ -197,7 +178,6 @@ const KernelTable& scalar_table() {
       .andnot_words = &scalar_andnot_words,
       .merge_u32 = &scalar_merge_u32,
       .gallop_u32 = &scalar_gallop_u32,
-      .gallop_u32_count = &scalar_gallop_u32_count,
       .decode_words = &scalar_decode_words,
   };
   return table;

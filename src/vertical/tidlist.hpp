@@ -34,42 +34,23 @@ std::optional<TidList> intersect_short_circuit(std::span<const Tid> a,
                                                std::span<const Tid> b,
                                                Count minsup);
 
-/// Galloping (exponential-search) intersection; wins when one list is much
-/// shorter than the other. Used by the kernel-ablation benchmark.
-TidList intersect_gallop(std::span<const Tid> a, std::span<const Tid> b);
-
-// ---- In-place, instrumented variants (the arena-backed mining recursion
-// uses these: `out` is cleared and refilled, reusing its capacity). Every
-// variant reports through `visited`, when non-null, the number of input
-// elements it actually inspected — which is what IntersectStats records,
-// so a short-circuited abort no longer counts as a full scan. ----
-
-/// out = a ∩ b by sorted merge.
-void intersect_into(std::span<const Tid> a, std::span<const Tid> b,
-                    TidList& out, std::size_t* visited = nullptr);
-
-/// Short-circuited merge into `out`; false iff provably below `minsup`
-/// (then `out`'s contents are unspecified).
-bool intersect_short_circuit_into(std::span<const Tid> a,
-                                  std::span<const Tid> b, Count minsup,
-                                  TidList& out,
-                                  std::size_t* visited = nullptr);
-
-/// Galloping intersection into `out`. `visited` counts elements of the
-/// short list plus search probes into the long one.
-void intersect_gallop_into(std::span<const Tid> a, std::span<const Tid> b,
-                           TidList& out, std::size_t* visited = nullptr);
-
-/// Support-only short-circuited intersection: the exact |a ∩ b| when it
-/// reaches `minsup`, nullopt otherwise. No output list is materialized —
-/// the mining recursion uses this for children that can never recurse.
-std::optional<Count> intersect_count_bounded(std::span<const Tid> a,
-                                             std::span<const Tid> b,
-                                             Count minsup,
-                                             std::size_t* visited = nullptr);
+/// The paper's short-circuited merge (§5.3), the one sorted-list join
+/// under every wrapper above and every sparse kernel of the mining
+/// recursion: |a ∩ b| when it reaches `minsup`, nullopt once the result
+/// provably misses it (minsup 0 never stops: the plain merge). With
+/// `out`, the matches are written to it (cleared and refilled, reusing
+/// its capacity; its contents are unspecified on nullopt); nullptr
+/// counts only. `visited`, when non-null, accumulates the input
+/// elements actually inspected — which is what IntersectStats records,
+/// so a short-circuited abort never counts as a full scan.
+std::optional<Count> merge_bounded(std::span<const Tid> a,
+                                   std::span<const Tid> b, Count minsup,
+                                   TidList* out,
+                                   std::size_t* visited = nullptr);
 
 /// Bounded difference a \ b into `out`: false as soon as the result would
-/// exceed `max_size` elements (the diffset pruning bound).
+/// exceed `max_size` elements (the diffset pruning bound). `visited` as
+/// for merge_bounded.
 bool difference_bounded_into(std::span<const Tid> a, std::span<const Tid> b,
                              std::size_t max_size, TidList& out,
                              std::size_t* visited = nullptr);

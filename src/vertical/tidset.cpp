@@ -31,104 +31,105 @@ void count_simd_sparse(IntersectStats* stats) {
   }
 }
 
-/// Records one sparse∩sparse merge (the dispatched merge_u32 kernel):
-/// `visited` tids scanned, and an abort when `short_circuited`.
-void count_merge(IntersectStats* stats, std::size_t visited,
-                 bool short_circuited) {
-  if (stats == nullptr) return;
-  ++stats->merge_calls;
-  stats->tids_scanned += visited;
-  if (short_circuited) ++stats->short_circuited;
-  count_simd_sparse(stats);
+std::optional<Count> at_least(std::size_t count, Count minsup) {
+  if (count < minsup) return std::nullopt;
+  return count;
 }
 
-/// Galloping sparse∩sparse through the dispatched kernel table.
-void gallop_into_dispatch(std::span<const Tid> a, std::span<const Tid> b,
-                          TidList& out, std::size_t* visited,
-                          IntersectStats* stats) {
-  const std::span<const Tid> small = a.size() <= b.size() ? a : b;
-  const std::span<const Tid> large = a.size() <= b.size() ? b : a;
-  out.clear();
-  out.resize(small.size());
-  const std::size_t k =
-      simd::kernels().gallop_u32(small.data(), small.size(), large.data(),
-                                 large.size(), out.data(), visited);
-  out.resize(k);
-  count_simd_sparse(stats);
-}
-
-/// Support-only gallop through the dispatched kernel table.
-Count gallop_count_dispatch(std::span<const Tid> a, std::span<const Tid> b,
-                            std::size_t* visited, IntersectStats* stats) {
-  const std::span<const Tid> small = a.size() <= b.size() ? a : b;
-  const std::span<const Tid> large = a.size() <= b.size() ? b : a;
-  count_simd_sparse(stats);
-  return simd::kernels().gallop_u32_count(small.data(), small.size(),
-                                          large.data(), large.size(),
-                                          visited);
+/// dense ∩ dense: the blocked word-AND under its support bound.
+std::optional<Count> and_join(const BitsetTidList& a, const BitsetTidList& b,
+                              Count minsup, BitsetTidList* out,
+                              IntersectStats* stats) {
+  std::uint64_t words = 0;
+  const std::optional<std::size_t> count = BitsetTidList::and_bounded(
+      a, b, minsup, out, stats != nullptr ? &words : nullptr);
+  count_simd_words(stats);
+  if (stats != nullptr) {
+    ++stats->bitset_calls;
+    stats->words_scanned += words;
+    if (!count) ++stats->short_circuited;
+  }
+  if (!count) return std::nullopt;
+  return *count;
 }
 
 /// sparse ∩ dense by probing the flat bitmap per sparse element (O(1)
 /// per lookup), with the support bound |result| <= matched + sparse
-/// elements remaining. Returns false iff provably below minsup.
-bool probe_into(std::span<const Tid> sparse, const BitsetTidList& dense,
-                Count minsup, TidList& out, IntersectStats* stats) {
+/// elements remaining.
+std::optional<Count> probe(std::span<const Tid> sparse,
+                           const BitsetTidList& dense, Count minsup,
+                           TidList* out, IntersectStats* stats) {
+  if (stats != nullptr) ++stats->probe_calls;
   if (std::min<std::size_t>(sparse.size(), dense.count()) < minsup) {
-    if (stats != nullptr) {
-      ++stats->probe_calls;
-      ++stats->short_circuited;
-    }
-    return false;
-  }
-  out.clear();
-  out.reserve(sparse.size());
-  const std::size_t n = sparse.size();
-  std::size_t i = 0;
-  bool aborted = false;
-  for (; i < n; ++i) {
-    if (out.size() + (n - i) < minsup) {
-      aborted = true;
-      break;
-    }
-    if (dense.test(sparse[i])) out.push_back(sparse[i]);
-  }
-  if (stats != nullptr) {
-    ++stats->probe_calls;
-    stats->tids_scanned += i;
-    if (aborted) ++stats->short_circuited;
-  }
-  return !aborted && out.size() >= minsup;
-}
-
-/// Support-only probe.
-std::optional<Count> probe_count(std::span<const Tid> sparse,
-                                 const BitsetTidList& dense, Count minsup,
-                                 IntersectStats* stats) {
-  if (std::min<std::size_t>(sparse.size(), dense.count()) < minsup) {
-    if (stats != nullptr) {
-      ++stats->probe_calls;
-      ++stats->short_circuited;
-    }
+    if (stats != nullptr) ++stats->short_circuited;
     return std::nullopt;
   }
   const std::size_t n = sparse.size();
+  // Every probed tid is stored at out[count] and kept only on a hit, as
+  // the merge kernel writes; shrunk to the result below.
+  Tid* dst = nullptr;
+  if (out != nullptr) {
+    out->resize(n);
+    dst = out->data();
+  }
   std::size_t count = 0;
   std::size_t i = 0;
-  bool aborted = false;
-  for (; i < n; ++i) {
-    if (count + (n - i) < minsup) {
-      aborted = true;
-      break;
-    }
+  for (; i < n && count + (n - i) >= minsup; ++i) {
+    if (dst != nullptr) dst[count] = sparse[i];
     count += static_cast<std::size_t>(dense.test(sparse[i]));
   }
+  if (out != nullptr) out->resize(count);
+  const bool aborted = i < n;
   if (stats != nullptr) {
-    ++stats->probe_calls;
     stats->tids_scanned += i;
     if (aborted) ++stats->short_circuited;
   }
-  if (aborted || count < minsup) return std::nullopt;
-  return count;
+  if (aborted) return std::nullopt;
+  return at_least(count, minsup);
+}
+
+/// sparse ∩ sparse at kGallopSkew or more: each element of the shorter
+/// list is searched in the longer one by the dispatched gallop kernel.
+std::optional<Count> gallop(std::span<const Tid> a, std::span<const Tid> b,
+                            Count minsup, TidList* out,
+                            IntersectStats* stats) {
+  const std::span<const Tid> small = a.size() <= b.size() ? a : b;
+  const std::span<const Tid> large = a.size() <= b.size() ? b : a;
+  if (stats != nullptr) ++stats->gallop_calls;
+  if (small.size() < minsup) {
+    if (stats != nullptr) ++stats->short_circuited;
+    return std::nullopt;
+  }
+  if (out != nullptr) out->resize(small.size());
+  std::size_t visited = 0;
+  const std::size_t count = simd::kernels().gallop_u32(
+      small.data(), small.size(), large.data(), large.size(),
+      out != nullptr ? out->data() : nullptr,
+      stats != nullptr ? &visited : nullptr);
+  if (out != nullptr) out->resize(count);
+  count_simd_sparse(stats);
+  if (stats != nullptr) stats->tids_scanned += visited;
+  return at_least(count, minsup);
+}
+
+/// sparse ∩ sparse through the dispatched merge_u32 kernel: the §5.3
+/// short-circuited merge when `bounded`, else the plain merge, which
+/// scans both lists in full and never counts as short-circuited.
+std::optional<Count> merge(std::span<const Tid> a, std::span<const Tid> b,
+                           Count minsup, bool bounded, TidList* out,
+                           IntersectStats* stats) {
+  std::size_t visited = 0;
+  std::optional<Count> support =
+      merge_bounded(a, b, bounded ? minsup : 0, out,
+                    stats != nullptr ? &visited : nullptr);
+  if (!bounded) support = at_least(*support, minsup);
+  if (stats != nullptr) {
+    ++stats->merge_calls;
+    stats->tids_scanned += visited;
+    if (bounded && !support) ++stats->short_circuited;
+  }
+  count_simd_sparse(stats);
+  return support;
 }
 
 /// sparse \ dense with the diffset budget bound.
@@ -163,10 +164,6 @@ const char* kernel_name(IntersectKernel kernel) {
       return "merge";
     case IntersectKernel::kMergeShortCircuit:
       return "short-circuit";
-    case IntersectKernel::kGallop:
-      return "gallop";
-    case IntersectKernel::kBitset:
-      return "bitset";
     case IntersectKernel::kAuto:
       return "auto";
   }
@@ -176,8 +173,6 @@ const char* kernel_name(IntersectKernel kernel) {
 std::optional<IntersectKernel> kernel_from_name(std::string_view name) {
   if (name == "merge") return IntersectKernel::kMerge;
   if (name == "short-circuit") return IntersectKernel::kMergeShortCircuit;
-  if (name == "gallop") return IntersectKernel::kGallop;
-  if (name == "bitset") return IntersectKernel::kBitset;
   if (name == "auto") return IntersectKernel::kAuto;
   return std::nullopt;
 }
@@ -272,12 +267,9 @@ TidList TidSet::to_tidlist() const {
 void seed_tidset(std::span<const Tid> tids, Tid universe,
                  IntersectKernel kernel, TidSet& out,
                  IntersectStats* stats) {
-  TidRep rep = TidRep::kSparse;
-  if (kernel == IntersectKernel::kBitset) {
-    rep = TidRep::kDense;
-  } else if (kernel == IntersectKernel::kAuto) {
-    rep = TidSet::preferred_rep(tids.size(), universe);
-  }
+  const TidRep rep = kernel == IntersectKernel::kAuto
+                         ? TidSet::preferred_rep(tids.size(), universe)
+                         : TidRep::kSparse;
   if (rep == TidRep::kDense) {
     out.bits_.assign(tids, universe);
   } else {
@@ -288,265 +280,71 @@ void seed_tidset(std::span<const Tid> tids, Tid universe,
   if (stats != nullptr && rep != TidRep::kSparse) ++stats->densified;
 }
 
-bool intersect_into(const TidSet& a, const TidSet& b, Count minsup,
-                    IntersectKernel kernel, Tid universe, TidSet& out,
-                    IntersectStats* stats) {
-  ECLAT_DCHECK(&out != &a && &out != &b);
-  if (stats != nullptr) ++stats->intersections;
-  std::size_t visited = 0;
-  std::size_t* const vp = stats != nullptr ? &visited : nullptr;
-  bool ok = false;
-  switch (kernel) {
-    case IntersectKernel::kMerge: {
-      ECLAT_DCHECK(a.rep_ == TidRep::kSparse && b.rep_ == TidRep::kSparse);
-      intersect_into(a.tids_, b.tids_, out.tids_, vp);
-      out.rep_ = TidRep::kSparse;
-      count_merge(stats, visited, false);
-      return out.tids_.size() >= minsup;
-    }
-    case IntersectKernel::kMergeShortCircuit: {
-      ECLAT_DCHECK(a.rep_ == TidRep::kSparse && b.rep_ == TidRep::kSparse);
-      ok = intersect_short_circuit_into(a.tids_, b.tids_, minsup, out.tids_,
-                                        vp);
-      out.rep_ = TidRep::kSparse;
-      count_merge(stats, visited, !ok);
-      return ok;
-    }
-    case IntersectKernel::kGallop: {
-      ECLAT_DCHECK(a.rep_ == TidRep::kSparse && b.rep_ == TidRep::kSparse);
-      gallop_into_dispatch(a.tids_, b.tids_, out.tids_, vp, stats);
-      out.rep_ = TidRep::kSparse;
-      ok = out.tids_.size() >= minsup;
-      if (stats != nullptr) {
-        ++stats->gallop_calls;
-        stats->tids_scanned += visited;
-      }
-      return ok;
-    }
-    case IntersectKernel::kBitset: {
-      ECLAT_DCHECK(a.rep_ == TidRep::kDense && b.rep_ == TidRep::kDense);
-      std::uint64_t words = 0;
-      ok = out.bits_.assign_and_bounded(
-          a.bits_, b.bits_, minsup, stats != nullptr ? &words : nullptr);
-      out.rep_ = TidRep::kDense;
-      count_simd_words(stats);
-      if (stats != nullptr) {
-        ++stats->bitset_calls;
-        stats->words_scanned += words;
-        if (!ok) ++stats->short_circuited;
-      }
-      return ok;
-    }
-    case IntersectKernel::kAuto:
-      break;  // dispatched below
+std::optional<Count> intersect(const TidSet& a, const TidSet& b, Count minsup,
+                               IntersectKernel kernel, Tid universe,
+                               TidSet* out, IntersectStats* stats) {
+  ECLAT_DCHECK(out != &a && out != &b);
+  // The paper's kernels seed every list sparse and never normalize, so
+  // only kAuto meets a dense operand.
+  ECLAT_DCHECK(kernel == IntersectKernel::kAuto ||
+               (a.rep_ == TidRep::kSparse && b.rep_ == TidRep::kSparse));
+  if (stats != nullptr) {
+    ++stats->intersections;
+    if (out == nullptr) ++stats->count_only;
   }
-
-  // kAuto: dispatch on the operands' representations, then normalize the
-  // result's representation by the density thresholds (hysteretically).
+  TidList* const tids = out != nullptr ? &out->tids_ : nullptr;
   const bool a_dense = a.rep_ == TidRep::kDense;
   const bool b_dense = b.rep_ == TidRep::kDense;
+  std::optional<Count> support;
   if (a_dense && b_dense) {
-    std::uint64_t words = 0;
-    ok = out.bits_.assign_and_bounded(a.bits_, b.bits_, minsup,
-                                      stats != nullptr ? &words : nullptr);
-    out.rep_ = TidRep::kDense;
-    count_simd_words(stats);
-    if (stats != nullptr) {
-      ++stats->bitset_calls;
-      stats->words_scanned += words;
-      if (!ok) ++stats->short_circuited;
-    }
+    support = and_join(a.bits_, b.bits_, minsup,
+                       out != nullptr ? &out->bits_ : nullptr, stats);
   } else if (a_dense != b_dense) {
     // Exactly one sparse operand: flat-bitmap lookups are O(1), so probe
     // the dense side per sparse element.
-    const TidSet& sparse = a_dense ? b : a;
-    const TidSet& dense = a_dense ? a : b;
-    ok = probe_into(sparse.tids_, dense.bits_, minsup, out.tids_, stats);
-    out.rep_ = TidRep::kSparse;
-  } else if (sparse_pair_skewed(a.tids_.size(), b.tids_.size())) {
-    if (std::min(a.tids_.size(), b.tids_.size()) < minsup) {
-      if (stats != nullptr) {
-        ++stats->gallop_calls;
-        ++stats->short_circuited;
-      }
-      return false;
-    }
-    gallop_into_dispatch(a.tids_, b.tids_, out.tids_, vp, stats);
-    out.rep_ = TidRep::kSparse;
-    ok = out.tids_.size() >= minsup;
-    if (stats != nullptr) {
-      ++stats->gallop_calls;
-      stats->tids_scanned += visited;
-    }
-  } else if (minsup > 1) {
-    ok = intersect_short_circuit_into(a.tids_, b.tids_, minsup, out.tids_,
-                                      vp);
-    out.rep_ = TidRep::kSparse;
-    count_merge(stats, visited, !ok);
+    support = probe(a_dense ? b.tids_ : a.tids_, a_dense ? a.bits_ : b.bits_,
+                    minsup, tids, stats);
+  } else if (kernel == IntersectKernel::kAuto &&
+             sparse_pair_skewed(a.tids_.size(), b.tids_.size())) {
+    support = gallop(a.tids_, b.tids_, minsup, tids, stats);
   } else {
-    // The bound cannot fire at minsup <= 1: the plain merge, which
-    // never counts as short-circuited.
-    intersect_into(a.tids_, b.tids_, out.tids_, vp);
-    out.rep_ = TidRep::kSparse;
-    ok = out.tids_.size() >= minsup;
-    count_merge(stats, visited, false);
+    support = merge(a.tids_, b.tids_, minsup,
+                    kernel != IntersectKernel::kMerge, tids, stats);
   }
-  if (ok) out.normalize(universe, stats);
-  return ok;
-}
-
-std::optional<Count> intersect_support(const TidSet& a, const TidSet& b,
-                                       Count minsup, IntersectKernel kernel,
-                                       IntersectStats* stats) {
-  if (stats != nullptr) {
-    ++stats->intersections;
-    ++stats->count_only;
+  if (out != nullptr) {
+    out->rep_ = a_dense && b_dense ? TidRep::kDense : TidRep::kSparse;
+    if (support && kernel == IntersectKernel::kAuto) {
+      out->normalize(universe, stats);
+    }
   }
-  std::size_t visited = 0;
-  std::size_t* const vp = stats != nullptr ? &visited : nullptr;
-  std::optional<Count> result;
-  switch (kernel) {
-    case IntersectKernel::kMerge: {
-      ECLAT_DCHECK(a.rep_ == TidRep::kSparse && b.rep_ == TidRep::kSparse);
-      // minsup 0 disarms the bound: a full scan, checked afterwards.
-      const std::optional<Count> count =
-          intersect_count_bounded(a.tids_, b.tids_, 0, vp);
-      count_merge(stats, visited, false);
-      return (count && *count >= minsup) ? count : std::nullopt;
-    }
-    case IntersectKernel::kMergeShortCircuit: {
-      ECLAT_DCHECK(a.rep_ == TidRep::kSparse && b.rep_ == TidRep::kSparse);
-      result = intersect_count_bounded(a.tids_, b.tids_, minsup, vp);
-      count_merge(stats, visited, !result);
-      return result;
-    }
-    case IntersectKernel::kGallop: {
-      ECLAT_DCHECK(a.rep_ == TidRep::kSparse && b.rep_ == TidRep::kSparse);
-      const Count count = gallop_count_dispatch(a.tids_, b.tids_, vp, stats);
-      result = count >= minsup ? std::optional<Count>(count) : std::nullopt;
-      if (stats != nullptr) {
-        ++stats->gallop_calls;
-        stats->tids_scanned += visited;
-      }
-      return result;
-    }
-    case IntersectKernel::kBitset: {
-      ECLAT_DCHECK(a.rep_ == TidRep::kDense && b.rep_ == TidRep::kDense);
-      std::uint64_t words = 0;
-      const std::optional<std::size_t> count = BitsetTidList::and_count(
-          a.bits_, b.bits_, minsup, stats != nullptr ? &words : nullptr);
-      count_simd_words(stats);
-      if (stats != nullptr) {
-        ++stats->bitset_calls;
-        stats->words_scanned += words;
-        if (!count) ++stats->short_circuited;
-      }
-      if (!count) return std::nullopt;
-      return static_cast<Count>(*count);
-    }
-    case IntersectKernel::kAuto:
-      break;  // dispatched below
-  }
-
-  const bool a_dense = a.rep_ == TidRep::kDense;
-  const bool b_dense = b.rep_ == TidRep::kDense;
-  if (a_dense && b_dense) {
-    std::uint64_t words = 0;
-    const std::optional<std::size_t> count = BitsetTidList::and_count(
-        a.bits_, b.bits_, minsup, stats != nullptr ? &words : nullptr);
-    count_simd_words(stats);
-    if (stats != nullptr) {
-      ++stats->bitset_calls;
-      stats->words_scanned += words;
-      if (!count) ++stats->short_circuited;
-    }
-    if (!count) return std::nullopt;
-    return static_cast<Count>(*count);
-  }
-  if (a_dense != b_dense) {
-    return probe_count(a_dense ? b.tids_ : a.tids_,
-                       a_dense ? a.bits_ : b.bits_, minsup, stats);
-  }
-  if (sparse_pair_skewed(a.tids_.size(), b.tids_.size())) {
-    if (std::min(a.tids_.size(), b.tids_.size()) < minsup) {
-      if (stats != nullptr) {
-        ++stats->gallop_calls;
-        ++stats->short_circuited;
-      }
-      return std::nullopt;
-    }
-    const Count count = gallop_count_dispatch(a.tids_, b.tids_, vp, stats);
-    result = count >= minsup ? std::optional<Count>(count) : std::nullopt;
-    if (stats != nullptr) {
-      ++stats->gallop_calls;
-      stats->tids_scanned += visited;
-    }
-    return result;
-  }
-  result = intersect_count_bounded(a.tids_, b.tids_, minsup, vp);
-  count_merge(stats, visited, !result);
-  return result;
+  return support;
 }
 
 bool difference_into(const TidSet& a, const TidSet& b, std::size_t budget,
                      IntersectKernel kernel, Tid universe, TidSet& out,
                      IntersectStats* stats) {
   ECLAT_DCHECK(&out != &a && &out != &b);
-  std::size_t visited = 0;
-  std::size_t* const vp = stats != nullptr ? &visited : nullptr;
+  ECLAT_DCHECK(kernel == IntersectKernel::kAuto ||
+               (a.rep_ == TidRep::kSparse && b.rep_ == TidRep::kSparse));
+  if (stats != nullptr) ++stats->intersections;
+  std::uint64_t words = 0;
+  std::uint64_t* const wp = stats != nullptr ? &words : nullptr;
+  const bool a_dense = a.rep_ == TidRep::kDense;
+  const bool b_dense = b.rep_ == TidRep::kDense;
   bool ok = false;
-  switch (kernel) {
-    case IntersectKernel::kMerge:
-    case IntersectKernel::kMergeShortCircuit:
-    case IntersectKernel::kGallop: {
-      // The budget bound is dEclat's algorithmic pruning rule, not an
-      // optional optimization, so every sparse kernel keeps it (galloping
-      // has no difference analogue and falls back to the merge).
-      ECLAT_DCHECK(a.rep_ == TidRep::kSparse && b.rep_ == TidRep::kSparse);
-      ok = difference_bounded_into(a.tids_, b.tids_, budget, out.tids_, vp);
-      out.rep_ = TidRep::kSparse;
-      if (stats != nullptr) {
-        ++stats->merge_calls;
-        stats->tids_scanned += visited;
-      }
-      return ok;
-    }
-    case IntersectKernel::kBitset: {
-      ECLAT_DCHECK(a.rep_ == TidRep::kDense && b.rep_ == TidRep::kDense);
-      std::uint64_t words = 0;
-      ok = out.bits_.assign_andnot_bounded(
-          a.bits_, b.bits_, budget, stats != nullptr ? &words : nullptr);
-      out.rep_ = TidRep::kDense;
-      count_simd_words(stats);
-      if (stats != nullptr) {
-        ++stats->bitset_calls;
-        stats->words_scanned += words;
-      }
-      return ok;
-    }
-    case IntersectKernel::kAuto:
-      break;  // dispatched below
-  }
-
-  const TidRep ar = a.rep_;
-  const TidRep br = b.rep_;
-  if (ar == TidRep::kDense && br == TidRep::kDense) {
-    std::uint64_t words = 0;
-    ok = out.bits_.assign_andnot_bounded(a.bits_, b.bits_, budget,
-                                         stats != nullptr ? &words : nullptr);
+  if (a_dense && b_dense) {
+    ok = out.bits_.assign_andnot_bounded(a.bits_, b.bits_, budget, wp);
     out.rep_ = TidRep::kDense;
     count_simd_words(stats);
     if (stats != nullptr) {
       ++stats->bitset_calls;
       stats->words_scanned += words;
     }
-  } else if (ar == TidRep::kSparse && br == TidRep::kDense) {
+  } else if (b_dense) {
     ok = probe_minus_into(a.tids_, b.bits_, budget, out.tids_, stats);
     out.rep_ = TidRep::kSparse;
-  } else if (ar == TidRep::kDense && br == TidRep::kSparse) {
-    std::uint64_t words = 0;
-    ok = out.bits_.assign_minus_sparse(a.bits_, b.tids_, budget,
-                                       stats != nullptr ? &words : nullptr);
+  } else if (a_dense) {
+    ok = out.bits_.assign_minus_sparse(a.bits_, b.tids_, budget, wp);
     out.rep_ = TidRep::kDense;
     if (stats != nullptr) {
       ++stats->probe_calls;
@@ -554,15 +352,23 @@ bool difference_into(const TidSet& a, const TidSet& b, std::size_t budget,
       stats->tids_scanned += b.tids_.size();
     }
   } else {
-    ok = difference_bounded_into(a.tids_, b.tids_, budget, out.tids_, vp);
+    // The budget bound is dEclat's algorithmic pruning rule, not an
+    // optional optimization, so every kernel keeps it.
+    std::size_t visited = 0;
+    ok = difference_bounded_into(a.tids_, b.tids_, budget, out.tids_,
+                                 stats != nullptr ? &visited : nullptr);
     out.rep_ = TidRep::kSparse;
     if (stats != nullptr) {
       ++stats->merge_calls;
       stats->tids_scanned += visited;
     }
   }
-  if (ok) out.normalize(universe, stats);
-  return ok;
+  if (!ok) {
+    if (stats != nullptr) ++stats->short_circuited;
+    return false;
+  }
+  if (kernel == IntersectKernel::kAuto) out.normalize(universe, stats);
+  return true;
 }
 
 }  // namespace eclat

@@ -18,6 +18,12 @@
 // in IntersectStats (hysteresis_holds / rep_flipflops). Mixed sparse/
 // dense intersections run directly (each sparse element probes the flat
 // bitmap) rather than converting an operand.
+//
+// Each representation pair has one join: the word-AND for dense∩dense,
+// the bitmap probe for mixed pairs, and for sparse∩sparse the gallop or
+// the short-circuited merge. Every join takes a nullable output, and
+// its support-only form, for children that can never recurse, is the
+// null output: the same scan, counters included, minus the writes.
 #pragma once
 
 #include <cstdint>
@@ -32,9 +38,9 @@
 
 namespace eclat {
 
-/// Intersection kernel selection. kMerge/kMergeShortCircuit/kGallop force
-/// the sparse representation everywhere (the paper's kernels); kBitset
-/// forces the flat dense bitmap; kAuto dispatches at runtime — word-AND
+/// Intersection kernel selection. kMerge and kMergeShortCircuit are the
+/// paper's §5.3 ablation pair: every list sparse, joined by the plain or
+/// the short-circuited merge. kAuto dispatches at runtime — word-AND
 /// when both operands are dense, a bit probe per sparse element when
 /// one is, gallop when one sparse list is 32× shorter than the other,
 /// short-circuited merge otherwise — with the representation of every
@@ -42,14 +48,11 @@ namespace eclat {
 enum class IntersectKernel : std::uint8_t {
   kMerge,
   kMergeShortCircuit,  // the paper's default
-  kGallop,
-  kBitset,  // dense word-AND + popcount for every list
-  kAuto,    // runtime dispatch over adaptive representations
+  kAuto,               // runtime dispatch over adaptive representations
 };
 
-/// Canonical lowercase name ("merge", "short-circuit", "gallop",
-/// "bitset", "auto") — the spelling the bench/example --kernel flags
-/// use.
+/// Canonical lowercase name ("merge", "short-circuit", "auto") — the
+/// spelling the bench/example --kernel flags use.
 const char* kernel_name(IntersectKernel kernel);
 
 /// Inverse of kernel_name; nullopt on an unknown name.
@@ -112,12 +115,9 @@ class TidSet {
  private:
   friend void seed_tidset(std::span<const Tid>, Tid, IntersectKernel,
                           TidSet&, IntersectStats*);
-  friend bool intersect_into(const TidSet&, const TidSet&, Count,
-                             IntersectKernel, Tid, TidSet&,
-                             IntersectStats*);
-  friend std::optional<Count> intersect_support(const TidSet&, const TidSet&,
-                                                Count, IntersectKernel,
-                                                IntersectStats*);
+  friend std::optional<Count> intersect(const TidSet&, const TidSet&, Count,
+                                        IntersectKernel, Tid, TidSet*,
+                                        IntersectStats*);
   friend bool difference_into(const TidSet&, const TidSet&, std::size_t,
                               IntersectKernel, Tid, TidSet&,
                               IntersectStats*);
@@ -131,32 +131,34 @@ class TidSet {
 };
 
 /// Load `tids` into `out` in the representation `kernel` mandates for a
-/// class over `universe`: sparse for the paper's kernels, dense for
-/// kBitset, threshold-chosen for kAuto.
+/// class over `universe`: sparse for the paper's kernels, threshold-chosen
+/// for kAuto.
 void seed_tidset(std::span<const Tid> tids, Tid universe,
                  IntersectKernel kernel, TidSet& out,
                  IntersectStats* stats);
 
-/// out = a ∩ b through the dispatched kernel, short-circuiting below
-/// `minsup`. Returns false iff the result provably misses minsup (then
-/// out is unspecified). `out` must not alias `a` or `b`. Under kAuto the
-/// result representation is normalized by the density thresholds.
-bool intersect_into(const TidSet& a, const TidSet& b, Count minsup,
-                    IntersectKernel kernel, Tid universe, TidSet& out,
-                    IntersectStats* stats);
-
-/// Support-only variant: |a ∩ b| when it reaches minsup, nullopt
-/// otherwise. Nothing is materialized — the recursion uses this for
-/// children that can never recurse (singleton child classes).
-std::optional<Count> intersect_support(const TidSet& a, const TidSet& b,
-                                       Count minsup,
-                                       IntersectKernel kernel,
-                                       IntersectStats* stats);
+/// |a ∩ b| through the dispatched join when it reaches `minsup`, nullopt
+/// once the result provably misses it (then *out is unspecified). With
+/// `out`, the result is materialized there and, under kAuto, its
+/// representation normalized by the density thresholds; `out` must not
+/// alias `a` or `b`. With out == nullptr the join counts only: nothing
+/// is written or normalized, and `stats` records it as count_only — the
+/// recursion uses this for children that can never recurse (singleton
+/// child classes). Both forms run the same scan and move every other
+/// counter alike, except the conversion counters that only normalize
+/// moves. The short-circuited merge (kMergeShortCircuit, and kAuto's
+/// balanced sparse arm) counts every join it rejects as short_circuited
+/// at any minsup; the plain merge (kMerge) never does.
+std::optional<Count> intersect(const TidSet& a, const TidSet& b, Count minsup,
+                               IntersectKernel kernel, Tid universe,
+                               TidSet* out, IntersectStats* stats);
 
 /// out = a \ b, aborting as soon as the result would exceed `budget`
-/// elements (the diffset pruning bound). Same dispatch/normalization
-/// rules as intersect_into; kGallop falls back to the sparse merge
-/// (galloping has no difference analogue).
+/// elements (the diffset pruning bound). The same representation
+/// dispatch and normalization as intersect; every sparse pair runs the
+/// bounded merge difference (galloping has no difference analogue).
+/// Counts the join in stats->intersections, and an abort in
+/// short_circuited.
 bool difference_into(const TidSet& a, const TidSet& b, std::size_t budget,
                      IntersectKernel kernel, Tid universe, TidSet& out,
                      IntersectStats* stats);

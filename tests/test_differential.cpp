@@ -81,22 +81,6 @@ TEST_P(DifferentialSweep, AllSequentialAlgorithmsAgree) {
   {
     EclatConfig config;
     config.minsup = c.minsup;
-    config.kernel = IntersectKernel::kGallop;
-    EXPECT_TRUE(
-        testutil::same_itemsets(eclat_sequential(db, config), reference))
-        << "eclat gallop";
-  }
-  {
-    EclatConfig config;
-    config.minsup = c.minsup;
-    config.kernel = IntersectKernel::kBitset;
-    EXPECT_TRUE(
-        testutil::same_itemsets(eclat_sequential(db, config), reference))
-        << "eclat bitset";
-  }
-  {
-    EclatConfig config;
-    config.minsup = c.minsup;
     config.kernel = IntersectKernel::kAuto;
     EXPECT_TRUE(
         testutil::same_itemsets(eclat_sequential(db, config), reference))

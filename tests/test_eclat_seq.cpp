@@ -107,10 +107,9 @@ TEST(EclatSeq, MatchesAprioriExactly) {
   }
 }
 
-constexpr IntersectKernel kAllKernels[] = {
-    IntersectKernel::kMerge, IntersectKernel::kMergeShortCircuit,
-    IntersectKernel::kGallop, IntersectKernel::kBitset,
-    IntersectKernel::kAuto};
+constexpr IntersectKernel kAllKernels[] = {IntersectKernel::kMerge,
+                                           IntersectKernel::kMergeShortCircuit,
+                                           IntersectKernel::kAuto};
 
 // The kernel picks how a join is computed, never which joins run: the
 // recursion's shape, its intersection and support-only counts, is the

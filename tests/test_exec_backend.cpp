@@ -27,10 +27,9 @@ using namespace eclat;
 using testutil::same_itemsets;
 using testutil::small_quest_db;
 
-constexpr IntersectKernel kAllKernels[] = {
-    IntersectKernel::kMerge, IntersectKernel::kMergeShortCircuit,
-    IntersectKernel::kGallop, IntersectKernel::kBitset,
-    IntersectKernel::kAuto};
+constexpr IntersectKernel kAllKernels[] = {IntersectKernel::kMerge,
+                                           IntersectKernel::kMergeShortCircuit,
+                                           IntersectKernel::kAuto};
 
 par::ParallelOutput run_threads(const HorizontalDatabase& db,
                                 const par::ParEclatConfig& config,

@@ -149,10 +149,9 @@ TEST(FaultInjection, CrashRecoveryIdenticalAcrossIntersectKernels) {
   const HorizontalDatabase db = test_db();
   const MiningResult reference = reference_result(db);
   const mc::Topology topology{2, 2};
-  const IntersectKernel kernels[] = {
-      IntersectKernel::kMerge, IntersectKernel::kMergeShortCircuit,
-      IntersectKernel::kGallop, IntersectKernel::kBitset,
-      IntersectKernel::kAuto};
+  const IntersectKernel kernels[] = {IntersectKernel::kMerge,
+                                     IntersectKernel::kMergeShortCircuit,
+                                     IntersectKernel::kAuto};
 
   for (IntersectKernel kernel : kernels) {
     for (std::size_t victim = 0; victim < topology.total(); ++victim) {
@@ -467,10 +466,9 @@ TEST(FaultInjection, ReplicaLossEveryReplicationLevelEveryKernel) {
   const HorizontalDatabase db = test_db();
   const MiningResult reference = reference_result(db);
   const mc::Topology topology{2, 2};
-  const IntersectKernel kernels[] = {
-      IntersectKernel::kMerge, IntersectKernel::kMergeShortCircuit,
-      IntersectKernel::kGallop, IntersectKernel::kBitset,
-      IntersectKernel::kAuto};
+  const IntersectKernel kernels[] = {IntersectKernel::kMerge,
+                                     IntersectKernel::kMergeShortCircuit,
+                                     IntersectKernel::kAuto};
 
   // speculate=false routes the victim's unfinished classes through the
   // post-gather recovery rounds, where replica availability is actually

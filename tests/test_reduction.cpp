@@ -26,10 +26,9 @@
 namespace eclat {
 namespace {
 
-constexpr IntersectKernel kAllKernels[] = {
-    IntersectKernel::kMerge, IntersectKernel::kMergeShortCircuit,
-    IntersectKernel::kGallop, IntersectKernel::kBitset,
-    IntersectKernel::kAuto};
+constexpr IntersectKernel kAllKernels[] = {IntersectKernel::kMerge,
+                                           IntersectKernel::kMergeShortCircuit,
+                                           IntersectKernel::kAuto};
 
 /// The canonical order by a full comparison sort: size, then lexicographic.
 std::vector<FrequentItemset> reference_sort(

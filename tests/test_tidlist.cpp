@@ -106,26 +106,6 @@ TEST(TidList, ShortCircuitAgreesWithPlainIntersect) {
   }
 }
 
-TEST(TidList, GallopAgreesWithMergeOnSkewedInputs) {
-  Rng rng(77);
-  for (int trial = 0; trial < 50; ++trial) {
-    TidList small;
-    TidList large;
-    for (Tid t = 0; t < 2000; ++t) {
-      if (rng.uniform() < 0.005) small.push_back(t);
-      if (rng.uniform() < 0.5) large.push_back(t);
-    }
-    EXPECT_EQ(intersect_gallop(small, large), intersect(small, large));
-    EXPECT_EQ(intersect_gallop(large, small), intersect(large, small));
-  }
-}
-
-TEST(TidList, GallopEdgeCases) {
-  EXPECT_TRUE(intersect_gallop(TidList{}, TidList{1, 2}).empty());
-  EXPECT_EQ(intersect_gallop(TidList{5}, TidList{1, 5, 9}), (TidList{5}));
-  EXPECT_TRUE(intersect_gallop(TidList{10}, TidList{1, 2, 3}).empty());
-}
-
 TEST(TidList, DifferenceAndUnion) {
   const TidList a = {1, 2, 3, 5};
   const TidList b = {2, 4, 5};
@@ -205,7 +185,8 @@ TEST(BitsetTidList, AndMatchesSparseIntersect) {
     BitsetTidList ba, bb, result;
     ba.assign(a, kUniverse);
     bb.assign(b, kUniverse);
-    result.assign_and(ba, bb);
+    // minsup 0 never stops: the exact AND.
+    ASSERT_TRUE(BitsetTidList::and_bounded(ba, bb, 0, &result, nullptr));
     EXPECT_EQ(result.to_tidlist(), intersect(a, b));
   }
 }
@@ -222,16 +203,16 @@ TEST(BitsetTidList, BoundedAndAbortsExactlyWhenInfrequent) {
     bb.assign(b, kUniverse);
     for (Count minsup : {1u, 4u, 16u, 64u, 512u}) {
       BitsetTidList result;
-      const bool ok = result.assign_and_bounded(ba, bb, minsup, nullptr);
-      EXPECT_EQ(ok, exact.size() >= minsup);
-      if (ok) {
+      const auto stored =
+          BitsetTidList::and_bounded(ba, bb, minsup, &result, nullptr);
+      EXPECT_EQ(stored.has_value(), exact.size() >= minsup);
+      if (stored) {
+        EXPECT_EQ(*stored, exact.size());
         EXPECT_EQ(result.to_tidlist(), exact);
       }
-      const auto count = BitsetTidList::and_count(ba, bb, minsup, nullptr);
-      EXPECT_EQ(count.has_value(), exact.size() >= minsup);
-      if (count) {
-        EXPECT_EQ(*count, exact.size());
-      }
+      const auto count =
+          BitsetTidList::and_bounded(ba, bb, minsup, nullptr, nullptr);
+      EXPECT_EQ(count, stored);
     }
   }
 }
@@ -277,15 +258,14 @@ TEST(TidSet, SeedRepresentationFollowsKernel) {
   const TidList tids = {0, 10, 20, 30};  // density 4/640 — under threshold
   constexpr Tid kUniverse = 640;
   for (IntersectKernel kernel :
-       {IntersectKernel::kMerge, IntersectKernel::kMergeShortCircuit,
-        IntersectKernel::kGallop}) {
+       {IntersectKernel::kMerge, IntersectKernel::kMergeShortCircuit}) {
     TidSet set;
     seed_tidset(tids, kUniverse, kernel, set, nullptr);
     EXPECT_FALSE(set.dense()) << kernel_name(kernel);
+    // The paper's kernels stay sparse even where auto goes dense.
+    seed_tidset(tids, 256, kernel, set, nullptr);
+    EXPECT_FALSE(set.dense()) << kernel_name(kernel);
   }
-  TidSet forced;
-  seed_tidset(tids, kUniverse, IntersectKernel::kBitset, forced, nullptr);
-  EXPECT_TRUE(forced.dense());
   TidSet adaptive;
   seed_tidset(tids, kUniverse, IntersectKernel::kAuto, adaptive, nullptr);
   EXPECT_FALSE(adaptive.dense());  // 4·128 < 640
@@ -295,10 +275,9 @@ TEST(TidSet, SeedRepresentationFollowsKernel) {
   EXPECT_EQ(adaptive_dense.to_tidlist(), tids);
 }
 
-constexpr IntersectKernel kAllKernels[] = {
-    IntersectKernel::kMerge, IntersectKernel::kMergeShortCircuit,
-    IntersectKernel::kGallop, IntersectKernel::kBitset,
-    IntersectKernel::kAuto};
+constexpr IntersectKernel kAllKernels[] = {IntersectKernel::kMerge,
+                                           IntersectKernel::kMergeShortCircuit,
+                                           IntersectKernel::kAuto};
 
 TEST(TidSet, IntersectionAgreesWithReferenceAcrossKernels) {
   Rng rng(55);
@@ -324,18 +303,128 @@ TEST(TidSet, IntersectionAgreesWithReferenceAcrossKernels) {
         seed_tidset(a, universe, kernel, sa, nullptr);
         seed_tidset(b, universe, kernel, sb, nullptr);
         const bool ok =
-            intersect_into(sa, sb, minsup, kernel, universe, out, nullptr);
+            intersect(sa, sb, minsup, kernel, universe, &out, nullptr)
+                .has_value();
         EXPECT_EQ(ok, exact.size() >= minsup) << kernel_name(kernel);
         if (ok) {
           EXPECT_EQ(out.to_tidlist(), exact) << kernel_name(kernel);
         }
 
         const std::optional<Count> support =
-            intersect_support(sa, sb, minsup, kernel, nullptr);
+            intersect(sa, sb, minsup, kernel, universe, nullptr, nullptr);
         EXPECT_EQ(support.has_value(), exact.size() >= minsup)
             << kernel_name(kernel);
         if (support) {
           EXPECT_EQ(*support, exact.size());
+        }
+      }
+    }
+  }
+}
+
+/// One representation pair for the support-only/materialized check:
+/// what `auto` seeds each side as over kPairUniverse, and the arm it
+/// should dispatch to.
+struct RepPairCase {
+  const char* name;
+  TidList a;
+  TidList b;
+  bool a_dense = false;
+  bool b_dense = false;
+  std::uint64_t IntersectStats::*arm = nullptr;
+};
+
+/// 2^16 tids: `auto` seeds a list dense from 512 tids up.
+constexpr Tid kPairUniverse = 1u << 16;
+
+/// Tids of [0, span) kept with probability `density`.
+TidList prefix_list(Rng& rng, Tid span, double density) {
+  TidList out;
+  for (Tid t = 0; t < span; ++t) {
+    if (rng.uniform() < density) out.push_back(t);
+  }
+  return out;
+}
+
+std::vector<RepPairCase> rep_pair_cases() {
+  Rng rng(2020);
+  std::vector<RepPairCase> cases;
+  // ~400 tids each: both sparse, within 32x of each other.
+  cases.push_back({"sparse-sparse", prefix_list(rng, 800, 0.5),
+                   prefix_list(rng, 800, 0.5), false, false,
+                   &IntersectStats::merge_calls});
+  // 12 tids against 500: 32x skew or more, both still sparse.
+  TidList shorter;
+  for (Tid t = 0; t < 12; ++t) shorter.push_back(t * 83);
+  TidList longer;
+  for (Tid t = 0; t < 1000; t += 2) longer.push_back(t);
+  cases.push_back({"sparse-sparse-skewed", shorter, longer, false, false,
+                   &IntersectStats::gallop_calls});
+  // ~300 sparse tids against ~2,000 dense ones, in both orders.
+  const TidList sparse = prefix_list(rng, 4000, 0.075);
+  const TidList dense = prefix_list(rng, 4000, 0.5);
+  cases.push_back({"sparse-dense", sparse, dense, false, true,
+                   &IntersectStats::probe_calls});
+  cases.push_back({"dense-sparse", dense, sparse, true, false,
+                   &IntersectStats::probe_calls});
+  // ~4,000 tids each: both dense.
+  cases.push_back({"dense-dense", prefix_list(rng, 8000, 0.5),
+                   prefix_list(rng, 8000, 0.5), true, true,
+                   &IntersectStats::bitset_calls});
+  return cases;
+}
+
+// The support-only join is the materialized join with a null output: the
+// same support (or the same rejection) and the same work counters, on
+// every representation pair, under every kernel, at minsup values around
+// the exact support. Only count_only and the conversion counters, which
+// normalize moves on a materialized result, may differ.
+TEST(TidSet, SupportOnlyJoinMatchesMaterializedJoin) {
+  for (const RepPairCase& c : rep_pair_cases()) {
+    const TidList exact = intersect(c.a, c.b);
+    const Count min_size = std::min(c.a.size(), c.b.size());
+    std::vector<Count> minsups = {2, exact.size(), exact.size() + 1,
+                                  min_size + 1};
+    if (!exact.empty()) minsups.push_back(exact.size() - 1);
+    for (const IntersectKernel kernel : kAllKernels) {
+      for (const Count minsup : minsups) {
+        const auto where = [&] {
+          return ::testing::Message() << c.name << " " << kernel_name(kernel)
+                                      << " minsup=" << minsup;
+        };
+        TidSet sa, sb, out;
+        seed_tidset(c.a, kPairUniverse, kernel, sa, nullptr);
+        seed_tidset(c.b, kPairUniverse, kernel, sb, nullptr);
+        if (kernel == IntersectKernel::kAuto) {
+          ASSERT_EQ(sa.dense(), c.a_dense) << where();
+          ASSERT_EQ(sb.dense(), c.b_dense) << where();
+        }
+        IntersectStats counted;
+        IntersectStats materialized;
+        const std::optional<Count> support_only = intersect(
+            sa, sb, minsup, kernel, kPairUniverse, nullptr, &counted);
+        const std::optional<Count> support = intersect(
+            sa, sb, minsup, kernel, kPairUniverse, &out, &materialized);
+        EXPECT_EQ(support_only, support) << where();
+        EXPECT_EQ(support.has_value(), exact.size() >= minsup) << where();
+        if (support) {
+          EXPECT_EQ(*support, exact.size()) << where();
+          EXPECT_EQ(out.to_tidlist(), exact) << where();
+        }
+        EXPECT_EQ(counted.count_only, 1u) << where();
+        EXPECT_EQ(materialized.count_only, 0u) << where();
+        if (kernel == IntersectKernel::kAuto) {
+          EXPECT_EQ(counted.*c.arm, 1u) << where();
+        }
+        for (const auto field :
+             {&IntersectStats::intersections, &IntersectStats::short_circuited,
+              &IntersectStats::tids_scanned, &IntersectStats::words_scanned,
+              &IntersectStats::merge_calls, &IntersectStats::gallop_calls,
+              &IntersectStats::bitset_calls, &IntersectStats::probe_calls,
+              &IntersectStats::chunked_calls,
+              &IntersectStats::simd_word_calls,
+              &IntersectStats::simd_sparse_calls}) {
+          EXPECT_EQ(counted.*field, materialized.*field) << where();
         }
       }
     }
@@ -408,17 +497,18 @@ TEST(TidSet, StatsCountElementsActuallyVisited) {
 }
 
 TEST(TidSet, StatsCountWordsActuallyScanned) {
-  // Dense kernel over universe 256 = 4 words; a full AND scans exactly 4.
+  // Both lists seed dense under auto (n·128 >= 256), so the join is the
+  // word-AND over universe 256 = 4 words; a full AND scans exactly 4.
   TidList a, b;
   for (Tid t = 0; t < 256; t += 2) a.push_back(t);
   for (Tid t = 0; t < 256; t += 4) b.push_back(t);
   IntersectStats stats;
   TidSet sa, sb, out;
-  seed_tidset(a, 256, IntersectKernel::kBitset, sa, &stats);
-  seed_tidset(b, 256, IntersectKernel::kBitset, sb, &stats);
+  seed_tidset(a, 256, IntersectKernel::kAuto, sa, &stats);
+  seed_tidset(b, 256, IntersectKernel::kAuto, sb, &stats);
   EXPECT_EQ(stats.densified, 2u);
-  ASSERT_TRUE(intersect_into(sa, sb, 1, IntersectKernel::kBitset, 256, out,
-                             &stats));
+  ASSERT_TRUE(intersect(sa, sb, 1, IntersectKernel::kAuto, 256, &out,
+                        &stats));
   EXPECT_EQ(stats.words_scanned, 4u);
   EXPECT_EQ(stats.bitset_calls, 1u);
   EXPECT_EQ(out.support(), 64u);
@@ -432,6 +522,10 @@ TEST(TidSet, KernelNamesRoundTrip) {
   }
   EXPECT_FALSE(kernel_from_name("simd").has_value());
   EXPECT_FALSE(kernel_from_name("").has_value());
+  // The gallop and the word-AND are joins auto picks from the operands,
+  // not kernels a caller selects.
+  EXPECT_FALSE(kernel_from_name("gallop").has_value());
+  EXPECT_FALSE(kernel_from_name("bitset").has_value());
 }
 
 // ---- Wide-universe and SIMD-dispatch properties ----
@@ -490,13 +584,14 @@ TEST(TidSet, IntersectionAgreesOnWideUniverseInputs) {
       seed_tidset(a, kWideUniverse, kernel, sa, nullptr);
       seed_tidset(b, kWideUniverse, kernel, sb, nullptr);
       const bool ok =
-          intersect_into(sa, sb, minsup, kernel, kWideUniverse, out, nullptr);
+          intersect(sa, sb, minsup, kernel, kWideUniverse, &out, nullptr)
+              .has_value();
       EXPECT_EQ(ok, exact.size() >= minsup) << "minsup=" << minsup;
       if (ok) {
         EXPECT_EQ(out.to_tidlist(), exact);
       }
-      const std::optional<Count> support =
-          intersect_support(sa, sb, minsup, kernel, nullptr);
+      const std::optional<Count> support = intersect(
+          sa, sb, minsup, kernel, kWideUniverse, nullptr, nullptr);
       EXPECT_EQ(support.has_value(), exact.size() >= minsup)
           << "minsup=" << minsup;
       if (support) {
@@ -560,8 +655,8 @@ TEST(TidSet, OutputsByteIdenticalAcrossIsaLevels) {
         TidSet sa, sb, out;
         seed_tidset(a, kWideUniverse, kernel, sa, nullptr);
         seed_tidset(b, kWideUniverse, kernel, sb, nullptr);
-        ASSERT_TRUE(intersect_into(sa, sb, 1, kernel, kWideUniverse, out,
-                                   nullptr));
+        ASSERT_TRUE(intersect(sa, sb, 1, kernel, kWideUniverse, &out,
+                              nullptr));
         const TidList decoded = out.to_tidlist();
         if (!reference) {
           reference = decoded;
@@ -799,6 +894,71 @@ TEST(MergeKernel, EveryIsaLevelMatchesTheThreeWayMerge) {
     }
   }
   EXPECT_GT(checked, 41u * 41 * 5 * 3 * 5 * 3);
+}
+
+// ---- gallop_u32: every ISA level against the merge ----
+
+/// Runs `simd::kernels_for(level).gallop_u32` on every pair at every ISA
+/// level, with an output and count-only, and compares both against
+/// `intersect`.
+void expect_gallop_matches_merge_at_every_level(
+    const std::vector<std::pair<TidList, TidList>>& cases) {
+  const simd::IsaLevel levels[] = {simd::IsaLevel::kScalar,
+                                   simd::IsaLevel::kAvx2,
+                                   simd::IsaLevel::kAvx512};
+  for (std::size_t n = 0; n < cases.size(); ++n) {
+    const auto& [small, large] = cases[n];
+    const TidList want = intersect(small, large);
+    for (const simd::IsaLevel level : levels) {
+      const simd::KernelTable& kt = simd::kernels_for(level);
+      // The kernel searches each element of its first list in the
+      // second, whichever is shorter; run both orders. Probe counts
+      // differ by level by design, so `visited` is not compared.
+      for (const bool swapped : {false, true}) {
+        const TidList& probed = swapped ? large : small;
+        const TidList& searched = swapped ? small : large;
+        const auto where = [&] {
+          return ::testing::Message() << simd::isa_name(kt.level)
+                                      << " case=" << n
+                                      << " swapped=" << swapped;
+        };
+        // Exactly |probed| elements: ASan reports any store past them.
+        TidList got(probed.size());
+        got.resize(kt.gallop_u32(probed.data(), probed.size(),
+                                 searched.data(), searched.size(),
+                                 got.data(), nullptr));
+        EXPECT_EQ(got, want) << where();
+        std::size_t visited = 0;
+        EXPECT_EQ(kt.gallop_u32(probed.data(), probed.size(), searched.data(),
+                                searched.size(), nullptr, &visited),
+                  want.size())
+            << where();
+      }
+    }
+  }
+}
+
+TEST(TidList, GallopAgreesWithMergeOnSkewedInputs) {
+  std::vector<std::pair<TidList, TidList>> cases;
+  Rng rng(77);
+  for (int trial = 0; trial < 50; ++trial) {
+    TidList small;
+    TidList large;
+    for (Tid t = 0; t < 2000; ++t) {
+      if (rng.uniform() < 0.005) small.push_back(t);
+      if (rng.uniform() < 0.5) large.push_back(t);
+    }
+    cases.emplace_back(std::move(small), std::move(large));
+  }
+  expect_gallop_matches_merge_at_every_level(cases);
+}
+
+TEST(TidList, GallopEdgeCases) {
+  expect_gallop_matches_merge_at_every_level({
+      {{}, {1, 2}},       // an empty side
+      {{5}, {1, 5, 9}},   // a single hit
+      {{10}, {1, 2, 3}},  // the probe runs past the end of the long list
+  });
 }
 
 TEST(MergeKernel, MiningStatsAreEqualAtEveryIsaLevel) {
