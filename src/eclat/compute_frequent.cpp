@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.hpp"
+#include "eclat/diffsets.hpp"
 
 namespace eclat {
 
@@ -32,19 +33,6 @@ Tid seed_class(const std::vector<Atom>& class_atoms, IntersectKernel kernel,
   return universe;
 }
 
-void emit_itemset(const Itemset& prefix, Item suffix, Count support,
-                  std::vector<FrequentItemset>& out,
-                  std::vector<std::size_t>& size_histogram) {
-  const std::size_t size = prefix.size() + 1;
-  if (size_histogram.size() <= size) size_histogram.resize(size + 1, 0);
-  ++size_histogram[size];
-  FrequentItemset& found = out.emplace_back();
-  found.items.reserve(size);
-  found.items.assign(prefix.begin(), prefix.end());
-  found.items.push_back(suffix);
-  found.support = support;
-}
-
 std::optional<TidList> intersect_with_kernel(const TidList& a,
                                              const TidList& b, Count minsup,
                                              IntersectKernel kernel,
@@ -65,41 +53,97 @@ std::optional<TidList> intersect_with_kernel(const TidList& a,
 
 namespace {
 
+/// Append prefix + suffix with its support to `out` and count it in
+/// `size_histogram` (index = itemset size; grown on demand).
+void emit_itemset(const Itemset& prefix, Item suffix, Count support,
+                  std::vector<FrequentItemset>& out,
+                  std::vector<std::size_t>& size_histogram) {
+  const std::size_t size = prefix.size() + 1;
+  if (size_histogram.size() <= size) size_histogram.resize(size + 1, 0);
+  ++size_histogram[size];
+  FrequentItemset& found = out.emplace_back();
+  found.items.reserve(size);
+  found.items.assign(prefix.begin(), prefix.end());
+  found.items.push_back(suffix);
+  found.support = support;
+}
+
+/// Eclat's join (paper Figure 3): t(PXY) = t(PX) ∩ t(PY). A null slot
+/// counts the support only.
+struct TidsetJoin {
+  /// The last row's child class has at most one member and never
+  /// recurses, so its joins count support without a slot.
+  static constexpr bool kLastRowNeedsSlot = false;
+  Count minsup;
+  IntersectKernel kernel;
+  Tid universe;
+  IntersectStats* stats;
+
+  std::optional<Count> operator()(const TidArena::Level& cur,
+                                  std::size_t /*depth*/, std::size_t i,
+                                  std::size_t j, TidSet* slot) const {
+    return intersect(cur.sets[i], cur.sets[j], minsup, kernel, universe,
+                     slot, stats);
+  }
+};
+
+/// dEclat's join: the diffset d(PXY) = d(PY) \ d(PX), entered from the
+/// tid-list atoms on level 0 as d(XY) = t(X) \ t(Y). It is abandoned once
+/// it exceeds sup(PX) − minsup elements, and sup(PXY) = sup(PX) − |d|.
+struct DiffsetJoin {
+  /// The child's support is read off its diffset, so every join takes a
+  /// slot.
+  static constexpr bool kLastRowNeedsSlot = true;
+  Count minsup;
+  IntersectKernel kernel;
+  Tid universe;
+  IntersectStats* stats;
+
+  std::optional<Count> operator()(const TidArena::Level& cur,
+                                  std::size_t depth, std::size_t i,
+                                  std::size_t j, TidSet* slot) const {
+    const Count parent = cur.supports[i];
+    ECLAT_DCHECK(parent >= minsup);
+    const bool tidlists = depth == 0;
+    if (!difference_into(tidlists ? cur.sets[i] : cur.sets[j],
+                         tidlists ? cur.sets[j] : cur.sets[i],
+                         parent - minsup, kernel, universe, *slot, stats)) {
+      return std::nullopt;
+    }
+    return parent - slot->support();
+  }
+};
+
 /// Mine the class held in the first `used` slots of arena level `depth`,
 /// whose members share the items in arena.prefix(). Emission order is the
 /// classical recursive one: for each leading atom i, every frequent join
 /// (i, j) in j order, then atom i's child class mined to completion
 /// before atom i+1.
-void mine(TidArena& arena, std::size_t depth, Count minsup,
-          IntersectKernel kernel, Tid universe,
+template <typename Join>
+void mine(TidArena& arena, std::size_t depth, const Join& join,
           std::vector<FrequentItemset>& out,
-          std::vector<std::size_t>& size_histogram, IntersectStats* stats,
-          MiningGuard* guard) {
+          std::vector<std::size_t>& size_histogram, MiningGuard* guard) {
   TidArena::Level& cur = arena.level(depth);
   TidArena::Level& next = arena.level(depth + 1);
   const std::size_t n = cur.used;
   Itemset& prefix = arena.prefix();
   for (std::size_t i = 0; i + 1 < n; ++i) {
     // One guard checkpoint per leading atom: the work in between (one row
-    // of intersections plus the child-class recursion entry) is bounded,
-    // so a cancellation or budget check is never starved.
+    // of joins plus the child-class recursion entry) is bounded, so a
+    // cancellation or budget check is never starved.
     if (guard != nullptr) guard->checkpoint();
     prefix.push_back(cur.suffixes[i]);
-    // The last row's single join (n-2, n-1) has a child class of at most
-    // one member, which can never recurse: count its support only.
-    const bool leaf = i + 2 == n;
+    const bool slotless = i + 2 == n && !Join::kLastRowNeedsSlot;
     next.reset();
     for (std::size_t j = i + 1; j < n; ++j) {
-      TidSet* const slot = leaf ? nullptr : &next.scratch();
-      const std::optional<Count> support = intersect(
-          cur.sets[i], cur.sets[j], minsup, kernel, universe, slot, stats);
+      TidSet* const slot = slotless ? nullptr : &next.scratch();
+      const std::optional<Count> support = join(cur, depth, i, j, slot);
       if (!support) continue;
       emit_itemset(prefix, cur.suffixes[j], *support, out, size_histogram);
       if (slot != nullptr) next.commit(cur.suffixes[j], *support);
     }
     if (next.used >= 2) {
-      mine(arena, depth + 1, minsup, kernel, universe, out, size_histogram,
-           stats, guard);
+      mine(arena, depth + 1, join, out, size_histogram, guard);
     }
     prefix.pop_back();
   }
@@ -122,8 +166,8 @@ void compute_frequent(const std::vector<Atom>& class_atoms, Count minsup,
   }
 #endif
   const Tid universe = seed_class(class_atoms, kernel, arena, stats);
-  mine(arena, 0, minsup, kernel, universe, out, size_histogram, stats,
-       guard);
+  mine(arena, 0, TidsetJoin{minsup, kernel, universe, stats}, out,
+       size_histogram, guard);
   arena.prefix().clear();
 }
 
@@ -135,6 +179,19 @@ void compute_frequent(const std::vector<Atom>& class_atoms, Count minsup,
   TidArena arena;
   compute_frequent(class_atoms, minsup, kernel, arena, out, size_histogram,
                    stats);
+}
+
+void compute_frequent_diffsets(const std::vector<Atom>& class_atoms,
+                               Count minsup, IntersectKernel kernel,
+                               TidArena& arena,
+                               std::vector<FrequentItemset>& out,
+                               std::vector<std::size_t>& size_histogram,
+                               IntersectStats* stats) {
+  if (class_atoms.size() < 2) return;
+  const Tid universe = seed_class(class_atoms, kernel, arena, stats);
+  mine(arena, 0, DiffsetJoin{minsup, kernel, universe, stats}, out,
+       size_histogram, nullptr);
+  arena.prefix().clear();
 }
 
 }  // namespace eclat

@@ -5,6 +5,9 @@
 // frugal (paper §5.3). The recursion runs over TidArena scratch buffers,
 // so steady-state mining allocates nothing; kernels (including the dense
 // bitset and the adaptive auto dispatch) come from vertical/tidset.hpp.
+// dEclat (diffsets.hpp) is the same recursion with a set difference in
+// place of the intersection; MaxEclat keeps its own search, whose
+// top-element test and maximal candidates do not fit this emission.
 #pragma once
 
 #include <cstdint>
@@ -31,18 +34,12 @@ struct Atom {
 /// the bitset width the dense kernels use for this class.
 Tid class_universe(const std::vector<Atom>& class_atoms);
 
-/// Level-0 seeding shared by the arena recursions: arena level 0 gets one
-/// slot per atom of the (non-empty) class, in the kernel's preferred
-/// representation, and arena.prefix() gets the atoms' shared prefix (all
-/// but the last item). Returns the class universe.
+/// Level-0 seeding shared by this recursion and MaxEclat's: arena level 0
+/// gets one slot per atom of the (non-empty) class, in the kernel's
+/// preferred representation, and arena.prefix() gets the atoms' shared
+/// prefix (all but the last item). Returns the class universe.
 Tid seed_class(const std::vector<Atom>& class_atoms, IntersectKernel kernel,
                TidArena& arena, IntersectStats* stats);
-
-/// Append prefix + suffix with its support to `out` and count it in
-/// `size_histogram` (index = itemset size; grown on demand).
-void emit_itemset(const Itemset& prefix, Item suffix, Count support,
-                  std::vector<FrequentItemset>& out,
-                  std::vector<std::size_t>& size_histogram);
 
 /// Enumerate all frequent itemsets strictly larger than the atoms of
 /// `class_atoms` (which must share a common prefix of all but the last

@@ -6,10 +6,11 @@
 //     d(PXY) = d(PY) \ d(PX),      sup(PXY) = sup(PX) − |d(PXY)|,
 //
 // and on dense data the diffsets are dramatically smaller than the
-// tidsets they replace. The recursion enters from ordinary tid-list atoms
-// (the L2 equivalence-class members) and switches representation at the
-// first join: d(XY) = t(X) \ t(Y). Diffsets run over the same adaptive
-// TidSet representations as the intersection path: the dense kernel is a
+// tidsets they replace. The recursion is compute_frequent's, with the
+// join swapped: it enters from ordinary tid-list atoms (the L2
+// equivalence-class members) and switches representation at the first
+// join, d(XY) = t(X) \ t(Y). Diffsets run over the same adaptive TidSet
+// representations as the intersection path: the dense kernel is a
 // word-wise AND-NOT with the same budget bound.
 #pragma once
 
@@ -17,13 +18,13 @@
 
 namespace eclat {
 
-/// Drop-in alternative to compute_frequent: identical results, diffset
-/// representation internally. `class_atoms` are tid-list atoms exactly as
-/// for compute_frequent. Stats count diffset elements (or bitset words)
-/// actually scanned. The paper's kernels use the bounded merge difference;
-/// kAuto uses the dense AND-NOT where the representation allows, and the
-/// bounded merge difference on sparse pairs (galloping has no difference
-/// analogue).
+/// Drop-in alternative to compute_frequent: identical results in the same
+/// order, diffset representation internally. `class_atoms` are tid-list
+/// atoms exactly as for compute_frequent. Stats count diffset elements (or
+/// bitset words) actually scanned. The paper's kernels use the bounded
+/// merge difference; kAuto uses the dense AND-NOT where the
+/// representation allows, and the bounded merge difference on sparse
+/// pairs (galloping has no difference analogue).
 void compute_frequent_diffsets(const std::vector<Atom>& class_atoms,
                                Count minsup, IntersectKernel kernel,
                                TidArena& arena,

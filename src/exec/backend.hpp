@@ -10,10 +10,11 @@
 //               per core, per-worker TidArenas, and per-worker
 //               Chase–Lev work-stealing deques for dynamic class
 //               scheduling. Real wall-clock speed, with a deterministic
-//               per-class fault-tolerance layer (exec_fault.hpp): task
-//               isolation, bounded retry, quarantine-then-clean-abort,
-//               a cooperative stall watchdog and a per-worker arena
-//               memory budget. DESIGN.md §11.
+//               per-class fault-tolerance layer (exec_fault.hpp) that
+//               every run takes: task isolation, bounded retry,
+//               quarantine-then-clean-abort, a cooperative stall
+//               watchdog and a per-worker arena memory budget.
+//               DESIGN.md §11.
 //
 // Both backends produce byte-identical mined output for the same input
 // and config — the commit-order reduction rule (results assembled per
@@ -92,11 +93,6 @@ struct ThreadBackendOptions {
   std::size_t mem_budget = 0;
   /// Deterministic class-attempt fault schedule (empty = fault-free).
   ExecFaultPlan faults;
-  /// Per-class task isolation + watchdog + validation layer. Disabling
-  /// it restores the bare direct-call asynchronous phase (the overhead
-  /// baseline bench_exec_faults measures against); a non-empty fault
-  /// plan then has nothing to hook into and is rejected.
-  bool isolation = true;
 };
 
 /// Construct a backend. The mc flavour mines on a fresh Cluster of the

@@ -8,7 +8,6 @@
 #include <functional>
 #include <mutex>
 #include <optional>
-#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -24,7 +23,6 @@
 #include "exec/mem_budget.hpp"
 #include "exec/progress.hpp"
 #include "exec/steal_deque.hpp"
-#include "exec/steal_loop.hpp"
 #include "parallel/parallel_common.hpp"
 #include "parallel/pipeline.hpp"
 #include "vertical/simd/dispatch.hpp"
@@ -130,11 +128,6 @@ class TaskGuard final : public MiningGuard {
 par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
                                         const par::ParEclatConfig& config) {
   const std::size_t W = threads_;
-  if (!isolation_ && (!faults_.empty() || mem_budget_ != 0)) {
-    throw std::invalid_argument(
-        "exec: fault injection and memory budgets require task isolation "
-        "(drop --exec-isolation=off)");
-  }
   const ExecFaultInjector injector(faults_);
   // Resolve the SIMD kernel table once on the coordinating thread (the
   // cpuid probe and ECLAT_FORCE_SCALAR read live behind magic statics,
@@ -233,272 +226,235 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
     loads[w].store(total, std::memory_order_relaxed);
   }
 
-  std::uint64_t stat_failures_total = 0;
-  std::uint64_t stat_retries_total = 0;
-  std::uint64_t stat_reclaims_total = 0;
-  std::uint64_t stat_peak_bytes = 0;
+  // Shared scheduling state:
+  //   outstanding  — class attempts not yet retired; the loop's exit
+  //                  condition. Every retry/reclaim enqueue increments
+  //                  it *before* the enqueuer's own unit retires, so it
+  //                  can never transiently read 0 with work pending.
+  //   acquisitions — total attempts started; the clock for retry
+  //                  backoff (backoff-in-attempts, not time).
+  //   retry_pool   — failed/reclaimed attempts awaiting re-execution on
+  //                  any worker; a desperate take ignores ready_at so
+  //                  an otherwise-idle pool cannot deadlock on backoff.
+  std::mutex retry_mutex;
+  std::vector<RetryTask> retry_pool;
+  std::atomic<std::size_t> retry_size{0};
+  std::atomic<std::size_t> outstanding{num_classes};
+  std::atomic<std::uint64_t> acquisitions{0};
+  std::vector<std::atomic<std::uint32_t>> next_attempt(num_classes);
+  std::vector<std::atomic<std::uint32_t>> failures(num_classes);
+  std::vector<std::atomic<std::uint8_t>> committed(num_classes);
+  std::vector<std::atomic<std::uint8_t>> quarantined(num_classes);
+  std::vector<std::string> quarantine_msg(num_classes);
+  for (auto& a : next_attempt) a.store(1, std::memory_order_relaxed);
+  ProgressBoard board(W);
+  std::atomic<std::uint64_t> stat_failures{0};
+  std::atomic<std::uint64_t> stat_retries{0};
+  std::atomic<std::uint64_t> stat_reclaims{0};
+  std::vector<std::uint64_t> worker_peak(W, 0);
 
-  if (!isolation_) {
-    // Bare direct-call phase (the overhead baseline): no capture, no
-    // retries, no validation. A task exception aborts the whole region,
-    // with exception-exact tasks_left accounting on the stealing path
-    // (steal_loop.hpp).
-    std::atomic<std::size_t> tasks_left{num_classes};
-    std::atomic<bool> aborted{false};
-    parallel_region(W, [&](std::size_t w) {
-      TidArena arena;
-      std::vector<std::size_t> histogram;
-      const auto mine_class = [&](std::size_t c) {
-        if (class_atoms[c].empty()) return;
-        compute_frequent(class_atoms[c], config.minsup, config.kernel, arena,
-                         slots[c], histogram);
-      };
-      if (scheduler_ == ClassScheduler::kStatic) {
-        for (std::size_t c = 0; c < num_classes; ++c) {
-          if (plan.assignment[c] == w) mine_class(c);
-        }
-        return;
-      }
-      run_stealing_loop(w, deques, loads, tasks_left, aborted, load_of,
-                        mine_class);
-    });
-  } else {
-    // Isolated execution. Shared scheduling state:
-    //   outstanding  — class attempts not yet retired; the loop's exit
-    //                  condition. Every retry/reclaim enqueue increments
-    //                  it *before* the enqueuer's own unit retires, so it
-    //                  can never transiently read 0 with work pending.
-    //   acquisitions — total attempts started; the clock for retry
-    //                  backoff (backoff-in-attempts, not time).
-    //   retry_pool   — failed/reclaimed attempts awaiting re-execution on
-    //                  any worker; a desperate take ignores ready_at so
-    //                  an otherwise-idle pool cannot deadlock on backoff.
-    std::mutex retry_mutex;
-    std::vector<RetryTask> retry_pool;
-    std::atomic<std::size_t> retry_size{0};
-    std::atomic<std::size_t> outstanding{num_classes};
-    std::atomic<std::uint64_t> acquisitions{0};
-    std::vector<std::atomic<std::uint32_t>> next_attempt(num_classes);
-    std::vector<std::atomic<std::uint32_t>> failures(num_classes);
-    std::vector<std::atomic<std::uint8_t>> committed(num_classes);
-    std::vector<std::atomic<std::uint8_t>> quarantined(num_classes);
-    std::vector<std::string> quarantine_msg(num_classes);
-    for (auto& a : next_attempt) a.store(1, std::memory_order_relaxed);
-    ProgressBoard board(W);
-    std::atomic<std::uint64_t> stat_failures{0};
-    std::atomic<std::uint64_t> stat_retries{0};
-    std::atomic<std::uint64_t> stat_reclaims{0};
-    std::vector<std::uint64_t> worker_peak(W, 0);
+  // The message is written before the release-store on the flag, and
+  // the post-join read acquires the flag first — so the string is safe
+  // to read unsynchronized there. A class quarantines at most once
+  // (failures are strictly sequential per class).
+  const auto quarantine = [&](std::size_t c, const std::string& why) {
+    quarantine_msg[c] = why;
+    quarantined[c].store(1, std::memory_order_release);
+  };
 
-    // The message is written before the release-store on the flag, and
-    // the post-join read acquires the flag first — so the string is safe
-    // to read unsynchronized there. A class quarantines at most once
-    // (failures are strictly sequential per class).
-    const auto quarantine = [&](std::size_t c, const std::string& why) {
-      quarantine_msg[c] = why;
-      quarantined[c].store(1, std::memory_order_release);
-    };
-
-    const auto enqueue_retry = [&](std::size_t c, std::uint64_t ready_at) {
-      const std::uint32_t attempt =
-          next_attempt[c].fetch_add(1, std::memory_order_relaxed);
-      outstanding.fetch_add(1, std::memory_order_acq_rel);
-      {
-        std::lock_guard<std::mutex> lock(retry_mutex);
-        retry_pool.push_back(RetryTask{c, attempt, ready_at});
-      }
-      retry_size.fetch_add(1, std::memory_order_release);
-    };
-
-    // Watchdog reclaim of one parked lease (runs under the exclusive CAS
-    // license of ProgressBoard::scan_and_reclaim, before the owner's
-    // token is cancelled). A reclaim counts as a failure of the parked
-    // attempt, which bounds how often a stalling class can respawn.
-    const auto reclaim_parked = [&](std::size_t c, std::uint32_t attempt) {
-      stat_reclaims.fetch_add(1, std::memory_order_relaxed);
-      stat_failures.fetch_add(1, std::memory_order_relaxed);
-      const std::uint32_t n =
-          failures[c].fetch_add(1, std::memory_order_acq_rel) + 1;
-      if (n > max_retries_) {
-        quarantine(c, "attempt " + std::to_string(attempt) +
-                          " stalled; lease reclaimed by the watchdog");
-      } else {
-        enqueue_retry(c, acquisitions.load(std::memory_order_relaxed));
-      }
-    };
-
-    const auto take_retry = [&](bool desperate) -> std::optional<RetryTask> {
-      if (retry_size.load(std::memory_order_acquire) == 0) {
-        return std::nullopt;
-      }
-      const std::uint64_t now = acquisitions.load(std::memory_order_relaxed);
+  const auto enqueue_retry = [&](std::size_t c, std::uint64_t ready_at) {
+    const std::uint32_t attempt =
+        next_attempt[c].fetch_add(1, std::memory_order_relaxed);
+    outstanding.fetch_add(1, std::memory_order_acq_rel);
+    {
       std::lock_guard<std::mutex> lock(retry_mutex);
-      std::size_t best = retry_pool.size();
-      for (std::size_t i = 0; i < retry_pool.size(); ++i) {
-        if (retry_pool[i].ready_at <= now) {
-          best = i;
+      retry_pool.push_back(RetryTask{c, attempt, ready_at});
+    }
+    retry_size.fetch_add(1, std::memory_order_release);
+  };
+
+  // Watchdog reclaim of one parked lease (runs under the exclusive CAS
+  // license of ProgressBoard::scan_and_reclaim, before the owner's
+  // token is cancelled). A reclaim counts as a failure of the parked
+  // attempt, which bounds how often a stalling class can respawn.
+  const auto reclaim_parked = [&](std::size_t c, std::uint32_t attempt) {
+    stat_reclaims.fetch_add(1, std::memory_order_relaxed);
+    stat_failures.fetch_add(1, std::memory_order_relaxed);
+    const std::uint32_t n =
+        failures[c].fetch_add(1, std::memory_order_acq_rel) + 1;
+    if (n > max_retries_) {
+      quarantine(c, "attempt " + std::to_string(attempt) +
+                        " stalled; lease reclaimed by the watchdog");
+    } else {
+      enqueue_retry(c, acquisitions.load(std::memory_order_relaxed));
+    }
+  };
+
+  const auto take_retry = [&](bool desperate) -> std::optional<RetryTask> {
+    if (retry_size.load(std::memory_order_acquire) == 0) {
+      return std::nullopt;
+    }
+    const std::uint64_t now = acquisitions.load(std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(retry_mutex);
+    std::size_t best = retry_pool.size();
+    for (std::size_t i = 0; i < retry_pool.size(); ++i) {
+      if (retry_pool[i].ready_at <= now) {
+        best = i;
+        break;
+      }
+    }
+    if (best == retry_pool.size()) {
+      if (!desperate || retry_pool.empty()) return std::nullopt;
+      best = 0;
+      for (std::size_t i = 1; i < retry_pool.size(); ++i) {
+        if (retry_pool[i].ready_at < retry_pool[best].ready_at) best = i;
+      }
+    }
+    const RetryTask task = retry_pool[best];
+    retry_pool.erase(retry_pool.begin() +
+                     static_cast<std::ptrdiff_t>(best));
+    retry_size.fetch_sub(1, std::memory_order_release);
+    return task;
+  };
+
+  parallel_region(W, [&](std::size_t w) {
+    TidArena arena;
+    ArenaBudget budget(arena, mem_budget_);
+    std::vector<FrequentItemset> scratch;
+    std::vector<std::size_t> histogram;
+    const auto scan = [&](std::size_t self) {
+      return board.scan_and_reclaim(self, reclaim_parked);
+    };
+    // What a parked lease runs while waiting for its own reclaim: scan
+    // the *other* leases (all of them — self-rescue — when this is the
+    // only worker).
+    const std::function<void()> park_scan = [&] {
+      scan(W == 1 ? ProgressBoard::kScanAll : w);
+    };
+
+    const auto run_task = [&](std::size_t c, std::uint32_t attempt) {
+      board.begin(w, c, attempt);
+      budget.set_class(c);
+      const ExecFaultKind fault = injector.fault_for(c, attempt);
+      scratch.clear();
+      TaskGuard guard(board, w, c, attempt,
+                      fault == ExecFaultKind::kStall,
+                      budget.enabled() ? &budget : nullptr, park_scan);
+      const TaskError err = capture_class_failure([&] {
+        if (fault == ExecFaultKind::kThrow) {
+          throw InjectedTaskThrow(c, attempt);
+        }
+        if (!class_atoms[c].empty()) {
+          compute_frequent(class_atoms[c], config.minsup, config.kernel,
+                           arena, scratch, histogram, nullptr, &guard);
+        }
+        if (fault == ExecFaultKind::kCorrupt) {
+          injector.corrupt_result(c, attempt, config.minsup, scratch);
+        }
+        validate_class_result(plan.classes[c], config.minsup, scratch);
+      });
+      board.end(w);
+      switch (err.outcome) {
+        case TaskOutcome::kOk: {
+          // First writer wins: a reclaimed-then-resurrected owner can
+          // never overwrite the backup's already-committed slot (and
+          // vice versa), so the committed bytes are attempt-order
+          // independent — and identical anyway, since every honest
+          // attempt of a class mines the same atoms.
+          std::uint8_t expected = 0;
+          if (committed[c].compare_exchange_strong(
+                  expected, 1, std::memory_order_acq_rel)) {
+            slots[c] = std::move(scratch);
+          }
+          break;
+        }
+        case TaskOutcome::kCancelled:
+          // The watchdog already accounted this attempt when it
+          // reclaimed the lease; just unwind.
+          break;
+        case TaskOutcome::kFailed: {
+          stat_failures.fetch_add(1, std::memory_order_relaxed);
+          const std::uint32_t n =
+              failures[c].fetch_add(1, std::memory_order_acq_rel) + 1;
+          if (n > max_retries_) {
+            quarantine(c, err.what);
+          } else {
+            stat_retries.fetch_add(1, std::memory_order_relaxed);
+            const std::uint64_t backoff =
+                1ull << std::min<std::uint32_t>(n, 6);
+            enqueue_retry(
+                c, acquisitions.load(std::memory_order_relaxed) + backoff);
+          }
+          // Fresh arena for whatever runs here next: a failed attempt
+          // may have left oversized scratch behind.
+          arena.clear();
           break;
         }
       }
-      if (best == retry_pool.size()) {
-        if (!desperate || retry_pool.empty()) return std::nullopt;
-        best = 0;
-        for (std::size_t i = 1; i < retry_pool.size(); ++i) {
-          if (retry_pool[i].ready_at < retry_pool[best].ready_at) best = i;
-        }
-      }
-      const RetryTask task = retry_pool[best];
-      retry_pool.erase(retry_pool.begin() +
-                       static_cast<std::ptrdiff_t>(best));
-      retry_size.fetch_sub(1, std::memory_order_release);
-      return task;
     };
 
-    parallel_region(W, [&](std::size_t w) {
-      TidArena arena;
-      ArenaBudget budget(arena, mem_budget_);
-      std::vector<FrequentItemset> scratch;
-      std::vector<std::size_t> histogram;
-      const auto scan = [&](std::size_t self) {
-        return board.scan_and_reclaim(self, reclaim_parked);
-      };
-      // What a parked lease runs while waiting for its own reclaim: scan
-      // the *other* leases (all of them — self-rescue — when this is the
-      // only worker).
-      const std::function<void()> park_scan = [&] {
-        scan(W == 1 ? ProgressBoard::kScanAll : w);
-      };
+    const auto execute = [&](std::size_t c, std::uint32_t attempt) {
+      acquisitions.fetch_add(1, std::memory_order_relaxed);
+      run_task(c, attempt);
+      // Retire after run_task: any retry it enqueued has already
+      // incremented outstanding, so the count cannot dip to 0 with
+      // work still pending.
+      outstanding.fetch_sub(1, std::memory_order_acq_rel);
+    };
 
-      const auto run_task = [&](std::size_t c, std::uint32_t attempt) {
-        board.begin(w, c, attempt);
-        budget.set_class(c);
-        const ExecFaultKind fault = injector.fault_for(c, attempt);
-        scratch.clear();
-        TaskGuard guard(board, w, c, attempt,
-                        fault == ExecFaultKind::kStall,
-                        budget.enabled() ? &budget : nullptr, park_scan);
-        const TaskError err = capture_class_failure([&] {
-          if (fault == ExecFaultKind::kThrow) {
-            throw InjectedTaskThrow(c, attempt);
-          }
-          if (!class_atoms[c].empty()) {
-            compute_frequent(class_atoms[c], config.minsup, config.kernel,
-                             arena, scratch, histogram, nullptr, &guard);
-          }
-          if (fault == ExecFaultKind::kCorrupt) {
-            injector.corrupt_result(c, attempt, config.minsup, scratch);
-          }
-          validate_class_result(plan.classes[c], config.minsup, scratch);
-        });
-        board.end(w);
-        switch (err.outcome) {
-          case TaskOutcome::kOk: {
-            // First writer wins: a reclaimed-then-resurrected owner can
-            // never overwrite the backup's already-committed slot (and
-            // vice versa), so the committed bytes are attempt-order
-            // independent — and identical anyway, since every honest
-            // attempt of a class mines the same atoms.
-            std::uint8_t expected = 0;
-            if (committed[c].compare_exchange_strong(
-                    expected, 1, std::memory_order_acq_rel)) {
-              slots[c] = std::move(scratch);
-            }
-            break;
-          }
-          case TaskOutcome::kCancelled:
-            // The watchdog already accounted this attempt when it
-            // reclaimed the lease; just unwind.
-            break;
-          case TaskOutcome::kFailed: {
-            stat_failures.fetch_add(1, std::memory_order_relaxed);
-            const std::uint32_t n =
-                failures[c].fetch_add(1, std::memory_order_acq_rel) + 1;
-            if (n > max_retries_) {
-              quarantine(c, err.what);
-            } else {
-              stat_retries.fetch_add(1, std::memory_order_relaxed);
-              const std::uint64_t backoff =
-                  1ull << std::min<std::uint32_t>(n, 6);
-              enqueue_retry(
-                  c, acquisitions.load(std::memory_order_relaxed) + backoff);
-            }
-            // Fresh arena for whatever runs here next: a failed attempt
-            // may have left oversized scratch behind.
-            arena.clear();
-            break;
-          }
-        }
-      };
-
-      const auto execute = [&](std::size_t c, std::uint32_t attempt) {
-        acquisitions.fetch_add(1, std::memory_order_relaxed);
-        run_task(c, attempt);
-        // Retire after run_task: any retry it enqueued has already
-        // incremented outstanding, so the count cannot dip to 0 with
-        // work still pending.
-        outstanding.fetch_sub(1, std::memory_order_acq_rel);
-      };
-
-      while (outstanding.load(std::memory_order_acquire) != 0) {
-        if (const std::optional<std::size_t> c = deques[w].pop()) {
-          loads[w].fetch_sub(load_of(*c), std::memory_order_relaxed);
-          execute(*c, 0);
-          continue;
-        }
-        if (const std::optional<RetryTask> t = take_retry(false)) {
-          execute(t->class_id, t->attempt);
-          continue;
-        }
-        if (scheduler_ == ClassScheduler::kWorkStealing) {
-          std::size_t victim = W;
-          std::int64_t best = 0;
-          for (std::size_t v = 0; v < W; ++v) {
-            if (v == w) continue;
-            const std::int64_t load =
-                loads[v].load(std::memory_order_relaxed);
-            if (load > best) {
-              best = load;
-              victim = v;
-            }
-          }
-          if (victim != W) {
-            if (const std::optional<std::size_t> c = deques[victim].steal()) {
-              loads[victim].fetch_sub(load_of(*c),
-                                      std::memory_order_relaxed);
-              execute(*c, 0);
-              continue;
-            }
-          }
-        }
-        if (const std::optional<RetryTask> t = take_retry(true)) {
-          execute(t->class_id, t->attempt);
-          continue;
-        }
-        // Idle and nothing acquirable: the only possible pending work is
-        // parked on another worker's lease — scan for it. Reclaiming is
-        // CAS-gated on kParked, which only an injected stall ever sets,
-        // so an honest slow class cannot be reclaimed by mistake.
-        scan(w);
-        std::this_thread::yield();
+    while (outstanding.load(std::memory_order_acquire) != 0) {
+      if (const std::optional<std::size_t> c = deques[w].pop()) {
+        loads[w].fetch_sub(load_of(*c), std::memory_order_relaxed);
+        execute(*c, 0);
+        continue;
       }
-      worker_peak[w] = budget.peak_bytes();
-    });
-
-    // Clean typed abort, decided after the pool fully drained: every
-    // class ran to its own conclusion, so the *lowest* quarantined class
-    // id — and with it the whole diagnostic — is a pure function of the
-    // fault plan, not of thread interleaving.
-    for (std::size_t c = 0; c < num_classes; ++c) {
-      if (quarantined[c].load(std::memory_order_acquire)) {
-        throw ExecClassQuarantined(c, failures[c].load(std::memory_order_relaxed),
-                                   quarantine_msg[c]);
+      if (const std::optional<RetryTask> t = take_retry(false)) {
+        execute(t->class_id, t->attempt);
+        continue;
       }
+      if (scheduler_ == ClassScheduler::kWorkStealing) {
+        std::size_t victim = W;
+        std::int64_t best = 0;
+        for (std::size_t v = 0; v < W; ++v) {
+          if (v == w) continue;
+          const std::int64_t load =
+              loads[v].load(std::memory_order_relaxed);
+          if (load > best) {
+            best = load;
+            victim = v;
+          }
+        }
+        if (victim != W) {
+          if (const std::optional<std::size_t> c = deques[victim].steal()) {
+            loads[victim].fetch_sub(load_of(*c),
+                                    std::memory_order_relaxed);
+            execute(*c, 0);
+            continue;
+          }
+        }
+      }
+      if (const std::optional<RetryTask> t = take_retry(true)) {
+        execute(t->class_id, t->attempt);
+        continue;
+      }
+      // Idle and nothing acquirable: the only possible pending work is
+      // parked on another worker's lease — scan for it. Reclaiming is
+      // CAS-gated on kParked, which only an injected stall ever sets,
+      // so an honest slow class cannot be reclaimed by mistake.
+      scan(w);
+      std::this_thread::yield();
     }
-    stat_failures_total = stat_failures.load(std::memory_order_relaxed);
-    stat_retries_total = stat_retries.load(std::memory_order_relaxed);
-    stat_reclaims_total = stat_reclaims.load(std::memory_order_relaxed);
-    for (std::size_t w = 0; w < W; ++w) {
-      stat_peak_bytes = std::max<std::uint64_t>(stat_peak_bytes, worker_peak[w]);
+    worker_peak[w] = budget.peak_bytes();
+  });
+
+  // Clean typed abort, decided after the pool fully drained: every
+  // class ran to its own conclusion, so the *lowest* quarantined class
+  // id — and with it the whole diagnostic — is a pure function of the
+  // fault plan, not of thread interleaving.
+  for (std::size_t c = 0; c < num_classes; ++c) {
+    if (quarantined[c].load(std::memory_order_acquire)) {
+      throw ExecClassQuarantined(c, failures[c].load(std::memory_order_relaxed),
+                                 quarantine_msg[c]);
     }
   }
   const double t_async = wall.elapsed_seconds();
@@ -541,10 +497,11 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
   output.phase_seconds["reduction"] = total - t_async;
   output.backend = "threads";
   output.exec_threads = W;
-  output.exec_task_failures = stat_failures_total;
-  output.exec_task_retries = stat_retries_total;
-  output.exec_stall_reclaims = stat_reclaims_total;
-  output.exec_arena_peak_bytes = stat_peak_bytes;
+  output.exec_task_failures = stat_failures.load(std::memory_order_relaxed);
+  output.exec_task_retries = stat_retries.load(std::memory_order_relaxed);
+  output.exec_stall_reclaims = stat_reclaims.load(std::memory_order_relaxed);
+  output.exec_arena_peak_bytes =
+      *std::max_element(worker_peak.begin(), worker_peak.end());
   return output;
 }
 

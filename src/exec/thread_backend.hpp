@@ -12,12 +12,12 @@
 //      sorted (paper §6.3) — built in parallel, classes striped over
 //      workers.
 //   3. Asynchronous — each class runs as an isolated task with
-//      compute_frequent over a per-worker TidArena. Placement is either
-//      the paper's static greedy schedule, or work-stealing: deques are
-//      seeded with the static assignment in ascending-weight order, the
-//      owner pops LIFO (heaviest first, hottest lists), idle workers
-//      steal FIFO from the victim with the most remaining weight.
-//      Under isolation (the default) every attempt runs inside
+//      compute_frequent over a per-worker TidArena, in one worker loop.
+//      Placement is either the paper's static greedy schedule, or
+//      work-stealing: deques are seeded with the static assignment in
+//      ascending-weight order, the owner pops LIFO (heaviest first,
+//      hottest lists), idle workers steal FIFO from the victim with the
+//      most remaining weight. Every attempt runs inside
 //      capture_class_failure: an exception fails only that class, which
 //      is retried with backoff-in-attempts up to --exec-max-retries and
 //      quarantined past that; a cooperative MiningGuard checkpoint
@@ -51,8 +51,7 @@ class ThreadBackend final : public Backend {
         scheduler_(options.scheduler),
         max_retries_(options.max_retries),
         mem_budget_(options.mem_budget),
-        faults_(options.faults),
-        isolation_(options.isolation) {}
+        faults_(options.faults) {}
 
   std::string_view name() const override { return "threads"; }
   /// Resolved worker count (--exec-threads=0 -> hardware concurrency).
@@ -61,9 +60,7 @@ class ThreadBackend final : public Backend {
 
   /// total_seconds and wall_seconds are both host wall-clock here;
   /// phase_seconds carries the usual four phase labels. Throws
-  /// ExecClassQuarantined when a class exhausts its retry budget, and
-  /// std::invalid_argument for a non-empty fault plan with isolation
-  /// disabled (the bare path has no injection hooks).
+  /// ExecClassQuarantined when a class exhausts its retry budget.
   par::ParallelOutput mine(const HorizontalDatabase& db,
                            const par::ParEclatConfig& config) override;
 
@@ -73,7 +70,6 @@ class ThreadBackend final : public Backend {
   std::uint32_t max_retries_;
   std::size_t mem_budget_;
   ExecFaultPlan faults_;
-  bool isolation_;
 };
 
 }  // namespace eclat::exec

@@ -62,7 +62,7 @@ struct ParallelOutput {
   std::uint64_t lineage_rebuilds = 0;
 
   // --- Thread-backend fault-tolerance accounting (zero under the mc
-  // backend and under --exec-isolation=off). ---
+  // backend). ---
   /// Class attempts that failed (injected throws, corrupt-result
   /// detections, memory-budget trips, watchdog reclaims).
   std::uint64_t exec_task_failures = 0;

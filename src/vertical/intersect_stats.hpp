@@ -11,7 +11,8 @@ namespace eclat {
 
 struct IntersectStats {
   std::uint64_t intersections = 0;    ///< kernel invocations
-  std::uint64_t short_circuited = 0;  ///< aborted early by the bound
+  std::uint64_t short_circuited = 0;  ///< joins rejected under a bounded
+                                      ///< kernel (all but kMerge)
   std::uint64_t tids_scanned = 0;     ///< sparse elements actually visited
   std::uint64_t words_scanned = 0;    ///< bitset words actually ANDed
   std::uint64_t merge_calls = 0;      ///< sparse∩sparse merges

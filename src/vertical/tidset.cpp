@@ -47,7 +47,6 @@ std::optional<Count> and_join(const BitsetTidList& a, const BitsetTidList& b,
   if (stats != nullptr) {
     ++stats->bitset_calls;
     stats->words_scanned += words;
-    if (!count) ++stats->short_circuited;
   }
   if (!count) return std::nullopt;
   return *count;
@@ -61,7 +60,6 @@ std::optional<Count> probe(std::span<const Tid> sparse,
                            TidList* out, IntersectStats* stats) {
   if (stats != nullptr) ++stats->probe_calls;
   if (std::min<std::size_t>(sparse.size(), dense.count()) < minsup) {
-    if (stats != nullptr) ++stats->short_circuited;
     return std::nullopt;
   }
   const std::size_t n = sparse.size();
@@ -79,12 +77,8 @@ std::optional<Count> probe(std::span<const Tid> sparse,
     count += static_cast<std::size_t>(dense.test(sparse[i]));
   }
   if (out != nullptr) out->resize(count);
-  const bool aborted = i < n;
-  if (stats != nullptr) {
-    stats->tids_scanned += i;
-    if (aborted) ++stats->short_circuited;
-  }
-  if (aborted) return std::nullopt;
+  if (stats != nullptr) stats->tids_scanned += i;
+  if (i < n) return std::nullopt;
   return at_least(count, minsup);
 }
 
@@ -96,10 +90,7 @@ std::optional<Count> gallop(std::span<const Tid> a, std::span<const Tid> b,
   const std::span<const Tid> small = a.size() <= b.size() ? a : b;
   const std::span<const Tid> large = a.size() <= b.size() ? b : a;
   if (stats != nullptr) ++stats->gallop_calls;
-  if (small.size() < minsup) {
-    if (stats != nullptr) ++stats->short_circuited;
-    return std::nullopt;
-  }
+  if (small.size() < minsup) return std::nullopt;
   if (out != nullptr) out->resize(small.size());
   std::size_t visited = 0;
   const std::size_t count = simd::kernels().gallop_u32(
@@ -114,7 +105,7 @@ std::optional<Count> gallop(std::span<const Tid> a, std::span<const Tid> b,
 
 /// sparse ∩ sparse through the dispatched merge_u32 kernel: the §5.3
 /// short-circuited merge when `bounded`, else the plain merge, which
-/// scans both lists in full and never counts as short-circuited.
+/// scans both lists in full.
 std::optional<Count> merge(std::span<const Tid> a, std::span<const Tid> b,
                            Count minsup, bool bounded, TidList* out,
                            IntersectStats* stats) {
@@ -126,7 +117,6 @@ std::optional<Count> merge(std::span<const Tid> a, std::span<const Tid> b,
   if (stats != nullptr) {
     ++stats->merge_calls;
     stats->tids_scanned += visited;
-    if (bounded && !support) ++stats->short_circuited;
   }
   count_simd_sparse(stats);
   return support;
@@ -310,6 +300,9 @@ std::optional<Count> intersect(const TidSet& a, const TidSet& b, Count minsup,
   } else {
     support = merge(a.tids_, b.tids_, minsup,
                     kernel != IntersectKernel::kMerge, tids, stats);
+  }
+  if (stats != nullptr && !support && kernel != IntersectKernel::kMerge) {
+    ++stats->short_circuited;
   }
   if (out != nullptr) {
     out->rep_ = a_dense && b_dense ? TidRep::kDense : TidRep::kSparse;

@@ -21,9 +21,11 @@
 //
 // Each representation pair has one join: the word-AND for dense∩dense,
 // the bitmap probe for mixed pairs, and for sparse∩sparse the gallop or
-// the short-circuited merge. Every join takes a nullable output, and
-// its support-only form, for children that can never recurse, is the
-// null output: the same scan, counters included, minus the writes.
+// the short-circuited merge. Every intersection join takes a nullable
+// output, and its support-only form, for children that can never
+// recurse, is the null output: the same scan, counters included, minus
+// the writes. The difference joins (difference_into, for dEclat) always
+// write their output, since a child's support is read off its diffset.
 #pragma once
 
 #include <cstdint>
@@ -146,9 +148,9 @@ void seed_tidset(std::span<const Tid> tids, Tid universe,
 /// recursion uses this for children that can never recurse (singleton
 /// child classes). Both forms run the same scan and move every other
 /// counter alike, except the conversion counters that only normalize
-/// moves. The short-circuited merge (kMergeShortCircuit, and kAuto's
-/// balanced sparse arm) counts every join it rejects as short_circuited
-/// at any minsup; the plain merge (kMerge) never does.
+/// moves. Every join rejected under a bounded kernel (kMergeShortCircuit
+/// and every kAuto arm) counts once as short_circuited, at any minsup;
+/// the plain merge (kMerge) never does.
 std::optional<Count> intersect(const TidSet& a, const TidSet& b, Count minsup,
                                IntersectKernel kernel, Tid universe,
                                TidSet* out, IntersectStats* stats);

@@ -5,6 +5,7 @@
 #include "apriori/apriori.hpp"
 #include "common/rng.hpp"
 #include "eclat/compute_frequent.hpp"
+#include "eclat/diffsets.hpp"
 #include "test_util.hpp"
 
 namespace eclat {
@@ -159,8 +160,9 @@ TEST(EclatSeq, AllKernelsAgreeWithDiffsets) {
 
 // The seed's recursive formulation of Compute_Frequent (heap-allocated
 // child classes, plain intersections), kept as the oracle the arena-backed
-// rewrite must match *byte for byte* — same itemsets, same order, same
-// supports, same histogram.
+// recursion must match *byte for byte* — same itemsets, same order, same
+// supports, same histogram — with either join: tid-list intersections or
+// dEclat's diffsets.
 void reference_compute_frequent(const std::vector<Atom>& class_atoms,
                                 Count minsup,
                                 std::vector<FrequentItemset>& out,
@@ -208,6 +210,13 @@ TEST(ComputeFrequent, ArenaOutputByteIdenticalToReferenceAcrossKernels) {
     std::vector<FrequentItemset> expected;
     std::vector<std::size_t> expected_histogram;
     reference_compute_frequent(atoms, minsup, expected, expected_histogram);
+    // dEclat requires every atom to meet minsup (its diffset budget is
+    // sup − minsup). Dropping the infrequent atoms changes no output:
+    // every join with one is infrequent too.
+    std::vector<Atom> frequent_atoms;
+    for (const Atom& atom : atoms) {
+      if (atom.support() >= minsup) frequent_atoms.push_back(atom);
+    }
 
     for (IntersectKernel kernel : kAllKernels) {
       std::vector<FrequentItemset> found;
@@ -215,6 +224,14 @@ TEST(ComputeFrequent, ArenaOutputByteIdenticalToReferenceAcrossKernels) {
       compute_frequent(atoms, minsup, kernel, arena, found, histogram);
       EXPECT_EQ(found, expected) << kernel_name(kernel);
       EXPECT_EQ(histogram, expected_histogram) << kernel_name(kernel);
+
+      std::vector<FrequentItemset> diffset_found;
+      std::vector<std::size_t> diffset_histogram;
+      compute_frequent_diffsets(frequent_atoms, minsup, kernel, arena,
+                                diffset_found, diffset_histogram);
+      EXPECT_EQ(diffset_found, expected) << "diffsets " << kernel_name(kernel);
+      EXPECT_EQ(diffset_histogram, expected_histogram)
+          << "diffsets " << kernel_name(kernel);
     }
   }
 }

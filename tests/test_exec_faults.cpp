@@ -464,39 +464,6 @@ TEST(ExecFault, StarvationBudgetQuarantinesWithAMemoryDiagnostic) {
   }
 }
 
-TEST(ExecFault, IsolationOffRejectsFaultPlansAndBudgets) {
-  const HorizontalDatabase db = testutil::handmade_db();
-  par::ParEclatConfig config;
-  config.minsup = 3;
-
-  exec::ThreadBackendOptions with_faults;
-  with_faults.isolation = false;
-  with_faults.faults.events.push_back(ExecFaultPlan::throw_on(0));
-  EXPECT_THROW(run_threads(db, config, with_faults), std::invalid_argument);
-
-  exec::ThreadBackendOptions with_budget;
-  with_budget.isolation = false;
-  with_budget.mem_budget = 1 << 20;
-  EXPECT_THROW(run_threads(db, config, with_budget), std::invalid_argument);
-}
-
-TEST(ExecFault, IsolationOffFaultFreeStaysByteIdentical) {
-  const HorizontalDatabase db = small_quest_db(260, 24, 7);
-  par::ParEclatConfig config;
-  config.minsup = 4;
-  const std::vector<std::uint8_t> reference = mc_reference(db, config);
-  for (exec::ClassScheduler scheduler :
-       {exec::ClassScheduler::kStatic, exec::ClassScheduler::kWorkStealing}) {
-    exec::ThreadBackendOptions options;
-    options.threads = 3;
-    options.scheduler = scheduler;
-    options.isolation = false;
-    const par::ParallelOutput run = run_threads(db, config, options);
-    EXPECT_EQ(result_to_bytes(run.result), reference)
-        << exec::to_string(scheduler);
-  }
-}
-
 TEST(ExecFault, ApiThreadsFaultKnobsReachTheBackend) {
   const HorizontalDatabase db = small_quest_db(200, 20, 17);
   api::MineOptions options;

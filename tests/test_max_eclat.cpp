@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "eclat/eclat_seq.hpp"
 #include "test_util.hpp"
 
@@ -41,16 +43,27 @@ TEST(MaxEclat, HandmadeMaximalSets) {
 
 class MaxEclatSweep : public ::testing::TestWithParam<Count> {};
 
+// Under every kernel, `auto`'s dense top-element fold included: the same
+// maximal itemsets, supports and order, reached by the same search.
 TEST_P(MaxEclatSweep, MatchesMaximalOfFullEclat) {
   const HorizontalDatabase db = small_quest_db(400, 30, 17);
-  MaxEclatConfig config;
-  config.minsup = GetParam();
-  const MiningResult result = max_eclat(db, config);
   const auto expected = reference_maximal(db, GetParam());
-  ASSERT_EQ(result.itemsets.size(), expected.size())
-      << "minsup=" << GetParam();
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(result.itemsets[i], expected[i]) << i;
+  std::optional<MaxEclatStats> first;
+  for (const IntersectKernel kernel :
+       {IntersectKernel::kMerge, IntersectKernel::kMergeShortCircuit,
+        IntersectKernel::kAuto}) {
+    MaxEclatConfig config;
+    config.minsup = GetParam();
+    config.kernel = kernel;
+    MaxEclatStats stats;
+    const MiningResult result = max_eclat(db, config, &stats);
+    EXPECT_EQ(result.itemsets, expected) << kernel_name(kernel);
+    if (!first) {
+      first = stats;
+      continue;
+    }
+    EXPECT_EQ(stats.top_hits, first->top_hits) << kernel_name(kernel);
+    EXPECT_EQ(stats.candidates, first->candidates) << kernel_name(kernel);
   }
 }
 

@@ -7,15 +7,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <deque>
 #include <optional>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "exec/steal_deque.hpp"
-#include "exec/steal_loop.hpp"
 
 namespace {
 
@@ -122,81 +118,6 @@ TEST(StealDeque, ExactlyOnceWithInterleavedPushes) {
 
 TEST(StealDeque, ExactlyOnceManyThieves) {
   exactly_once_stress(5'000, 7, /*interleave_pushes=*/true);
-}
-
-/// Regression for the worker-loop termination accounting: before
-/// steal_loop.hpp, a task that threw skipped its tasks_left retirement
-/// on some paths, so the surviving workers spun forever on a count that
-/// could never drain (and a double-retirement variant underflowed it).
-/// Every task body — including the throwing one, stolen or owned — must
-/// retire exactly one unit, and the escape must release the peers.
-void throwing_task_stress(std::size_t workers, std::size_t poison) {
-  const std::size_t tasks = 64;
-  std::deque<StealDeque> deques;
-  std::vector<std::atomic<std::int64_t>> loads(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    deques.emplace_back(tasks);
-    loads[w].store(0, std::memory_order_relaxed);
-  }
-  // Everything seeded on worker 0: the other workers must steal, so the
-  // poison task is executed as a *stolen* task whenever workers > 1.
-  for (std::size_t task = tasks; task-- > 0;) deques[0].push(task);
-  loads[0].store(static_cast<std::int64_t>(tasks),
-                 std::memory_order_relaxed);
-
-  std::atomic<std::size_t> tasks_left{tasks};
-  std::atomic<bool> aborted{false};
-  std::atomic<std::size_t> executed{0};
-  std::vector<std::thread> pool;
-  std::vector<std::atomic<bool>> threw(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&, w] {
-      try {
-        eclat::exec::run_stealing_loop(
-            w, deques, loads, tasks_left, aborted, [](std::size_t) {
-              return std::int64_t{1};
-            },
-            [&](std::size_t task) {
-              if (task == poison) {
-                throw std::runtime_error("poisoned task");
-              }
-              executed.fetch_add(1, std::memory_order_relaxed);
-            });
-      } catch (const std::runtime_error&) {
-        threw[w].store(true, std::memory_order_relaxed);
-      }
-    });
-  }
-  // The join must happen: peers may not spin forever on a leaked unit.
-  for (std::thread& t : pool) t.join();
-
-  std::size_t throwers = 0;
-  for (std::size_t w = 0; w < workers; ++w) {
-    if (threw[w].load(std::memory_order_relaxed)) ++throwers;
-  }
-  ASSERT_EQ(throwers, 1u) << "exactly one worker sees the escape";
-  EXPECT_TRUE(aborted.load(std::memory_order_relaxed));
-  // Exception-exact accounting: acquired units were all retired — the
-  // count reflects exactly the tasks still queued, with no underflow.
-  const std::size_t left = tasks_left.load(std::memory_order_relaxed);
-  const std::size_t done = executed.load(std::memory_order_relaxed);
-  EXPECT_LE(left, tasks);
-  EXPECT_EQ(done + 1, tasks - left)
-      << "every acquired task retired exactly one unit";
-}
-
-TEST(StealDeque, ThrowingOwnedTaskRetiresItsUnitAndReleasesPeers) {
-  // Single worker: the poison task is acquired by the owner's own pop.
-  throwing_task_stress(1, 17);
-}
-
-TEST(StealDeque, ThrowingStolenTaskRetiresItsUnitAndReleasesPeers) {
-  // Four workers, all tasks seeded on worker 0: the poison task is
-  // overwhelmingly likely to be acquired via steal(); either way the
-  // loop must drain and join.
-  for (std::size_t round = 0; round < 20; ++round) {
-    throwing_task_stress(4, 17);
-  }
 }
 
 }  // namespace

@@ -431,6 +431,48 @@ TEST(TidSet, SupportOnlyJoinMatchesMaterializedJoin) {
   }
 }
 
+/// Tids first, first + step, ... below last.
+TidList stepped(Tid first, Tid last, Tid step) {
+  TidList out;
+  for (Tid t = first; t < last; t += step) out.push_back(t);
+  return out;
+}
+
+// Every join `auto` rejects counts once as short_circuited, in both forms,
+// whichever arm ran it and whether its bound fired or its scan ended below
+// minsup: at minsup = exact + 1 the gallop below finishes its search and
+// the probe's last sparse tid is the only miss, so neither trips a bound.
+TEST(TidSet, EveryAutoArmCountsARejectedJoinOnce) {
+  TidList all_but_last = stepped(0, 4000, 1);
+  all_but_last.erase(all_but_last.begin() + 7 * 49);
+  const RepPairCase cases[] = {
+      {"word-AND", stepped(0, 2000, 1), stepped(1000, 3000, 1), true, true,
+       &IntersectStats::bitset_calls},
+      {"probe", stepped(0, 350, 7), all_but_last, false, true,
+       &IntersectStats::probe_calls},
+      {"gallop", stepped(0, 12 * 83, 83), stepped(0, 1000, 2), false, false,
+       &IntersectStats::gallop_calls},
+      {"merge", stepped(0, 300, 1), stepped(100, 400, 1), false, false,
+       &IntersectStats::merge_calls},
+  };
+  for (const RepPairCase& c : cases) {
+    const Count minsup = intersect(c.a, c.b).size() + 1;
+    TidSet sa, sb, out;
+    seed_tidset(c.a, kPairUniverse, IntersectKernel::kAuto, sa, nullptr);
+    seed_tidset(c.b, kPairUniverse, IntersectKernel::kAuto, sb, nullptr);
+    ASSERT_EQ(sa.dense(), c.a_dense) << c.name;
+    ASSERT_EQ(sb.dense(), c.b_dense) << c.name;
+    for (TidSet* const slot : {&out, static_cast<TidSet*>(nullptr)}) {
+      IntersectStats stats;
+      EXPECT_FALSE(intersect(sa, sb, minsup, IntersectKernel::kAuto,
+                             kPairUniverse, slot, &stats))
+          << c.name;
+      EXPECT_EQ(stats.*c.arm, 1u) << c.name;
+      EXPECT_EQ(stats.short_circuited, 1u) << c.name;
+    }
+  }
+}
+
 TEST(TidSet, DifferenceAgreesWithReferenceAcrossKernels) {
   Rng rng(66);
   constexpr Tid kUniverse = 1024;
