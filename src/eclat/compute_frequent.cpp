@@ -103,7 +103,9 @@ struct DiffsetJoin {
                                   std::size_t depth, std::size_t i,
                                   std::size_t j, TidSet* slot) const {
     const Count parent = cur.supports[i];
-    ECLAT_DCHECK(parent >= minsup);
+    // Only a class atom can miss minsup; none of its joins can meet it,
+    // and its budget parent − minsup would wrap.
+    if (parent < minsup) return std::nullopt;
     const bool tidlists = depth == 0;
     if (!difference_into(tidlists ? cur.sets[i] : cur.sets[j],
                          tidlists ? cur.sets[j] : cur.sets[i],
@@ -130,7 +132,7 @@ void mine(TidArena& arena, std::size_t depth, const Join& join,
   for (std::size_t i = 0; i + 1 < n; ++i) {
     // One guard checkpoint per leading atom: the work in between (one row
     // of joins plus the child-class recursion entry) is bounded, so a
-    // cancellation or budget check is never starved.
+    // budget check is never starved.
     if (guard != nullptr) guard->checkpoint();
     prefix.push_back(cur.suffixes[i]);
     const bool slotless = i + 2 == n && !Join::kLastRowNeedsSlot;

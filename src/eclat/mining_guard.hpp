@@ -1,14 +1,13 @@
 // Cooperative checkpoint hook for the mining recursion. Execution
 // substrates above the eclat layer (src/exec) need to interrupt a class
-// mid-mining — to honor a cancellation token after a speculative backup
-// committed, to park at a deterministic injected-stall site, or to apply
-// a memory budget to the arena — but the layering DAG forbids eclat from
-// seeing exec. MiningGuard is the seam: compute_frequent calls
-// checkpoint() at class entry and at every leading-atom boundary of the
-// recursion (bounded work between calls: one row of intersections), and
-// an implementation may throw to abandon the class. The throw unwinds
-// through the recursion; the arena stays structurally valid (levels are
-// reset on reuse), so the same arena can mine the next class.
+// mid-mining — the thread backend's arena memory budget does — but the
+// layering DAG forbids eclat from seeing exec. MiningGuard is the seam:
+// compute_frequent calls checkpoint() at class entry and at every
+// leading-atom boundary of the recursion (bounded work between calls:
+// one row of intersections), and an implementation may throw to abandon
+// the class. The throw unwinds through the recursion; the arena stays
+// structurally valid (levels are reset on reuse), so the same arena can
+// mine the next class.
 //
 // A null guard is the fast path: callers that pass nullptr pay one
 // branch per leading atom and nothing else.

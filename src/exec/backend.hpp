@@ -11,10 +11,9 @@
 //               Chase–Lev work-stealing deques for dynamic class
 //               scheduling. Real wall-clock speed, with a deterministic
 //               per-class fault-tolerance layer (exec_fault.hpp) that
-//               every run takes: task isolation, bounded retry,
-//               quarantine-then-clean-abort, a cooperative stall
-//               watchdog and a per-worker arena memory budget.
-//               DESIGN.md §11.
+//               every run takes: task isolation, result validation,
+//               bounded retry, quarantine-then-clean-abort and a
+//               per-worker arena memory budget. DESIGN.md §11.
 //
 // Both backends produce byte-identical mined output for the same input
 // and config — the commit-order reduction rule (results assembled per

@@ -1,8 +1,10 @@
 #include "exec/exec_fault.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 
 namespace eclat::exec {
@@ -15,8 +17,6 @@ const char* to_string(ExecFaultKind kind) {
       return "throw";
     case ExecFaultKind::kCorrupt:
       return "corrupt";
-    case ExecFaultKind::kStall:
-      return "stall";
   }
   return "?";
 }
@@ -34,13 +34,6 @@ ExecFaultEvent ExecFaultPlan::corrupt_on(std::size_t class_id,
                                          std::uint32_t times) {
   ExecFaultEvent event = throw_on(class_id, times);
   event.kind = ExecFaultKind::kCorrupt;
-  return event;
-}
-
-ExecFaultEvent ExecFaultPlan::stall_on(std::size_t class_id,
-                                       std::uint32_t times) {
-  ExecFaultEvent event = throw_on(class_id, times);
-  event.kind = ExecFaultKind::kStall;
   return event;
 }
 
@@ -64,7 +57,7 @@ void validate_exec_plan(const ExecFaultPlan& plan) {
                                   std::to_string(i) + ": " + why);
     };
     if (event.kind == ExecFaultKind::kNone) {
-      reject("kind 'none' injects nothing; use throw, corrupt or stall");
+      reject("kind 'none' injects nothing; use throw or corrupt");
     }
     if (event.times == 0) {
       reject("times must be >= 1 (the first `times` attempts fault)");
@@ -109,58 +102,67 @@ ExecFaultPlan exec_plan_from_text(const std::string& text) {
     std::istringstream tokens(line);
     std::string head;
     tokens >> head;
-    const auto fail = [&](const std::string& why) {
-      throw std::invalid_argument("exec fault plan line " +
-                                  std::to_string(line_no) + ": " + why);
+    const auto bad_line = [&](const std::string& why) {
+      return std::invalid_argument("exec fault plan line " +
+                                   std::to_string(line_no) + ": " + why);
     };
     if (head == "exec-seed") {
-      if (!(tokens >> plan.seed)) fail("exec-seed needs an unsigned value");
+      std::string value;
+      std::string extra;
+      tokens >> value;
+      const std::optional<std::uint64_t> seed =
+          parse_whole<std::uint64_t>(value);
+      if (!seed || tokens >> extra) {
+        throw bad_line("exec-seed needs one unsigned value, got '" + value +
+                       "'");
+      }
+      plan.seed = *seed;
       saw_seed = true;
       continue;
     }
     if (head != "exec-event") {
-      fail("expected 'exec-seed' or 'exec-event', got '" + head + "'");
+      throw bad_line("expected 'exec-seed' or 'exec-event', got '" + head +
+                     "'");
     }
     ExecFaultEvent event;
     std::string token;
     while (tokens >> token) {
       const std::size_t eq = token.find('=');
       if (eq == std::string::npos) {
-        fail("expected key=value, got '" + token + "'");
+        throw bad_line("expected key=value, got '" + token + "'");
       }
       const std::string key = token.substr(0, eq);
       const std::string value = token.substr(eq + 1);
-      const auto as_ull = [&](const std::string& digits) -> std::uint64_t {
-        try {
-          return std::stoull(digits);
-        } catch (const std::exception&) {
-          fail("bad value '" + value + "' for key '" + key + "'");
+      // The field's own type bounds the value: `times` is a u32.
+      const auto number = [&]<typename T>(T& field) {
+        const std::optional<T> parsed = parse_whole<T>(value);
+        if (!parsed) {
+          throw bad_line("bad value '" + value + "' for key '" + key + "'");
         }
-        return 0;  // unreachable; fail() threw
+        field = *parsed;
       };
       if (key == "kind") {
-        bool known = false;
-        for (const ExecFaultKind kind :
-             {ExecFaultKind::kThrow, ExecFaultKind::kCorrupt,
-              ExecFaultKind::kStall}) {
-          if (value == to_string(kind)) {
-            event.kind = kind;
-            known = true;
-          }
+        if (value == to_string(ExecFaultKind::kThrow)) {
+          event.kind = ExecFaultKind::kThrow;
+        } else if (value == to_string(ExecFaultKind::kCorrupt)) {
+          event.kind = ExecFaultKind::kCorrupt;
+        } else {
+          throw bad_line("unknown fault kind '" + value + "'");
         }
-        if (!known) fail("unknown fault kind '" + value + "'");
       } else if (key == "class") {
-        event.class_id = value == "any"
-                             ? kAnyClass
-                             : static_cast<std::size_t>(as_ull(value));
+        if (value == "any") {
+          event.class_id = kAnyClass;
+        } else {
+          number(event.class_id);
+        }
       } else if (key == "mod") {
-        event.mod = as_ull(value);
+        number(event.mod);
       } else if (key == "sel") {
-        event.sel = as_ull(value);
+        number(event.sel);
       } else if (key == "times") {
-        event.times = static_cast<std::uint32_t>(as_ull(value));
+        number(event.times);
       } else {
-        fail("unknown key '" + key + "'");
+        throw bad_line("unknown key '" + key + "'");
       }
     }
     plan.events.push_back(event);
@@ -173,9 +175,9 @@ ExecFaultPlan exec_plan_from_text(const std::string& text) {
 
 InjectedTaskThrow::InjectedTaskThrow(std::size_t class_id,
                                      std::uint32_t attempt)
-    : TaskFailure("exec fault: injected throw (class " +
-                  std::to_string(class_id) + " attempt " +
-                  std::to_string(attempt) + ")") {}
+    : std::runtime_error("exec fault: injected throw (class " +
+                         std::to_string(class_id) + " attempt " +
+                         std::to_string(attempt) + ")") {}
 
 ExecClassQuarantined::ExecClassQuarantined(std::size_t class_id,
                                            std::uint32_t attempts,

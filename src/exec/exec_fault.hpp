@@ -5,13 +5,12 @@
 // ThreadBackend before a run. The injection site is a *class attempt*:
 // (class id, attempt index), where attempts of one class are numbered
 // 0, 1, 2, ... in the order the scheduler executes them (the first
-// attempt is 0; every retry or watchdog re-enqueue allocates the next
-// index). Because the attempt sequence of a class is strictly
-// sequential — at most one attempt of a class is pending or running at
-// a time, except for the brief overlap between a parked owner and its
-// already-accounted backup — the fault a given attempt experiences is a
-// pure function of (plan, class id, attempt index), independent of
-// thread interleaving. No wall clock is consulted anywhere.
+// attempt is 0; every retry allocates the next index). A retry is
+// enqueued only by the attempt that failed, after it ended, so at most
+// one attempt of a class is pending or running at a time, and the fault
+// a given attempt experiences is a pure function of (plan, class id,
+// attempt index), independent of thread interleaving. No wall clock is
+// consulted anywhere.
 //
 // Fault kinds:
 //   - kThrow: the class task raises InjectedTaskThrow at task start.
@@ -21,13 +20,6 @@
 //     result contract. The backend validates every slot before commit,
 //     so the corruption is detected, the partial is discarded, and the
 //     attempt counts as a failure. Exercises the output-validation path.
-//   - kStall: the task parks at the first cooperative MiningGuard
-//     checkpoint inside the recursion and stops progressing until the
-//     monotonic-progress watchdog cancels its lease and re-enqueues the
-//     class. Exercises cancellation + first-writer-wins commits. A
-//     class that never reaches a checkpoint (no atoms to mine) is
-//     immune — the event is a harmless no-op there, like an mc fault
-//     site the pipeline never visits.
 //
 // An event targets either an explicit class id or, for generated chaos
 // schedules that cannot know the class count up front, a seeded hash
@@ -52,7 +44,7 @@
 
 namespace eclat::exec {
 
-enum class ExecFaultKind : std::uint8_t { kNone, kThrow, kCorrupt, kStall };
+enum class ExecFaultKind : std::uint8_t { kNone, kThrow, kCorrupt };
 
 const char* to_string(ExecFaultKind kind);
 
@@ -87,8 +79,6 @@ struct ExecFaultPlan {
                                  std::uint32_t times = 1);
   static ExecFaultEvent corrupt_on(std::size_t class_id,
                                    std::uint32_t times = 1);
-  static ExecFaultEvent stall_on(std::size_t class_id,
-                                 std::uint32_t times = 1);
   /// Hash-selected event: matches ~1/mod of the classes.
   static ExecFaultEvent hashed(ExecFaultKind kind, std::uint64_t mod,
                                std::uint64_t sel, std::uint32_t times = 1);
@@ -102,31 +92,22 @@ void validate_exec_plan(const ExecFaultPlan& plan);
 /// Line-based text form ("exec-seed ..." then one "exec-event ..." line
 /// per event) so a failing schedule found by the chaos soak leg can be
 /// attached as an artifact and replayed verbatim. exec_plan_from_text
-/// throws std::invalid_argument naming the offending line.
+/// throws std::invalid_argument naming the offending line: every number
+/// must be the whole unsigned value, in range for its field.
 std::string exec_plan_to_text(const ExecFaultPlan& plan);
 ExecFaultPlan exec_plan_from_text(const std::string& text);
 
-/// Base of every *retryable* per-class task failure the isolation layer
-/// captures: injected throws, corrupt-result detection, memory-budget
-/// exhaustion. A failure never escapes the worker loop — it is counted
-/// against the class's retry budget and the class is re-enqueued or
-/// quarantined.
-class TaskFailure : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
 /// Raised at task start when a kThrow event fires.
-class InjectedTaskThrow final : public TaskFailure {
+class InjectedTaskThrow final : public std::runtime_error {
  public:
   InjectedTaskThrow(std::size_t class_id, std::uint32_t attempt);
 };
 
 /// Raised by validate_class_result when a mined class slot violates the
 /// structural contract (injected corruption, or a real bug).
-class ClassResultCorrupt final : public TaskFailure {
+class ClassResultCorrupt final : public std::runtime_error {
  public:
-  using TaskFailure::TaskFailure;
+  using std::runtime_error::runtime_error;
 };
 
 /// The clean typed abort of a threads-backend run: a class exceeded its

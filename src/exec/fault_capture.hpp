@@ -1,7 +1,9 @@
 // Per-class task isolation boundary: every class attempt on the thread
 // backend runs inside capture_class_failure, which converts any escape
 // into a typed TaskError instead of letting it unwind the worker loop.
-// This is the single place where "a class task failed" is decided; the
+// Every exception is a retryable failure of that one attempt: injected
+// throws, corrupt-result detections and memory-budget trips alike. This
+// is the single place where "a class task failed" is decided; the
 // eclat-lint robust-catch rule requires every bare `catch (...)` in the
 // tree to either rethrow or route through this helper, so failures
 // cannot be silently swallowed anywhere else.
@@ -12,14 +14,11 @@
 #include <string>
 #include <utility>
 
-#include "exec/cancel.hpp"
-
 namespace eclat::exec {
 
 enum class TaskOutcome : std::uint8_t {
-  kOk,         ///< the attempt produced a (validated) result
-  kFailed,     ///< retryable failure — counts against the retry budget
-  kCancelled,  ///< watchdog cancelled a parked lease; accounted there
+  kOk,      ///< the attempt produced a (validated) result
+  kFailed,  ///< retryable failure — counts against the retry budget
 };
 
 struct TaskError {
@@ -32,8 +31,6 @@ TaskError capture_class_failure(Fn&& fn) {
   try {
     std::forward<Fn>(fn)();
     return {};
-  } catch (const ClassCancelled&) {
-    return {TaskOutcome::kCancelled, {}};
   } catch (const std::exception& e) {
     return {TaskOutcome::kFailed, e.what()};
   }

@@ -5,9 +5,9 @@
 #include <cstdint>
 #include <deque>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -17,11 +17,9 @@
 #include "eclat/compute_frequent.hpp"
 #include "eclat/mining_guard.hpp"
 #include "eclat/tid_arena.hpp"
-#include "exec/cancel.hpp"
 #include "exec/exec_fault.hpp"
 #include "exec/fault_capture.hpp"
 #include "exec/mem_budget.hpp"
-#include "exec/progress.hpp"
 #include "exec/steal_deque.hpp"
 #include "parallel/parallel_common.hpp"
 #include "parallel/pipeline.hpp"
@@ -57,70 +55,14 @@ void parallel_region(std::size_t workers, Body&& body) {
   }
 }
 
-// One class attempt queued for re-execution after a failure or a
-// watchdog reclaim. ready_at is in units of the global task-acquisition
-// counter — backoff-in-attempts, never wall time, so a replay acquires
-// the same attempt sequence per class.
+// One class attempt queued for re-execution after a failure. ready_at is
+// in units of the global task-acquisition counter — backoff-in-attempts,
+// never wall time, so a replay acquires the same attempt sequence per
+// class.
 struct RetryTask {
   std::size_t class_id = 0;
   std::uint32_t attempt = 0;
   std::uint64_t ready_at = 0;
-};
-
-// The per-attempt MiningGuard the isolation layer plants into the
-// compute_frequent recursion: checks the lease's cancellation token,
-// consumes a pending injected stall by parking the lease until the
-// watchdog reclaims it, and meters the arena memory budget. All three
-// hooks fire only at checkpoint granularity (class entry + leading-atom
-// boundaries), where no scratch reference into the arena is live.
-class TaskGuard final : public MiningGuard {
- public:
-  TaskGuard(ProgressBoard& board, std::size_t worker, std::size_t class_id,
-            std::uint32_t attempt, bool stall_pending, ArenaBudget* budget,
-            const std::function<void()>& park_scan)
-      : board_(board),
-        worker_(worker),
-        class_id_(class_id),
-        attempt_(attempt),
-        stall_pending_(stall_pending),
-        budget_(budget),
-        park_scan_(park_scan) {}
-
-  void checkpoint() override {
-    if (board_.token(worker_).cancelled()) {
-      throw ClassCancelled(class_id_, attempt_);
-    }
-    if (stall_pending_) {
-      stall_pending_ = false;
-      park_and_wait();
-    }
-    if (budget_ != nullptr) budget_->check();
-  }
-
- private:
-  // An injected stall: expose the lease to the watchdog and stop
-  // progressing. The only way out is cancellation (the reclaiming scan
-  // has already accounted the stall and re-enqueued the class). While
-  // parked, periodically scan the other leases ourselves so that "every
-  // worker is parked at once" still unwinds — with a single worker the
-  // scan covers our own lease (self-rescue) and fires immediately.
-  [[noreturn]] void park_and_wait() {
-    board_.park(worker_);
-    std::size_t spins = 0;
-    while (!board_.token(worker_).cancelled()) {
-      if ((spins++ & 0xFFu) == 0) park_scan_();
-      std::this_thread::yield();
-    }
-    throw ClassCancelled(class_id_, attempt_);
-  }
-
-  ProgressBoard& board_;
-  std::size_t worker_;
-  std::size_t class_id_;
-  std::uint32_t attempt_;
-  bool stall_pending_;
-  ArenaBudget* budget_;
-  const std::function<void()>& park_scan_;
 };
 
 }  // namespace
@@ -228,67 +170,28 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
 
   // Shared scheduling state:
   //   outstanding  — class attempts not yet retired; the loop's exit
-  //                  condition. Every retry/reclaim enqueue increments
-  //                  it *before* the enqueuer's own unit retires, so it
-  //                  can never transiently read 0 with work pending.
+  //                  condition. A retry enqueue increments it *before*
+  //                  the failed attempt's own unit retires, so it can
+  //                  never transiently read 0 with work pending.
   //   acquisitions — total attempts started; the clock for retry
   //                  backoff (backoff-in-attempts, not time).
-  //   retry_pool   — failed/reclaimed attempts awaiting re-execution on
-  //                  any worker; a desperate take ignores ready_at so
-  //                  an otherwise-idle pool cannot deadlock on backoff.
+  //   retry_pool   — failed attempts awaiting re-execution on any
+  //                  worker; a desperate take ignores ready_at so an
+  //                  otherwise-idle pool cannot deadlock on backoff.
   std::mutex retry_mutex;
   std::vector<RetryTask> retry_pool;
   std::atomic<std::size_t> retry_size{0};
   std::atomic<std::size_t> outstanding{num_classes};
   std::atomic<std::uint64_t> acquisitions{0};
-  std::vector<std::atomic<std::uint32_t>> next_attempt(num_classes);
-  std::vector<std::atomic<std::uint32_t>> failures(num_classes);
-  std::vector<std::atomic<std::uint8_t>> committed(num_classes);
-  std::vector<std::atomic<std::uint8_t>> quarantined(num_classes);
-  std::vector<std::string> quarantine_msg(num_classes);
-  for (auto& a : next_attempt) a.store(1, std::memory_order_relaxed);
-  ProgressBoard board(W);
+  // Per-class failure state. A retry is enqueued only by the attempt
+  // that failed, after it ended, so a class has at most one live attempt:
+  // these plain entries pass from attempt to attempt through
+  // retry_mutex, and are read after the join.
+  std::vector<std::uint32_t> failures(num_classes, 0);
+  std::vector<std::string> last_error(num_classes);
   std::atomic<std::uint64_t> stat_failures{0};
   std::atomic<std::uint64_t> stat_retries{0};
-  std::atomic<std::uint64_t> stat_reclaims{0};
   std::vector<std::uint64_t> worker_peak(W, 0);
-
-  // The message is written before the release-store on the flag, and
-  // the post-join read acquires the flag first — so the string is safe
-  // to read unsynchronized there. A class quarantines at most once
-  // (failures are strictly sequential per class).
-  const auto quarantine = [&](std::size_t c, const std::string& why) {
-    quarantine_msg[c] = why;
-    quarantined[c].store(1, std::memory_order_release);
-  };
-
-  const auto enqueue_retry = [&](std::size_t c, std::uint64_t ready_at) {
-    const std::uint32_t attempt =
-        next_attempt[c].fetch_add(1, std::memory_order_relaxed);
-    outstanding.fetch_add(1, std::memory_order_acq_rel);
-    {
-      std::lock_guard<std::mutex> lock(retry_mutex);
-      retry_pool.push_back(RetryTask{c, attempt, ready_at});
-    }
-    retry_size.fetch_add(1, std::memory_order_release);
-  };
-
-  // Watchdog reclaim of one parked lease (runs under the exclusive CAS
-  // license of ProgressBoard::scan_and_reclaim, before the owner's
-  // token is cancelled). A reclaim counts as a failure of the parked
-  // attempt, which bounds how often a stalling class can respawn.
-  const auto reclaim_parked = [&](std::size_t c, std::uint32_t attempt) {
-    stat_reclaims.fetch_add(1, std::memory_order_relaxed);
-    stat_failures.fetch_add(1, std::memory_order_relaxed);
-    const std::uint32_t n =
-        failures[c].fetch_add(1, std::memory_order_acq_rel) + 1;
-    if (n > max_retries_) {
-      quarantine(c, "attempt " + std::to_string(attempt) +
-                        " stalled; lease reclaimed by the watchdog");
-    } else {
-      enqueue_retry(c, acquisitions.load(std::memory_order_relaxed));
-    }
-  };
 
   const auto take_retry = [&](bool desperate) -> std::optional<RetryTask> {
     if (retry_size.load(std::memory_order_acquire) == 0) {
@@ -320,77 +223,51 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
   parallel_region(W, [&](std::size_t w) {
     TidArena arena;
     ArenaBudget budget(arena, mem_budget_);
+    // Unbudgeted runs mine with the null guard, the recursion's fast path.
+    MiningGuard* const guard = mem_budget_ != 0 ? &budget : nullptr;
     std::vector<FrequentItemset> scratch;
     std::vector<std::size_t> histogram;
-    const auto scan = [&](std::size_t self) {
-      return board.scan_and_reclaim(self, reclaim_parked);
-    };
-    // What a parked lease runs while waiting for its own reclaim: scan
-    // the *other* leases (all of them — self-rescue — when this is the
-    // only worker).
-    const std::function<void()> park_scan = [&] {
-      scan(W == 1 ? ProgressBoard::kScanAll : w);
-    };
 
     const auto run_task = [&](std::size_t c, std::uint32_t attempt) {
-      board.begin(w, c, attempt);
       budget.set_class(c);
       const ExecFaultKind fault = injector.fault_for(c, attempt);
       scratch.clear();
-      TaskGuard guard(board, w, c, attempt,
-                      fault == ExecFaultKind::kStall,
-                      budget.enabled() ? &budget : nullptr, park_scan);
       const TaskError err = capture_class_failure([&] {
         if (fault == ExecFaultKind::kThrow) {
           throw InjectedTaskThrow(c, attempt);
         }
         if (!class_atoms[c].empty()) {
           compute_frequent(class_atoms[c], config.minsup, config.kernel,
-                           arena, scratch, histogram, nullptr, &guard);
+                           arena, scratch, histogram, nullptr, guard);
         }
         if (fault == ExecFaultKind::kCorrupt) {
           injector.corrupt_result(c, attempt, config.minsup, scratch);
         }
         validate_class_result(plan.classes[c], config.minsup, scratch);
       });
-      board.end(w);
-      switch (err.outcome) {
-        case TaskOutcome::kOk: {
-          // First writer wins: a reclaimed-then-resurrected owner can
-          // never overwrite the backup's already-committed slot (and
-          // vice versa), so the committed bytes are attempt-order
-          // independent — and identical anyway, since every honest
-          // attempt of a class mines the same atoms.
-          std::uint8_t expected = 0;
-          if (committed[c].compare_exchange_strong(
-                  expected, 1, std::memory_order_acq_rel)) {
-            slots[c] = std::move(scratch);
-          }
-          break;
-        }
-        case TaskOutcome::kCancelled:
-          // The watchdog already accounted this attempt when it
-          // reclaimed the lease; just unwind.
-          break;
-        case TaskOutcome::kFailed: {
-          stat_failures.fetch_add(1, std::memory_order_relaxed);
-          const std::uint32_t n =
-              failures[c].fetch_add(1, std::memory_order_acq_rel) + 1;
-          if (n > max_retries_) {
-            quarantine(c, err.what);
-          } else {
-            stat_retries.fetch_add(1, std::memory_order_relaxed);
-            const std::uint64_t backoff =
-                1ull << std::min<std::uint32_t>(n, 6);
-            enqueue_retry(
-                c, acquisitions.load(std::memory_order_relaxed) + backoff);
-          }
-          // Fresh arena for whatever runs here next: a failed attempt
-          // may have left oversized scratch behind.
-          arena.clear();
-          break;
-        }
+      if (err.outcome == TaskOutcome::kOk) {
+        slots[c] = std::move(scratch);
+        return;
       }
+      stat_failures.fetch_add(1, std::memory_order_relaxed);
+      const std::uint32_t n = ++failures[c];
+      if (n > max_retries_) {
+        last_error[c] = err.what;  // quarantined: no further attempt
+      } else {
+        stat_retries.fetch_add(1, std::memory_order_relaxed);
+        const std::uint64_t ready_at =
+            acquisitions.load(std::memory_order_relaxed) +
+            (1ull << std::min<std::uint32_t>(n, 6));
+        outstanding.fetch_add(1, std::memory_order_acq_rel);
+        {
+          std::lock_guard<std::mutex> lock(retry_mutex);
+          retry_pool.push_back(RetryTask{c, attempt + 1, ready_at});
+        }
+        retry_size.fetch_add(1, std::memory_order_release);
+      }
+      // Fresh arena for whatever runs here next: a failed attempt may
+      // have left oversized scratch behind.
+      arena.clear();
     };
 
     const auto execute = [&](std::size_t c, std::uint32_t attempt) {
@@ -437,11 +314,8 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
         execute(t->class_id, t->attempt);
         continue;
       }
-      // Idle and nothing acquirable: the only possible pending work is
-      // parked on another worker's lease — scan for it. Reclaiming is
-      // CAS-gated on kParked, which only an injected stall ever sets,
-      // so an honest slow class cannot be reclaimed by mistake.
-      scan(w);
+      // Idle and nothing acquirable: the pending work is running on other
+      // workers.
       std::this_thread::yield();
     }
     worker_peak[w] = budget.peak_bytes();
@@ -452,9 +326,8 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
   // id — and with it the whole diagnostic — is a pure function of the
   // fault plan, not of thread interleaving.
   for (std::size_t c = 0; c < num_classes; ++c) {
-    if (quarantined[c].load(std::memory_order_acquire)) {
-      throw ExecClassQuarantined(c, failures[c].load(std::memory_order_relaxed),
-                                 quarantine_msg[c]);
+    if (failures[c] > max_retries_) {
+      throw ExecClassQuarantined(c, failures[c], last_error[c]);
     }
   }
   const double t_async = wall.elapsed_seconds();
@@ -499,7 +372,6 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
   output.exec_threads = W;
   output.exec_task_failures = stat_failures.load(std::memory_order_relaxed);
   output.exec_task_retries = stat_retries.load(std::memory_order_relaxed);
-  output.exec_stall_reclaims = stat_reclaims.load(std::memory_order_relaxed);
   output.exec_arena_peak_bytes =
       *std::max_element(worker_peak.begin(), worker_peak.end());
   return output;

@@ -20,13 +20,13 @@
 //      most remaining weight. Every attempt runs inside
 //      capture_class_failure: an exception fails only that class, which
 //      is retried with backoff-in-attempts up to --exec-max-retries and
-//      quarantined past that; a cooperative MiningGuard checkpoint
-//      drives a stall watchdog (injected stalls only — honest long
-//      classes never park) and the per-worker arena memory budget;
-//      every mined slot is contract-validated and committed
-//      first-writer-wins. The fault schedule, retry sequence, and
-//      quarantine outcome are pure functions of (plan, seed, class id,
-//      attempt index) — DESIGN.md §11.
+//      quarantined past that; with --exec-mem-budget set, the arena
+//      budget is the recursion's MiningGuard; every mined slot is
+//      contract-validated before it is committed. A retry is enqueued
+//      only by the attempt that failed, so a class has at most one live
+//      attempt and its slot exactly one writer. The fault schedule,
+//      retry sequence, and quarantine outcome are pure functions of
+//      (plan, seed, class id, attempt index) — DESIGN.md §11.
 //   4. Final reduction — results are committed into per-class slots and
 //      assembled on the main thread in ascending class id, then
 //      normalized; output is therefore byte-identical to the sequential

@@ -64,13 +64,11 @@ struct ParallelOutput {
   // --- Thread-backend fault-tolerance accounting (zero under the mc
   // backend). ---
   /// Class attempts that failed (injected throws, corrupt-result
-  /// detections, memory-budget trips, watchdog reclaims).
+  /// detections, memory-budget trips).
   std::uint64_t exec_task_failures = 0;
-  /// Failed attempts re-enqueued by the retry path (excludes watchdog
-  /// re-enqueues, which are counted in exec_stall_reclaims).
+  /// Failed attempts re-enqueued by the retry path (failures short of
+  /// the retry budget).
   std::uint64_t exec_task_retries = 0;
-  /// Parked leases reclaimed by the monotonic-progress watchdog.
-  std::uint64_t exec_stall_reclaims = 0;
   /// Peak per-worker arena bytes observed (max over workers; 0 when the
   /// budget is disabled, since metering is off).
   std::uint64_t exec_arena_peak_bytes = 0;

@@ -210,13 +210,6 @@ TEST(ComputeFrequent, ArenaOutputByteIdenticalToReferenceAcrossKernels) {
     std::vector<FrequentItemset> expected;
     std::vector<std::size_t> expected_histogram;
     reference_compute_frequent(atoms, minsup, expected, expected_histogram);
-    // dEclat requires every atom to meet minsup (its diffset budget is
-    // sup − minsup). Dropping the infrequent atoms changes no output:
-    // every join with one is infrequent too.
-    std::vector<Atom> frequent_atoms;
-    for (const Atom& atom : atoms) {
-      if (atom.support() >= minsup) frequent_atoms.push_back(atom);
-    }
 
     for (IntersectKernel kernel : kAllKernels) {
       std::vector<FrequentItemset> found;
@@ -227,8 +220,8 @@ TEST(ComputeFrequent, ArenaOutputByteIdenticalToReferenceAcrossKernels) {
 
       std::vector<FrequentItemset> diffset_found;
       std::vector<std::size_t> diffset_histogram;
-      compute_frequent_diffsets(frequent_atoms, minsup, kernel, arena,
-                                diffset_found, diffset_histogram);
+      compute_frequent_diffsets(atoms, minsup, kernel, arena, diffset_found,
+                                diffset_histogram);
       EXPECT_EQ(diffset_found, expected) << "diffsets " << kernel_name(kernel);
       EXPECT_EQ(diffset_histogram, expected_histogram)
           << "diffsets " << kernel_name(kernel);

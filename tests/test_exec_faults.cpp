@@ -2,8 +2,8 @@
 // (DESIGN.md §11): for every seeded exec fault plan, a run either
 // completes with output byte-identical to the fault-free mc reference,
 // or ends in the clean typed abort ExecClassQuarantined — and which of
-// the two happens, the diagnostic, and the retry/reclaim accounting are
-// pure functions of the plan, independent of thread interleaving.
+// the two happens, the diagnostic, and the retry accounting are pure
+// functions of the plan, independent of thread interleaving.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -75,9 +75,9 @@ TEST(ExecFault, PlanTextRoundTripsExactly) {
   plan.seed = 0xFEEDBEEF;
   plan.events.push_back(ExecFaultPlan::throw_on(3, 2));
   plan.events.push_back(ExecFaultPlan::corrupt_on(0));
-  plan.events.push_back(ExecFaultPlan::stall_on(17, 4));
+  plan.events.push_back(ExecFaultPlan::throw_on(17, 4));
   plan.events.push_back(
-      ExecFaultPlan::hashed(ExecFaultKind::kStall, 5, 2, 3));
+      ExecFaultPlan::hashed(ExecFaultKind::kCorrupt, 5, 2, 3));
 
   const std::string text = exec::exec_plan_to_text(plan);
   const ExecFaultPlan parsed = exec::exec_plan_from_text(text);
@@ -96,21 +96,45 @@ TEST(ExecFault, PlanTextRoundTripsExactly) {
 TEST(ExecFault, PlanFromTextRejectsGarbageWithLineNumbers) {
   EXPECT_THROW(exec::exec_plan_from_text("exec-event kind=throw class=1\n"),
                std::invalid_argument);  // missing exec-seed
-  const char* bad_kind =
-      "exec-seed 7\nexec-event kind=explode class=1 mod=0 sel=0 times=1\n";
-  try {
-    exec::exec_plan_from_text(bad_kind);
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
-        << e.what();
-  }
+  // Every input below is bad on its line 2; the diagnostic names that
+  // line and what is wrong there.
+  const auto rejects = [](const std::string& text, const std::string& names) {
+    try {
+      (void)exec::exec_plan_from_text(text);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+      EXPECT_NE(what.find(names), std::string::npos) << what;
+    }
+  };
+  rejects("exec-seed 7\nexec-event kind=explode class=1 times=1\n",
+          "'explode'");
+  rejects("exec-seed 7\nexec-event kind=stall class=1\n", "'stall'");
+  // A number is the whole token, unsigned, and in range for its field.
+  rejects("exec-seed 7\nexec-event kind=throw class=1 times=-1\n",
+          "'times'");
+  rejects("exec-seed 7\nexec-event kind=throw class=1 times=4294967297\n",
+          "'times'");
+  rejects("exec-seed 7\nexec-event kind=throw class=2x\n", "'class'");
+  rejects("exec-seed 7\nexec-event kind=throw class=any mod=-3 sel=0\n",
+          "'mod'");
+  rejects("# replayed\nexec-seed -5\n", "'-5'");
+
+  // The extremes of each field's range still parse.
+  const ExecFaultPlan edge = exec::exec_plan_from_text(
+      "exec-seed 18446744073709551615\n"
+      "exec-event kind=corrupt class=3 times=4294967295\n");
+  EXPECT_EQ(edge.seed, UINT64_MAX);
+  ASSERT_EQ(edge.events.size(), 1u);
+  EXPECT_EQ(edge.events[0].class_id, 3u);
+  EXPECT_EQ(edge.events[0].times, UINT32_MAX);
 }
 
 TEST(ExecFault, InjectorIsPureAndHonoursTimes) {
   ExecFaultPlan plan;
   plan.events.push_back(ExecFaultPlan::throw_on(5, 2));
-  plan.events.push_back(ExecFaultPlan::hashed(ExecFaultKind::kStall, 3, 1));
+  plan.events.push_back(ExecFaultPlan::hashed(ExecFaultKind::kCorrupt, 3, 1));
   const exec::ExecFaultInjector injector(plan);
 
   // Explicit event: the two leading attempts fault, the third runs clean.
@@ -125,12 +149,12 @@ TEST(ExecFault, InjectorIsPureAndHonoursTimes) {
     }
   }
   // The hash selector matches a strict, non-empty subset of classes.
-  std::size_t stalled = 0;
+  std::size_t corrupted = 0;
   for (std::size_t c = 100; c < 200; ++c) {
-    if (injector.fault_for(c, 0) == ExecFaultKind::kStall) ++stalled;
+    if (injector.fault_for(c, 0) == ExecFaultKind::kCorrupt) ++corrupted;
   }
-  EXPECT_GT(stalled, 0u);
-  EXPECT_LT(stalled, 100u);
+  EXPECT_GT(corrupted, 0u);
+  EXPECT_LT(corrupted, 100u);
 }
 
 // ---------------------------------------------------------------------------
@@ -208,8 +232,7 @@ TEST(ExecFault, ContractMatrixByteIdenticalOrCleanTypedAbort) {
   config.minsup = 4;
   const std::vector<std::uint8_t> reference = mc_reference(db, config);
 
-  for (ExecFaultKind kind : {ExecFaultKind::kThrow, ExecFaultKind::kCorrupt,
-                             ExecFaultKind::kStall}) {
+  for (ExecFaultKind kind : {ExecFaultKind::kThrow, ExecFaultKind::kCorrupt}) {
     for (std::uint32_t times : {1u, 2u, 3u}) {
       for (exec::ClassScheduler scheduler :
            {exec::ClassScheduler::kStatic,
@@ -242,12 +265,8 @@ TEST(ExecFault, ContractMatrixByteIdenticalOrCleanTypedAbort) {
                 EXPECT_TRUE(first_completed)
                     << label << ": replay completed but the first run aborted";
               }
-              if (kind != ExecFaultKind::kStall) {
-                EXPECT_GT(run.exec_task_failures, 0u) << label;
-                EXPECT_GT(run.exec_task_retries, 0u) << label;
-              } else {
-                EXPECT_GT(run.exec_stall_reclaims, 0u) << label;
-              }
+              EXPECT_GT(run.exec_task_failures, 0u) << label;
+              EXPECT_GT(run.exec_task_retries, 0u) << label;
             } catch (const exec::ExecClassQuarantined& e) {
               EXPECT_EQ(times, 3u)
                   << label << ": quarantined although the fault budget ("
@@ -273,37 +292,6 @@ TEST(ExecFault, ContractMatrixByteIdenticalOrCleanTypedAbort) {
   }
 }
 
-TEST(ExecFault, SingleWorkerStallSelfRescues) {
-  const HorizontalDatabase db = small_quest_db(200, 20, 3);
-  par::ParEclatConfig config;
-  config.minsup = 4;
-  const std::vector<std::uint8_t> reference = mc_reference(db, config);
-
-  exec::ThreadBackendOptions options;
-  options.threads = 1;  // nobody else can scan: the parked owner must
-  options.faults.events.push_back(ExecFaultPlan::stall_on(0));
-  const par::ParallelOutput run = run_threads(db, config, options);
-  EXPECT_EQ(result_to_bytes(run.result), reference);
-  EXPECT_GE(run.exec_stall_reclaims, 1u);
-  EXPECT_EQ(run.exec_task_retries, 0u);  // reclaims re-enqueue directly
-}
-
-TEST(ExecFault, EveryClassStallingOnceStillCompletes) {
-  const HorizontalDatabase db = small_quest_db(200, 20, 5);
-  par::ParEclatConfig config;
-  config.minsup = 4;
-  const std::vector<std::uint8_t> reference = mc_reference(db, config);
-
-  exec::ThreadBackendOptions options;
-  options.threads = 3;
-  options.faults.events.push_back(
-      ExecFaultPlan::hashed(ExecFaultKind::kStall, 1, 0));  // every class
-  const par::ParallelOutput run = run_threads(db, config, options);
-  EXPECT_EQ(result_to_bytes(run.result), reference);
-  EXPECT_GE(run.exec_stall_reclaims, 1u);
-  EXPECT_EQ(run.exec_task_failures, run.exec_stall_reclaims);
-}
-
 TEST(ExecFault, RetryCountersAreExactForAnExplicitTarget) {
   const HorizontalDatabase db = small_quest_db(200, 20, 9);
   par::ParEclatConfig config;
@@ -318,7 +306,6 @@ TEST(ExecFault, RetryCountersAreExactForAnExplicitTarget) {
   EXPECT_EQ(result_to_bytes(run.result), reference);
   EXPECT_EQ(run.exec_task_failures, 2u);
   EXPECT_EQ(run.exec_task_retries, 2u);
-  EXPECT_EQ(run.exec_stall_reclaims, 0u);
 }
 
 TEST(ExecFault, QuarantineNamesTheLowestDoomedClass) {
@@ -354,7 +341,6 @@ TEST(ExecFault, FaultFreeRunReportsZeroFaultCounters) {
   const par::ParallelOutput run = run_threads(db, config, options);
   EXPECT_EQ(run.exec_task_failures, 0u);
   EXPECT_EQ(run.exec_task_retries, 0u);
-  EXPECT_EQ(run.exec_stall_reclaims, 0u);
   EXPECT_EQ(run.exec_arena_peak_bytes, 0u);  // budget off: metering off
 }
 

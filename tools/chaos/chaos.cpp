@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "data/result_io.hpp"
 #include "exec/thread_backend.hpp"
@@ -228,60 +231,50 @@ mc::FaultPlan plan_from_text(const std::string& text) {
     std::istringstream tokens(line);
     std::string head;
     tokens >> head;
+    const auto bad_line = [&](const std::string& why) {
+      return std::invalid_argument("chaos plan line " +
+                                   std::to_string(line_no) + ": " + why);
+    };
     if (head == "seed") {
-      if (!(tokens >> plan.seed)) {
-        throw std::invalid_argument("chaos plan line " +
-                                    std::to_string(line_no) +
-                                    ": seed needs an unsigned value");
+      std::string value;
+      std::string extra;
+      tokens >> value;
+      const std::optional<std::uint64_t> seed =
+          parse_whole<std::uint64_t>(value);
+      if (!seed || tokens >> extra) {
+        throw bad_line("seed needs one unsigned value, got '" + value + "'");
       }
+      plan.seed = *seed;
       saw_seed = true;
       continue;
     }
     if (head != "event") {
-      throw std::invalid_argument("chaos plan line " + std::to_string(line_no) +
-                                  ": expected 'seed' or 'event', got '" +
-                                  head + "'");
+      throw bad_line("expected 'seed' or 'event', got '" + head + "'");
     }
     FaultEvent event;
     std::string token;
     while (tokens >> token) {
       const std::size_t eq = token.find('=');
       if (eq == std::string::npos) {
-        throw std::invalid_argument("chaos plan line " +
-                                    std::to_string(line_no) +
-                                    ": expected key=value, got '" + token +
-                                    "'");
+        throw bad_line("expected key=value, got '" + token + "'");
       }
       const std::string key = token.substr(0, eq);
       const std::string value = token.substr(eq + 1);
-      // stoull/stod throw bare std::invalid_argument("stoull") on junk —
-      // wrap them so every diagnostic names the offending line and key.
-      const auto bad_value = [&]() {
-        return std::invalid_argument("chaos plan line " +
-                                     std::to_string(line_no) +
-                                     ": bad value '" + value + "' for key '" +
-                                     key + "'");
-      };
-      const auto as_ull = [&](const std::string& digits) -> std::uint64_t {
-        try {
-          return std::stoull(digits);
-        } catch (const std::exception&) {
-          throw bad_value();
+      // The field's own type bounds the value, so "processor=-1" cannot
+      // spell kAnyProcessor and "at_time=0.5s" is not 0.5.
+      const auto number = [&]<typename T>(std::string_view text, T& field) {
+        const std::optional<T> parsed = parse_whole<T>(text);
+        if (!parsed) {
+          throw bad_line("bad value '" + value + "' for key '" + key + "'");
         }
-      };
-      const auto as_double = [&](const std::string& digits) -> double {
-        try {
-          return std::stod(digits);
-        } catch (const std::exception&) {
-          throw bad_value();
-        }
+        field = *parsed;
       };
       if (key == "kind") {
         event.kind = kind_from_name(value, line_no);
       } else if (key == "processor") {
-        event.processor = as_ull(value);
+        number(value, event.processor);
       } else if (key == "peer") {
-        event.peer = as_ull(value);
+        number(value, event.peer);
       } else if (key == "op") {
         event.op = op_from_name(value, line_no);
       } else if (key == "phase") {
@@ -289,26 +282,27 @@ mc::FaultPlan plan_from_text(const std::string& text) {
       } else if (key == "label") {
         event.label = value;
       } else if (key == "after_calls") {
-        event.after_calls = as_ull(value);
+        number(value, event.after_calls);
       } else if (key == "at_time") {
-        event.at_time = as_double(value);
+        number(value, event.at_time);
       } else if (key == "severity") {
-        event.severity = as_double(value);
+        number(value, event.severity);
       } else if (key == "persistent") {
-        event.persistent = as_ull(value) != 0;
+        if (value != "0" && value != "1") {
+          throw bad_line("bad value '" + value + "' for key '" + key + "'");
+        }
+        event.persistent = value == "1";
       } else if (key == "duration") {
-        event.duration = as_double(value);
+        number(value, event.duration);
       } else if (key == "members") {
         event.members.clear();
         std::istringstream list(value);
         std::string member;
         while (std::getline(list, member, ',')) {
-          if (!member.empty()) event.members.push_back(as_ull(member));
+          if (!member.empty()) number(member, event.members.emplace_back());
         }
       } else {
-        throw std::invalid_argument("chaos plan line " +
-                                    std::to_string(line_no) +
-                                    ": unknown key '" + key + "'");
+        throw bad_line("unknown key '" + key + "'");
       }
     }
     plan.events.push_back(std::move(event));
@@ -393,7 +387,6 @@ exec::ExecFaultPlan generate_exec_plan(std::uint64_t seed,
   std::vector<exec::ExecFaultKind> kinds;
   if (knobs.throws) kinds.push_back(exec::ExecFaultKind::kThrow);
   if (knobs.corrupts) kinds.push_back(exec::ExecFaultKind::kCorrupt);
-  if (knobs.stalls) kinds.push_back(exec::ExecFaultKind::kStall);
   if (kinds.empty()) return plan;
 
   const std::size_t span = knobs.max_events >= knobs.min_events
@@ -446,7 +439,6 @@ ExecChaosRun run_exec_plan(const HorizontalDatabase& db,
     out.completed = true;
     out.failures = output.exec_task_failures;
     out.retries = output.exec_task_retries;
-    out.reclaims = output.exec_stall_reclaims;
     out.result_bytes = result_to_bytes(output.result);
   } catch (const exec::ExecClassQuarantined& e) {
     // The one *expected* abort of a threads run: a class exceeded its

@@ -65,7 +65,9 @@ mc::FaultPlan generate_plan(std::uint64_t seed, const ChaosKnobs& knobs);
 
 /// Serialize a plan to a line-based text form ("seed ..." then one
 /// "event ..." line per event) and parse it back. plan_from_text throws
-/// std::invalid_argument on malformed input, naming the offending line.
+/// std::invalid_argument on malformed input, naming the offending line:
+/// every number must be the whole value, in range for its field, with no
+/// sign on an unsigned one.
 std::string plan_to_text(const mc::FaultPlan& plan);
 mc::FaultPlan plan_from_text(const std::string& text);
 
@@ -115,9 +117,9 @@ HorizontalDatabase chaos_database(std::uint64_t seed = 1997,
 
 // --- Exec-side chaos: the same sweep idea aimed at the native thread
 // backend's fault-tolerance layer (exec/exec_fault.hpp). Random seeded
-// ExecFaultPlans — injected throws, corrupt results, cooperative stalls,
-// explicit and hash-selected targets — executed on real threads, with
-// the §11 contract enforced per seed: byte-identical to the fault-free
+// ExecFaultPlans — injected throws and corrupt results, explicit and
+// hash-selected targets — executed on real threads, with the §11
+// contract enforced per seed: byte-identical to the fault-free
 // reference or a clean typed quarantine abort, reproducibly. ---
 
 /// Shape of the random exec plans generate_exec_plan draws.
@@ -128,7 +130,6 @@ struct ExecChaosKnobs {
   /// Per-kind toggles, so a sweep can isolate one failure domain.
   bool throws = true;
   bool corrupts = true;
-  bool stalls = true;
   /// Upper bound on an event's `times` (leading faulted attempts);
   /// relative to --exec-max-retries this decides recover vs quarantine.
   std::uint32_t max_times = 4;
@@ -162,13 +163,12 @@ struct ExecChaosRun {
   std::string error;  ///< diagnostic of an aborted run, empty otherwise
   std::uint64_t failures = 0;
   std::uint64_t retries = 0;
-  std::uint64_t reclaims = 0;
   std::vector<std::uint8_t> result_bytes;
 };
 
 /// Execute Par-Eclat on `db` over the thread backend under `plan`. Never
-/// hangs: stalls are cooperative and reclaimed by the watchdog, doomed
-/// classes quarantine, and the pool always drains.
+/// hangs: every injected fault ends its attempt, doomed classes
+/// quarantine, and the pool always drains.
 ExecChaosRun run_exec_plan(const HorizontalDatabase& db,
                            const exec::ExecFaultPlan& plan,
                            const ExecChaosOptions& options);

@@ -9,10 +9,10 @@
 //
 // --backend selects the leg: "mc" (default) sweeps compound cluster
 // schedules on the virtual-time simulator; "threads" sweeps seeded
-// ExecFaultPlans (injected throws, corrupt results, cooperative stalls)
-// on the native thread backend, rotating worker count and scheduler per
-// seed unless pinned with --exec-threads / --exec-scheduler; "both" runs
-// the two legs off the same seeds and diffs their outcomes.
+// ExecFaultPlans (injected throws and corrupt results) on the native
+// thread backend, rotating worker count and scheduler per seed unless
+// pinned with --exec-threads / --exec-sched; "both" runs the two legs
+// off the same seeds and diffs their outcomes.
 //
 // Every run is checked against the harness contract: byte-identical output
 // to the fault-free reference, or a deterministic expected clean abort —
@@ -109,7 +109,6 @@ int main(int argc, char** argv) {
   exec_knobs.max_events = flags.get_uint("max-events", 4);
   exec_knobs.throws = flags.get_bool("exec-throws", true);
   exec_knobs.corrupts = flags.get_bool("exec-corrupts", true);
-  exec_knobs.stalls = flags.get_bool("exec-stalls", true);
   exec_knobs.max_times =
       static_cast<std::uint32_t>(flags.get_uint("exec-max-times", 4));
 
@@ -119,10 +118,10 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(flags.get_uint("exec-max-retries", 2));
   exec_base.mem_budget = flags.get_uint("exec-mem-budget", 0);
   const std::uint64_t pinned_threads = flags.get_uint("exec-threads", 0);
-  const bool pinned_scheduler = flags.has("exec-scheduler");
+  const bool pinned_scheduler = flags.has("exec-sched");
   if (pinned_scheduler) {
     exec_base.scheduler =
-        exec::parse_scheduler(flags.get("exec-scheduler", "steal"));
+        exec::parse_scheduler(flags.get("exec-sched", "steal"));
   }
   // Unpinned sweeps rotate the execution shape per seed so one sweep
   // covers threads 1..5 under both schedulers.
@@ -361,19 +360,15 @@ int main(int argc, char** argv) {
         what = "replay diverged: error '" + run.error + "' vs '" +
                again.error + "'";
       } else if (again.failures != run.failures ||
-                 again.retries != run.retries ||
-                 again.reclaims != run.reclaims) {
-        char buf[192];
+                 again.retries != run.retries) {
+        char buf[160];
         std::snprintf(
             buf, sizeof(buf),
-            "replay diverged: failures %llu vs %llu, retries %llu vs "
-            "%llu, reclaims %llu vs %llu",
+            "replay diverged: failures %llu vs %llu, retries %llu vs %llu",
             static_cast<unsigned long long>(run.failures),
             static_cast<unsigned long long>(again.failures),
             static_cast<unsigned long long>(run.retries),
-            static_cast<unsigned long long>(again.retries),
-            static_cast<unsigned long long>(run.reclaims),
-            static_cast<unsigned long long>(again.reclaims));
+            static_cast<unsigned long long>(again.retries));
         what = buf;
       } else if (again.result_bytes != run.result_bytes) {
         what = "replay diverged: result bytes";
@@ -398,13 +393,12 @@ int main(int argc, char** argv) {
     if (flags.get_bool("verbose", false)) {
       std::printf(
           "threads seed %llu: %s threads=%zu scheduler=%s failures=%llu "
-          "retries=%llu reclaims=%llu%s%s\n",
+          "retries=%llu%s%s\n",
           static_cast<unsigned long long>(seed),
           run.completed ? "completed" : "aborted ", run_options.threads,
           exec::to_string(run_options.scheduler),
           static_cast<unsigned long long>(run.failures),
           static_cast<unsigned long long>(run.retries),
-          static_cast<unsigned long long>(run.reclaims),
           run.error.empty() ? "" : " error=", run.error.c_str());
     }
   }
