@@ -54,7 +54,7 @@ constexpr double kSeverities[] = {2.0, 10.0};
 /// checkpoints (lease renewals) each processor produces.
 std::size_t mined_class_count(const eclat::MiningResult& result) {
   std::map<eclat::Item, std::size_t> members;
-  for (const eclat::FrequentItemset& f : result.itemsets) {
+  for (const eclat::ItemsetView f : result.itemsets) {
     if (f.items.size() == 2) ++members[f.items[0]];
   }
   std::size_t classes = 0;

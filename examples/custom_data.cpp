@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   const std::string out_path = flags.get("out", "");
   if (!out_path.empty()) {
     std::ofstream out(out_path);
-    for (const eclat::FrequentItemset& f : result.itemsets) {
+    for (const eclat::ItemsetView f : result.itemsets) {
       for (std::size_t i = 0; i < f.items.size(); ++i) {
         out << (i ? " " : "") << f.items[i];
       }
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
     }
     std::printf("wrote %s\n", out_path.c_str());
   } else {
-    for (const eclat::FrequentItemset& f : result.itemsets) {
+    for (const eclat::ItemsetView f : result.itemsets) {
       std::printf("  %s  support %llu\n", eclat::to_string(f.items).c_str(),
                   static_cast<unsigned long long>(f.support));
     }

@@ -52,10 +52,11 @@ int main(int argc, char** argv) {
 
   std::printf("largest maximal itemsets:\n");
   std::size_t shown = 0;
-  for (auto it = maximal.itemsets.rbegin();
-       it != maximal.itemsets.rend() && shown < 5; ++it, ++shown) {
-    std::printf("  %s  support %llu\n", eclat::to_string(it->items).c_str(),
-                static_cast<unsigned long long>(it->support));
+  for (std::size_t i = maximal.itemsets.size(); i > 0 && shown < 5;
+       --i, ++shown) {
+    const eclat::ItemsetView f = maximal.itemsets[i - 1];
+    std::printf("  %s  support %llu\n", eclat::to_string(f.items).c_str(),
+                static_cast<unsigned long long>(f.support));
   }
 
   // Bounded-memory vertical transformation of the same data.

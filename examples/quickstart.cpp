@@ -38,11 +38,14 @@ int main(int argc, char** argv) {
     std::printf("  |L%zu| = %zu\n", k, result.count_of_size(k));
   }
   std::printf("largest itemsets:\n");
+  // Results are in canonical order (size, then lexicographic); each
+  // itemset reads as a view into the result's flat store.
   std::size_t shown = 0;
-  for (auto it = result.itemsets.rbegin();
-       it != result.itemsets.rend() && shown < 5; ++it, ++shown) {
-    std::printf("  %s  support %llu\n", eclat::to_string(it->items).c_str(),
-                static_cast<unsigned long long>(it->support));
+  for (std::size_t i = result.itemsets.size(); i > 0 && shown < 5;
+       --i, ++shown) {
+    const eclat::ItemsetView f = result.itemsets[i - 1];
+    std::printf("  %s  support %llu\n", eclat::to_string(f.items).c_str(),
+                static_cast<unsigned long long>(f.support));
   }
   return 0;
 }

@@ -4,7 +4,7 @@
 
 namespace eclat {
 
-std::string to_string(const Itemset& itemset) {
+std::string to_string(std::span<const Item> itemset) {
   std::string out = "{";
   for (std::size_t i = 0; i < itemset.size(); ++i) {
     if (i != 0) out += ' ';

@@ -37,7 +37,7 @@ struct FrequentItemset {
 };
 
 /// Render an itemset as "{3 17 204}" for logs and test diagnostics.
-std::string to_string(const Itemset& itemset);
+std::string to_string(std::span<const Item> itemset);
 
 /// True iff `itemset` is strictly increasing (the class invariant).
 bool is_sorted_itemset(std::span<const Item> itemset);

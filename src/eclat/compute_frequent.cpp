@@ -53,19 +53,34 @@ std::optional<TidList> intersect_with_kernel(const TidList& a,
 
 namespace {
 
-/// Append prefix + suffix with its support to `out` and count it in
-/// `size_histogram` (index = itemset size; grown on demand).
+/// Count a found itemset of `size` items in `size_histogram` (index =
+/// itemset size; grown on demand).
+void count_size(std::size_t size, std::vector<std::size_t>& size_histogram) {
+  if (size_histogram.size() <= size) size_histogram.resize(size + 1, 0);
+  ++size_histogram[size];
+}
+
+/// Append prefix + suffix with its support to `out`, one sink per
+/// overload, and count it in `size_histogram`.
 void emit_itemset(const Itemset& prefix, Item suffix, Count support,
                   std::vector<FrequentItemset>& out,
                   std::vector<std::size_t>& size_histogram) {
   const std::size_t size = prefix.size() + 1;
-  if (size_histogram.size() <= size) size_histogram.resize(size + 1, 0);
-  ++size_histogram[size];
+  count_size(size, size_histogram);
   FrequentItemset& found = out.emplace_back();
   found.items.reserve(size);
   found.items.assign(prefix.begin(), prefix.end());
   found.items.push_back(suffix);
   found.support = support;
+}
+
+void emit_itemset(Itemset& prefix, Item suffix, Count support,
+                  ItemsetStore& out,
+                  std::vector<std::size_t>& size_histogram) {
+  count_size(prefix.size() + 1, size_histogram);
+  prefix.push_back(suffix);
+  out.push_back(prefix, support);
+  prefix.pop_back();
 }
 
 /// Eclat's join (paper Figure 3): t(PXY) = t(PX) ∩ t(PY). A null slot
@@ -121,9 +136,8 @@ struct DiffsetJoin {
 /// classical recursive one: for each leading atom i, every frequent join
 /// (i, j) in j order, then atom i's child class mined to completion
 /// before atom i+1.
-template <typename Join>
-void mine(TidArena& arena, std::size_t depth, const Join& join,
-          std::vector<FrequentItemset>& out,
+template <typename Join, typename Sink>
+void mine(TidArena& arena, std::size_t depth, const Join& join, Sink& out,
           std::vector<std::size_t>& size_histogram, MiningGuard* guard) {
   TidArena::Level& cur = arena.level(depth);
   TidArena::Level& next = arena.level(depth + 1);
@@ -151,13 +165,12 @@ void mine(TidArena& arena, std::size_t depth, const Join& join,
   }
 }
 
-}  // namespace
-
-void compute_frequent(const std::vector<Atom>& class_atoms, Count minsup,
-                      IntersectKernel kernel, TidArena& arena,
-                      std::vector<FrequentItemset>& out,
-                      std::vector<std::size_t>& size_histogram,
-                      IntersectStats* stats, MiningGuard* guard) {
+/// Compute_Frequent over one class into either sink.
+template <typename Sink>
+void mine_class(const std::vector<Atom>& class_atoms, Count minsup,
+                IntersectKernel kernel, TidArena& arena, Sink& out,
+                std::vector<std::size_t>& size_histogram,
+                IntersectStats* stats, MiningGuard* guard) {
   if (class_atoms.size() < 2) return;
   if (guard != nullptr) guard->checkpoint();
 #if ECLAT_DCHECKS_ENABLED
@@ -171,6 +184,39 @@ void compute_frequent(const std::vector<Atom>& class_atoms, Count minsup,
   mine(arena, 0, TidsetJoin{minsup, kernel, universe, stats}, out,
        size_histogram, guard);
   arena.prefix().clear();
+}
+
+/// dEclat over one class into either sink.
+template <typename Sink>
+void mine_class_diffsets(const std::vector<Atom>& class_atoms, Count minsup,
+                         IntersectKernel kernel, TidArena& arena, Sink& out,
+                         std::vector<std::size_t>& size_histogram,
+                         IntersectStats* stats) {
+  if (class_atoms.size() < 2) return;
+  const Tid universe = seed_class(class_atoms, kernel, arena, stats);
+  mine(arena, 0, DiffsetJoin{minsup, kernel, universe, stats}, out,
+       size_histogram, nullptr);
+  arena.prefix().clear();
+}
+
+}  // namespace
+
+void compute_frequent(const std::vector<Atom>& class_atoms, Count minsup,
+                      IntersectKernel kernel, TidArena& arena,
+                      std::vector<FrequentItemset>& out,
+                      std::vector<std::size_t>& size_histogram,
+                      IntersectStats* stats, MiningGuard* guard) {
+  mine_class(class_atoms, minsup, kernel, arena, out, size_histogram, stats,
+             guard);
+}
+
+void compute_frequent(const std::vector<Atom>& class_atoms, Count minsup,
+                      IntersectKernel kernel, TidArena& arena,
+                      ItemsetStore& out,
+                      std::vector<std::size_t>& size_histogram,
+                      IntersectStats* stats, MiningGuard* guard) {
+  mine_class(class_atoms, minsup, kernel, arena, out, size_histogram, stats,
+             guard);
 }
 
 void compute_frequent(const std::vector<Atom>& class_atoms, Count minsup,
@@ -189,11 +235,17 @@ void compute_frequent_diffsets(const std::vector<Atom>& class_atoms,
                                std::vector<FrequentItemset>& out,
                                std::vector<std::size_t>& size_histogram,
                                IntersectStats* stats) {
-  if (class_atoms.size() < 2) return;
-  const Tid universe = seed_class(class_atoms, kernel, arena, stats);
-  mine(arena, 0, DiffsetJoin{minsup, kernel, universe, stats}, out,
-       size_histogram, nullptr);
-  arena.prefix().clear();
+  mine_class_diffsets(class_atoms, minsup, kernel, arena, out,
+                      size_histogram, stats);
+}
+
+void compute_frequent_diffsets(const std::vector<Atom>& class_atoms,
+                               Count minsup, IntersectKernel kernel,
+                               TidArena& arena, ItemsetStore& out,
+                               std::vector<std::size_t>& size_histogram,
+                               IntersectStats* stats) {
+  mine_class_diffsets(class_atoms, minsup, kernel, arena, out,
+                      size_histogram, stats);
 }
 
 }  // namespace eclat

@@ -44,8 +44,10 @@ Tid seed_class(const std::vector<Atom>& class_atoms, IntersectKernel kernel,
 /// Enumerate all frequent itemsets strictly larger than the atoms of
 /// `class_atoms` (which must share a common prefix of all but the last
 /// item, be sorted lexicographically, and all meet `minsup` already).
-/// Found itemsets are appended to `out`; per-size counts are accumulated
-/// into `size_histogram` (index = itemset size; grown on demand).
+/// Found itemsets are appended to `out`, a flat store or a vector of
+/// owning itemsets (one recursion serves both); per-size counts are
+/// accumulated into `size_histogram` (index = itemset size; grown on
+/// demand).
 /// `arena` provides the recursion's scratch buffers and may be reused
 /// across calls (and across classes) on the same thread. A non-null
 /// `guard` is checkpointed at class entry and every leading-atom
@@ -53,6 +55,12 @@ Tid seed_class(const std::vector<Atom>& class_atoms, IntersectKernel kernel,
 void compute_frequent(const std::vector<Atom>& class_atoms, Count minsup,
                       IntersectKernel kernel, TidArena& arena,
                       std::vector<FrequentItemset>& out,
+                      std::vector<std::size_t>& size_histogram,
+                      IntersectStats* stats = nullptr,
+                      MiningGuard* guard = nullptr);
+void compute_frequent(const std::vector<Atom>& class_atoms, Count minsup,
+                      IntersectKernel kernel, TidArena& arena,
+                      ItemsetStore& out,
                       std::vector<std::size_t>& size_histogram,
                       IntersectStats* stats = nullptr,
                       MiningGuard* guard = nullptr);

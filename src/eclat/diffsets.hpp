@@ -31,6 +31,11 @@ void compute_frequent_diffsets(const std::vector<Atom>& class_atoms,
                                std::vector<FrequentItemset>& out,
                                std::vector<std::size_t>& size_histogram,
                                IntersectStats* stats = nullptr);
+void compute_frequent_diffsets(const std::vector<Atom>& class_atoms,
+                               Count minsup, IntersectKernel kernel,
+                               TidArena& arena, ItemsetStore& out,
+                               std::vector<std::size_t>& size_histogram,
+                               IntersectStats* stats = nullptr);
 
 /// Convenience overload: paper kernel, call-local arena.
 void compute_frequent_diffsets(const std::vector<Atom>& class_atoms,

@@ -23,8 +23,8 @@ MiningResult eclat_sequential(const HorizontalDatabase& db,
   if (config.include_singletons) {
     for (Item item = 0; item < db.num_items(); ++item) {
       if (item_counts[item] >= config.minsup) {
-        result.itemsets.push_back(
-            FrequentItemset{{item}, item_counts[item]});
+        const Item singleton[] = {item};
+        result.itemsets.push_back(singleton, item_counts[item]);
       }
     }
   }
@@ -35,9 +35,8 @@ MiningResult eclat_sequential(const HorizontalDatabase& db,
   const std::vector<PairKey> frequent_pairs =
       counter.frequent_pairs(config.minsup);
   for (PairKey key : frequent_pairs) {
-    result.itemsets.push_back(FrequentItemset{
-        {pair_first(key), pair_second(key)}, counter.get(pair_first(key),
-                                                         pair_second(key))});
+    const Item pair[] = {pair_first(key), pair_second(key)};
+    result.itemsets.push_back(pair, counter.get(pair[0], pair[1]));
   }
 
   // --- Transformation: exact-size vertical tid-lists for the pairs of

@@ -105,7 +105,8 @@ void max_recurse(MaxCtx& ctx, std::size_t depth) {
 
 std::vector<FrequentItemset> maximal_of(const MiningResult& result) {
   // Sort by size descending; keep an itemset iff no kept superset exists.
-  std::vector<FrequentItemset> sorted = result.itemsets;
+  std::vector<FrequentItemset> sorted(result.itemsets.begin(),
+                                      result.itemsets.end());
   std::stable_sort(sorted.begin(), sorted.end(),
                    [](const FrequentItemset& a, const FrequentItemset& b) {
                      return a.items.size() > b.items.size();
@@ -180,9 +181,9 @@ MiningResult max_eclat(const HorizontalDatabase& db,
   }
 
   MiningResult raw;
-  raw.itemsets = std::move(candidates);
+  raw.itemsets = ItemsetStore(candidates);
   MiningResult result;
-  result.itemsets = maximal_of(raw);
+  result.itemsets = ItemsetStore(maximal_of(raw));
   result.database_scans = 2;
   normalize(result);
   result.levels = level_stats(result);

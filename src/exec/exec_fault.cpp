@@ -217,7 +217,7 @@ ExecFaultKind ExecFaultInjector::fault_for(std::size_t class_id,
 
 void ExecFaultInjector::corrupt_result(
     std::size_t class_id, std::uint32_t attempt, Count minsup,
-    std::vector<FrequentItemset>& result) const {
+    ItemsetStore& result) const {
   Rng rng(plan_.seed ^ (0x94D049BB133111EBULL * (class_id + 1)) ^
           (0xD6E8FEB86659FD93ULL * (attempt + 1)));
   // Every mutation mode produces a slot that validate_class_result is
@@ -226,27 +226,27 @@ void ExecFaultInjector::corrupt_result(
   if (result.empty() || rng.below(3) == 0) {
     // Bogus extra itemset: two identical items can never be a valid
     // (strictly ascending, >= 3 items) mined itemset.
-    FrequentItemset& bogus = result.emplace_back();
-    bogus.items = {0, 0};
-    bogus.support = minsup;
+    const Item bogus[] = {0, 0};
+    result.push_back(bogus, minsup);
     return;
   }
-  FrequentItemset& victim = result[rng.below(result.size())];
+  const std::size_t victim = rng.below(result.size());
   if (minsup > 0 && rng.below(2) == 0) {
-    victim.support = minsup - 1;  // below the support floor
+    result.set_support(victim, minsup - 1);  // below the support floor
   } else {
-    std::swap(victim.items[0], victim.items[1]);  // breaks ascending order
+    const std::span<Item> items = result.items_at(victim);
+    std::swap(items[0], items[1]);  // breaks ascending order
   }
 }
 
 void validate_class_result(const EquivalenceClass& eq_class, Count minsup,
-                           const std::vector<FrequentItemset>& result) {
+                           const ItemsetStore& result) {
   // Members arrive sorted from the frequent-pair split, but the contract
   // check must not rely on that: sort a local copy once per validation.
   std::vector<Item> members = eq_class.members;
   std::sort(members.begin(), members.end());
   for (std::size_t i = 0; i < result.size(); ++i) {
-    const FrequentItemset& found = result[i];
+    const ItemsetView found = result[i];
     const auto reject = [&](const std::string& why) {
       throw ClassResultCorrupt(
           "exec: corrupt class result (class prefix " +

@@ -142,8 +142,7 @@ class ExecFaultInjector {
   /// validate_class_result rejects it (seeded by plan seed, class id and
   /// attempt — a replay corrupts the identical byte).
   void corrupt_result(std::size_t class_id, std::uint32_t attempt,
-                      Count minsup,
-                      std::vector<FrequentItemset>& result) const;
+                      Count minsup, ItemsetStore& result) const;
 
   bool empty() const { return plan_.empty(); }
 
@@ -161,6 +160,6 @@ class ExecFaultInjector {
 /// from the class members, and meets minsup. Throws ClassResultCorrupt
 /// naming the class and the first offending itemset.
 void validate_class_result(const EquivalenceClass& eq_class, Count minsup,
-                           const std::vector<FrequentItemset>& result);
+                           const ItemsetStore& result);
 
 }  // namespace eclat::exec

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "apriori/apriori.hpp"
+#include "common/check.hpp"
 #include "common/clock.hpp"
 #include "eclat/compute_frequent.hpp"
 #include "eclat/mining_guard.hpp"
@@ -133,11 +134,15 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
   const double t_transform = wall.elapsed_seconds();
 
   // ----- Phase 3: asynchronous. Each class runs as an isolated task into
-  // its own result slot; per-worker arenas keep mining allocation-free
-  // and deterministic per class. The level histogram is recomputed from
-  // the final result (finalize_result), so the per-worker one is scratch. -----
+  // its own result slot, an exact-size store; per-worker arenas keep
+  // mining allocation-free and deterministic per class. The level
+  // histogram is recomputed from the final result (finalize_result), so
+  // the per-worker one is scratch. part_sizes[1 + c] holds slot c's
+  // per-size counts for the reduction, whose part 0 is the head
+  // (singletons and pairs). -----
   const std::size_t num_classes = plan.classes.size();
-  std::vector<std::vector<FrequentItemset>> slots(num_classes);
+  std::vector<ItemsetStore> slots(num_classes);
+  std::vector<std::vector<std::size_t>> part_sizes(num_classes + 1);
   const auto load_of = [&](std::size_t c) {
     return static_cast<std::int64_t>(plan.classes[c].weight()) + 1;
   };
@@ -225,7 +230,7 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
     ArenaBudget budget(arena, mem_budget_);
     // Unbudgeted runs mine with the null guard, the recursion's fast path.
     MiningGuard* const guard = mem_budget_ != 0 ? &budget : nullptr;
-    std::vector<FrequentItemset> scratch;
+    ItemsetStore scratch;
     std::vector<std::size_t> histogram;
 
     const auto run_task = [&](std::size_t c, std::uint32_t attempt) {
@@ -246,7 +251,11 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
         validate_class_result(plan.classes[c], config.minsup, scratch);
       });
       if (err.outcome == TaskOutcome::kOk) {
-        slots[c] = std::move(scratch);
+        // The copy is exact-size; scratch keeps its capacity for the next
+        // class. A committed class is never retried, so its tid-lists go.
+        slots[c] = scratch;
+        part_sizes[1 + c] = size_counts(slots[c]);
+        std::vector<Atom>().swap(class_atoms[c]);
         return;
       }
       stat_failures.fetch_add(1, std::memory_order_relaxed);
@@ -332,32 +341,47 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
   }
   const double t_async = wall.elapsed_seconds();
 
-  // ----- Phase 4: final reduction in commit order — singletons, pairs,
-  // then the class slots by ascending class id, then normalize. This is
-  // what makes the output independent of scheduling and interleaving.
-  // Each size's itemsets arrive in lexicographic order, so normalize
-  // only places them by size. -----
+  // ----- Phase 4: final reduction by offset scatter (paper §6.3). The
+  // commit order — singletons, pairs, then the class slots by ascending
+  // class id — is placed stably by size; each part's destination ranges
+  // are a prefix sum of the per-size counts, so the W workers copy the
+  // parts straight to their final offsets, freeing each slot once
+  // copied.
+  // Each size's itemsets arrive in lexicographic order, so the result is
+  // canonical as assembled and normalize only verifies it. This is what
+  // makes the output independent of scheduling and interleaving. -----
   par::ParallelOutput output;
   output.result.database_scans = 3;  // two horizontal scans + vertical read
-  std::size_t itemsets = plan.frequent_pairs.size();
-  if (config.include_singletons) {
-    itemsets += static_cast<std::size_t>(
-        std::count_if(item_counts.begin(), item_counts.end(),
-                      [&](Count n) { return n >= config.minsup; }));
-  }
-  for (const std::vector<FrequentItemset>& slot : slots) {
-    itemsets += slot.size();
-  }
-  output.result.itemsets.reserve(itemsets);
-  if (config.include_singletons) {
-    par::append_singletons(output.result, item_counts, config.minsup);
-  }
-  par::append_frequent_pairs(output.result, plan.frequent_pairs, counter);
-  for (std::vector<FrequentItemset>& slot : slots) {
-    for (FrequentItemset& found : slot) {
-      output.result.itemsets.push_back(std::move(found));
+  // Part 0 is the head: singletons (when reported), then frequent pairs.
+  // Its counts are known up front, so it is assembled in the region too.
+  const std::size_t singletons =
+      !config.include_singletons
+          ? 0
+          : static_cast<std::size_t>(
+                std::count_if(item_counts.begin(), item_counts.end(),
+                              [&](Count n) { return n >= config.minsup; }));
+  part_sizes[0] = {0, singletons, plan.frequent_pairs.size()};
+  ResultScatter scatter(part_sizes);
+  std::atomic<std::size_t> next_part{0};
+  parallel_region(W, [&](std::size_t /*w*/) {
+    for (std::size_t p = next_part.fetch_add(1, std::memory_order_relaxed);
+         p <= num_classes;
+         p = next_part.fetch_add(1, std::memory_order_relaxed)) {
+      if (p != 0) {
+        scatter.copy(p, slots[p - 1]);
+        slots[p - 1] = ItemsetStore();
+        continue;
+      }
+      MiningResult head;
+      if (config.include_singletons) {
+        par::append_singletons(head, item_counts, config.minsup);
+      }
+      par::append_frequent_pairs(head, plan.frequent_pairs, counter);
+      scatter.copy(0, head.itemsets);
     }
-  }
+  });
+  output.result.itemsets = scatter.take();
+  ECLAT_DCHECK(is_canonical(output.result.itemsets));
   par::finalize_result(output.result);
 
   const double total = wall.elapsed_seconds();

@@ -27,11 +27,15 @@
 //      attempt and its slot exactly one writer. The fault schedule,
 //      retry sequence, and quarantine outcome are pure functions of
 //      (plan, seed, class id, attempt index) — DESIGN.md §11.
-//   4. Final reduction — results are committed into per-class slots and
-//      assembled on the main thread in ascending class id, then
-//      normalized; output is therefore byte-identical to the sequential
-//      reference and to the mc backend regardless of worker count,
-//      scheduler, interleaving, or recovered faults (DESIGN.md §9).
+//   4. Final reduction — results are committed into per-class slots
+//      (exact-size flat stores; a committed class frees its tid-lists),
+//      then scattered by the W workers to offsets prefix-summed from the
+//      per-size counts of singletons, pairs and slots in ascending class
+//      id (paper §6.3), so the result arrives in canonical order and
+//      normalize only verifies it; output is therefore byte-identical to
+//      the sequential reference and to the mc backend regardless of
+//      worker count, scheduler, interleaving, or recovered faults
+//      (DESIGN.md §9).
 //
 // A run either completes with the byte-identical result or throws the
 // typed clean abort ExecClassQuarantined after the pool has drained

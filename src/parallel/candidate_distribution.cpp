@@ -269,17 +269,17 @@ ParallelOutput candidate_distribution(
     self.compute([&] {
       // Ship everything found after the split (itemsets of size >=
       // redistribution pass, owned by this processor).
-      std::vector<const FrequentItemset*> mine;
-      for (const FrequentItemset& f : result.itemsets) {
+      std::vector<ItemsetView> mine;
+      for (const ItemsetView f : result.itemsets) {
         if (redistributed && f.items.size() >= config.redistribution_pass &&
             my_prefixes.count(f.items[0]) != 0) {
-          mine.push_back(&f);
+          mine.push_back(f);
         }
       }
       writer.put<std::uint64_t>(mine.size());
-      for (const FrequentItemset* f : mine) {
-        writer.put_vector(f->items);
-        writer.put<Count>(f->support);
+      for (const ItemsetView& f : mine) {
+        writer.put_vector(f.items);
+        writer.put<Count>(f.support);
       }
     });
     std::vector<mc::Blob> gathered = self.all_gather(writer.take());
@@ -289,10 +289,10 @@ ParallelOutput candidate_distribution(
       merged.database_scans = result.database_scans;
       // Pre-split itemsets are globally known (sizes < redistribution
       // pass, or everything when the split never happened).
-      for (FrequentItemset& f : result.itemsets) {
+      for (const ItemsetView f : result.itemsets) {
         if (!redistributed ||
             f.items.size() < config.redistribution_pass) {
-          merged.itemsets.push_back(std::move(f));
+          merged.itemsets.push_back(f.items, f.support);
         }
       }
       if (redistributed) {

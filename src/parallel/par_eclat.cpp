@@ -56,11 +56,11 @@ mc::Blob open_exchange_payload(mc::Processor& self, std::size_t src,
 /// format, so recovery reuses result_io end to end).
 mc::Blob checkpoint_bytes(const std::vector<FrequentItemset>& itemsets) {
   MiningResult partial;
-  partial.itemsets = itemsets;
+  partial.itemsets = ItemsetStore(itemsets);
   return result_to_bytes(partial);
 }
 
-std::vector<FrequentItemset> itemsets_from_checkpoint(
+ItemsetStore itemsets_from_checkpoint(
     std::span<const std::uint8_t> payload) {
   return result_from_bytes({payload.begin(), payload.end()}).itemsets;
 }
@@ -806,8 +806,7 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
       }
       append_frequent_pairs(result, plan.frequent_pairs, counter);
       // Re-mined classes from the recovery gathers, keyed by class id.
-      std::unordered_map<std::size_t, std::vector<FrequentItemset>>
-          recovered_classes;
+      std::unordered_map<std::size_t, ItemsetStore> recovered_classes;
       for (std::size_t round = 0; round < recovery_gathers.size(); ++round) {
         const std::vector<bool>& round_failed = recovery_snapshots[round];
         for (std::size_t src = 0; src < total; ++src) {
@@ -841,9 +840,9 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
             throw std::runtime_error("result checkpoint corrupt: " +
                                      frame.error);
           }
-          for (FrequentItemset& f :
+          for (const ItemsetView f :
                itemsets_from_checkpoint(frame.payload)) {
-            result.itemsets.push_back(std::move(f));
+            result.itemsets.push_back(f.items, f.support);
           }
           continue;
         }
@@ -853,8 +852,8 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
                                    " has no checkpoint and was never "
                                    "recovered");
         }
-        for (FrequentItemset& f : it->second) {
-          result.itemsets.push_back(std::move(f));
+        for (const ItemsetView f : it->second) {
+          result.itemsets.push_back(f.items, f.support);
         }
       }
       finalize_result(result);

@@ -79,8 +79,8 @@ void append_singletons(MiningResult& result,
                        std::span<const Count> item_counts, Count minsup) {
   for (std::size_t item = 0; item < item_counts.size(); ++item) {
     if (item_counts[item] >= minsup) {
-      result.itemsets.push_back(
-          FrequentItemset{{static_cast<Item>(item)}, item_counts[item]});
+      const Item singleton[] = {static_cast<Item>(item)};
+      result.itemsets.push_back(singleton, item_counts[item]);
     }
   }
 }
@@ -89,9 +89,8 @@ void append_frequent_pairs(MiningResult& result,
                            std::span<const PairKey> frequent_pairs,
                            const TriangleCounter& counter) {
   for (PairKey key : frequent_pairs) {
-    result.itemsets.push_back(FrequentItemset{
-        {pair_first(key), pair_second(key)},
-        counter.get(pair_first(key), pair_second(key))});
+    const Item pair[] = {pair_first(key), pair_second(key)};
+    result.itemsets.push_back(pair, counter.get(pair[0], pair[1]));
   }
 }
 

@@ -36,8 +36,8 @@ MiningResult partition_mine(const HorizontalDatabase& db,
     local_config.minsup = local_minsup(config.minsup, block.size(),
                                        db.size());
     const MiningResult local = eclat_sequential(chunk, local_config);
-    for (const FrequentItemset& f : local.itemsets) {
-      candidates.insert(f.items);
+    for (const ItemsetView f : local.itemsets) {
+      candidates.emplace(f.items.begin(), f.items.end());
     }
   }
 

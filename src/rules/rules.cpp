@@ -8,8 +8,8 @@ namespace eclat {
 
 SupportIndex::SupportIndex(const MiningResult& result) {
   table_.reserve(result.itemsets.size());
-  for (const FrequentItemset& f : result.itemsets) {
-    table_.emplace(f.items, f.support);
+  for (const ItemsetView f : result.itemsets) {
+    table_.emplace(Itemset(f.items.begin(), f.items.end()), f.support);
   }
 }
 
@@ -75,13 +75,14 @@ std::vector<AssociationRule> generate_rules(const MiningResult& result,
   const SupportIndex index(result);
   std::vector<AssociationRule> rules;
 
-  for (const FrequentItemset& f : result.itemsets) {
+  for (const ItemsetView f : result.itemsets) {
     if (f.items.size() < 2) continue;
     // Seed: all 1-item consequents.
     std::vector<Itemset> consequents;
     consequents.reserve(f.items.size());
     for (Item item : f.items) consequents.push_back({item});
-    grow_consequents(f.items, f.support, std::move(consequents), index,
+    grow_consequents(Itemset(f.items.begin(), f.items.end()), f.support,
+                     std::move(consequents), index,
                      config.min_confidence,
                      static_cast<double>(num_transactions), rules);
   }

@@ -35,12 +35,16 @@ HorizontalDatabase draw_sample(const HorizontalDatabase& db, double fraction,
 
 Accuracy compare(const MiningResult& exact, const MiningResult& approx) {
   ItemsetSet exact_set;
-  for (const FrequentItemset& f : exact.itemsets) exact_set.insert(f.items);
+  for (const ItemsetView f : exact.itemsets) {
+    exact_set.emplace(f.items.begin(), f.items.end());
+  }
   Accuracy accuracy;
   accuracy.exact_itemsets = exact.itemsets.size();
   accuracy.approx_itemsets = approx.itemsets.size();
-  for (const FrequentItemset& f : approx.itemsets) {
-    if (exact_set.count(f.items) != 0) ++accuracy.true_positives;
+  for (const ItemsetView f : approx.itemsets) {
+    if (exact_set.count(Itemset(f.items.begin(), f.items.end())) != 0) {
+      ++accuracy.true_positives;
+    }
   }
   accuracy.precision =
       approx.itemsets.empty()
@@ -75,14 +79,13 @@ MiningResult sample_mine(const HorizontalDatabase& db, double min_support,
   // threshold; report supports scaled up to the full database.
   const double scale = static_cast<double>(db.size()) /
                        static_cast<double>(sample.size());
-  for (const FrequentItemset& f : sampled.itemsets) {
+  for (const ItemsetView f : sampled.itemsets) {
     const double estimate = static_cast<double>(f.support) /
                             static_cast<double>(sample.size());
     if (estimate >= min_support) {
-      result.itemsets.push_back(FrequentItemset{
-          f.items,
-          static_cast<Count>(
-              std::llround(static_cast<double>(f.support) * scale))});
+      result.itemsets.push_back(
+          f.items, static_cast<Count>(
+                       std::llround(static_cast<double>(f.support) * scale)));
     }
   }
   normalize(result);
@@ -146,8 +149,8 @@ ToivonenOutcome toivonen_mine(const HorizontalDatabase& db,
 
   std::vector<Itemset> candidates;
   candidates.reserve(sampled.itemsets.size());
-  for (const FrequentItemset& f : sampled.itemsets) {
-    candidates.push_back(f.items);
+  for (const ItemsetView f : sampled.itemsets) {
+    candidates.emplace_back(f.items.begin(), f.items.end());
   }
   std::vector<Itemset> border = negative_border(candidates, db.num_items());
   outcome.border_size = border.size();

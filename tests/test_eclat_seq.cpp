@@ -258,7 +258,7 @@ TEST(EclatSeq, EmptyAndDegenerateDatabases) {
   const HorizontalDatabase db = testutil::database_of({{0, {0}}}, 1);
   const MiningResult result = eclat_sequential(db, config);
   ASSERT_EQ(result.itemsets.size(), 1u);
-  EXPECT_EQ(result.itemsets[0].items, (Itemset{0}));
+  EXPECT_EQ(testutil::items_of(result.itemsets[0].items), (Itemset{0}));
 }
 
 TEST(EclatSeq, IntersectStatsPopulated) {

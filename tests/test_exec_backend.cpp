@@ -6,6 +6,7 @@
 // an executable spec.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -16,10 +17,13 @@
 #include "data/result_io.hpp"
 #include "eclat/eclat_seq.hpp"
 #include "exec/backend.hpp"
+#include "exec/exec_fault.hpp"
 #include "exec/mc_backend.hpp"
 #include "exec/thread_backend.hpp"
+#include "parallel/pipeline.hpp"
 #include "test_util.hpp"
 #include "vertical/simd/dispatch.hpp"
+#include "vertical/vertical_db.hpp"
 
 namespace {
 
@@ -270,6 +274,51 @@ TEST(ExecBackend, ScalarPinnedThreadsRunStaysByteIdentical) {
   simd::override_isa_level(std::nullopt);
   EXPECT_EQ(scalar, reference)
       << "scalar-pinned threads run diverged from the mc reference";
+}
+
+TEST(ExecBackend, ClassRetriedAfterCorruptAttemptLandsExactlyOnce) {
+  // A corrupt attempt appends to and mutates the worker's scratch store;
+  // the retry must commit only its own clean slot, which the reduction
+  // scatters to the same offsets as in a fault-free run.
+  const HorizontalDatabase db = small_quest_db(350, 28, 11);
+  par::ParEclatConfig config;
+  config.minsup = 5;
+  TriangleCounter counter(db.num_items());
+  counter.count(db.transactions());
+  const par::MiningPlan plan = par::derive_plan(
+      counter, config.minsup, 1, par::ScheduleHeuristic::kGreedyWeight);
+  // The heaviest class: the one whose itemsets a double commit would show.
+  std::size_t target = 0;
+  for (std::size_t c = 1; c < plan.classes.size(); ++c) {
+    if (plan.classes[c].weight() > plan.classes[target].weight()) target = c;
+  }
+  const Item prefix = plan.classes[target].prefix;
+  const auto class_itemsets = [&](const MiningResult& result) {
+    return std::count_if(result.itemsets.begin(), result.itemsets.end(),
+                         [&](const ItemsetView& f) {
+                           return f.items.size() >= 3 &&
+                                  f.items.front() == prefix;
+                         });
+  };
+
+  const par::ParallelOutput clean =
+      run_threads(db, config, 1, exec::ClassScheduler::kStatic);
+  const std::vector<std::uint8_t> reference = result_to_bytes(clean.result);
+  ASSERT_GT(class_itemsets(clean.result), 0);
+  for (std::size_t threads : {1u, 2u, 3u, 4u}) {
+    exec::ThreadBackendOptions options;
+    options.threads = threads;
+    options.faults.events.push_back(
+        exec::ExecFaultPlan::corrupt_on(target, 2));
+    exec::ThreadBackend backend(options);
+    const par::ParallelOutput run = backend.mine(db, config);
+    EXPECT_EQ(run.exec_task_failures, 2u) << "threads=" << threads;
+    EXPECT_EQ(run.exec_task_retries, 2u) << "threads=" << threads;
+    EXPECT_EQ(class_itemsets(run.result), class_itemsets(clean.result))
+        << "threads=" << threads;
+    EXPECT_EQ(result_to_bytes(run.result), reference)
+        << "threads=" << threads;
+  }
 }
 
 TEST(ExecBackend, ApiDispatchesParEclatToThreads) {

@@ -167,13 +167,13 @@ TEST(ExecFault, ValidateClassResultCatchesEveryCorruptionShape) {
   eq_class.members = {5, 7, 9};
   const Count minsup = 3;
 
-  std::vector<FrequentItemset> honest;
+  ItemsetStore honest;
   honest.push_back({{4, 5, 7}, 6});
   honest.push_back({{4, 5, 7, 9}, 3});
   EXPECT_NO_THROW(exec::validate_class_result(eq_class, minsup, honest));
   EXPECT_NO_THROW(exec::validate_class_result(eq_class, minsup, {}));
 
-  const auto rejects = [&](std::vector<FrequentItemset> result) {
+  const auto rejects = [&](const ItemsetStore& result) {
     EXPECT_THROW(exec::validate_class_result(eq_class, minsup, result),
                  exec::ClassResultCorrupt);
   };
@@ -196,7 +196,7 @@ TEST(ExecFault, CorruptResultAlwaysTripsTheValidator) {
   const exec::ExecFaultInjector injector(plan);
 
   for (std::uint32_t attempt = 0; attempt < 32; ++attempt) {
-    std::vector<FrequentItemset> result;
+    ItemsetStore result;
     result.push_back({{2, 3, 6}, 9});
     result.push_back({{2, 6, 8}, 5});
     result.push_back({{2, 3, 6, 8}, 4});
@@ -205,14 +205,15 @@ TEST(ExecFault, CorruptResultAlwaysTripsTheValidator) {
                  exec::ClassResultCorrupt)
         << "attempt " << attempt << " corruption went undetected";
     // Determinism: the same (class, attempt) corrupts the same byte.
-    std::vector<FrequentItemset> replay;
+    ItemsetStore replay;
     replay.push_back({{2, 3, 6}, 9});
     replay.push_back({{2, 6, 8}, 5});
     replay.push_back({{2, 3, 6, 8}, 4});
     injector.corrupt_result(0, attempt, minsup, replay);
     ASSERT_EQ(replay.size(), result.size());
     for (std::size_t i = 0; i < result.size(); ++i) {
-      EXPECT_EQ(replay[i].items, result[i].items);
+      EXPECT_EQ(testutil::items_of(replay[i].items),
+                testutil::items_of(result[i].items));
       EXPECT_EQ(replay[i].support, result[i].support);
     }
   }

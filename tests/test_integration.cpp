@@ -221,8 +221,8 @@ class LargeItemUniverse : public ::testing::Test {
   // The bytes of `small`'s image, after checking it found 3-itemsets.
   static std::vector<std::uint8_t> image(MiningResult small) {
     EXPECT_GT(small.count_of_size(3), 0u);
-    for (FrequentItemset& itemset : small.itemsets) {
-      for (Item& item : itemset.items) item *= kSpread;
+    for (std::size_t i = 0; i < small.itemsets.size(); ++i) {
+      for (Item& item : small.itemsets.items_at(i)) item *= kSpread;
     }
     return result_to_bytes(small);
   }

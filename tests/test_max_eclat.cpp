@@ -80,7 +80,8 @@ TEST(MaxEclat, TopElementShortcutFires) {
   MaxEclatStats stats;
   const MiningResult result = max_eclat(db, config, &stats);
   ASSERT_EQ(result.itemsets.size(), 1u);
-  EXPECT_EQ(result.itemsets[0].items, (Itemset{0, 1, 2, 3}));
+  EXPECT_EQ(testutil::items_of(result.itemsets[0].items),
+            (Itemset{0, 1, 2, 3}));
   EXPECT_EQ(result.itemsets[0].support, 6u);
   EXPECT_GT(stats.top_hits, 0u);
 }

@@ -1,12 +1,16 @@
-// The order the final reduction relies on. normalize() places itemsets by
-// size in place and sorts only a size run that arrives unsorted, which is
-// linear on Eclat's commit order (singletons, frequent pairs, then each
-// class's output by ascending class id) because the mining recursions
-// emit each size's itemsets of a class in lexicographic order. These
-// tests pin normalize against a plain comparison sort on commit-order and
-// shuffled inputs, pin the per-class emission order under every kernel —
-// if a recursion change breaks it, output stays correct but the sort
-// silently comes back — and pin the levels finalize_result derives.
+// The order the final reduction relies on. The thread backend scatters
+// Eclat's commit order (singletons, frequent pairs, then each class's
+// output by ascending class id) to offsets prefix-summed from per-size
+// counts, which comes out canonical because the mining recursions emit
+// each size's itemsets of a class in lexicographic order; normalize()
+// then only verifies, and on any other input places itemsets by size and
+// sorts only a size run that arrives unsorted. These tests pin normalize
+// against a plain comparison sort on commit-order and shuffled inputs,
+// pin that canonical input is left where it is, pin the scatter's output
+// as canonical before any normalize, pin the per-class emission order
+// under every kernel — if a recursion change breaks it, output stays
+// correct but the sort silently comes back — and pin the levels
+// finalize_result derives.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +22,7 @@
 #include "common/rng.hpp"
 #include "eclat/compute_frequent.hpp"
 #include "eclat/diffsets.hpp"
+#include "eclat/eclat_seq.hpp"
 #include "eclat/equivalence.hpp"
 #include "parallel/pipeline.hpp"
 #include "test_util.hpp"
@@ -45,14 +50,18 @@ std::vector<FrequentItemset> reference_sort(
 
 void expect_matches_reference(const std::vector<FrequentItemset>& itemsets) {
   MiningResult result;
-  result.itemsets = itemsets;
+  result.itemsets = ItemsetStore(itemsets);
   normalize(result);
   EXPECT_EQ(result.itemsets, reference_sort(itemsets));
 }
 
+std::vector<FrequentItemset> owned(const ItemsetStore& itemsets) {
+  return {itemsets.begin(), itemsets.end()};
+}
+
 /// Each mined class's output, by ascending class id, as the thread
 /// backend's slots hold it before the reduction.
-std::vector<std::vector<FrequentItemset>> class_outputs(
+std::vector<ItemsetStore> class_outputs(
     const HorizontalDatabase& db, Count minsup, bool diffsets,
     IntersectKernel kernel) {
   const std::span<const Transaction> all(db.transactions());
@@ -62,13 +71,13 @@ std::vector<std::vector<FrequentItemset>> class_outputs(
       counter, minsup, 1, par::ScheduleHeuristic::kGreedyWeight);
   std::vector<TidList> lists =
       PairSlots(plan.exchanged_pairs).invert(all, counter);
-  std::vector<std::vector<FrequentItemset>> outputs;
+  std::vector<ItemsetStore> outputs;
   std::vector<std::size_t> histogram;
   TidArena arena;
   for (const std::vector<Atom>& atoms :
        atoms_by_class(plan.classes, lists)) {
     if (atoms.empty()) continue;
-    std::vector<FrequentItemset>& out = outputs.emplace_back();
+    ItemsetStore& out = outputs.emplace_back();
     if (diffsets) {
       compute_frequent_diffsets(atoms, minsup, kernel, arena, out,
                                 histogram);
@@ -79,10 +88,10 @@ std::vector<std::vector<FrequentItemset>> class_outputs(
   return outputs;
 }
 
-/// The unnormalized result in commit order: singletons (when asked for),
-/// frequent pairs, then each class's output by ascending class id.
-MiningResult commit_order_result(const HorizontalDatabase& db, Count minsup,
-                                 bool diffsets, bool singletons = true) {
+/// The head of the commit order: singletons (when asked for), then the
+/// frequent pairs.
+MiningResult head_result(const HorizontalDatabase& db, Count minsup,
+                         bool singletons) {
   const std::span<const Transaction> all(db.transactions());
   TriangleCounter counter(db.num_items());
   counter.count(all);
@@ -92,9 +101,19 @@ MiningResult commit_order_result(const HorizontalDatabase& db, Count minsup,
   }
   par::append_frequent_pairs(result, counter.frequent_pairs(minsup),
                              counter);
-  for (std::vector<FrequentItemset>& out :
+  return result;
+}
+
+/// The unnormalized result in commit order: singletons (when asked for),
+/// frequent pairs, then each class's output by ascending class id.
+MiningResult commit_order_result(const HorizontalDatabase& db, Count minsup,
+                                 bool diffsets, bool singletons = true) {
+  MiningResult result = head_result(db, minsup, singletons);
+  for (const ItemsetStore& out :
        class_outputs(db, minsup, diffsets, IntersectKernel::kAuto)) {
-    result.itemsets.insert(result.itemsets.end(), out.begin(), out.end());
+    for (const ItemsetView f : out) {
+      result.itemsets.push_back(f.items, f.support);
+    }
   }
   return result;
 }
@@ -116,10 +135,10 @@ TEST(Normalize, MatchesComparisonSortOnCommitOrder) {
       // has nothing to do.
       ASSERT_FALSE(std::is_sorted(
           commit.itemsets.begin(), commit.itemsets.end(),
-          [](const FrequentItemset& a, const FrequentItemset& b) {
+          [](const ItemsetView& a, const ItemsetView& b) {
             return a.items.size() < b.items.size();
           }));
-      expect_matches_reference(commit.itemsets);
+      expect_matches_reference(owned(commit.itemsets));
     }
   }
 }
@@ -129,7 +148,7 @@ TEST(Normalize, MatchesComparisonSortAfterShuffle) {
   for (const HorizontalDatabase& db : quest_dbs()) {
     for (bool diffsets : {false, true}) {
       std::vector<FrequentItemset> itemsets =
-          commit_order_result(db, 5, diffsets).itemsets;
+          owned(commit_order_result(db, 5, diffsets).itemsets);
       for (std::size_t i = itemsets.size(); i > 1; --i) {
         std::swap(itemsets[i - 1], itemsets[rng.below(i)]);
       }
@@ -165,26 +184,104 @@ TEST(EmissionOrder, EachSizeIsLexicographicWithinAClass) {
     for (bool diffsets : {false, true}) {
       for (IntersectKernel kernel : kAllKernels) {
         std::size_t checked = 0;
-        for (const std::vector<FrequentItemset>& out :
+        for (const ItemsetStore& out :
              class_outputs(db, 5, diffsets, kernel)) {
-          std::vector<const Itemset*> last_of_size;
-          for (const FrequentItemset& f : out) {
+          // Class itemsets have >= 3 items, so an empty span means none.
+          std::vector<std::span<const Item>> last_of_size;
+          for (const ItemsetView f : out) {
             const std::size_t k = f.items.size();
             if (last_of_size.size() <= k) last_of_size.resize(k + 1);
-            if (last_of_size[k] != nullptr) {
-              EXPECT_TRUE(lex_less(*last_of_size[k], f.items))
+            if (!last_of_size[k].empty()) {
+              EXPECT_TRUE(std::ranges::lexicographical_compare(
+                  last_of_size[k], f.items))
                   << kernel_name(kernel) << (diffsets ? " diffsets " : " ")
-                  << to_string(*last_of_size[k]) << " before "
+                  << to_string(last_of_size[k]) << " before "
                   << to_string(f.items);
               ++checked;
             }
-            last_of_size[k] = &f.items;
+            last_of_size[k] = f.items;
           }
         }
         EXPECT_GT(checked, 0u) << kernel_name(kernel);
       }
     }
   }
+}
+
+TEST(Normalize, CanonicalInputIsLeftWhereItIs) {
+  EclatConfig config;
+  config.minsup = 5;
+  MiningResult result =
+      eclat_sequential(testutil::small_quest_db(300, 25, 42), config);
+  ASSERT_TRUE(is_canonical(result.itemsets));
+  const ItemsetStore before = result.itemsets;
+  const Item* const items = result.itemsets.items().data();
+  const Count* const supports = result.itemsets.supports().data();
+  normalize(result);
+  EXPECT_EQ(result.itemsets.items().data(), items);
+  EXPECT_EQ(result.itemsets.supports().data(), supports);
+  EXPECT_EQ(result.itemsets, before);
+}
+
+TEST(Normalize, ChecksEveryRunNotJustTheSizes) {
+  MiningResult result;
+  result.itemsets = {{{0}, 9}, {{1}, 8}, {{1, 3}, 4}, {{0, 2}, 5}};
+  EXPECT_FALSE(is_canonical(result.itemsets));
+  normalize(result);
+  EXPECT_TRUE(is_canonical(result.itemsets));
+  EXPECT_EQ(result.itemsets[2], (FrequentItemset{{0, 2}, 5}));
+  EXPECT_EQ(result.itemsets[3], (FrequentItemset{{1, 3}, 4}));
+}
+
+/// The thread backend's reduction, serially: the head and every class
+/// slot (an exact-size store, as committed) are copied to the offsets
+/// ResultScatter prefix-sums from their per-size counts — here in reverse
+/// part order, since no part's destination depends on another's copy.
+ItemsetStore scatter_commit_order(const HorizontalDatabase& db, Count minsup,
+                                  bool diffsets, bool singletons) {
+  std::vector<ItemsetStore> parts;
+  parts.push_back(head_result(db, minsup, singletons).itemsets);
+  for (const ItemsetStore& out :
+       class_outputs(db, minsup, diffsets, IntersectKernel::kAuto)) {
+    parts.push_back(out);
+  }
+  std::vector<std::vector<std::size_t>> part_sizes;
+  for (const ItemsetStore& part : parts) {
+    part_sizes.push_back(size_counts(part));
+  }
+  ResultScatter scatter(part_sizes);
+  for (std::size_t p = parts.size(); p > 0; --p) {
+    scatter.copy(p - 1, parts[p - 1]);
+  }
+  return scatter.take();
+}
+
+TEST(OffsetScatter, CommitOrderArrivesCanonicalBeforeFinalize) {
+  for (const HorizontalDatabase& db : quest_dbs()) {
+    for (bool diffsets : {false, true}) {
+      for (bool singletons : {true, false}) {
+        const ItemsetStore scattered =
+            scatter_commit_order(db, 5, diffsets, singletons);
+        EXPECT_TRUE(is_canonical(scattered))
+            << (diffsets ? "diffsets" : "tidsets")
+            << (singletons ? " with singletons" : "");
+        MiningResult reference =
+            commit_order_result(db, 5, diffsets, singletons);
+        normalize(reference);
+        EXPECT_EQ(scattered, reference.itemsets);
+      }
+    }
+  }
+}
+
+TEST(OffsetScatter, EmptyPartsAndNoPartsAssembleNothing) {
+  EXPECT_TRUE(ResultScatter({}).take().empty());
+  const std::vector<std::vector<std::size_t>> sizes = {{}, {0, 1}, {}};
+  ResultScatter scatter(sizes);
+  scatter.copy(2, ItemsetStore());
+  scatter.copy(1, ItemsetStore{{{7}, 3}});
+  scatter.copy(0, ItemsetStore());
+  EXPECT_EQ(scatter.take(), (ItemsetStore{{{7}, 3}}));
 }
 
 TEST(FinalizeResult, LevelsArePerSizeCounts) {

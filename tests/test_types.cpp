@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "common/result.hpp"
+#include "test_util.hpp"
 
 namespace eclat {
 namespace {
@@ -70,11 +71,12 @@ TEST(Result, NormalizeOrdersBySizeThenLex) {
   result.itemsets = {
       {{2, 3}, 5}, {{1}, 9}, {{1, 2, 3}, 2}, {{1, 4}, 4}, {{0}, 7}};
   normalize(result);
-  EXPECT_EQ(result.itemsets[0].items, (Itemset{0}));
-  EXPECT_EQ(result.itemsets[1].items, (Itemset{1}));
-  EXPECT_EQ(result.itemsets[2].items, (Itemset{1, 4}));
-  EXPECT_EQ(result.itemsets[3].items, (Itemset{2, 3}));
-  EXPECT_EQ(result.itemsets[4].items, (Itemset{1, 2, 3}));
+  EXPECT_EQ(testutil::items_of(result.itemsets[0].items), (Itemset{0}));
+  EXPECT_EQ(testutil::items_of(result.itemsets[1].items), (Itemset{1}));
+  EXPECT_EQ(testutil::items_of(result.itemsets[2].items), (Itemset{1, 4}));
+  EXPECT_EQ(testutil::items_of(result.itemsets[3].items), (Itemset{2, 3}));
+  EXPECT_EQ(testutil::items_of(result.itemsets[4].items),
+            (Itemset{1, 2, 3}));
 }
 
 TEST(Result, CountOfSizeAndMaxSize) {

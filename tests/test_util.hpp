@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <string>
 
 #include "common/result.hpp"
@@ -109,6 +110,12 @@ inline HorizontalDatabase handmade_db() {
           {8, {0, 1, 2, 3}}, {9, {2, 3}},
       },
       4);
+}
+
+/// A view's items as an owning Itemset, so an assertion compares and
+/// prints them like any Itemset.
+inline Itemset items_of(std::span<const Item> items) {
+  return Itemset(items.begin(), items.end());
 }
 
 inline bool same_itemsets(const MiningResult& a, const MiningResult& b) {

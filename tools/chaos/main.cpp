@@ -20,12 +20,14 @@
 // the threads leg, only when --exec-mem-budget is off: budget runs stay
 // contract-deterministic but their degradation history may vary).
 // Exit status 0 = every run honored the contract; 1 = at least one
-// violation (the offending plan is printed in replayable text form).
+// violation (the offending plan is printed in replayable text form), or
+// a malformed flag value (named on stderr).
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "chaos.hpp"
@@ -57,9 +59,10 @@ bool is_exec_plan_text(const std::string& text) {
   return false;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// The whole command. Flag values are parsed as they are first needed, so
+/// a malformed one throws std::invalid_argument from here; main turns that
+/// into a diagnostic.
+int run_chaos(int argc, char** argv) {
   const Flags flags(argc, argv);
 
   const std::string backend = flags.get("backend", "mc");
@@ -427,4 +430,16 @@ int main(int argc, char** argv) {
                 joint_agree, exec_plans.size());
   }
   return violations.empty() ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_chaos(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    // A malformed flag value, e.g. --sweep=abc or --exec-sched=bogus.
+    std::fprintf(stderr, "chaos: %s\n", e.what());
+    return 1;
+  }
 }
