@@ -56,10 +56,10 @@ struct MineOptions {
   /// than this many attempts quarantines the run (clean typed abort,
   /// exec::ExecClassQuarantined).
   std::uint32_t exec_max_retries = 2;
-  /// Per-worker TidArena memory budget in bytes on the threads backend;
-  /// 0 = unlimited. Over budget, workers degrade gracefully (release dead
-  /// arena slots, then fail and retry the one class, then quarantine the
-  /// run) instead of growing without bound.
+  /// Memory budget in bytes on the live tid-sets of each class the
+  /// threads backend mines; 0 = unlimited. A class over budget fails its
+  /// attempt, fails every retry the same way, and quarantines the run
+  /// (clean typed abort) instead of growing without bound.
   std::size_t exec_mem_budget = 0;
   /// Deterministic fault schedule for the threads backend (tests/chaos;
   /// empty = fault-free production default).

@@ -38,28 +38,12 @@ std::int64_t Flags::get_int(const std::string& name,
                             std::int64_t fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  const std::string& text = it->second;
-  char* end = nullptr;
-  const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') {
-    throw std::invalid_argument("--" + name + "=" + text +
-                                ": expected an integer");
+  if (const std::optional<std::int64_t> value =
+          parse_whole<std::int64_t>(it->second)) {
+    return *value;
   }
-  return value;
-}
-
-std::uint64_t Flags::get_uint(const std::string& name,
-                              std::uint64_t fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  const std::string& text = it->second;
-  char* end = nullptr;
-  const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || value < 0) {
-    throw std::invalid_argument("--" + name + "=" + text +
-                                ": expected a non-negative integer");
-  }
-  return static_cast<std::uint64_t>(value);
+  throw std::invalid_argument("--" + name + "=" + it->second +
+                              ": expected an integer");
 }
 
 double Flags::get_double(const std::string& name, double fallback) const {

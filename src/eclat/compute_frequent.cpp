@@ -147,7 +147,7 @@ void mine(TidArena& arena, std::size_t depth, const Join& join, Sink& out,
     // One guard checkpoint per leading atom: the work in between (one row
     // of joins plus the child-class recursion entry) is bounded, so a
     // budget check is never starved.
-    if (guard != nullptr) guard->checkpoint();
+    if (guard != nullptr) guard->checkpoint(depth);
     prefix.push_back(cur.suffixes[i]);
     const bool slotless = i + 2 == n && !Join::kLastRowNeedsSlot;
     next.reset();
@@ -172,7 +172,6 @@ void mine_class(const std::vector<Atom>& class_atoms, Count minsup,
                 std::vector<std::size_t>& size_histogram,
                 IntersectStats* stats, MiningGuard* guard) {
   if (class_atoms.size() < 2) return;
-  if (guard != nullptr) guard->checkpoint();
 #if ECLAT_DCHECKS_ENABLED
   for (const Atom& atom : class_atoms) {
     ECLAT_DCHECK(atom.items.size() == class_atoms.front().items.size());

@@ -50,8 +50,8 @@ Tid seed_class(const std::vector<Atom>& class_atoms, IntersectKernel kernel,
 /// demand).
 /// `arena` provides the recursion's scratch buffers and may be reused
 /// across calls (and across classes) on the same thread. A non-null
-/// `guard` is checkpointed at class entry and every leading-atom
-/// boundary (mining_guard.hpp); it may throw to abandon the class.
+/// `guard` is checkpointed at every leading-atom boundary with the
+/// recursion depth (mining_guard.hpp); it may throw to abandon the class.
 void compute_frequent(const std::vector<Atom>& class_atoms, Count minsup,
                       IntersectKernel kernel, TidArena& arena,
                       std::vector<FrequentItemset>& out,

@@ -79,37 +79,20 @@ class TidArena {
   /// prefix() + suffixes[s].
   Itemset& prefix() { return prefix_; }
 
-  /// Forget all cached state (buffers are dropped, not rewound). Only
-  /// needed to release memory; mining calls reset what they use.
-  void clear() {
-    levels_.clear();
-    prefix_.clear();
-  }
-
-  /// Bytes retained across all levels (buffer capacities plus tid-set
-  /// storage). This is what the exec per-worker memory budget meters.
-  std::size_t memory_bytes() const {
-    std::size_t total = prefix_.capacity() * sizeof(Item);
-    for (const Level& level : levels_) {
-      total += level.suffixes.capacity() * sizeof(Item) +
-               level.supports.capacity() * sizeof(Count);
-      for (const TidSet& set : level.sets) {
-        total += sizeof(TidSet) + set.memory_bytes();
+  /// Logical bytes of the committed tid-sets on levels 0..depth
+  /// (TidSet::bytes): what the class being mined holds at a checkpoint of
+  /// recursion depth `depth`. A function of the class alone; the buffer
+  /// capacity kept from earlier classes is not counted. The exec memory
+  /// budget charges this.
+  std::size_t live_bytes(std::size_t depth) const {
+    std::size_t total = 0;
+    for (std::size_t d = 0; d <= depth && d < levels_.size(); ++d) {
+      const Level& level = levels_[d];
+      for (std::size_t s = 0; s < level.used; ++s) {
+        total += level.sets[s].bytes();
       }
     }
     return total;
-  }
-
-  /// Memory-pressure relief, called from a MiningGuard checkpoint (so no
-  /// scratch() reference is outstanding): slots past each level's `used`
-  /// cursor hold only dead data and are released outright; live slots
-  /// are left as they are. The arena stays structurally valid.
-  void relieve_memory() {
-    for (Level& level : levels_) {
-      for (std::size_t s = level.used; s < level.sets.size(); ++s) {
-        level.sets[s].release();
-      }
-    }
   }
 
  private:

@@ -13,7 +13,7 @@
 //               per-class fault-tolerance layer (exec_fault.hpp) that
 //               every run takes: task isolation, result validation,
 //               bounded retry, quarantine-then-clean-abort and a
-//               per-worker arena memory budget. DESIGN.md §11.
+//               per-class memory budget. DESIGN.md §11.
 //
 // Both backends produce byte-identical mined output for the same input
 // and config — the commit-order reduction rule (results assembled per
@@ -86,9 +86,9 @@ struct ThreadBackendOptions {
   /// fail more than this many times is quarantined and the run ends in
   /// the typed clean abort (ExecClassQuarantined).
   std::uint32_t max_retries = 2;
-  /// Per-worker TidArena memory budget in bytes (--exec-mem-budget);
-  /// 0 = unlimited (metering disabled). See mem_budget.hpp for the
-  /// degradation ladder.
+  /// Memory budget in bytes on the live tid-sets of the class being mined
+  /// (--exec-mem-budget); 0 = unlimited (metering disabled). See
+  /// mem_budget.hpp for the ladder.
   std::size_t mem_budget = 0;
   /// Deterministic class-attempt fault schedule (empty = fault-free).
   ExecFaultPlan faults;

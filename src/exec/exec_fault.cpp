@@ -1,7 +1,6 @@
 #include "exec/exec_fault.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <sstream>
 
 #include "common/parse.hpp"
@@ -92,84 +91,30 @@ std::string exec_plan_to_text(const ExecFaultPlan& plan) {
 
 ExecFaultPlan exec_plan_from_text(const std::string& text) {
   ExecFaultPlan plan;
-  std::istringstream in(text);
-  std::string line;
-  std::size_t line_no = 0;
-  bool saw_seed = false;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream tokens(line);
-    std::string head;
-    tokens >> head;
-    const auto bad_line = [&](const std::string& why) {
-      return std::invalid_argument("exec fault plan line " +
-                                   std::to_string(line_no) + ": " + why);
-    };
-    if (head == "exec-seed") {
-      std::string value;
-      std::string extra;
-      tokens >> value;
-      const std::optional<std::uint64_t> seed =
-          parse_whole<std::uint64_t>(value);
-      if (!seed || tokens >> extra) {
-        throw bad_line("exec-seed needs one unsigned value, got '" + value +
-                       "'");
-      }
-      plan.seed = *seed;
-      saw_seed = true;
-      continue;
-    }
-    if (head != "exec-event") {
-      throw bad_line("expected 'exec-seed' or 'exec-event', got '" + head +
-                     "'");
-    }
-    ExecFaultEvent event;
-    std::string token;
-    while (tokens >> token) {
-      const std::size_t eq = token.find('=');
-      if (eq == std::string::npos) {
-        throw bad_line("expected key=value, got '" + token + "'");
-      }
-      const std::string key = token.substr(0, eq);
-      const std::string value = token.substr(eq + 1);
-      // The field's own type bounds the value: `times` is a u32.
-      const auto number = [&]<typename T>(T& field) {
-        const std::optional<T> parsed = parse_whole<T>(value);
-        if (!parsed) {
-          throw bad_line("bad value '" + value + "' for key '" + key + "'");
-        }
-        field = *parsed;
-      };
-      if (key == "kind") {
-        if (value == to_string(ExecFaultKind::kThrow)) {
-          event.kind = ExecFaultKind::kThrow;
-        } else if (value == to_string(ExecFaultKind::kCorrupt)) {
-          event.kind = ExecFaultKind::kCorrupt;
+  plan.seed = read_plan_text(
+      text, "exec fault plan", "exec-", [&] { plan.events.emplace_back(); },
+      [&](const PlanField& field) {
+        ExecFaultEvent& event = plan.events.back();
+        if (field.key == "kind") {
+          field.name(event.kind,
+                     {ExecFaultKind::kThrow, ExecFaultKind::kCorrupt});
+        } else if (field.key == "class") {
+          if (field.value == "any") {
+            event.class_id = kAnyClass;
+          } else {
+            field.number(event.class_id);
+          }
+        } else if (field.key == "mod") {
+          field.number(event.mod);
+        } else if (field.key == "sel") {
+          field.number(event.sel);
+        } else if (field.key == "times") {
+          field.number(event.times);
         } else {
-          throw bad_line("unknown fault kind '" + value + "'");
+          return false;
         }
-      } else if (key == "class") {
-        if (value == "any") {
-          event.class_id = kAnyClass;
-        } else {
-          number(event.class_id);
-        }
-      } else if (key == "mod") {
-        number(event.mod);
-      } else if (key == "sel") {
-        number(event.sel);
-      } else if (key == "times") {
-        number(event.times);
-      } else {
-        throw bad_line("unknown key '" + key + "'");
-      }
-    }
-    plan.events.push_back(event);
-  }
-  if (!saw_seed) {
-    throw std::invalid_argument("exec fault plan: missing 'exec-seed' line");
-  }
+        return true;
+      });
   return plan;
 }
 

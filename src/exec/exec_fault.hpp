@@ -91,9 +91,10 @@ void validate_exec_plan(const ExecFaultPlan& plan);
 
 /// Line-based text form ("exec-seed ..." then one "exec-event ..." line
 /// per event) so a failing schedule found by the chaos soak leg can be
-/// attached as an artifact and replayed verbatim. exec_plan_from_text
-/// throws std::invalid_argument naming the offending line: every number
-/// must be the whole unsigned value, in range for its field.
+/// attached as an artifact and replayed verbatim. exec_plan_from_text is
+/// the "exec-" dialect of the shared plan reader (common/parse.hpp): it
+/// throws std::invalid_argument naming the offending line and key, and
+/// every number must be the whole unsigned value, in range for its field.
 std::string exec_plan_to_text(const ExecFaultPlan& plan);
 ExecFaultPlan exec_plan_from_text(const std::string& text);
 

@@ -274,9 +274,6 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
         }
         retry_size.fetch_add(1, std::memory_order_release);
       }
-      // Fresh arena for whatever runs here next: a failed attempt may
-      // have left oversized scratch behind.
-      arena.clear();
     };
 
     const auto execute = [&](std::size_t c, std::uint32_t attempt) {

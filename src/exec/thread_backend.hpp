@@ -20,8 +20,8 @@
 //      most remaining weight. Every attempt runs inside
 //      capture_class_failure: an exception fails only that class, which
 //      is retried with backoff-in-attempts up to --exec-max-retries and
-//      quarantined past that; with --exec-mem-budget set, the arena
-//      budget is the recursion's MiningGuard; every mined slot is
+//      quarantined past that; with --exec-mem-budget set, the class
+//      memory budget is the recursion's MiningGuard; every mined slot is
 //      contract-validated before it is committed. A retry is enqueued
 //      only by the attempt that failed, so a class has at most one live
 //      attempt and its slot exactly one writer. The fault schedule,

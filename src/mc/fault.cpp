@@ -156,11 +156,6 @@ FaultEvent FaultPlan::partition(std::vector<std::size_t> members, double from,
   return event;
 }
 
-namespace {
-
-/// The trigger identity of a count-triggered event: two events of one
-/// kind with identical site filters and the same after_calls would fire
-/// on the exact same probe — an ambiguous schedule validate_plan rejects.
 std::string trigger_signature(const FaultEvent& event) {
   return std::to_string(static_cast<int>(event.kind)) + "|" +
          std::to_string(event.processor) + "|" + std::to_string(event.peer) +
@@ -168,8 +163,6 @@ std::string trigger_signature(const FaultEvent& event) {
          event.phase + "|" + event.label + "|" +
          std::to_string(event.after_calls);
 }
-
-}  // namespace
 
 void validate_plan(const FaultPlan& plan, std::size_t total_processors) {
   std::vector<std::string> seen_triggers;

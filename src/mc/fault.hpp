@@ -190,6 +190,12 @@ struct FaultPlan {
 /// non-empty proper subset of the processors.
 void validate_plan(const FaultPlan& plan, std::size_t total_processors);
 
+/// The trigger identity of a count-triggered event: two events of one
+/// kind with identical site filters and the same after_calls would fire
+/// on the exact same probe — an ambiguous schedule validate_plan rejects,
+/// and one the chaos generator steers its events off.
+std::string trigger_signature(const FaultEvent& event);
+
 /// Raised inside a simulated processor when a kCrash event fires. The
 /// cluster catches it, deregisters the processor from the barrier (so
 /// peers never deadlock) and reports the outcome as kCrashed.

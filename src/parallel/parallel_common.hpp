@@ -69,8 +69,9 @@ struct ParallelOutput {
   /// Failed attempts re-enqueued by the retry path (failures short of
   /// the retry budget).
   std::uint64_t exec_task_retries = 0;
-  /// Peak per-worker arena bytes observed (max over workers; 0 when the
-  /// budget is disabled, since metering is off).
+  /// Peak live tid-set bytes of any class at a budget checkpoint: a
+  /// function of the input and config alone (0 when the budget is
+  /// disabled, since metering is off).
   std::uint64_t exec_arena_peak_bytes = 0;
 
   double setup_seconds() const {

@@ -31,11 +31,6 @@ class BitsetTidList {
   Tid universe() const { return universe_; }
   std::size_t count() const { return count_; }  ///< cached popcount
   bool empty() const { return count_ == 0; }
-  /// Bytes held by the word buffer (capacity, not size: this feeds the
-  /// exec memory budget, which accounts for retained allocations).
-  std::size_t memory_bytes() const {
-    return words_.capacity() * sizeof(std::uint64_t);
-  }
 
   bool test(Tid t) const {
     return t < universe_ &&

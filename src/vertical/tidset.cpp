@@ -188,13 +188,6 @@ void TidSet::assign_dense(std::span<const Tid> tids, Tid universe) {
   rep_ = TidRep::kDense;
 }
 
-void TidSet::release() {
-  tids_ = TidList();
-  bits_ = BitsetTidList();
-  rep_ = TidRep::kSparse;
-  last_conv_ = 0;
-}
-
 bool TidSet::prefers_dense(std::size_t size, Tid universe) {
   return size > 0 && (static_cast<std::uint64_t>(size) << 7) >= universe;
 }

@@ -104,15 +104,15 @@ class TidSet {
   void append_to(TidList& out) const;
   TidList to_tidlist() const;
 
-  /// Bytes retained across both internal buffers (capacities). The
-  /// exec memory budget sums this over a worker's arena.
-  std::size_t memory_bytes() const {
-    return tids_.capacity() * sizeof(Tid) + bits_.memory_bytes();
+  /// Logical size: 4 bytes per tid while sparse, 8 per bitmap word while
+  /// dense. A function of the contents alone, not of buffer capacities;
+  /// the exec memory budget charges it.
+  std::size_t bytes() const {
+    return rep_ == TidRep::kDense
+               ? (std::size_t{bits_.universe()} + 63) / 64 *
+                     sizeof(std::uint64_t)
+               : tids_.size() * sizeof(Tid);
   }
-
-  /// Drop every buffer (capacity included) and reset to an empty sparse
-  /// set. Memory-pressure relief for slots whose contents are dead.
-  void release();
 
  private:
   friend void seed_tidset(std::span<const Tid>, Tid, IntersectKernel,

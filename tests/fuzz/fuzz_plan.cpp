@@ -1,7 +1,8 @@
-// libFuzzer harness for the two fault-plan text parsers, the exec one
+// libFuzzer harness for the fault-plan reader (read_plan_text in
+// common/parse.hpp), through both of its dialects: the exec one
 // (exec_plan_from_text) and the mc one (chaos::plan_from_text). Plan files
 // are outside input (`chaos --plan-file`), so arbitrary bytes fed to
-// either parser must parse or raise std::invalid_argument — no other
+// either dialect must parse or raise std::invalid_argument — no other
 // exception and no crash — and an accepted plan's text form must parse
 // back to the same text.
 //

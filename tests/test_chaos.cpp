@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "chaos.hpp"
+#include "exec/thread_backend.hpp"
 #include "mc/fault.hpp"
 
 namespace eclat::chaos {
@@ -275,18 +276,40 @@ TEST(Chaos, ExecSweepReplaysIdentically) {
 }
 
 TEST(Chaos, ExecBudgetedSweepStillHoldsTheContract) {
-  // A tight per-worker arena budget layered on top of injected faults:
-  // degradation history may vary, but the byte-identical-or-clean-abort
-  // contract must hold on every run.
+  // A memory budget below the fault-free run's metered peak, layered on
+  // top of injected faults: every run holds the byte-identical-or-clean-
+  // abort contract, the budget quarantines somewhere in the sweep, and
+  // every plan replays exactly, since a trip depends on the class alone.
+  exec::ThreadBackendOptions metering;
+  metering.threads = 1;
+  metering.mem_budget = std::size_t{1} << 40;
+  par::ParEclatConfig config;
+  config.minsup = ExecChaosOptions{}.minsup;
+  const std::size_t peak = exec::ThreadBackend(metering)
+                               .mine(test_db(), config)
+                               .exec_arena_peak_bytes;
+  ASSERT_GT(peak, 0u);
   const ExecChaosKnobs knobs;
+  std::size_t memory_quarantines = 0;
   for (std::uint64_t seed = 300; seed < 312; ++seed) {
     const exec::ExecFaultPlan plan = generate_exec_plan(seed, knobs);
     ExecChaosOptions options;
     options.threads = 1 + seed % 3;
-    options.mem_budget = 16 * 1024;
+    options.mem_budget = peak / 2;
     const ExecChaosRun run = run_exec_plan(test_db(), plan, options);
-    expect_exec_contract(run, "budget seed " + std::to_string(seed));
+    const std::string where = "budget seed " + std::to_string(seed);
+    expect_exec_contract(run, where);
+    if (run.error.find("memory budget") != std::string::npos) {
+      ++memory_quarantines;
+    }
+    const ExecChaosRun again = run_exec_plan(test_db(), plan, options);
+    EXPECT_EQ(again.completed, run.completed) << where;
+    EXPECT_EQ(again.error, run.error) << where;
+    EXPECT_EQ(again.failures, run.failures) << where;
+    EXPECT_EQ(again.retries, run.retries) << where;
+    EXPECT_EQ(again.result_bytes, run.result_bytes) << where;
   }
+  EXPECT_GT(memory_quarantines, 0u);
 }
 
 TEST(Chaos, ReplayedTextPlanProducesTheIdenticalRun) {

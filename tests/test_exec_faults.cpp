@@ -365,74 +365,92 @@ TEST(ExecFault, HugeBudgetMetersPeakWithoutTripping) {
   EXPECT_EQ(run.exec_task_failures, 0u);
 }
 
-TEST(ExecFault, TightBudgetDegradesGracefullyOrAbortsCleanly) {
-  const HorizontalDatabase db = small_quest_db(260, 24, 7);
-  par::ParEclatConfig config;
-  config.minsup = 4;
-  config.kernel = IntersectKernel::kAuto;
+/// The budget charges what the class being mined holds, so its boundary
+/// is exact at every execution shape: a budget equal to the metered peak
+/// completes byte-identical to the mc reference with no failed attempt,
+/// and one byte less quarantines on the memory budget.
+void expect_exact_budget_boundary(const HorizontalDatabase& db,
+                                  const par::ParEclatConfig& config) {
   const std::vector<std::uint8_t> reference = mc_reference(db, config);
-
-  // Measure the untripped peak first, then budget half of it.
   exec::ThreadBackendOptions metering;
-  metering.threads = 1;
   metering.mem_budget = std::size_t{1} << 40;
   const std::size_t peak =
       run_threads(db, config, metering).exec_arena_peak_bytes;
   ASSERT_GT(peak, 0u);
+  for (const std::size_t threads : {1, 2, 3, 4}) {
+    for (const exec::ClassScheduler scheduler :
+         {exec::ClassScheduler::kStatic,
+          exec::ClassScheduler::kWorkStealing}) {
+      const std::string where = "|D|=" + std::to_string(db.size()) +
+                                " W=" + std::to_string(threads) + " " +
+                                exec::to_string(scheduler) + " peak " +
+                                std::to_string(peak);
+      exec::ThreadBackendOptions options;
+      options.threads = threads;
+      options.scheduler = scheduler;
+      options.mem_budget = peak;
+      const par::ParallelOutput run = run_threads(db, config, options);
+      EXPECT_EQ(result_to_bytes(run.result), reference) << where;
+      EXPECT_EQ(run.exec_task_failures, 0u) << where;
+      EXPECT_EQ(run.exec_arena_peak_bytes, peak) << where;
 
-  exec::ThreadBackendOptions options;
-  options.threads = 1;
-  options.mem_budget = peak / 2;
-  try {
-    const par::ParallelOutput run = run_threads(db, config, options);
-    EXPECT_EQ(result_to_bytes(run.result), reference)
-        << "a degraded-but-completed run must stay byte-identical";
-    EXPECT_GT(run.exec_task_failures, 0u)
-        << "half the peak cannot fit without failing a class";
-  } catch (const exec::ExecClassQuarantined& e) {
-    EXPECT_NE(std::string(e.what()).find("memory budget"), std::string::npos)
-        << e.what();
-  }
-}
-
-// `auto` under budgets just below the metered peak: every run must end
-// in one of the contract's two outcomes, bytes equal to the mc reference
-// or the clean memory-budget quarantine, on a 64-item database and on
-// the one above, at one and two workers.
-TEST(ExecFault, AutoBudgetsNearThePeakCompleteOrQuarantine) {
-  const HorizontalDatabase databases[] = {small_quest_db(2000, 64, 5),
-                                          small_quest_db(260, 24, 7)};
-  par::ParEclatConfig config;
-  config.minsup = 4;
-  config.kernel = IntersectKernel::kAuto;
-  for (const HorizontalDatabase& db : databases) {
-    const std::vector<std::uint8_t> reference = mc_reference(db, config);
-    for (const std::size_t threads : {1, 2}) {
-      exec::ThreadBackendOptions metering;
-      metering.threads = threads;
-      metering.mem_budget = std::size_t{1} << 40;
-      const std::size_t peak =
-          run_threads(db, config, metering).exec_arena_peak_bytes;
-      ASSERT_GT(peak, 0u);
-      for (const std::size_t permille : {999, 970, 900}) {
-        exec::ThreadBackendOptions options;
-        options.threads = threads;
-        options.mem_budget = peak * permille / 1000;
-        const std::string where = "|D|=" + std::to_string(db.size()) +
-                                  " W=" + std::to_string(threads) +
-                                  " budget=" + std::to_string(permille) +
-                                  "/1000 of " + std::to_string(peak);
-        try {
-          const par::ParallelOutput run = run_threads(db, config, options);
-          EXPECT_EQ(result_to_bytes(run.result), reference) << where;
-        } catch (const exec::ExecClassQuarantined& e) {
-          EXPECT_NE(std::string(e.what()).find("memory budget"),
-                    std::string::npos)
-              << where << ": " << e.what();
-        }
+      options.mem_budget = peak - 1;
+      try {
+        run_threads(db, config, options);
+        ADD_FAILURE() << where << ": a budget below the peak completed";
+      } catch (const exec::ExecClassQuarantined& e) {
+        EXPECT_NE(std::string(e.what()).find("memory budget"),
+                  std::string::npos)
+            << where << ": " << e.what();
       }
     }
   }
+}
+
+TEST(ExecFault, TightBudgetDegradesGracefullyOrAbortsCleanly) {
+  par::ParEclatConfig config;
+  config.minsup = 4;  // the paper's kernel: every tid-set sparse
+  expect_exact_budget_boundary(small_quest_db(260, 24, 7), config);
+}
+
+// `auto` mixes sparse lists and bitmaps, on a 64-item database and on
+// the one above.
+TEST(ExecFault, AutoBudgetsNearThePeakCompleteOrQuarantine) {
+  par::ParEclatConfig config;
+  config.minsup = 4;
+  config.kernel = IntersectKernel::kAuto;
+  expect_exact_budget_boundary(small_quest_db(2000, 64, 5), config);
+  expect_exact_budget_boundary(small_quest_db(260, 24, 7), config);
+}
+
+// The meter reads what a class holds, never the capacity a worker's
+// arena kept from the classes it mined before, so the peak is the same
+// whichever worker mines which class.
+TEST(ExecFault, MeteredPeakIsAFunctionOfTheInput) {
+  const HorizontalDatabase db = small_quest_db(2000, 64, 5);
+  par::ParEclatConfig config;
+  config.minsup = 4;
+  config.kernel = IntersectKernel::kAuto;
+  std::size_t first = 0;
+  for (const std::size_t threads : {1, 2, 3, 4}) {
+    for (const exec::ClassScheduler scheduler :
+         {exec::ClassScheduler::kStatic,
+          exec::ClassScheduler::kWorkStealing}) {
+      for (int repeat = 0; repeat < 3; ++repeat) {
+        exec::ThreadBackendOptions options;
+        options.threads = threads;
+        options.scheduler = scheduler;
+        options.mem_budget = std::size_t{1} << 40;
+        const std::size_t peak =
+            run_threads(db, config, options).exec_arena_peak_bytes;
+        if (first == 0) first = peak;
+        EXPECT_EQ(peak, first) << "W=" << threads << " "
+                               << exec::to_string(scheduler) << " repeat "
+                               << repeat;
+      }
+    }
+  }
+  EXPECT_GT(first, 0u);
 }
 
 TEST(ExecFault, StarvationBudgetQuarantinesWithAMemoryDiagnostic) {
@@ -470,43 +488,37 @@ TEST(ExecFault, ApiThreadsFaultKnobsReachTheBackend) {
 }
 
 // ---------------------------------------------------------------------------
-// Arena memory accounting primitives the budget builds on
+// The arena meter the budget charges
 // ---------------------------------------------------------------------------
 
-TEST(ExecFault, TidSetReleaseDropsEveryBuffer) {
-  TidSet set;
+TEST(ExecFault, ArenaLiveBytesChargeCommittedSetsUpToTheDepth) {
   TidList tids;
-  for (Tid t = 0; t < 500; t += 3) tids.push_back(t);
-  set.assign_sparse(tids);
-  set.assign_dense(tids, 500);  // the sparse buffer keeps its capacity
-  EXPECT_GT(set.memory_bytes(), tids.size() * sizeof(Tid));
-
-  set.release();
-  EXPECT_EQ(set.memory_bytes(), 0u);
-  EXPECT_EQ(set.rep(), TidRep::kSparse);
-  EXPECT_TRUE(set.to_tidlist().empty());
-}
-
-TEST(ExecFault, ArenaRelieveMemoryReleasesDeadAndKeepsLive) {
+  for (Tid t = 0; t < 200; ++t) tids.push_back(t * 2);
   TidArena arena;
-  TidList tids;
-  for (Tid t = 0; t < 256; ++t) tids.push_back(t * 2);
-  TidArena::Level& level = arena.level(0);
-  level.scratch().assign_sparse(tids);
-  level.commit(3, static_cast<Count>(tids.size()));  // slot 0: live
-  level.scratch().assign_sparse(tids);               // slot 1: dead scratch
-  const std::size_t before = arena.memory_bytes();
-  EXPECT_GT(before, 0u);
+  TidArena::Level& root = arena.level(0);
+  root.scratch().assign_sparse(tids);
+  root.commit(3, static_cast<Count>(tids.size()));
+  root.scratch().assign_dense(tids, 500);  // scratch, never committed
+  // 4 bytes per sparse tid; the uncommitted slot is not charged.
+  EXPECT_EQ(root.sets[0].bytes(), 800u);
+  EXPECT_EQ(arena.live_bytes(0), 800u);
 
-  // The live slot survives relief untouched; the dead slot's buffers are
-  // released outright.
-  const std::size_t live_bytes = level.sets[0].memory_bytes();
-  arena.relieve_memory();
-  EXPECT_EQ(level.sets[0].rep(), TidRep::kSparse);
-  EXPECT_EQ(level.sets[0].to_tidlist(), tids);
-  EXPECT_EQ(level.sets[0].memory_bytes(), live_bytes);
-  EXPECT_EQ(level.sets[1].memory_bytes(), 0u);
-  EXPECT_LT(arena.memory_bytes(), before);
+  TidArena::Level& child = arena.level(1);
+  child.scratch().assign_dense(tids, 500);
+  child.commit(5, static_cast<Count>(tids.size()));
+  // 8 bytes per bitmap word: a universe of 500 takes 8 words.
+  EXPECT_EQ(child.sets[0].bytes(), 64u);
+  EXPECT_EQ(arena.live_bytes(0), 800u);  // level 1 is deeper than 0
+  EXPECT_EQ(arena.live_bytes(1), 864u);
+  EXPECT_EQ(arena.live_bytes(9), 864u);  // levels never made hold nothing
+
+  // Rewound and refilled smaller, the levels keep their capacity, which
+  // is not charged: only what the new class holds is.
+  root.reset();
+  child.reset();
+  root.scratch().assign_sparse(std::span<const Tid>(tids).first(10));
+  root.commit(3, 10);
+  EXPECT_EQ(arena.live_bytes(1), 40u);
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/clock.hpp"
 
@@ -64,6 +67,33 @@ TEST(Flags, FlagFollowedByFlagIsBoolean) {
   const Flags flags = parse({"--verbose", "--out=x"});
   EXPECT_TRUE(flags.get_bool("verbose", false));
   EXPECT_EQ(flags.get("out", ""), "x");
+}
+
+TEST(Flags, IntegersAreReadWhole) {
+  EXPECT_EQ(parse({"--n=-7"}).get_int("n", 0), -7);
+  EXPECT_EQ(parse({"--n=7"}).get_uint("n", 0), 7u);
+  for (const std::string bad : {"+2", " 2", "2x", "", "0x10"}) {
+    const Flags flags = parse({"--n=" + bad});
+    EXPECT_THROW((void)flags.get_int("n", 0), std::invalid_argument) << bad;
+    EXPECT_THROW((void)flags.get_uint("n", 0), std::invalid_argument) << bad;
+  }
+  EXPECT_THROW((void)parse({"--n=-1"}).get_uint("n", 0),
+               std::invalid_argument);
+}
+
+TEST(Flags, UnsignedIntegersStayInTheirWidth) {
+  // Past u64 the value is rejected, not clamped.
+  const Flags huge = parse({"--n=99999999999999999999"});
+  EXPECT_THROW((void)huge.get_uint("n", 0), std::invalid_argument);
+  EXPECT_THROW((void)huge.get_int("n", 0), std::invalid_argument);
+  // 2^32 is a u64 but no u32: it does not wrap to 0.
+  const Flags wide = parse({"--n=4294967296"});
+  EXPECT_EQ(wide.get_uint("n", 0), 4294967296u);
+  EXPECT_THROW((void)wide.get_uint<std::uint32_t>("n", 2),
+               std::invalid_argument);
+  EXPECT_EQ(parse({"--n=4294967295"}).get_uint<std::uint32_t>("n", 2),
+            UINT32_MAX);
+  EXPECT_EQ(parse({}).get_uint<std::uint32_t>("n", 2), 2u);
 }
 
 TEST(Flags, ChoiceAcceptsListedValues) {

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
-#include <string_view>
 
 #include "common/parse.hpp"
 #include "common/rng.hpp"
@@ -35,16 +33,6 @@ constexpr FaultOp kSiteOps[] = {
 constexpr const char* kPhases[] = {
     "", "initialization", "transformation", "asynchronous", "reduction",
 };
-
-/// Mirror of validate_plan's single-owner trigger identity: two
-/// count-triggered events with the same signature would race one counter.
-std::string trigger_signature(const FaultEvent& event) {
-  return std::to_string(static_cast<int>(event.kind)) + "|" +
-         std::to_string(event.processor) + "|" + std::to_string(event.peer) +
-         "|" + std::to_string(static_cast<int>(event.op)) + "|" +
-         event.phase + "|" + event.label + "|" +
-         std::to_string(event.after_calls);
-}
 
 }  // namespace
 
@@ -147,7 +135,7 @@ mc::FaultPlan generate_plan(std::uint64_t seed, const ChaosKnobs& knobs) {
     if (event.at_time < 0 && event.kind != FaultKind::kHubDegrade) {
       bool placed = false;
       for (std::size_t bump = 0; bump < 8; ++bump) {
-        if (used_triggers.insert(trigger_signature(event)).second) {
+        if (used_triggers.insert(mc::trigger_signature(event)).second) {
           placed = true;
           break;
         }
@@ -164,42 +152,13 @@ mc::FaultPlan generate_plan(std::uint64_t seed, const ChaosKnobs& knobs) {
   return plan;
 }
 
-namespace {
-
-const char* op_name(FaultOp op) { return mc::to_string(op); }
-
-FaultOp op_from_name(const std::string& name, std::size_t line_no) {
-  for (const FaultOp op :
-       {FaultOp::kAny, FaultOp::kCompute, FaultOp::kDiskRead,
-        FaultOp::kDiskWrite, FaultOp::kBarrier, FaultOp::kSumReduce,
-        FaultOp::kBroadcast, FaultOp::kAllToAll, FaultOp::kAllGather,
-        FaultOp::kRegionWrite, FaultOp::kPoint}) {
-    if (name == mc::to_string(op)) return op;
-  }
-  throw std::invalid_argument("chaos plan line " + std::to_string(line_no) +
-                              ": unknown op '" + name + "'");
-}
-
-FaultKind kind_from_name(const std::string& name, std::size_t line_no) {
-  for (const FaultKind kind :
-       {FaultKind::kCrash, FaultKind::kDiskStall, FaultKind::kHang,
-        FaultKind::kCorruptMessage, FaultKind::kCorruptRegion,
-        FaultKind::kHubDegrade, FaultKind::kPartition}) {
-    if (name == mc::to_string(kind)) return kind;
-  }
-  throw std::invalid_argument("chaos plan line " + std::to_string(line_no) +
-                              ": unknown fault kind '" + name + "'");
-}
-
-}  // namespace
-
 std::string plan_to_text(const mc::FaultPlan& plan) {
   std::ostringstream out;
   out << "seed " << plan.seed << "\n";
   for (const FaultEvent& e : plan.events) {
     out << "event kind=" << mc::to_string(e.kind)
         << " processor=" << e.processor << " peer=" << e.peer
-        << " op=" << op_name(e.op) << " phase=" << e.phase
+        << " op=" << mc::to_string(e.op) << " phase=" << e.phase
         << " label=" << e.label << " after_calls=" << e.after_calls;
     char buffer[64];
     std::snprintf(buffer, sizeof(buffer), " at_time=%.17g", e.at_time);
@@ -221,95 +180,56 @@ std::string plan_to_text(const mc::FaultPlan& plan) {
 
 mc::FaultPlan plan_from_text(const std::string& text) {
   FaultPlan plan;
-  std::istringstream in(text);
-  std::string line;
-  std::size_t line_no = 0;
-  bool saw_seed = false;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream tokens(line);
-    std::string head;
-    tokens >> head;
-    const auto bad_line = [&](const std::string& why) {
-      return std::invalid_argument("chaos plan line " +
-                                   std::to_string(line_no) + ": " + why);
-    };
-    if (head == "seed") {
-      std::string value;
-      std::string extra;
-      tokens >> value;
-      const std::optional<std::uint64_t> seed =
-          parse_whole<std::uint64_t>(value);
-      if (!seed || tokens >> extra) {
-        throw bad_line("seed needs one unsigned value, got '" + value + "'");
-      }
-      plan.seed = *seed;
-      saw_seed = true;
-      continue;
-    }
-    if (head != "event") {
-      throw bad_line("expected 'seed' or 'event', got '" + head + "'");
-    }
-    FaultEvent event;
-    std::string token;
-    while (tokens >> token) {
-      const std::size_t eq = token.find('=');
-      if (eq == std::string::npos) {
-        throw bad_line("expected key=value, got '" + token + "'");
-      }
-      const std::string key = token.substr(0, eq);
-      const std::string value = token.substr(eq + 1);
-      // The field's own type bounds the value, so "processor=-1" cannot
-      // spell kAnyProcessor and "at_time=0.5s" is not 0.5.
-      const auto number = [&]<typename T>(std::string_view text, T& field) {
-        const std::optional<T> parsed = parse_whole<T>(text);
-        if (!parsed) {
-          throw bad_line("bad value '" + value + "' for key '" + key + "'");
+  plan.seed = read_plan_text(
+      text, "chaos plan", "", [&] { plan.events.emplace_back(); },
+      [&](const PlanField& field) {
+        FaultEvent& event = plan.events.back();
+        if (field.key == "kind") {
+          field.name(event.kind,
+                     {FaultKind::kCrash, FaultKind::kDiskStall,
+                      FaultKind::kHang, FaultKind::kCorruptMessage,
+                      FaultKind::kCorruptRegion, FaultKind::kHubDegrade,
+                      FaultKind::kPartition});
+        } else if (field.key == "processor") {
+          field.number(event.processor);
+        } else if (field.key == "peer") {
+          field.number(event.peer);
+        } else if (field.key == "op") {
+          field.name(event.op,
+                     {FaultOp::kAny, FaultOp::kCompute, FaultOp::kDiskRead,
+                      FaultOp::kDiskWrite, FaultOp::kBarrier,
+                      FaultOp::kSumReduce, FaultOp::kBroadcast,
+                      FaultOp::kAllToAll, FaultOp::kAllGather,
+                      FaultOp::kRegionWrite, FaultOp::kPoint});
+        } else if (field.key == "phase") {
+          event.phase = field.value;
+        } else if (field.key == "label") {
+          event.label = field.value;
+        } else if (field.key == "after_calls") {
+          field.number(event.after_calls);
+        } else if (field.key == "at_time") {
+          field.number(event.at_time);
+        } else if (field.key == "severity") {
+          field.number(event.severity);
+        } else if (field.key == "persistent") {
+          if (field.value != "0" && field.value != "1") field.reject();
+          event.persistent = field.value == "1";
+        } else if (field.key == "duration") {
+          field.number(event.duration);
+        } else if (field.key == "members") {
+          event.members.clear();
+          std::istringstream list{std::string(field.value)};
+          std::string member;
+          while (std::getline(list, member, ',')) {
+            if (!member.empty()) {
+              field.number(member, event.members.emplace_back());
+            }
+          }
+        } else {
+          return false;
         }
-        field = *parsed;
-      };
-      if (key == "kind") {
-        event.kind = kind_from_name(value, line_no);
-      } else if (key == "processor") {
-        number(value, event.processor);
-      } else if (key == "peer") {
-        number(value, event.peer);
-      } else if (key == "op") {
-        event.op = op_from_name(value, line_no);
-      } else if (key == "phase") {
-        event.phase = value;
-      } else if (key == "label") {
-        event.label = value;
-      } else if (key == "after_calls") {
-        number(value, event.after_calls);
-      } else if (key == "at_time") {
-        number(value, event.at_time);
-      } else if (key == "severity") {
-        number(value, event.severity);
-      } else if (key == "persistent") {
-        if (value != "0" && value != "1") {
-          throw bad_line("bad value '" + value + "' for key '" + key + "'");
-        }
-        event.persistent = value == "1";
-      } else if (key == "duration") {
-        number(value, event.duration);
-      } else if (key == "members") {
-        event.members.clear();
-        std::istringstream list(value);
-        std::string member;
-        while (std::getline(list, member, ',')) {
-          if (!member.empty()) number(member, event.members.emplace_back());
-        }
-      } else {
-        throw bad_line("unknown key '" + key + "'");
-      }
-    }
-    plan.events.push_back(std::move(event));
-  }
-  if (!saw_seed) {
-    throw std::invalid_argument("chaos plan: missing 'seed' line");
-  }
+        return true;
+      });
   return plan;
 }
 

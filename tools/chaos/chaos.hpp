@@ -64,10 +64,11 @@ struct ChaosKnobs {
 mc::FaultPlan generate_plan(std::uint64_t seed, const ChaosKnobs& knobs);
 
 /// Serialize a plan to a line-based text form ("seed ..." then one
-/// "event ..." line per event) and parse it back. plan_from_text throws
-/// std::invalid_argument on malformed input, naming the offending line:
-/// every number must be the whole value, in range for its field, with no
-/// sign on an unsigned one.
+/// "event ..." line per event) and parse it back. plan_from_text is the
+/// unprefixed dialect of the shared plan reader (common/parse.hpp): it
+/// throws std::invalid_argument on malformed input, naming the offending
+/// line and key, and every number must be the whole value, in range for
+/// its field, with no sign on an unsigned one.
 std::string plan_to_text(const mc::FaultPlan& plan);
 mc::FaultPlan plan_from_text(const std::string& text);
 
@@ -148,7 +149,7 @@ struct ExecChaosOptions {
   std::size_t threads = 3;
   exec::ClassScheduler scheduler = exec::ClassScheduler::kWorkStealing;
   std::uint32_t max_retries = 2;
-  std::size_t mem_budget = 0;  ///< bytes per worker arena; 0 = unlimited
+  std::size_t mem_budget = 0;  ///< live bytes per class; 0 = unlimited
 };
 
 /// Outcome of one exec chaos run.

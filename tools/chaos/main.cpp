@@ -16,9 +16,8 @@
 //
 // Every run is checked against the harness contract: byte-identical output
 // to the fault-free reference, or a deterministic expected clean abort —
-// and a second execution of the same plan must reproduce the first (for
-// the threads leg, only when --exec-mem-budget is off: budget runs stay
-// contract-deterministic but their degradation history may vary).
+// and a second execution of the same plan must reproduce the first, with
+// or without --exec-mem-budget.
 // Exit status 0 = every run honored the contract; 1 = at least one
 // violation (the offending plan is printed in replayable text form), or
 // a malformed flag value (named on stderr).
@@ -78,7 +77,8 @@ int run_chaos(int argc, char** argv) {
 
   chaos::ChaosOptions options;
   options.topology = {flags.get_uint("procs", 2), flags.get_uint("hosts", 2)};
-  options.minsup = static_cast<Count>(flags.get_uint("minsup", 2));
+  // A support counts transactions, whose ids are 32-bit.
+  options.minsup = flags.get_uint<std::uint32_t>("minsup", 2);
   options.replication = flags.get_uint("replication", 0);
   options.speculate = flags.get_bool("speculate", true);
 
@@ -112,13 +112,12 @@ int run_chaos(int argc, char** argv) {
   exec_knobs.max_events = flags.get_uint("max-events", 4);
   exec_knobs.throws = flags.get_bool("exec-throws", true);
   exec_knobs.corrupts = flags.get_bool("exec-corrupts", true);
-  exec_knobs.max_times =
-      static_cast<std::uint32_t>(flags.get_uint("exec-max-times", 4));
+  exec_knobs.max_times = flags.get_uint<std::uint32_t>("exec-max-times", 4);
 
   chaos::ExecChaosOptions exec_base;
   exec_base.minsup = options.minsup;
   exec_base.max_retries =
-      static_cast<std::uint32_t>(flags.get_uint("exec-max-retries", 2));
+      flags.get_uint<std::uint32_t>("exec-max-retries", 2);
   exec_base.mem_budget = flags.get_uint("exec-mem-budget", 0);
   const std::uint64_t pinned_threads = flags.get_uint("exec-threads", 0);
   const bool pinned_scheduler = flags.has("exec-sched");
@@ -347,12 +346,7 @@ int run_chaos(int argc, char** argv) {
     } else {
       what = "unexpected abort: " + run.error;
     }
-    // Budget runs honor the byte-identical-or-clean-abort contract but
-    // their degradation history (and hence retry counters and which
-    // class quarantines first) may vary with interleaving, so only
-    // budget-free plans are required to replay exactly.
-    if (what.empty() && flags.get_bool("replay-check", true) &&
-        run_options.mem_budget == 0) {
+    if (what.empty() && flags.get_bool("replay-check", true)) {
       const chaos::ExecChaosRun again = chaos::run_exec_plan(db, plan,
                                                              run_options);
       if (again.completed != run.completed) {
