@@ -6,8 +6,9 @@
 // For each database (the sparse T10.I4 and the dense T10.I4.N64 of the
 // kernel bench) and each worker count 1..N (powers of two up to the
 // resolved --exec-threads), the bench times the static greedy C(s,2)
-// schedule against work-stealing and byte-compares every output against
-// the mc reference run — the determinism contract of DESIGN.md §9 as a
+// schedule (a queue per worker) against steal (one shared queue, taken
+// heaviest class first) and byte-compares every output against the mc
+// reference run — the determinism contract of DESIGN.md §9 as a
 // benchmark invariant.
 //
 // Writes BENCH_scaling.json. The file carries a `host_cores` field: on a
@@ -77,8 +78,8 @@ int main(int argc, char** argv) {
   for (std::size_t t = 1; t <= max_threads; t *= 2) sweep.push_back(t);
   if (sweep.back() != max_threads) sweep.push_back(max_threads);
 
-  // The mc simulator has no work-stealing scheduler; its sweep is the
-  // static schedule only.
+  // The mc simulator has no shared class queue; its sweep is the static
+  // schedule only.
   std::vector<exec::ClassScheduler> schedulers;
   if (backend_kind == exec::BackendKind::kThreads && sched_choice != "steal") {
     schedulers.push_back(exec::ClassScheduler::kStatic);

@@ -44,7 +44,7 @@ ClassScheduler parse_scheduler(std::string_view name) {
   throw std::invalid_argument(
       "unknown scheduler '" + std::string(name) +
       "' (expected 'static' for the greedy C(s,2) assignment or 'steal' "
-      "for work-stealing; thread backend only)");
+      "for one shared queue, heaviest class first; thread backend only)");
 }
 
 std::size_t resolve_threads(std::size_t requested) {

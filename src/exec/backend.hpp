@@ -7,9 +7,9 @@
 //               makespans, faults, stragglers and leases are pure
 //               functions of (plan, seed). The research backend.
 //   - "threads" a native shared-memory pool (ThreadBackend): one worker
-//               per core, per-worker TidArenas, and per-worker
-//               Chase–Lev work-stealing deques for dynamic class
-//               scheduling. Real wall-clock speed, with a deterministic
+//               per core, per-worker TidArenas, and classes taken
+//               heaviest-first through an atomic cursor over a class
+//               queue. Real wall-clock speed, with a deterministic
 //               per-class fault-tolerance layer (exec_fault.hpp) that
 //               every run takes: task isolation, result validation,
 //               bounded retry, quarantine-then-clean-abort and a
@@ -41,10 +41,14 @@ enum class BackendKind : std::uint8_t {
 
 /// How the asynchronous phase places equivalence classes on workers
 /// (thread backend only; the mc backend always uses the paper's static
-/// greedy schedule, which is also what seeds the deques here).
+/// greedy schedule). Either way a worker takes its classes heaviest
+/// C(s,2) first.
 enum class ClassScheduler : std::uint8_t {
-  kStatic,        ///< static greedy C(s,2) assignment, no migration
-  kWorkStealing,  ///< static seed + Chase–Lev stealing for idle workers
+  /// One queue per worker, its greedy assignment: nothing migrates.
+  kStatic,
+  /// One shared queue: a worker that frees up takes the heaviest class
+  /// left.
+  kWorkStealing,
 };
 
 const char* to_string(BackendKind kind);
@@ -81,6 +85,8 @@ struct ThreadBackendOptions {
   /// Worker threads; 0 resolves to the hardware concurrency (and the
   /// resolved value is echoed in ParallelOutput::exec_threads).
   std::size_t threads = 0;
+  /// Class placement (--exec-sched). Under kWorkStealing the greedy
+  /// assignment of ParEclatConfig::schedule places nothing.
   ClassScheduler scheduler = ClassScheduler::kWorkStealing;
   /// Retry budget per class (--exec-max-retries): a class whose attempts
   /// fail more than this many times is quarantined and the run ends in

@@ -126,13 +126,17 @@ InjectedTaskThrow::InjectedTaskThrow(std::size_t class_id,
 
 ExecClassQuarantined::ExecClassQuarantined(std::size_t class_id,
                                            std::uint32_t attempts,
-                                           const std::string& last_error)
+                                           const std::string& last_error,
+                                           std::uint64_t failures,
+                                           std::uint64_t retries)
     : std::runtime_error("exec: class " + std::to_string(class_id) +
                          " quarantined after " + std::to_string(attempts) +
                          " failed attempts (" + last_error +
                          "); run aborted cleanly"),
       class_id_(class_id),
-      attempts_(attempts) {}
+      attempts_(attempts),
+      failures_(failures),
+      retries_(retries) {}
 
 ExecFaultInjector::ExecFaultInjector(const ExecFaultPlan& plan)
     : plan_(plan) {

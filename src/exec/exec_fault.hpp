@@ -4,13 +4,11 @@
 // An ExecFaultPlan is a list of ExecFaultEvents attached to a
 // ThreadBackend before a run. The injection site is a *class attempt*:
 // (class id, attempt index), where attempts of one class are numbered
-// 0, 1, 2, ... in the order the scheduler executes them (the first
-// attempt is 0; every retry allocates the next index). A retry is
-// enqueued only by the attempt that failed, after it ended, so at most
-// one attempt of a class is pending or running at a time, and the fault
-// a given attempt experiences is a pure function of (plan, class id,
-// attempt index), independent of thread interleaving. No wall clock is
-// consulted anywhere.
+// 0, 1, 2, ... (the first attempt is 0; every retry takes the next
+// index). A class's attempts run back to back on the worker that took
+// the class, so the fault a given attempt experiences is a pure function
+// of (plan, class id, attempt index), independent of thread
+// interleaving. No wall clock is consulted anywhere.
 //
 // Fault kinds:
 //   - kThrow: the class task raises InjectedTaskThrow at task start.
@@ -112,20 +110,26 @@ class ClassResultCorrupt final : public std::runtime_error {
 };
 
 /// The clean typed abort of a threads-backend run: a class exceeded its
-/// retry budget. Thrown by ThreadBackend::mine after the worker pool has
-/// fully drained (every other class ran to its own conclusion), naming
-/// the lowest quarantined class id — which makes the diagnostic, like
-/// the outcome, a pure function of the plan.
+/// retry budget. Thrown by ThreadBackend::mine after the workers joined
+/// (every other class ran to its own conclusion), naming the lowest
+/// quarantined class id — which makes the diagnostic, like the outcome,
+/// a pure function of the plan. failures() and retries() are the run's
+/// totals, the counters a completed run reports.
 class ExecClassQuarantined final : public std::runtime_error {
  public:
   ExecClassQuarantined(std::size_t class_id, std::uint32_t attempts,
-                       const std::string& last_error);
+                       const std::string& last_error, std::uint64_t failures,
+                       std::uint64_t retries);
   std::size_t class_id() const { return class_id_; }
   std::uint32_t attempts() const { return attempts_; }
+  std::uint64_t failures() const { return failures_; }
+  std::uint64_t retries() const { return retries_; }
 
  private:
   std::size_t class_id_;
   std::uint32_t attempts_;
+  std::uint64_t failures_;
+  std::uint64_t retries_;
 };
 
 /// Per-run view of an ExecFaultPlan. Pure and shared: fault_for and

@@ -1,6 +1,6 @@
 // Per-class task isolation boundary: every class attempt on the thread
-// backend runs inside capture_class_failure, which converts any escape
-// into a typed TaskError instead of letting it unwind the worker loop.
+// backend runs inside capture_class_failure, which turns any escape into
+// the attempt's diagnostic instead of letting it unwind the worker loop.
 // Every exception is a retryable failure of that one attempt: injected
 // throws, corrupt-result detections and memory-budget trips alike. This
 // is the single place where "a class task failed" is decided; the
@@ -9,34 +9,26 @@
 // cannot be silently swallowed anywhere else.
 #pragma once
 
-#include <cstdint>
 #include <exception>
+#include <optional>
 #include <string>
 #include <utility>
 
 namespace eclat::exec {
 
-enum class TaskOutcome : std::uint8_t {
-  kOk,      ///< the attempt produced a (validated) result
-  kFailed,  ///< retryable failure — counts against the retry budget
-};
-
-struct TaskError {
-  TaskOutcome outcome = TaskOutcome::kOk;
-  std::string what;  ///< diagnostic of a failed attempt, empty otherwise
-};
-
+/// Run one class attempt: nothing when it produced a (validated) result,
+/// else its diagnostic — a failure that counts against the retry budget.
 template <typename Fn>
-TaskError capture_class_failure(Fn&& fn) {
+std::optional<std::string> capture_class_failure(Fn&& fn) {
   try {
     std::forward<Fn>(fn)();
-    return {};
+    return std::nullopt;
   } catch (const std::exception& e) {
-    return {TaskOutcome::kFailed, e.what()};
+    return e.what();
   }
-  // eclat-lint: allow(robust-catch) this IS the fault-capture helper: an unknown exception becomes a typed, retry-accounted TaskError
+  // eclat-lint: allow(robust-catch) this IS the fault-capture helper: an unknown exception becomes the attempt's retry-accounted diagnostic
   catch (...) {
-    return {TaskOutcome::kFailed, "unknown exception"};
+    return "unknown exception";
   }
 }
 

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <exception>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -21,7 +19,6 @@
 #include "exec/exec_fault.hpp"
 #include "exec/fault_capture.hpp"
 #include "exec/mem_budget.hpp"
-#include "exec/steal_deque.hpp"
 #include "parallel/parallel_common.hpp"
 #include "parallel/pipeline.hpp"
 #include "vertical/simd/dispatch.hpp"
@@ -55,16 +52,6 @@ void parallel_region(std::size_t workers, Body&& body) {
     if (error) std::rethrow_exception(error);
   }
 }
-
-// One class attempt queued for re-execution after a failure. ready_at is
-// in units of the global task-acquisition counter — backoff-in-attempts,
-// never wall time, so a replay acquires the same attempt sequence per
-// class.
-struct RetryTask {
-  std::size_t class_id = 0;
-  std::uint32_t attempt = 0;
-  std::uint64_t ready_at = 0;
-};
 
 }  // namespace
 
@@ -133,97 +120,40 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
       atoms_by_class(plan.classes, lists);
   const double t_transform = wall.elapsed_seconds();
 
-  // ----- Phase 3: asynchronous. Each class runs as an isolated task into
-  // its own result slot, an exact-size store; per-worker arenas keep
-  // mining allocation-free and deterministic per class. The level
-  // histogram is recomputed from the final result (finalize_result), so
-  // the per-worker one is scratch. part_sizes[1 + c] holds slot c's
-  // per-size counts for the reduction, whose part 0 is the head
-  // (singletons and pairs). -----
+  // ----- Phase 3: asynchronous. Workers take classes through an atomic
+  // cursor over a class queue sorted by descending C(s,2). Under `static`
+  // worker w walks its own queue, its greedy assignment, so nothing
+  // migrates; under `steal` all workers walk one queue of every class, so
+  // the worker that frees up first takes the heaviest class left (paper
+  // §5.2.1's greedy rule applied online). Each attempt runs isolated
+  // over the worker's arena into its scratch store, and a failed attempt
+  // runs again at once on the same worker, so a class has one live
+  // attempt and its result slot, an exact-size store, one writer. The
+  // level histogram is recomputed from the final result
+  // (finalize_result), so the per-worker one is scratch. part_sizes[1 + c]
+  // holds slot c's per-size counts for the reduction, whose part 0 is the
+  // head (singletons and pairs). -----
   const std::size_t num_classes = plan.classes.size();
   std::vector<ItemsetStore> slots(num_classes);
   std::vector<std::vector<std::size_t>> part_sizes(num_classes + 1);
-  const auto load_of = [&](std::size_t c) {
-    return static_cast<std::int64_t>(plan.classes[c].weight()) + 1;
-  };
-  // Deques seeded with the static assignment in ascending-weight order,
-  // so the owner's LIFO pop yields its heaviest class first (LPT-style)
-  // and a thief's FIFO steal takes the heaviest class still queued on
-  // the victim. Both schedulers seed identically; only stealing differs.
-  std::vector<std::vector<std::size_t>> owned(W);
+  const bool shared_queue = scheduler_ == ClassScheduler::kWorkStealing;
+  std::vector<std::vector<std::size_t>> queues(shared_queue ? 1 : W);
   for (std::size_t c = 0; c < num_classes; ++c) {
-    owned[plan.assignment[c]].push_back(c);
+    queues[shared_queue ? 0 : plan.assignment[c]].push_back(c);
   }
-  // std::deque, not vector: StealDeque is pinned (atomics are neither
-  // movable nor copyable) and deque never relocates elements.
-  std::deque<StealDeque> deques;
-  std::vector<std::atomic<std::int64_t>> loads(W);
-  for (std::size_t w = 0; w < W; ++w) {
-    std::stable_sort(owned[w].begin(), owned[w].end(),
+  for (std::vector<std::size_t>& queue : queues) {
+    std::stable_sort(queue.begin(), queue.end(),
                      [&](std::size_t a, std::size_t b) {
-                       return plan.classes[a].weight() <
+                       return plan.classes[a].weight() >
                               plan.classes[b].weight();
                      });
-    deques.emplace_back(owned[w].empty() ? 1 : owned[w].size());
-    std::int64_t total = 0;
-    for (std::size_t c : owned[w]) {
-      deques[w].push(c);
-      total += load_of(c);
-    }
-    loads[w].store(total, std::memory_order_relaxed);
   }
-
-  // Shared scheduling state:
-  //   outstanding  — class attempts not yet retired; the loop's exit
-  //                  condition. A retry enqueue increments it *before*
-  //                  the failed attempt's own unit retires, so it can
-  //                  never transiently read 0 with work pending.
-  //   acquisitions — total attempts started; the clock for retry
-  //                  backoff (backoff-in-attempts, not time).
-  //   retry_pool   — failed attempts awaiting re-execution on any
-  //                  worker; a desperate take ignores ready_at so an
-  //                  otherwise-idle pool cannot deadlock on backoff.
-  std::mutex retry_mutex;
-  std::vector<RetryTask> retry_pool;
-  std::atomic<std::size_t> retry_size{0};
-  std::atomic<std::size_t> outstanding{num_classes};
-  std::atomic<std::uint64_t> acquisitions{0};
-  // Per-class failure state. A retry is enqueued only by the attempt
-  // that failed, after it ended, so a class has at most one live attempt:
-  // these plain entries pass from attempt to attempt through
-  // retry_mutex, and are read after the join.
+  std::vector<std::atomic<std::size_t>> cursors(queues.size());
+  // Per-class failure count and last diagnostic: written only by the
+  // worker that took the class, read after the join.
   std::vector<std::uint32_t> failures(num_classes, 0);
   std::vector<std::string> last_error(num_classes);
-  std::atomic<std::uint64_t> stat_failures{0};
-  std::atomic<std::uint64_t> stat_retries{0};
   std::vector<std::uint64_t> worker_peak(W, 0);
-
-  const auto take_retry = [&](bool desperate) -> std::optional<RetryTask> {
-    if (retry_size.load(std::memory_order_acquire) == 0) {
-      return std::nullopt;
-    }
-    const std::uint64_t now = acquisitions.load(std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(retry_mutex);
-    std::size_t best = retry_pool.size();
-    for (std::size_t i = 0; i < retry_pool.size(); ++i) {
-      if (retry_pool[i].ready_at <= now) {
-        best = i;
-        break;
-      }
-    }
-    if (best == retry_pool.size()) {
-      if (!desperate || retry_pool.empty()) return std::nullopt;
-      best = 0;
-      for (std::size_t i = 1; i < retry_pool.size(); ++i) {
-        if (retry_pool[i].ready_at < retry_pool[best].ready_at) best = i;
-      }
-    }
-    const RetryTask task = retry_pool[best];
-    retry_pool.erase(retry_pool.begin() +
-                     static_cast<std::ptrdiff_t>(best));
-    retry_size.fetch_sub(1, std::memory_order_release);
-    return task;
-  };
 
   parallel_region(W, [&](std::size_t w) {
     TidArena arena;
@@ -232,12 +162,15 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
     MiningGuard* const guard = mem_budget_ != 0 ? &budget : nullptr;
     ItemsetStore scratch;
     std::vector<std::size_t> histogram;
+    const std::size_t q = shared_queue ? 0 : w;
+    const std::vector<std::size_t>& queue = queues[q];
+    std::atomic<std::size_t>& cursor = cursors[q];
 
-    const auto run_task = [&](std::size_t c, std::uint32_t attempt) {
+    const auto attempt_class = [&](std::size_t c, std::uint32_t attempt) {
       budget.set_class(c);
       const ExecFaultKind fault = injector.fault_for(c, attempt);
       scratch.clear();
-      const TaskError err = capture_class_failure([&] {
+      return capture_class_failure([&] {
         if (fault == ExecFaultKind::kThrow) {
           throw InjectedTaskThrow(c, attempt);
         }
@@ -250,90 +183,46 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
         }
         validate_class_result(plan.classes[c], config.minsup, scratch);
       });
-      if (err.outcome == TaskOutcome::kOk) {
-        // The copy is exact-size; scratch keeps its capacity for the next
-        // class. A committed class is never retried, so its tid-lists go.
-        slots[c] = scratch;
-        part_sizes[1 + c] = size_counts(slots[c]);
-        std::vector<Atom>().swap(class_atoms[c]);
-        return;
-      }
-      stat_failures.fetch_add(1, std::memory_order_relaxed);
-      const std::uint32_t n = ++failures[c];
-      if (n > max_retries_) {
-        last_error[c] = err.what;  // quarantined: no further attempt
-      } else {
-        stat_retries.fetch_add(1, std::memory_order_relaxed);
-        const std::uint64_t ready_at =
-            acquisitions.load(std::memory_order_relaxed) +
-            (1ull << std::min<std::uint32_t>(n, 6));
-        outstanding.fetch_add(1, std::memory_order_acq_rel);
-        {
-          std::lock_guard<std::mutex> lock(retry_mutex);
-          retry_pool.push_back(RetryTask{c, attempt + 1, ready_at});
-        }
-        retry_size.fetch_add(1, std::memory_order_release);
-      }
     };
 
-    const auto execute = [&](std::size_t c, std::uint32_t attempt) {
-      acquisitions.fetch_add(1, std::memory_order_relaxed);
-      run_task(c, attempt);
-      // Retire after run_task: any retry it enqueued has already
-      // incremented outstanding, so the count cannot dip to 0 with
-      // work still pending.
-      outstanding.fetch_sub(1, std::memory_order_acq_rel);
-    };
-
-    while (outstanding.load(std::memory_order_acquire) != 0) {
-      if (const std::optional<std::size_t> c = deques[w].pop()) {
-        loads[w].fetch_sub(load_of(*c), std::memory_order_relaxed);
-        execute(*c, 0);
-        continue;
-      }
-      if (const std::optional<RetryTask> t = take_retry(false)) {
-        execute(t->class_id, t->attempt);
-        continue;
-      }
-      if (scheduler_ == ClassScheduler::kWorkStealing) {
-        std::size_t victim = W;
-        std::int64_t best = 0;
-        for (std::size_t v = 0; v < W; ++v) {
-          if (v == w) continue;
-          const std::int64_t load =
-              loads[v].load(std::memory_order_relaxed);
-          if (load > best) {
-            best = load;
-            victim = v;
-          }
+    for (std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+         i < queue.size(); i = cursor.fetch_add(1, std::memory_order_relaxed)) {
+      const std::size_t c = queue[i];
+      for (std::uint32_t attempt = 0;; ++attempt) {
+        std::optional<std::string> error = attempt_class(c, attempt);
+        if (!error) {
+          // The copy is exact-size; scratch keeps its capacity for the
+          // next class. A committed class is never retried, so its
+          // tid-lists go.
+          slots[c] = scratch;
+          part_sizes[1 + c] = size_counts(slots[c]);
+          std::vector<Atom>().swap(class_atoms[c]);
+          break;
         }
-        if (victim != W) {
-          if (const std::optional<std::size_t> c = deques[victim].steal()) {
-            loads[victim].fetch_sub(load_of(*c),
-                                    std::memory_order_relaxed);
-            execute(*c, 0);
-            continue;
-          }
+        if (++failures[c] > max_retries_) {
+          last_error[c] = std::move(*error);  // quarantined: no more attempts
+          break;
         }
       }
-      if (const std::optional<RetryTask> t = take_retry(true)) {
-        execute(t->class_id, t->attempt);
-        continue;
-      }
-      // Idle and nothing acquirable: the pending work is running on other
-      // workers.
-      std::this_thread::yield();
     }
     worker_peak[w] = budget.peak_bytes();
   });
 
-  // Clean typed abort, decided after the pool fully drained: every
-  // class ran to its own conclusion, so the *lowest* quarantined class
-  // id — and with it the whole diagnostic — is a pure function of the
-  // fault plan, not of thread interleaving.
+  // Every failure counts; every failure within the budget was retried.
+  std::uint64_t total_failures = 0;
+  std::uint64_t total_retries = 0;
+  for (const std::uint32_t f : failures) {
+    total_failures += f;
+    total_retries += std::min(f, max_retries_);
+  }
+  // Clean typed abort, decided after the join: every class ran to its
+  // own conclusion, so the *lowest* quarantined class id — and with it
+  // the whole diagnostic — is a pure function of the fault plan, not of
+  // thread interleaving.
   for (std::size_t c = 0; c < num_classes; ++c) {
     if (failures[c] > max_retries_) {
-      throw ExecClassQuarantined(c, failures[c], last_error[c]);
+      throw ExecClassQuarantined(c, failures[c], last_error[c],
+                                 total_failures, total_retries);
     }
   }
   const double t_async = wall.elapsed_seconds();
@@ -391,8 +280,8 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
   output.phase_seconds["reduction"] = total - t_async;
   output.backend = "threads";
   output.exec_threads = W;
-  output.exec_task_failures = stat_failures.load(std::memory_order_relaxed);
-  output.exec_task_retries = stat_retries.load(std::memory_order_relaxed);
+  output.exec_task_failures = total_failures;
+  output.exec_task_retries = total_retries;
   output.exec_arena_peak_bytes =
       *std::max_element(worker_peak.begin(), worker_peak.end());
   return output;

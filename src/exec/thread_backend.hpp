@@ -12,21 +12,20 @@
 //      sorted (paper §6.3) — built in parallel, classes striped over
 //      workers.
 //   3. Asynchronous — each class runs as an isolated task with
-//      compute_frequent over a per-worker TidArena, in one worker loop.
-//      Placement is either the paper's static greedy schedule, or
-//      work-stealing: deques are seeded with the static assignment in
-//      ascending-weight order, the owner pops LIFO (heaviest first,
-//      hottest lists), idle workers steal FIFO from the victim with the
-//      most remaining weight. Every attempt runs inside
-//      capture_class_failure: an exception fails only that class, which
-//      is retried with backoff-in-attempts up to --exec-max-retries and
-//      quarantined past that; with --exec-mem-budget set, the class
-//      memory budget is the recursion's MiningGuard; every mined slot is
-//      contract-validated before it is committed. A retry is enqueued
-//      only by the attempt that failed, so a class has at most one live
-//      attempt and its slot exactly one writer. The fault schedule,
-//      retry sequence, and quarantine outcome are pure functions of
-//      (plan, seed, class id, attempt index) — DESIGN.md §11.
+//      compute_frequent over a per-worker TidArena. Workers take classes
+//      through an atomic cursor over a queue sorted by descending C(s,2):
+//      under static, worker w walks its own queue, the paper's greedy
+//      assignment; under steal, all workers walk one queue of every
+//      class, so whichever frees up first takes the heaviest class left.
+//      Every attempt runs inside capture_class_failure: an exception
+//      fails only that attempt, and the class runs again at once on the
+//      same worker, up to --exec-max-retries, then is quarantined; with
+//      --exec-mem-budget set, the class memory budget is the recursion's
+//      MiningGuard; every mined slot is contract-validated before it is
+//      committed. A class's attempts never overlap, so its slot has
+//      exactly one writer. The fault schedule, retry sequence, and
+//      quarantine outcome are pure functions of (plan, seed, class id,
+//      attempt index) — DESIGN.md §11.
 //   4. Final reduction — results are committed into per-class slots
 //      (exact-size flat stores; a committed class frees its tid-lists),
 //      then scattered by the W workers to offsets prefix-summed from the
@@ -38,7 +37,7 @@
 //      (DESIGN.md §9).
 //
 // A run either completes with the byte-identical result or throws the
-// typed clean abort ExecClassQuarantined after the pool has drained
+// typed clean abort ExecClassQuarantined after the workers joined
 // (lowest quarantined class id, deterministic). ParEclatConfig's mc
 // lease/retransmit knobs are still ignored (those model the simulated
 // cluster, not this pool); the run report is all-kFinished on success.
@@ -60,7 +59,6 @@ class ThreadBackend final : public Backend {
   std::string_view name() const override { return "threads"; }
   /// Resolved worker count (--exec-threads=0 -> hardware concurrency).
   std::size_t workers() const override { return threads_; }
-  ClassScheduler scheduler() const { return scheduler_; }
 
   /// total_seconds and wall_seconds are both host wall-clock here;
   /// phase_seconds carries the usual four phase labels. Throws

@@ -302,6 +302,11 @@ TEST(Chaos, ExecBudgetedSweepStillHoldsTheContract) {
     if (run.error.find("memory budget") != std::string::npos) {
       ++memory_quarantines;
     }
+    // An abort carries the run's counters, and the quarantined class's
+    // last failure was not retried.
+    if (run.clean_abort) {
+      EXPECT_GT(run.failures, run.retries) << where;
+    }
     const ExecChaosRun again = run_exec_plan(test_db(), plan, options);
     EXPECT_EQ(again.completed, run.completed) << where;
     EXPECT_EQ(again.error, run.error) << where;

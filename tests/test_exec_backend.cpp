@@ -321,6 +321,44 @@ TEST(ExecBackend, ClassRetriedAfterCorruptAttemptLandsExactlyOnce) {
   }
 }
 
+TEST(ExecBackend, EveryClassIsTakenExactlyOnce) {
+  // Every class's first attempt throws and its retry runs clean, so each
+  // take of a class adds exactly one failure and one retry: the counters
+  // equal the class count only if every class was taken exactly once,
+  // however many workers contend for the queue.
+  const HorizontalDatabase db = small_quest_db(300, 26, 5);
+  par::ParEclatConfig config;
+  config.minsup = 3;
+  TriangleCounter counter(db.num_items());
+  counter.count(db.transactions());
+  const std::size_t classes =
+      par::derive_plan(counter, config.minsup, 1,
+                       par::ScheduleHeuristic::kGreedyWeight)
+          .classes.size();
+  ASSERT_EQ(classes, 16u);
+  const std::vector<std::uint8_t> reference =
+      result_to_bytes(run_mc(db, config, {1, 4}).result);
+  for (exec::ClassScheduler scheduler :
+       {exec::ClassScheduler::kStatic, exec::ClassScheduler::kWorkStealing}) {
+    for (std::size_t threads : {1u, 2u, 3u, 4u, 6u, 8u}) {
+      exec::ThreadBackendOptions options;
+      options.threads = threads;
+      options.scheduler = scheduler;
+      options.max_retries = 1;
+      options.faults.events.push_back(exec::ExecFaultPlan::hashed(
+          exec::ExecFaultKind::kThrow, 1, 0, 1));
+      exec::ThreadBackend backend(options);
+      const par::ParallelOutput run = backend.mine(db, config);
+      const std::string label = std::string("scheduler=") +
+                                exec::to_string(scheduler) +
+                                " threads=" + std::to_string(threads);
+      EXPECT_EQ(run.exec_task_failures, classes) << label;
+      EXPECT_EQ(run.exec_task_retries, classes) << label;
+      EXPECT_EQ(result_to_bytes(run.result), reference) << label;
+    }
+  }
+}
+
 TEST(ExecBackend, ApiDispatchesParEclatToThreads) {
   const HorizontalDatabase db = small_quest_db();
   api::MineOptions mc_options;

@@ -333,6 +333,31 @@ TEST(ExecFault, QuarantineNamesTheLowestDoomedClass) {
   }
 }
 
+TEST(ExecFault, QuarantineCarriesTheRunsCounters) {
+  // The abort reports the totals a completed run would: class 0 fails
+  // once and recovers (1 failure, 1 retry); class 1 fails every attempt
+  // and quarantines after max_retries + 1 = 3 failures, 2 of them retried.
+  const HorizontalDatabase db = small_quest_db(200, 20, 9);
+  par::ParEclatConfig config;
+  config.minsup = 4;
+  for (std::size_t threads : {1u, 2u, 3u, 4u}) {
+    exec::ThreadBackendOptions options;
+    options.threads = threads;
+    options.max_retries = 2;
+    options.faults.events.push_back(ExecFaultPlan::throw_on(0, 1));
+    options.faults.events.push_back(ExecFaultPlan::throw_on(1, 1000));
+    try {
+      run_threads(db, config, options);
+      ADD_FAILURE() << "threads=" << threads
+                    << ": expected ExecClassQuarantined";
+    } catch (const exec::ExecClassQuarantined& e) {
+      EXPECT_EQ(e.class_id(), 1u) << "threads=" << threads;
+      EXPECT_EQ(e.failures(), 4u) << "threads=" << threads;
+      EXPECT_EQ(e.retries(), 3u) << "threads=" << threads;
+    }
+  }
+}
+
 TEST(ExecFault, FaultFreeRunReportsZeroFaultCounters) {
   const HorizontalDatabase db = small_quest_db(200, 20, 13);
   par::ParEclatConfig config;

@@ -365,6 +365,8 @@ ExecChaosRun run_exec_plan(const HorizontalDatabase& db,
     // retry budget. Anything else escaping is an invariant violation.
     out.clean_abort = true;
     out.error = e.what();
+    out.failures = e.failures();
+    out.retries = e.retries();
   } catch (const std::exception& e) {
     out.error = e.what();
   }

@@ -63,6 +63,13 @@ bool is_exec_plan_text(const std::string& text) {
 /// into a diagnostic.
 int run_chaos(int argc, char** argv) {
   const Flags flags(argc, argv);
+  // A count flag given bare ("--sweep", "--trace-diff") takes its
+  // default count.
+  const auto count_flag = [&](const std::string& name,
+                              std::uint64_t fallback) {
+    return flags.get(name, "") == "true" ? fallback
+                                         : flags.get_uint(name, fallback);
+  };
 
   const std::string backend = flags.get("backend", "mc");
   if (backend != "mc" && backend != "threads" && backend != "both") {
@@ -166,7 +173,7 @@ int run_chaos(int argc, char** argv) {
       return 1;
     }
   } else if (flags.has("sweep")) {
-    const std::uint64_t sweep = flags.get_uint("sweep", 200);
+    const std::uint64_t sweep = count_flag("sweep", 200);
     const std::uint64_t seed0 = flags.get_uint("seed0", 1);
     for (std::uint64_t s = 0; s < sweep; ++s) {
       if (run_mc_leg) {
@@ -196,7 +203,7 @@ int run_chaos(int argc, char** argv) {
                    "traces exist only on the simulator backend)\n");
       return 1;
     }
-    const std::uint64_t rounds = flags.get_uint("trace-diff", 8);
+    const std::uint64_t rounds = count_flag("trace-diff", 8);
     mc::Trace base_trace;
     const chaos::ChaosRun base =
         chaos::run_plan(db, plans.front().second, options, &base_trace);

@@ -1,8 +1,8 @@
 // Robustness analyzer: a swallowed exception is a silently dropped class
 // result, which breaks the byte-identical-or-clean-abort contract — a
-// failure must either unwind (and be accounted by the caller) or be
-// converted into a typed, retry-accounted TaskError at the single
-// isolation boundary (src/exec/fault_capture.hpp).
+// failure must either unwind (and be accounted by the caller) or become
+// the failed attempt's retry-accounted diagnostic at the single isolation
+// boundary (src/exec/fault_capture.hpp).
 //
 // Rule:
 //   robust-catch  bare `catch (...)` whose handler neither rethrows
