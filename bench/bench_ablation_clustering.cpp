@@ -46,14 +46,14 @@ int main(int argc, char** argv) {
   const MiningResult maximal = max_eclat(db, max_config, &max_stats);
   const double max_seconds = max_watch.elapsed_seconds();
 
+  // Clique refinement changes how classes are cut, never the answer.
+  const bool agrees = clique.itemsets == plain.itemsets;
   std::printf("%-28s %10s %14s\n", "algorithm", "time (s)", "itemsets");
   print_rule('-', 86);
   std::printf("%-28s %10.3f %14zu\n", "eclat (prefix classes)",
               plain_seconds, plain.itemsets.size());
   std::printf("%-28s %10.3f %14zu   %s\n", "clique-eclat", clique_seconds,
-              clique.itemsets.size(),
-              clique.itemsets.size() == plain.itemsets.size() ? "(agrees)"
-                                                              : "(BUG!)");
+              clique.itemsets.size(), agrees ? "(agrees)" : "(BUG!)");
   std::printf("%-28s %10.3f %14zu   (maximal only)\n", "max-eclat",
               max_seconds, maximal.itemsets.size());
   print_rule('-', 86);
@@ -69,5 +69,5 @@ int main(int argc, char** argv) {
               static_cast<double>(plain.itemsets.size()) /
                   static_cast<double>(
                       std::max<std::size_t>(1, maximal.itemsets.size())));
-  return clique.itemsets.size() == plain.itemsets.size() ? 0 : 1;
+  return agrees ? 0 : 1;
 }

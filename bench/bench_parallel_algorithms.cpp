@@ -7,11 +7,17 @@
 // worse than Count Distribution" (pays redistribution without amortizing
 // it); Eclat beats Count Distribution by an order of magnitude.
 //
+// Exits 1 when hybrid Eclat's result bytes differ from Eclat's: the two
+// share the mining plan and the class miner, so they must agree exactly.
+//
 //   ./bench_parallel_algorithms [--scale=0.02] [--support=0.001]
 //                               [--hosts=4] [--procs=2]
+#include <cstdint>
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.hpp"
+#include "data/result_io.hpp"
 #include "parallel/candidate_distribution.hpp"
 #include "parallel/data_distribution.hpp"
 #include "parallel/hybrid.hpp"
@@ -38,6 +44,7 @@ int main(int argc, char** argv) {
   print_rule('-', 88);
 
   double eclat_seconds = 0.0;
+  std::vector<std::uint8_t> eclat_bytes;
   const auto report = [&](const char* name,
                           const par::ParallelOutput& output) {
     std::printf("%-26s %12.2f %14.2f %12zu %9.1fx\n", name,
@@ -55,6 +62,7 @@ int main(int argc, char** argv) {
     config.include_singletons = false;
     const auto output = par::par_eclat(cluster, db, config);
     eclat_seconds = output.total_seconds;
+    eclat_bytes = result_to_bytes(output.result);
     report("eclat", output);
   }
   {
@@ -62,7 +70,12 @@ int main(int argc, char** argv) {
     par::ParEclatConfig config;
     config.minsup = minsup;
     config.include_singletons = false;
-    report("eclat (hybrid, §8.1)", par::hybrid_eclat(cluster, db, config));
+    const auto output = par::hybrid_eclat(cluster, db, config);
+    report("eclat (hybrid, §8.1)", output);
+    if (result_to_bytes(output.result) != eclat_bytes) {
+      std::fprintf(stderr, "hybrid Eclat's result bytes differ from Eclat's\n");
+      return 1;
+    }
   }
   {
     mc::Cluster cluster(topology);

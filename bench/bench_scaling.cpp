@@ -11,6 +11,12 @@
 // reference run — the determinism contract of DESIGN.md §9 as a
 // benchmark invariant.
 //
+// Each row is one warm-up call and then kRepeats timed calls, every one
+// byte-checked. A row reports the median, the fastest run and the
+// interquartile range, and its speedup is the ratio of medians: on a host
+// whose parallelism comes and goes, one call can read several times the
+// speedup its median does.
+//
 // Writes BENCH_scaling.json. The file carries a `host_cores` field: on a
 // 1-core container every wall-clock "speedup" is honestly ~1x, and the
 // trajectory is only meaningful on runners with real parallelism.
@@ -33,14 +39,17 @@ namespace {
 
 using namespace eclat;
 
+constexpr std::size_t kRepeats = 5;
+
 struct Row {
   std::string database;
   std::size_t threads = 0;
   std::string scheduler;
-  double seconds = 0.0;       ///< backend clock (wall for threads, virtual for mc)
-  double wall_seconds = 0.0;  ///< host wall clock of the run
-  double speedup = 0.0;       ///< vs the 1-worker run of the same scheduler
-  bool identical = false;     ///< byte-identical to the mc reference
+  /// Backend clock over the repeats (wall for threads, virtual for mc).
+  eclat::bench::RepeatStats seconds;
+  double wall_seconds = 0.0;  ///< median host wall clock of the repeats
+  double speedup = 0.0;  ///< median vs the 1-worker median, same scheduler
+  bool identical = false;  ///< every call byte-identical to the mc reference
 };
 
 }  // namespace
@@ -142,22 +151,34 @@ int main(int argc, char** argv) {
         const std::unique_ptr<exec::Backend> backend = exec::make_backend(
             backend_kind, mc::Topology{1, threads}, mc::CostModel{},
             thread_options);
-        const par::ParallelOutput run = backend->mine(spec.db, config);
 
         Row row;
         row.database = spec.name;
-        row.threads = run.exec_threads;
         row.scheduler = exec::to_string(scheduler);
-        row.seconds = run.total_seconds;
-        row.wall_seconds = run.wall_seconds;
-        if (threads == sweep.front()) base_seconds = run.total_seconds;
-        row.speedup = row.seconds > 0 ? base_seconds / row.seconds : 0.0;
-        row.identical =
-            result_to_bytes(run.result) == reference_bytes;
-        std::printf("  %-7s T=%-3zu %9.4f s   speedup %5.2fx   %s\n",
-                    row.scheduler.c_str(), row.threads, row.seconds,
-                    row.speedup,
-                    row.identical ? "identical" : "OUTPUT DIVERGED");
+        row.identical = true;
+        std::vector<double> seconds;
+        std::vector<double> wall_seconds;
+        for (std::size_t call = 0; call <= kRepeats; ++call) {
+          const par::ParallelOutput run = backend->mine(spec.db, config);
+          row.threads = run.exec_threads;
+          row.identical = row.identical &&
+                          result_to_bytes(run.result) == reference_bytes;
+          if (call == 0) continue;  // the warm-up
+          seconds.push_back(run.total_seconds);
+          wall_seconds.push_back(run.wall_seconds);
+        }
+        row.seconds = eclat::bench::repeat_stats(seconds);
+        row.wall_seconds = eclat::bench::repeat_stats(wall_seconds).median;
+        if (threads == sweep.front()) base_seconds = row.seconds.median;
+        row.speedup = row.seconds.median > 0
+                          ? base_seconds / row.seconds.median
+                          : 0.0;
+        std::printf(
+            "  %-7s T=%-3zu median %8.4f s  min %8.4f  IQR %7.4f   "
+            "speedup %5.2fx   %s\n",
+            row.scheduler.c_str(), row.threads, row.seconds.median,
+            row.seconds.min, row.seconds.iqr, row.speedup,
+            row.identical ? "identical" : "OUTPUT DIVERGED");
         rows.push_back(row);
         if (!row.identical) {
           std::fprintf(stderr, "output diverged from the mc reference\n");
@@ -182,17 +203,20 @@ int main(int argc, char** argv) {
         bench_watch.elapsed_seconds());
     std::fprintf(out,
                  "  \"host_cores\": %u,\n  \"max_threads\": %zu,\n"
-                 "  \"scale\": %g,\n  \"rows\": [\n",
-                 host_cores, max_threads, scale);
+                 "  \"scale\": %g,\n  \"repeats\": %zu,\n"
+                 "  \"rows\": [\n",
+                 host_cores, max_threads, scale, kRepeats);
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& row = rows[i];
       std::fprintf(out,
                    "    {\"database\": \"%s\", \"threads\": %zu, "
                    "\"scheduler\": \"%s\", \"seconds\": %.6f, "
+                   "\"seconds_min\": %.6f, \"seconds_iqr\": %.6f, "
                    "\"wall_seconds\": %.6f, \"speedup\": %.4f, "
                    "\"identical\": %s}%s\n",
                    row.database.c_str(), row.threads, row.scheduler.c_str(),
-                   row.seconds, row.wall_seconds, row.speedup,
+                   row.seconds.median, row.seconds.min, row.seconds.iqr,
+                   row.wall_seconds, row.speedup,
                    row.identical ? "true" : "false",
                    i + 1 < rows.size() ? "," : "");
     }

@@ -9,6 +9,7 @@
 // modeled cost is linear in bytes.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -64,6 +65,27 @@ inline std::vector<mc::Topology> paper_topologies() {
       {2, 1}, {2, 2}, {4, 1}, {2, 4}, {4, 2},
       {8, 1}, {4, 4}, {8, 2}, {8, 4},  // up to T = 32
   };
+}
+
+/// The spread of one measurement's repeats: the median, the fastest run,
+/// and the interquartile range, each quartile interpolated linearly
+/// between order statistics. `samples` must not be empty.
+struct RepeatStats {
+  double median = 0.0;
+  double min = 0.0;
+  double iqr = 0.0;
+};
+
+inline RepeatStats repeat_stats(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const auto quantile = [&](double q) {
+    const double at = q * static_cast<double>(samples.size() - 1);
+    const auto below = static_cast<std::size_t>(at);
+    const std::size_t above = std::min(below + 1, samples.size() - 1);
+    return samples[below] + (at - static_cast<double>(below)) *
+                                (samples[above] - samples[below]);
+  };
+  return {quantile(0.5), samples.front(), quantile(0.75) - quantile(0.25)};
 }
 
 inline void print_rule(char fill = '-', int width = 78) {

@@ -1,7 +1,5 @@
 #include "clique/clique_eclat.hpp"
 
-#include <unordered_map>
-
 #include "apriori/apriori.hpp"
 #include "apriori/candidate_gen.hpp"
 #include "clique/item_graph.hpp"
@@ -39,9 +37,9 @@ MiningResult clique_eclat(const HorizontalDatabase& db,
         counter.get(pair_first(key), pair_second(key))});
   }
 
-  // Transformation: tid-lists for the frequent pairs.
-  std::unordered_map<PairKey, TidList> tidlists =
-      invert_pairs(all, frequent_pairs);
+  // Transformation: exact-size tid-lists for the frequent pairs, by slot.
+  const PairSlots pair_slots(frequent_pairs);
+  const std::vector<TidList> tidlists = pair_slots.invert(all, counter);
   ++result.database_scans;
 
   // Clustering: clique-refined classes, with bookkeeping against the
@@ -63,25 +61,26 @@ MiningResult clique_eclat(const HorizontalDatabase& db,
   ItemsetSet seen;
   std::vector<std::size_t> histogram;
   TidArena arena;
+  ItemsetStore found;  // one sub-class's itemsets, reused
   for (const CliqueClass& sub : classes) {
     if (sub.members.size() < 2) continue;
     std::vector<Atom> atoms;
     atoms.reserve(sub.members.size());
     for (Item member : sub.members) {
       const PairKey key = make_pair_key(sub.prefix, member);
-      atoms.push_back(Atom{{sub.prefix, member}, tidlists.at(key)});
+      atoms.push_back(Atom{{sub.prefix, member}, tidlists[pair_slots.slot(key)]});
     }
-    std::vector<FrequentItemset> found;
+    found.clear();
     std::vector<std::size_t> sub_histogram;
     compute_frequent(atoms, config.minsup, config.kernel, arena, found,
                      sub_histogram, &local_stats.intersect);
-    for (FrequentItemset& f : found) {
-      if (seen.insert(f.items).second) {
+    for (const ItemsetView f : found) {
+      if (seen.emplace(f.items.begin(), f.items.end()).second) {
         if (histogram.size() <= f.items.size()) {
           histogram.resize(f.items.size() + 1, 0);
         }
         ++histogram[f.items.size()];
-        result.itemsets.push_back(std::move(f));
+        result.itemsets.push_back(f.items, f.support);
       } else {
         ++local_stats.duplicates;
       }

@@ -88,8 +88,7 @@ MiningResult read_result(std::istream& stream) {
   return result;
 }
 
-std::vector<std::uint8_t> result_to_bytes(const MiningResult& result) {
-  const ItemsetStore& itemsets = result.itemsets;
+std::vector<std::uint8_t> result_to_bytes(const ItemsetStore& itemsets) {
   std::vector<std::uint8_t> bytes(
       sizeof(kMagic) + sizeof(std::uint64_t) +
       itemsets.size() * (sizeof(std::uint32_t) + sizeof(Count)) +

@@ -23,8 +23,12 @@ void write_result(const MiningResult& result, std::ostream& stream);
 MiningResult read_result(std::istream& stream);
 
 /// In-memory forms of the binary format, for checkpointing partial results
-/// through the simulated cluster's disks and Memory Channel regions.
-std::vector<std::uint8_t> result_to_bytes(const MiningResult& result);
+/// through the simulated cluster's disks and recovery store. Only the
+/// itemsets are encoded, so a class's store checkpoints as it is.
+std::vector<std::uint8_t> result_to_bytes(const ItemsetStore& itemsets);
+inline std::vector<std::uint8_t> result_to_bytes(const MiningResult& result) {
+  return result_to_bytes(result.itemsets);
+}
 MiningResult result_from_bytes(const std::vector<std::uint8_t>& bytes);
 
 void write_result_file(const MiningResult& result, const std::string& path);

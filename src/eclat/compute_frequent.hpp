@@ -47,7 +47,9 @@ Tid seed_class(const std::vector<Atom>& class_atoms, IntersectKernel kernel,
 /// Found itemsets are appended to `out`, a flat store or a vector of
 /// owning itemsets (one recursion serves both); per-size counts are
 /// accumulated into `size_histogram` (index = itemset size; grown on
-/// demand).
+/// demand). Every miner in the library uses the store; the vector sink's
+/// one caller is bench_e2e's traced replica, and it goes once that
+/// replica mines into a store too.
 /// `arena` provides the recursion's scratch buffers and may be reused
 /// across calls (and across classes) on the same thread. A non-null
 /// `guard` is checkpointed at every leading-atom boundary with the
@@ -65,7 +67,7 @@ void compute_frequent(const std::vector<Atom>& class_atoms, Count minsup,
                       IntersectStats* stats = nullptr,
                       MiningGuard* guard = nullptr);
 
-/// Convenience overload with a call-local arena (tests, one-shot callers).
+/// Convenience overload with a call-local arena, for tests.
 void compute_frequent(const std::vector<Atom>& class_atoms, Count minsup,
                       IntersectKernel kernel,
                       std::vector<FrequentItemset>& out,

@@ -24,7 +24,8 @@ namespace eclat {
 /// bitset words) actually scanned. The paper's kernels use the bounded
 /// merge difference; kAuto uses the dense AND-NOT where the
 /// representation allows, and the bounded merge difference on sparse
-/// pairs (galloping has no difference analogue).
+/// pairs (galloping has no difference analogue). As for compute_frequent,
+/// the vector sink's one caller is bench_e2e's traced replica.
 void compute_frequent_diffsets(const std::vector<Atom>& class_atoms,
                                Count minsup, IntersectKernel kernel,
                                TidArena& arena,

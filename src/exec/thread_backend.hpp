@@ -6,11 +6,12 @@
 //      of the same T-way partition the simulator uses
 //      (par::local_partition), then the partial counters are sum-merged.
 //   2. Transformation — every worker derives the identical MiningPlan
-//      from the merged counts (pure function); each worker inverts its
-//      block into partial tid-lists; per-class global tid-lists are the
-//      partials concatenated in block order, which keeps them globally
-//      sorted (paper §6.3) — built in parallel, classes striped over
-//      workers.
+//      from the merged counts (pure function). The global tid-lists are
+//      allocated once, exact-size from the merged counts, and each worker
+//      writes its block's tids in place through PairSlots cursors that
+//      start at the pair's count over the earlier blocks: block order is
+//      tid order, so the lists come out globally sorted (paper §6.3) with
+//      no merge.
 //   3. Asynchronous — each class runs as an isolated task with
 //      compute_frequent over a per-worker TidArena. Workers take classes
 //      through an atomic cursor over a queue sorted by descending C(s,2):

@@ -47,7 +47,6 @@ const char* to_string(ProcessorOutcome outcome) {
 Cluster::Cluster(const Topology& topology, const CostModel& cost)
     : topology_(topology),
       cost_(cost),
-      channel_(cost),
       barrier_(topology.total()),
       lease_board_(topology.total()) {
   topology_.validate();
@@ -70,7 +69,6 @@ RunReport Cluster::run(const std::function<void(Processor&)>& body) {
   const std::size_t total = topology_.total();
   std::fill(clocks_.begin(), clocks_.end(), 0.0);
   phase_start_max_ = 0.0;
-  channel_.reset_phase();
   barrier_.reset();
   epoch_failed_.assign(total, false);
   for (auto& store : retransmit_store_) store.clear();
@@ -395,47 +393,16 @@ void Processor::disk_write_stream(std::size_t bytes, std::size_t scanners) {
   }
 }
 
-MemoryChannel& Processor::channel() { return cluster_->channel_; }
-
-void Processor::region_write(MemoryChannel::RegionId region,
-                             std::size_t offset,
-                             std::span<const std::uint8_t> data) {
-  fault_probe(FaultOp::kRegionWrite);
-  FaultInjector* injector = cluster_->injector_.get();
-  if (injector) {
-    std::vector<std::uint8_t> copy(data.begin(), data.end());
-    if (injector->corrupt_region_write(id_, phase_, copy)) {
-      if (Trace* trace = cluster_->trace_) {
-        trace->record(id_, now(), TraceKind::kFault, "corrupt-region",
-                      data.size());
-      }
-      advance(cluster_->channel_.write(region, offset, copy));
-      return;
-    }
-  }
-  advance(cluster_->channel_.write(region, offset, data));
-}
-
-void Processor::region_read(MemoryChannel::RegionId region,
-                            std::size_t offset,
-                            std::span<std::uint8_t> out) {
-  advance(cluster_->channel_.read(region, offset, out));
-}
-
 void Cluster::apply_phase_floor_and_sync(double extra_cost) {
-  // Runs inside a barrier fold. Any bytes pushed through raw region writes
-  // since the previous sync point may have been hub-limited: stretch the
-  // phase to total_bytes / aggregate_bandwidth when the per-link charges
-  // did not already cover it.
+  // Runs inside a barrier fold. A crash can remove the survivor whose
+  // clock set phase_start_max_; the phase still ends no earlier than it
+  // started, so the survivors' clocks are lifted to that start.
   double now = max_survivor_clock();
   const double phase_elapsed = now - phase_start_max_;
-  const double hub_floor =
-      static_cast<double>(channel_.phase_hub_bytes()) / hub_bandwidth();
-  if (hub_floor > phase_elapsed) now += hub_floor - phase_elapsed;
+  if (phase_elapsed < 0.0) now -= phase_elapsed;
   now += extra_cost;
   fill_survivor_clocks(now);
   phase_start_max_ = now;
-  channel_.reset_phase();
 }
 
 void Processor::barrier() {
@@ -539,7 +506,6 @@ void Processor::sum_reduce(std::span<Count> values, ReduceScheme scheme) {
     }
     cluster.fill_survivor_clocks(finish);
     cluster.phase_start_max_ = finish;
-    cluster.channel_.reset_phase();
 
     // Every survivor then reads the totals back from its receive region.
     const double read_cost = cluster.cost_.memcpy_time(bytes);

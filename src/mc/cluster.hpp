@@ -176,8 +176,8 @@ class Processor {
   // processors are excluded from the fold and their result slots stay
   // empty. ---
 
-  /// Synchronize; clocks jump to max + barrier cost + any outstanding
-  /// hub-bandwidth deficit of the closing phase.
+  /// Synchronize; clocks jump to the survivors' max clock, never below
+  /// the closing phase's start, plus the barrier cost.
   void barrier();
 
   /// How a sum-reduction is charged in virtual time. The data movement is
@@ -282,16 +282,6 @@ class Processor {
   /// Virtual-time-consistent view of peers' progress at now(). Blocks in
   /// real time (free) until the view is complete; see mc/lease.hpp.
   LeaseView lease_view(const LeasePolicy& policy);
-
-  /// Direct Memory Channel access for algorithm-specific region use.
-  MemoryChannel& channel();
-
-  /// Region write/read that charge this processor's clock. Writes are
-  /// subject to injected region corruption (CRC-protect what matters).
-  void region_write(MemoryChannel::RegionId region, std::size_t offset,
-                    std::span<const std::uint8_t> data);
-  void region_read(MemoryChannel::RegionId region, std::size_t offset,
-                   std::span<std::uint8_t> out);
 
   // --- Tracing (no-ops unless a Trace is attached to the cluster). ---
   void phase_begin(const std::string& label);

@@ -11,7 +11,6 @@ const char* to_string(FaultKind kind) {
     case FaultKind::kDiskStall: return "disk-stall";
     case FaultKind::kHang: return "hang";
     case FaultKind::kCorruptMessage: return "corrupt-message";
-    case FaultKind::kCorruptRegion: return "corrupt-region";
     case FaultKind::kHubDegrade: return "hub-degrade";
     case FaultKind::kPartition: return "partition";
   }
@@ -29,7 +28,6 @@ const char* to_string(FaultOp op) {
     case FaultOp::kBroadcast: return "broadcast";
     case FaultOp::kAllToAll: return "all-to-all";
     case FaultOp::kAllGather: return "all-gather";
-    case FaultOp::kRegionWrite: return "region-write";
     case FaultOp::kPoint: return "point";
   }
   return "?";
@@ -124,18 +122,6 @@ FaultEvent FaultPlan::corrupt_message(std::size_t dst, std::size_t src,
   return event;
 }
 
-FaultEvent FaultPlan::corrupt_region(std::size_t proc,
-                                     std::size_t after_calls,
-                                     double max_bytes) {
-  FaultEvent event;
-  event.kind = FaultKind::kCorruptRegion;
-  event.processor = proc;
-  event.op = FaultOp::kRegionWrite;
-  event.after_calls = after_calls;
-  event.severity = max_bytes;
-  return event;
-}
-
 FaultEvent FaultPlan::hub_degrade(double divisor, double from,
                                   double duration) {
   FaultEvent event;
@@ -170,8 +156,7 @@ void validate_plan(const FaultPlan& plan, std::size_t total_processors) {
     const FaultEvent& event = plan.events[i];
     const bool needs_owner = event.kind == FaultKind::kCrash ||
                              event.kind == FaultKind::kDiskStall ||
-                             event.kind == FaultKind::kHang ||
-                             event.kind == FaultKind::kCorruptRegion;
+                             event.kind == FaultKind::kHang;
     if (needs_owner && event.processor >= total_processors) {
       throw std::invalid_argument(
           std::string(to_string(event.kind)) +
@@ -257,13 +242,6 @@ FaultInjector::FaultInjector(const FaultPlan& plan,
   events_.reserve(plan.events.size());
   for (const FaultEvent& event : plan.events) {
     events_.push_back(EventState{event, 0, false});
-  }
-  // One independent stream per processor: forked deterministically from
-  // the plan seed so a processor's draws never depend on peer timing.
-  Rng seeder(plan.seed);
-  proc_rng_.reserve(total_processors);
-  for (std::size_t p = 0; p < total_processors; ++p) {
-    proc_rng_.push_back(seeder.split());
   }
 }
 
@@ -362,26 +340,6 @@ bool FaultInjector::corrupt_message(std::size_t dst, std::size_t src,
     state.fired = true;
     injected_.fetch_add(1, std::memory_order_relaxed);
     mutate(payload, static_cast<std::size_t>(event.severity), fold_rng_);
-    corrupted = true;
-  }
-  return corrupted;
-}
-
-bool FaultInjector::corrupt_region_write(std::size_t proc,
-                                         const std::string& phase,
-                                         std::vector<std::uint8_t>& data) {
-  bool corrupted = false;
-  for (EventState& state : events_) {
-    const FaultEvent& event = state.event;
-    if (event.kind != FaultKind::kCorruptRegion || state.fired) continue;
-    if (event.processor != proc) continue;
-    if (!event.phase.empty() && event.phase != phase) continue;
-    if (data.empty()) continue;
-    if (state.hits++ != event.after_calls) continue;
-    state.fired = true;
-    injected_.fetch_add(1, std::memory_order_relaxed);
-    mutate(data, static_cast<std::size_t>(event.severity),
-           proc_rng_[proc]);
     corrupted = true;
   }
   return corrupted;

@@ -23,8 +23,6 @@
 //     The pristine payload stays in the cluster's retransmit buffer, so a
 //     receiver that detects the corruption can recover it at a modeled
 //     retransmission cost.
-//   - kCorruptRegion: same mutation applied to a raw MemoryChannel region
-//     write issued through Processor::region_write.
 //   - kHubDegrade: divides the hub's aggregate bandwidth by `severity`
 //     during a virtual-time window.
 //   - kPartition: a deterministic virtual-time window [at_time, at_time +
@@ -68,7 +66,6 @@ enum class FaultKind : std::uint8_t {
   kDiskStall,
   kHang,
   kCorruptMessage,
-  kCorruptRegion,
   kHubDegrade,
   kPartition,
 };
@@ -86,7 +83,6 @@ enum class FaultOp : std::uint8_t {
   kBroadcast,
   kAllToAll,
   kAllGather,
-  kRegionWrite,
   kPoint,
 };
 
@@ -99,7 +95,7 @@ struct FaultEvent {
   FaultKind kind = FaultKind::kCrash;
 
   /// Target processor. Required (not kAnyProcessor) for kCrash,
-  /// kDiskStall and kCorruptRegion so trigger counters stay single-owner
+  /// kDiskStall and kHang so trigger counters stay single-owner
   /// (that is what makes the schedule deterministic). For kCorruptMessage
   /// this is the *destination*; kAnyProcessor matches any destination.
   std::size_t processor = kAnyProcessor;
@@ -119,8 +115,8 @@ struct FaultEvent {
   /// start of the degradation window.
   double at_time = -1.0;
 
-  /// kDiskStall: time multiplier. kCorruptMessage/kCorruptRegion: maximum
-  /// bytes mutated. kHubDegrade: aggregate-bandwidth divisor.
+  /// kDiskStall: time multiplier. kCorruptMessage: maximum bytes
+  /// mutated. kHubDegrade: aggregate-bandwidth divisor.
   double severity = 8.0;
 
   /// kDiskStall only: keep stalling every later matching scan too
@@ -169,9 +165,6 @@ struct FaultPlan {
   static FaultEvent corrupt_message(std::size_t dst, std::size_t src,
                                     std::size_t after_calls = 0,
                                     double max_bytes = 8.0);
-  static FaultEvent corrupt_region(std::size_t proc,
-                                   std::size_t after_calls = 0,
-                                   double max_bytes = 8.0);
   static FaultEvent hub_degrade(double divisor, double from,
                                 double duration = -1.0);
   /// Network partition: `members` vs the rest, active over the virtual-
@@ -250,10 +243,10 @@ struct ProbeResult {
 /// injector per run, so repeated runs of one cluster replay the identical
 /// schedule.
 ///
-/// Thread-safety contract: probe() and corrupt_region_write() are called
-/// from the target processor's own thread and each event's trigger state
-/// is owned by that single thread (enforced by requiring an explicit
-/// processor on those kinds). corrupt_message() and hub_divisor() fold
+/// Thread-safety contract: probe() is called from the target processor's
+/// own thread, and each probed event's trigger state is owned by that
+/// single thread (enforced by requiring an explicit processor on those
+/// kinds). corrupt_message() and hub_divisor() fold
 /// shared trigger state; folds are serialized by the barrier lock, and
 /// corrupt_message() additionally serializes itself internally because
 /// retransmissions re-probe it from processor threads. Plans that corrupt
@@ -275,10 +268,6 @@ class FaultInjector {
   /// for retransmission).
   bool corrupt_message(std::size_t dst, std::size_t src,
                        std::vector<std::uint8_t>& payload);
-
-  /// Processor-side: maybe mutate the bytes of a raw region write.
-  bool corrupt_region_write(std::size_t proc, const std::string& phase,
-                            std::vector<std::uint8_t>& data);
 
   /// Aggregate-bandwidth divisor active at virtual time `now` (>= 1.0).
   double hub_divisor(double now);
@@ -304,8 +293,6 @@ class FaultInjector {
 
   std::size_t total_processors_;
   std::vector<EventState> events_;
-  std::vector<Rng> proc_rng_;  ///< one stream per processor (crash sites,
-                               ///< region corruption)
   Rng fold_rng_;               ///< fold-side draws (message corruption)
   std::mutex message_mutex_;   ///< serializes corrupt_message (folds and
                                ///< per-processor retransmissions)

@@ -1,68 +1,24 @@
-// Functional + cost model of the DEC Memory Channel network (paper §6.1).
+// Traffic accounting of the DEC Memory Channel network (paper §6.1).
 //
 // The real device maps "regions" of a global address space into process
 // address spaces for transmit and/or receive; writes to a transmit region
 // are forwarded through a hub and DMA-ed into every receive region with the
-// same identifier. The simulation collapses the per-node receive copies
-// into one buffer per region (contents are identical on every node), keeps
-// the device guarantees that matter to the algorithms — write ordering
-// within a region, visibility after a synchronization — and accounts costs:
-//
-//   - each write charges the *writer* `CostModel::message_time(bytes)`
-//     (doubled when write-doubling is on, §6.1);
-//   - all written bytes accumulate into a per-phase hub counter; the
-//     cluster barrier stretches the phase to `hub_bytes /
-//     aggregate_bandwidth` when the hub, not the links, is the bottleneck;
-//   - reads are local RAM (receive-region) accesses at memcpy bandwidth.
+// same identifier. The cluster's collectives model that data movement and
+// its cost (CostModel::message_time per link, the hub's aggregate-bandwidth
+// cap, write-doubling) and record each transfer here, so a run reports the
+// bytes and messages it pushed through the network.
 #pragma once
-// eclat-lint: allow-file(det-thread) the Memory Channel model is real shared memory between processor threads; access costs are charged to virtual clocks
+// eclat-lint: allow-file(det-thread) processor threads record their transfers concurrently; the totals are order-independent sums
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <mutex>
-#include <span>
-#include <vector>
-
-#include "mc/cost_model.hpp"
 
 namespace eclat::mc {
 
 class MemoryChannel {
  public:
-  using RegionId = std::size_t;
-
-  explicit MemoryChannel(const CostModel& cost) : cost_(cost) {}
-
-  /// Allocate a region of `bytes` zero-initialized bytes. Thread-safe.
-  RegionId create_region(std::size_t bytes);
-
-  std::size_t region_size(RegionId region) const;
-
-  /// Write `data` at `offset`; returns the virtual-time cost to charge to
-  /// the writing processor. Concurrent writers must target disjoint byte
-  /// ranges (the algorithms guarantee this by construction).
-  double write(RegionId region, std::size_t offset,
-               std::span<const std::uint8_t> data);
-
-  /// Read into `out` from `offset`; returns the (local-memory) cost.
-  double read(RegionId region, std::size_t offset,
-              std::span<std::uint8_t> out) const;
-
-  /// Bytes pushed through the hub since the last phase reset.
-  std::uint64_t phase_hub_bytes() const {
-    return phase_hub_bytes_.load(std::memory_order_relaxed);
-  }
-
-  /// Called by the cluster barrier after folding the phase into the clocks.
-  void reset_phase() {
-    phase_hub_bytes_.store(0, std::memory_order_relaxed);
-  }
-
-  /// Record traffic that moved outside the region API (the cluster
-  /// collectives route functionally through shared slots but still
-  /// represent real Memory Channel transfers). Lifetime counters only;
-  /// collectives fold their own timing, so the phase counter is skipped.
+  /// Record traffic a collective moved: lifetime counters only, since
+  /// each collective folds its own timing.
   void account(std::uint64_t bytes, std::uint64_t messages) {
     total_bytes_.fetch_add(bytes, std::memory_order_relaxed);
     total_messages_.fetch_add(messages, std::memory_order_relaxed);
@@ -76,13 +32,7 @@ class MemoryChannel {
     return total_messages_.load(std::memory_order_relaxed);
   }
 
-  const CostModel& cost() const { return cost_; }
-
  private:
-  CostModel cost_;
-  mutable std::mutex regions_mutex_;  // guards the deque, not the buffers
-  std::deque<std::vector<std::uint8_t>> regions_;
-  std::atomic<std::uint64_t> phase_hub_bytes_{0};
   std::atomic<std::uint64_t> total_bytes_{0};
   std::atomic<std::uint64_t> total_messages_{0};
 };

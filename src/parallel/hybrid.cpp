@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <mutex>
-#include <unordered_map>
 
 #include "apriori/apriori.hpp"
 #include "apriori/candidate_gen.hpp"
@@ -45,9 +44,10 @@ ParallelOutput hybrid_eclat(mc::Cluster& cluster,
   std::vector<double> async_end(total, 0.0);
 
   // Host-shared state: threads of one host are one SMP node, so the
-  // leader's merged tid-lists are visible to its host-mates directly.
+  // leader's merged tid-lists are visible to its host-mates directly: the
+  // atoms of every class, by class id (empty for other hosts' classes).
   // Written by the host leader before a barrier, read by host-mates after.
-  std::vector<std::unordered_map<PairKey, TidList>> host_lists(hosts);
+  std::vector<std::vector<std::vector<Atom>>> host_atoms(hosts);
 
   const std::uint64_t mc_bytes_before = cluster.channel().total_bytes();
   const std::uint64_t mc_msgs_before = cluster.channel().total_messages();
@@ -94,17 +94,20 @@ ParallelOutput hybrid_eclat(mc::Cluster& cluster,
     // inverts its slice of the shared image.
     if (leader) self.disk_read(host_bytes, 1);
     self.barrier();
-    std::unordered_map<PairKey, TidList> partial = self.compute(
-        [&] { return invert_pairs(my_slice, plan.exchanged_pairs); });
+    std::vector<TidList> partial;
+    const PairSlots pair_slots = self.compute([&] {
+      PairSlots pairs(plan.exchanged_pairs);
+      partial = pairs.invert(my_slice);
+      return pairs;
+    });
 
     std::vector<mc::Blob> outgoing(total);
     self.compute([&] {
       std::vector<wire::Writer> writers(total);
       for (std::size_t s = 0; s < plan.exchanged_pairs.size(); ++s) {
-        const PairKey key = plan.exchanged_pairs[s];
         const std::size_t owner = plan.assignment[plan.class_of[s]] * slots;
-        writers[owner].put(key);
-        writers[owner].put_vector(partial.at(key));
+        writers[owner].put(plan.exchanged_pairs[s]);
+        writers[owner].put_vector(partial[s]);
       }
       for (std::size_t dst = 0; dst < total; ++dst) {
         outgoing[dst] = writers[dst].take();
@@ -112,31 +115,36 @@ ParallelOutput hybrid_eclat(mc::Cluster& cluster,
     });
     std::vector<mc::Blob> incoming = self.all_to_all(std::move(outgoing));
 
-    // Leaders merge (source processors are in tid order, so concatenation
-    // is sorted) and write the host's vertical partition once.
+    // Leaders append each section to its slot (source processors are in
+    // tid order, so concatenation is sorted) and write the host's vertical
+    // partition once.
     if (leader) {
-      std::unordered_map<PairKey, TidList>& merged = host_lists[host];
       std::size_t vertical_bytes = 0;
       self.compute([&] {
-        merged.clear();
+        std::vector<TidList> lists(plan.exchanged_pairs.size());
         for (std::size_t src = 0; src < total; ++src) {
           wire::Reader reader(incoming[src]);
           while (!reader.done()) {
-            const auto key = reader.get<PairKey>();
+            const std::size_t slot = pair_slots.slot(reader.get<PairKey>());
+            if (slot == pair_slots.size()) {
+              throw wire::Error("exchange section outside the plan");
+            }
             const std::vector<Tid> tids = reader.get_vector<Tid>();
-            TidList& list = merged[key];
-            list.insert(list.end(), tids.begin(), tids.end());
+            lists[slot].insert(lists[slot].end(), tids.begin(), tids.end());
           }
         }
-        // eclat-lint: allow(det-unordered-iter) order-insensitive fold: sums bytes and checks invariants; nothing escapes in hash order
-        for (const auto& [key, list] : merged) {
-          ECLAT_DCHECK(is_valid_tidlist(list));
-          vertical_bytes += sizeof(PairKey) + list.size() * sizeof(Tid);
+        host_atoms[host] = atoms_by_class(plan.classes, lists);
+        for (std::size_t c = 0; c < plan.classes.size(); ++c) {
+          if (plan.assignment[c] != host) continue;
+          for (const Atom& atom : host_atoms[host][c]) {
+            ECLAT_DCHECK(is_valid_tidlist(atom.tids));
+            vertical_bytes += sizeof(PairKey) + atom.tids.size() * sizeof(Tid);
+          }
         }
       });
       self.disk_write(vertical_bytes, 1);
     }
-    self.barrier();  // publish host_lists
+    self.barrier();  // publish host_atoms
     transform_end[me] = self.now();
 
     // ----- Phase 3: asynchronous. The host's classes are subdivided
@@ -159,29 +167,20 @@ ParallelOutput hybrid_eclat(mc::Cluster& cluster,
       for (std::size_t i = 0; i < host_classes.size(); ++i) {
         if (slot_of_class[i] != slot) continue;
         my_class_ids.push_back(host_class_ids[i]);
-        for (PairKey key : host_classes[i].pair_keys()) {
-          my_bytes += sizeof(PairKey) +
-                      host_lists[host].at(key).size() * sizeof(Tid);
+        for (const Atom& atom : host_atoms[host][host_class_ids[i]]) {
+          my_bytes += sizeof(PairKey) + atom.tids.size() * sizeof(Tid);
         }
       }
     });
     self.disk_read(my_bytes, slots);
 
-    std::vector<FrequentItemset> found;
+    ItemsetStore found;
     self.compute([&] {
       std::vector<std::size_t> histogram;
       TidArena arena;  // per-processor scratch, reused across its classes
       for (std::size_t c : my_class_ids) {
-        const EquivalenceClass& eq_class = plan.classes[c];
-        std::vector<Atom> atoms;
-        atoms.reserve(eq_class.size());
-        for (Item member : eq_class.members) {
-          const PairKey key = make_pair_key(eq_class.prefix, member);
-          atoms.push_back(
-              Atom{{eq_class.prefix, member}, host_lists[host].at(key)});
-        }
-        compute_frequent(atoms, config.minsup, config.kernel, arena, found,
-                         histogram);
+        compute_frequent(host_atoms[host][c], config.minsup, config.kernel,
+                         arena, found, histogram);
       }
     });
     async_end[me] = self.now();
@@ -190,7 +189,7 @@ ParallelOutput hybrid_eclat(mc::Cluster& cluster,
     wire::Writer writer;
     self.compute([&] {
       writer.put<std::uint64_t>(found.size());
-      for (const FrequentItemset& f : found) {
+      for (const ItemsetView f : found) {
         writer.put_vector(f.items);
         writer.put<Count>(f.support);
       }
@@ -208,10 +207,8 @@ ParallelOutput hybrid_eclat(mc::Cluster& cluster,
         wire::Reader reader(blob);
         const auto count = reader.get<std::uint64_t>();
         for (std::uint64_t i = 0; i < count; ++i) {
-          FrequentItemset f;
-          f.items = reader.get_vector<Item>();
-          f.support = reader.get<Count>();
-          result.itemsets.push_back(std::move(f));
+          const std::vector<Item> items = reader.get_vector<Item>();
+          result.itemsets.push_back(items, reader.get<Count>());
         }
       }
       finalize_result(result);

@@ -4,8 +4,8 @@
 #include <atomic>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "apriori/apriori.hpp"
 #include "common/check.hpp"
@@ -52,14 +52,6 @@ mc::Blob open_exchange_payload(mc::Processor& self, std::size_t src,
       " retransmissions: sender suspected, transfer abandoned");
 }
 
-/// Per-class result checkpoint payload (the existing ECLATRES result
-/// format, so recovery reuses result_io end to end).
-mc::Blob checkpoint_bytes(const std::vector<FrequentItemset>& itemsets) {
-  MiningResult partial;
-  partial.itemsets = ItemsetStore(itemsets);
-  return result_to_bytes(partial);
-}
-
 ItemsetStore itemsets_from_checkpoint(
     std::span<const std::uint8_t> payload) {
   return result_from_bytes({payload.begin(), payload.end()}).itemsets;
@@ -70,16 +62,14 @@ ItemsetStore itemsets_from_checkpoint(
 /// recovery). The image decode is deterministic and the mining recursion
 /// is too, so every re-mine of one class yields byte-identical
 /// checkpoints — the invariant behind first-writer-wins commits.
-std::vector<FrequentItemset> mine_class_image(mc::Processor& self,
-                                              const mc::Blob& image,
-                                              const ParEclatConfig& config,
-                                              TidArena& arena) {
+ItemsetStore mine_class_image(mc::Processor& self, const mc::Blob& image,
+                              const ParEclatConfig& config, TidArena& arena) {
   self.disk_read(image.size(), 1);
   const wire::FrameResult frame = wire::open_frame(image);
   if (!frame) {
     throw std::runtime_error("corrupt tid-list image: " + frame.error);
   }
-  std::vector<FrequentItemset> class_found;
+  ItemsetStore class_found;
   self.compute([&] {
     wire::Reader reader(frame.payload);
     std::vector<Atom> atoms;
@@ -243,10 +233,15 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
       return derive_plan(counter, config.minsup, total, config.schedule);
     });
 
-    // Second local scan: partial tid-lists for every exchanged 2-itemset.
+    // Second local scan: partial tid-lists for every exchanged 2-itemset,
+    // indexed by its slot in plan.exchanged_pairs.
     self.disk_read(local_bytes);
-    std::unordered_map<PairKey, TidList> partial = self.compute(
-        [&] { return invert_pairs(local, plan.exchanged_pairs); });
+    std::vector<TidList> partial;
+    const PairSlots pair_slots = self.compute([&] {
+      PairSlots slots(plan.exchanged_pairs);
+      partial = slots.invert(local);
+      return slots;
+    });
 
     // The tid-list exchange, structured as a redo-until-committed loop so
     // crashes at any point inside it stay recoverable:
@@ -257,13 +252,16 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
     //      sends the dead partition's sections under the dead id, so
     //      receivers merge partitions in ascending order regardless of who
     //      sent them — and a partition is never sent twice in one round);
-    //   3. merge, store the owned classes' tid-list images in the
-    //      replicated store, then a commit barrier;
+    //   3. append each section to its slot, partitions in ascending
+    //      order; stage the owned classes' tid-list images, then a commit
+    //      barrier;
     //   4. if the failed set after the commit still equals F, the round is
     //      committed; otherwise someone died mid-round — redo. Each redo
     //      loses at least one processor, so at most T rounds run, and the
     //      fault-free path is exactly one round plus one cheap barrier.
-    std::unordered_map<PairKey, TidList> my_lists;
+    // The committed round's atoms, by class id: the global tid-lists of
+    // the classes this processor owns (those of remote classes stay empty).
+    std::vector<std::vector<Atom>> my_atoms;
     std::vector<std::size_t> class_owner;
     std::size_t vertical_bytes = 0;
     std::vector<bool> commit_failed;
@@ -308,15 +306,13 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
       for (std::size_t q = 0; q < total; ++q) {
         partition_source[q] = failed[q] ? alive[next++ % alive.size()] : q;
       }
-      std::unordered_map<std::size_t, std::unordered_map<PairKey, TidList>>
-          repaired;
+      std::vector<std::vector<TidList>> repaired(total);
       for (std::size_t q = 0; q < total; ++q) {
         if (!failed[q] || partition_source[q] != me) continue;
         const std::span<const Transaction> part =
             local_partition(db, topology, q);
         self.disk_read(partition_bytes(part), 1);
-        repaired[q] =
-            self.compute([&] { return invert_pairs(part, plan.exchanged_pairs); });
+        repaired[q] = self.compute([&] { return pair_slots.invert(part); });
         self.mark("partition-repair", q);
       }
 
@@ -329,13 +325,12 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
           const bool mine_own = q == me;
           const bool mine_repaired = failed[q] && partition_source[q] == me;
           if (!mine_own && !mine_repaired) continue;
-          const auto& lists = mine_own ? partial : repaired.at(q);
+          const std::vector<TidList>& lists = mine_own ? partial : repaired[q];
           for (std::size_t s = 0; s < plan.exchanged_pairs.size(); ++s) {
-            const PairKey key = plan.exchanged_pairs[s];
             const std::size_t owner = class_owner[plan.class_of[s]];
             writers[owner].put<std::uint64_t>(q);
-            writers[owner].put(key);
-            writers[owner].put_vector(lists.at(key));
+            writers[owner].put(plan.exchanged_pairs[s]);
+            writers[owner].put_vector(lists[s]);
           }
         }
         for (std::size_t dst = 0; dst < total; ++dst) {
@@ -348,16 +343,17 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
       std::vector<mc::Blob> incoming = self.all_to_all(std::move(outgoing));
       const std::vector<bool> a2a_failed = self.failed_snapshot();
 
-      // Decode (checksum-validated, with retransmission on corruption) and
-      // merge sections per pair in ascending partition order: the database
-      // is block-partitioned, so that concatenation is the globally sorted
-      // tid-list (paper §6.3).
-      my_lists.clear();
+      // Decode (checksum-validated, with retransmission on corruption),
+      // group the sections by partition tag, and append each to its slot
+      // in ascending partition order: the database is block-partitioned,
+      // so that concatenation is the globally sorted tid-list (paper §6.3).
+      // Every partition sends every slot this processor owns, its own
+      // partition included, so exactly the owned slots fill.
       vertical_bytes = 0;
+      std::vector<TidList> my_lists(plan.exchanged_pairs.size());
       self.compute([&] {
-        std::unordered_map<PairKey,
-                           std::vector<std::pair<std::uint64_t, TidList>>>
-            sections;
+        std::vector<std::vector<std::pair<std::size_t, TidList>>> sections(
+            total);
         for (std::size_t src = 0; src < total; ++src) {
           if (a2a_failed[src]) continue;
           const mc::Blob blob = open_exchange_payload(
@@ -370,24 +366,33 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
           wire::Reader reader(frame.payload);
           while (!reader.done()) {
             const auto partition = reader.get<std::uint64_t>();
-            const auto key = reader.get<PairKey>();
-            sections[key].emplace_back(partition, reader.get_vector<Tid>());
+            const std::size_t slot = pair_slots.slot(reader.get<PairKey>());
+            if (partition >= total || slot == pair_slots.size()) {
+              throw wire::Error("exchange section outside the plan");
+            }
+            sections[partition].emplace_back(slot, reader.get_vector<Tid>());
           }
         }
-        // eclat-lint: allow(det-unordered-iter) order-insensitive fold into the keyed my_lists; emission order comes from pair_keys()
-        for (auto& [key, parts] : sections) {
-          std::sort(parts.begin(), parts.end(),
-                    [](const auto& a, const auto& b) {
-                      return a.first < b.first;
-                    });
-          TidList& list = my_lists[key];
-          for (auto& [partition, tids] : parts) {
-            list.insert(list.end(), tids.begin(), tids.end());
+        for (auto& partition_sections : sections) {
+          for (auto& [slot, tids] : partition_sections) {
+            TidList& list = my_lists[slot];
+            if (list.empty()) {
+              list = std::move(tids);
+            } else {
+              list.insert(list.end(), tids.begin(), tids.end());
+            }
           }
-          // Block partitioning means partition order == tid order; if this
-          // ever breaks, every downstream intersection is silently wrong.
-          ECLAT_DCHECK(is_valid_tidlist(list));
-          vertical_bytes += sizeof(PairKey) + list.size() * sizeof(Tid);
+        }
+        my_atoms = atoms_by_class(plan.classes, my_lists);
+        for (std::size_t c = 0; c < plan.classes.size(); ++c) {
+          if (class_owner[c] != me) continue;
+          for (const Atom& atom : my_atoms[c]) {
+            // Block partitioning means partition order == tid order; if
+            // this ever breaks, every downstream intersection is silently
+            // wrong.
+            ECLAT_DCHECK(is_valid_tidlist(atom.tids));
+            vertical_bytes += sizeof(PairKey) + atom.tids.size() * sizeof(Tid);
+          }
         }
       });
       // The merged global tid-lists of the local classes go to local disk
@@ -401,9 +406,9 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
         for (std::size_t c = 0; c < plan.classes.size(); ++c) {
           if (plan.classes[c].size() < 2 || class_owner[c] != me) continue;
           wire::Writer image;
-          for (PairKey key : plan.classes[c].pair_keys()) {
-            image.put(key);
-            image.put_vector(my_lists.at(key));
+          for (const Atom& atom : my_atoms[c]) {
+            image.put(make_pair_key(atom.items[0], atom.items[1]));
+            image.put_vector(atom.tids);
           }
           mc::Blob sealed = wire::seal_frame(image.take());
           image_bytes += sealed.size();
@@ -525,9 +530,8 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
     for (std::size_t c = 0; c < plan.classes.size(); ++c) {
       if (plan.classes[c].size() < 2 || class_owner[c] != me) continue;
       my_classes.push_back(c);
-      for (PairKey key : plan.classes[c].pair_keys()) {
-        class_bytes[c] +=
-            sizeof(PairKey) + my_lists.at(key).size() * sizeof(Tid);
+      for (const Atom& atom : my_atoms[c]) {
+        class_bytes[c] += sizeof(PairKey) + atom.tids.size() * sizeof(Tid);
       }
     }
     // Acquire a progress lease on every owned class up front, at the
@@ -538,7 +542,8 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
       if (my_classes.empty()) self.lease_touch();
     }
 
-    std::vector<FrequentItemset> found;
+    // Every class this processor mined, one store each, for the gather.
+    std::vector<ItemsetStore> found;
     std::vector<std::size_t> histogram;
     // Strictly per-processor scratch (the arena is not thread-safe);
     // reused across this processor's classes and the recovery re-mines.
@@ -565,7 +570,7 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
         partitions[q] = local_partition(db, topology, q);
         self.disk_read(partition_bytes(partitions[q]), 1);
       }
-      std::vector<FrequentItemset> class_found;
+      ItemsetStore class_found;
       self.compute([&] {
         const std::vector<Atom> atoms =
             rebuild_class_atoms(eq_class, partitions);
@@ -582,7 +587,6 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
     // Speculative and recovery image reads (mine_class_image) always seek.
     bool need_seek = true;
     for (const std::size_t c : my_classes) {
-      const EquivalenceClass& eq_class = plan.classes[c];
       if (speculate) {
         // Dynamic migration: a backup committed this class while we were
         // behind — drop it, together with its pending disk read. Claims
@@ -592,6 +596,7 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
         if (view.is_committed(c)) {
           self.lease_release(c);
           self.mark("class-migrated", c);
+          std::vector<Atom>().swap(my_atoms[c]);
           need_seek = true;
           continue;
         }
@@ -602,13 +607,13 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
       } else {
         self.disk_read_stream(class_bytes[c]);
       }
-      std::vector<FrequentItemset> class_found;
+      ItemsetStore class_found;
       self.compute([&] {
-        const std::vector<Atom> atoms = take_class_atoms(eq_class, my_lists);
-        compute_frequent(atoms, config.minsup, config.kernel, arena,
+        compute_frequent(my_atoms[c], config.minsup, config.kernel, arena,
                          class_found, histogram);
+        std::vector<Atom>().swap(my_atoms[c]);  // the class's lists go
       });
-      mc::Blob sealed = wire::seal_frame(checkpoint_bytes(class_found));
+      mc::Blob sealed = wire::seal_frame(result_to_bytes(class_found));
       self.disk_write(sealed.size());
       commit_result(c, std::move(sealed));
       // A minority-partitioned owner keeps its commit private: the board
@@ -616,9 +621,7 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
       // (a backup trusting it would skip a class recovery must re-mine).
       if (speculate && self.quorum_member()) self.lease_commit(c);
       self.fault_point("class-checkpointed");
-      found.insert(found.end(),
-                   std::make_move_iterator(class_found.begin()),
-                   std::make_move_iterator(class_found.end()));
+      found.push_back(std::move(class_found));
     }
 
     // Speculative re-execution: done with our own classes, watch the
@@ -655,15 +658,13 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
         }
         if (pick != plan.classes.size()) {
           self.lease_claim(pick);
-          std::vector<FrequentItemset> class_found = mine_class_anywhere(pick);
-          mc::Blob sealed = wire::seal_frame(checkpoint_bytes(class_found));
+          ItemsetStore class_found = mine_class_anywhere(pick);
+          mc::Blob sealed = wire::seal_frame(result_to_bytes(class_found));
           self.disk_write(sealed.size());
           commit_result(pick, std::move(sealed));
           if (self.quorum_member()) self.lease_commit(pick);
           self.mark("class-speculated", pick);
-          found.insert(found.end(),
-                       std::make_move_iterator(class_found.begin()),
-                       std::make_move_iterator(class_found.end()));
+          found.push_back(std::move(class_found));
           continue;
         }
         if (view.next_expiry == std::numeric_limits<double>::infinity()) {
@@ -694,10 +695,14 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
     self.phase_begin("reduction");
     wire::Writer writer;
     self.compute([&] {
-      writer.put<std::uint64_t>(found.size());
-      for (const FrequentItemset& f : found) {
-        writer.put_vector(f.items);
-        writer.put<Count>(f.support);
+      std::uint64_t itemsets = 0;
+      for (const ItemsetStore& part : found) itemsets += part.size();
+      writer.put(itemsets);
+      for (const ItemsetStore& part : found) {
+        for (const ItemsetView f : part) {
+          writer.put_vector(f.items);
+          writer.put<Count>(f.support);
+        }
       }
     });
     // The gather models the reduction's cost (speculation means a class's
@@ -761,9 +766,8 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
           for (std::size_t i = 0; i < unfinished.size(); ++i) {
             const std::size_t c = unfinished[i];
             if (alive[placement[i]] != me) continue;
-            std::vector<FrequentItemset> class_found = mine_class_anywhere(c);
             recovered.put<std::uint64_t>(c);
-            recovered.put_vector(checkpoint_bytes(class_found));
+            recovered.put_vector(result_to_bytes(mine_class_anywhere(c)));
             self.mark("class-recovered", c);
           }
           recovery_gathers.push_back(
@@ -805,8 +809,9 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
         append_singletons(result, item_counts, config.minsup);
       }
       append_frequent_pairs(result, plan.frequent_pairs, counter);
-      // Re-mined classes from the recovery gathers, keyed by class id.
-      std::unordered_map<std::size_t, ItemsetStore> recovered_classes;
+      // Re-mined classes from the recovery gathers, by class id.
+      std::vector<std::optional<ItemsetStore>> recovered_classes(
+          plan.classes.size());
       for (std::size_t round = 0; round < recovery_gathers.size(); ++round) {
         const std::vector<bool>& round_failed = recovery_snapshots[round];
         for (std::size_t src = 0; src < total; ++src) {
@@ -821,7 +826,7 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
           while (!reader.done()) {
             const auto c = reader.get<std::uint64_t>();
             const auto bytes = reader.get_vector<std::uint8_t>();
-            recovered_classes[c] =
+            recovered_classes.at(c) =
                 itemsets_from_checkpoint({bytes.data(), bytes.size()});
           }
         }
@@ -846,13 +851,12 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
           }
           continue;
         }
-        const auto it = recovered_classes.find(c);
-        if (it == recovered_classes.end()) {
+        if (!recovered_classes[c]) {
           throw std::runtime_error("assembly: class " + std::to_string(c) +
                                    " has no checkpoint and was never "
                                    "recovered");
         }
-        for (const ItemsetView f : it->second) {
+        for (const ItemsetView f : *recovered_classes[c]) {
           result.itemsets.push_back(f.items, f.support);
         }
       }

@@ -6,12 +6,13 @@
 //      (the paper never counts single items).
 //   2. Transformation — partition L2 into equivalence classes, schedule
 //      them greedily over the processors, scan the local partition a
-//      second time building partial tid-lists for every frequent
-//      2-itemset, then exchange tid-lists so each processor holds the
-//      *global* tid-lists of the classes it owns. Because the database is
-//      block-partitioned, partial lists concatenated in processor order
-//      are already globally sorted (§6.3) — placement uses precomputed
-//      offsets from the per-processor partial counts.
+//      second time building partial tid-lists for every exchanged
+//      2-itemset (slot-indexed, through PairSlots), then exchange tid-lists
+//      so each processor holds the *global* tid-lists of the classes it
+//      owns. Because the database is block-partitioned, partial lists
+//      concatenated in processor order are already globally sorted
+//      (§6.3): a receiver groups the sections by their partition tag and
+//      appends each to its pair's slot in ascending partition order.
 //   3. Asynchronous — mine each owned class to completion with recursive
 //      tid-list intersections. No communication, no synchronization; the
 //      third and final scan reads the class tid-lists back from local disk.

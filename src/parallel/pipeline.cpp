@@ -58,21 +58,17 @@ std::vector<Atom> take_class_atoms(
 std::vector<Atom> rebuild_class_atoms(
     const EquivalenceClass& eq_class,
     std::span<const std::span<const Transaction>> partitions) {
-  const std::vector<PairKey> keys = eq_class.pair_keys();
-  std::unordered_map<PairKey, TidList> lists;
+  if (eq_class.size() < 2) return {};
+  const PairSlots slots(eq_class.pair_keys());
+  std::vector<TidList> lists(slots.size());
   for (const std::span<const Transaction> partition : partitions) {
-    std::unordered_map<PairKey, TidList> partial =
-        invert_pairs(partition, keys);
-    for (const PairKey key : keys) {
-      TidList& list = lists[key];
-      const TidList& section = partial.at(key);
-      list.insert(list.end(), section.begin(), section.end());
+    const std::vector<TidList> partial = slots.invert(partition);
+    for (std::size_t s = 0; s < lists.size(); ++s) {
+      lists[s].insert(lists[s].end(), partial[s].begin(), partial[s].end());
     }
   }
-  for (const PairKey key : keys) {
-    ECLAT_DCHECK(is_valid_tidlist(lists.at(key)));
-  }
-  return take_class_atoms(eq_class, lists);
+  for (const TidList& list : lists) ECLAT_DCHECK(is_valid_tidlist(list));
+  return std::move(atoms_by_class({&eq_class, 1}, lists).front());
 }
 
 void append_singletons(MiningResult& result,

@@ -71,7 +71,9 @@ MiningPlan derive_plan(const TriangleCounter& counter, Count minsup,
 
 /// Build the atoms of one equivalence class by *moving* the class's
 /// global tid-lists out of `lists` (keyed by pair). The atoms come out
-/// sorted lexicographically, the order Compute_Frequent requires.
+/// sorted lexicographically, the order Compute_Frequent requires. The
+/// miners take atoms by slot (atoms_by_class); the one caller left is
+/// bench_e2e's traced replica, and this goes once that replica does too.
 std::vector<Atom> take_class_atoms(
     const EquivalenceClass& eq_class,
     std::unordered_map<PairKey, TidList>& lists);
@@ -82,8 +84,8 @@ std::vector<Atom> take_class_atoms(
 /// database is block-partitioned, concatenating per-partition inversions
 /// in partition order reproduces the globally sorted tid-lists exactly —
 /// the result is byte-for-byte the atoms the exchange would have
-/// delivered, which is what keeps recovery output identical when every
-/// replica of a class's image has been lost.
+/// delivered (none for a singleton class), which is what keeps recovery
+/// output identical when every replica of a class's image has been lost.
 std::vector<Atom> rebuild_class_atoms(
     const EquivalenceClass& eq_class,
     std::span<const std::span<const Transaction>> partitions);

@@ -119,6 +119,14 @@ PairSlots::PairSlots(std::span<const PairKey> pairs)
   }
 }
 
+std::size_t PairSlots::slot(PairKey key) const {
+  const std::uint32_t a = ids_.id(pair_first(key));
+  const std::uint32_t b = ids_.id(pair_second(key));
+  if (a == kAbsent || b == kAbsent || a >= b) return size();
+  const std::uint32_t s = slot_[ids_.cell(a, b)];
+  return s == kAbsent ? size() : s;
+}
+
 template <typename Emit>
 void PairSlots::scan(std::span<const Transaction> transactions,
                      Emit&& emit) const {

@@ -1,7 +1,7 @@
 // Horizontal → vertical database transformation (paper §5.2.2 / §6.3).
 //
-// A PairKey packs a 2-itemset {i, j} (i < j) into one 64-bit word so pair
-// tid-lists can live in flat hash maps without heap-allocated keys.
+// A PairKey packs a 2-itemset {i, j} (i < j) into one 64-bit word whose
+// order is the pairs' lexicographic order.
 #pragma once
 
 #include <cstdint>
@@ -97,6 +97,9 @@ class PairSlots {
 
   std::size_t size() const { return pairs_.size(); }
 
+  /// The slot of `key`, or size() when it is not a requested pair.
+  std::size_t slot(PairKey key) const;
+
   /// Tid-lists of every slot over one scan, grown as they fill (for
   /// callers that do not know the counts).
   std::vector<TidList> invert(std::span<const Transaction> transactions) const;
@@ -132,10 +135,11 @@ class PairSlots {
   std::vector<std::uint32_t> slot_;  ///< local-id triangle -> slot
 };
 
-/// Tid-lists of the given 2-itemsets over a span of transactions
-/// (the per-partition partial tid-lists of Eclat's transformation phase),
-/// keyed by pair: an adapter over PairSlots for callers that look lists up
-/// by key. `pairs` must be sorted and duplicate-free.
+/// Tid-lists of the given 2-itemsets over a span of transactions, keyed
+/// by pair: an adapter over PairSlots. `pairs` must be sorted and
+/// duplicate-free. Every miner in the library inverts through PairSlots;
+/// the one caller left is bench_e2e's traced replica, and the adapter goes
+/// once that replica inverts through PairSlots too.
 std::unordered_map<PairKey, TidList> invert_pairs(
     std::span<const Transaction> transactions,
     const std::vector<PairKey>& pairs);

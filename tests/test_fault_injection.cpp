@@ -303,29 +303,6 @@ TEST(FaultInjection, AbortedBodyReleasesPeersAndRethrows) {
   }
 }
 
-TEST(FaultInjection, RegionCorruptionIsCaughtBySealedFrame) {
-  mc::Cluster cluster(mc::Topology{1, 2}, modeled_time_only());
-  mc::FaultPlan plan;
-  plan.events.push_back(mc::FaultPlan::corrupt_region(0));
-  cluster.set_fault_plan(plan);
-
-  const auto region = cluster.channel().create_region(1 << 12);
-  std::atomic<bool> detected{false};
-  cluster.run([&](mc::Processor& self) {
-    const mc::Blob sealed = wire::seal_frame({1, 2, 3, 4, 5, 6, 7, 8});
-    if (self.id() == 0) {
-      self.region_write(region, 0, {sealed.data(), sealed.size()});
-    }
-    self.barrier();
-    if (self.id() == 1) {
-      mc::Blob readback(sealed.size());
-      self.region_read(region, 0, {readback.data(), readback.size()});
-      detected = !wire::open_frame(readback).ok;
-    }
-  });
-  EXPECT_TRUE(detected.load());
-}
-
 TEST(FaultInjection, CrashEventWithoutTargetProcessorIsRejected) {
   mc::FaultPlan plan;
   mc::FaultEvent event;

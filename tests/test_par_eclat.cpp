@@ -5,6 +5,7 @@
 #include <string>
 
 #include "eclat/eclat_seq.hpp"
+#include "parallel/hybrid.hpp"
 #include "test_util.hpp"
 
 namespace eclat::par {
@@ -151,6 +152,77 @@ TEST(ParEclat, McTrafficIsAccounted) {
   const ParallelOutput output = par_eclat(cluster, db, config);
   EXPECT_GT(output.mc_bytes, 0u);
   EXPECT_GT(output.mc_messages, 0u);
+}
+
+// Fault-free traffic on small_quest_db() at minsup 4, pinned: the
+// exchange frames, class images and gathers of both simulator Eclats keep
+// their bytes. No gated benchmark runs hybrid Eclat, so this is what pins
+// its frames. Integers, not makespans, so every build and ISA agrees.
+TEST(ParEclat, TrafficIsPinnedAcrossTopologies) {
+  struct Pinned {
+    mc::Topology topology;
+    std::uint64_t eclat_bytes;
+    std::uint64_t eclat_messages;
+    std::uint64_t image_bytes;
+    std::uint64_t hybrid_bytes;
+    std::uint64_t hybrid_messages;
+  };
+  const Pinned pinned[] = {
+      {{1, 1}, 191436, 3, 22800, 191416, 3},
+      {{2, 2}, 223416, 24, 22800, 220716, 24},
+      {{4, 2}, 248704, 80, 22800, 241024, 80},
+  };
+  const HorizontalDatabase db = small_quest_db();
+  mc::CostModel cost;
+  cost.cpu_scale = 0.0;
+  ParEclatConfig config;
+  config.minsup = 4;
+  for (const Pinned& pin : pinned) {
+    mc::Cluster eclat_cluster(pin.topology, cost);
+    const ParallelOutput eclat = par_eclat(eclat_cluster, db, config);
+    EXPECT_EQ(eclat.mc_bytes, pin.eclat_bytes) << pin.topology.label();
+    EXPECT_EQ(eclat.mc_messages, pin.eclat_messages) << pin.topology.label();
+    EXPECT_EQ(eclat.image_bytes, pin.image_bytes) << pin.topology.label();
+    mc::Cluster hybrid_cluster(pin.topology, cost);
+    const ParallelOutput hybrid = hybrid_eclat(hybrid_cluster, db, config);
+    EXPECT_EQ(hybrid.mc_bytes, pin.hybrid_bytes) << pin.topology.label();
+    EXPECT_EQ(hybrid.mc_messages, pin.hybrid_messages)
+        << pin.topology.label();
+  }
+}
+
+// Lineage rebuilds a class from the horizontal blocks alone; whatever the
+// block count, its atoms are the ones the slot inversion of the whole
+// database delivers.
+TEST(RebuildClassAtoms, EqualTheSlotInversionAtEveryBlockCount) {
+  const HorizontalDatabase db = small_quest_db();
+  const std::span<const Transaction> all(db.transactions());
+  TriangleCounter counter(db.num_items());
+  counter.count(all);
+  const MiningPlan plan =
+      derive_plan(counter, 4, 1, ScheduleHeuristic::kGreedyWeight);
+  ASSERT_FALSE(plan.exchanged_pairs.empty());
+  std::vector<TidList> lists =
+      PairSlots(plan.exchanged_pairs).invert(all, counter);
+  const std::vector<std::vector<Atom>> expected =
+      atoms_by_class(plan.classes, lists);
+  for (std::size_t blocks = 1; blocks <= 5; ++blocks) {
+    std::vector<std::span<const Transaction>> partitions;
+    for (const Block& block : db.block_partition(blocks)) {
+      partitions.push_back(db.view(block));
+    }
+    for (std::size_t c = 0; c < plan.classes.size(); ++c) {
+      const std::vector<Atom> atoms =
+          rebuild_class_atoms(plan.classes[c], partitions);
+      ASSERT_EQ(atoms.size(), expected[c].size())
+          << "class " << c << ", " << blocks << " blocks";
+      for (std::size_t i = 0; i < atoms.size(); ++i) {
+        EXPECT_EQ(atoms[i].items, expected[c][i].items) << "class " << c;
+        EXPECT_EQ(atoms[i].tids, expected[c][i].tids)
+            << "class " << c << ", " << blocks << " blocks";
+      }
+    }
+  }
 }
 
 }  // namespace

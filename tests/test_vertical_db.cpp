@@ -219,6 +219,25 @@ TEST(PairSlots, TwoItemsOnePair) {
   EXPECT_EQ(PairSlots(pairs).invert(transactions)[0], (TidList{3}));
 }
 
+// The exchange receivers find a section's slot by its key; a key the
+// plan never requested, or a malformed one, has none.
+TEST(PairSlots, SlotOfEveryRequestedPairAndOfNoOther) {
+  const std::vector<PairKey> pairs = {make_pair_key(1, 4), make_pair_key(1, 7),
+                                      make_pair_key(4, 7), make_pair_key(5, 9)};
+  const PairSlots slots(pairs);
+  for (std::size_t s = 0; s < pairs.size(); ++s) {
+    EXPECT_EQ(slots.slot(pairs[s]), s);
+  }
+  // Both items requested but not together; an item never requested; an
+  // item beyond the table; items out of order; one item twice.
+  for (const PairKey absent :
+       {make_pair_key(1, 5), make_pair_key(0, 1), make_pair_key(7, 12),
+        (PairKey{4} << 32) | 1, (PairKey{4} << 32) | 4}) {
+    EXPECT_EQ(slots.slot(absent), pairs.size()) << absent;
+  }
+  EXPECT_EQ(PairSlots({}).slot(make_pair_key(0, 1)), 0u);
+}
+
 // The §6.3 invariant: W blocks written concurrently in place, each from
 // its pairs' counts over the earlier blocks, give byte for byte the lists
 // of one pass over the whole database, at any W.

@@ -110,8 +110,6 @@ mc::FaultPlan generate_plan(std::uint64_t seed, const ChaosKnobs& knobs) {
                                        rng.uniform(0.05 * hint, 0.3 * hint));
         break;
       }
-      case FaultKind::kCorruptRegion:
-        continue;  // par_eclat issues no raw region writes; nothing to aim at
       case FaultKind::kPartition: {
         const std::size_t side = 1 + rng.below(total - 1);
         std::vector<std::size_t> order(total);
@@ -188,8 +186,7 @@ mc::FaultPlan plan_from_text(const std::string& text) {
           field.name(event.kind,
                      {FaultKind::kCrash, FaultKind::kDiskStall,
                       FaultKind::kHang, FaultKind::kCorruptMessage,
-                      FaultKind::kCorruptRegion, FaultKind::kHubDegrade,
-                      FaultKind::kPartition});
+                      FaultKind::kHubDegrade, FaultKind::kPartition});
         } else if (field.key == "processor") {
           field.number(event.processor);
         } else if (field.key == "peer") {
@@ -200,7 +197,7 @@ mc::FaultPlan plan_from_text(const std::string& text) {
                       FaultOp::kDiskWrite, FaultOp::kBarrier,
                       FaultOp::kSumReduce, FaultOp::kBroadcast,
                       FaultOp::kAllToAll, FaultOp::kAllGather,
-                      FaultOp::kRegionWrite, FaultOp::kPoint});
+                      FaultOp::kPoint});
         } else if (field.key == "phase") {
           event.phase = field.value;
         } else if (field.key == "label") {
