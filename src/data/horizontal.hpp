@@ -97,6 +97,11 @@ class HorizontalDatabase {
   std::size_t size() const { return transactions_.size(); }
   bool empty() const { return transactions_.empty(); }
 
+  /// The tid universe, last tid + 1 (0 when empty): every tid is below it.
+  Tid tid_universe() const {
+    return transactions_.empty() ? 0 : transactions_.back().tid + 1;
+  }
+
   /// Number of distinct items the id space covers (ids are < num_items()).
   Item num_items() const { return num_items_; }
 

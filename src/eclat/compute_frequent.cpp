@@ -33,6 +33,25 @@ Tid seed_class(const std::vector<Atom>& class_atoms, IntersectKernel kernel,
   return universe;
 }
 
+Tid join_class(const ItemTidSets& items, Item prefix,
+               std::span<const Item> members, Count minsup,
+               IntersectKernel kernel, TidArena& arena,
+               IntersectStats* stats) {
+  ECLAT_DCHECK(!members.empty());
+  const Tid universe = items.universe();
+  const TidSet& base = items.of(prefix);
+  TidArena::Level& root = arena.level(0);
+  root.reset();
+  for (Item member : members) {
+    TidSet& slot = root.scratch();
+    const std::optional<Count> support = intersect(
+        base, items.of(member), minsup, kernel, universe, &slot, stats);
+    if (support) root.commit(member, *support);
+  }
+  arena.prefix().assign(1, prefix);
+  return universe;
+}
+
 std::optional<TidList> intersect_with_kernel(const TidList& a,
                                              const TidList& b, Count minsup,
                                              IntersectKernel kernel,
@@ -165,8 +184,20 @@ void mine(TidArena& arena, std::size_t depth, const Join& join, Sink& out,
   }
 }
 
-/// Compute_Frequent over one class into either sink.
-template <typename Sink>
+/// Mine the class seeded on arena level 0 over `universe` with `Join`
+/// (TidsetJoin or DiffsetJoin) into either sink, then clear the prefix.
+template <typename Join, typename Sink>
+void mine_seeded(TidArena& arena, Tid universe, Count minsup,
+                 IntersectKernel kernel, Sink& out,
+                 std::vector<std::size_t>& size_histogram,
+                 IntersectStats* stats, MiningGuard* guard) {
+  mine(arena, 0, Join{minsup, kernel, universe, stats}, out, size_histogram,
+       guard);
+  arena.prefix().clear();
+}
+
+/// Compute_Frequent or dEclat over one class of atoms into either sink.
+template <typename Join, typename Sink>
 void mine_class(const std::vector<Atom>& class_atoms, Count minsup,
                 IntersectKernel kernel, TidArena& arena, Sink& out,
                 std::vector<std::size_t>& size_histogram,
@@ -180,22 +211,24 @@ void mine_class(const std::vector<Atom>& class_atoms, Count minsup,
   }
 #endif
   const Tid universe = seed_class(class_atoms, kernel, arena, stats);
-  mine(arena, 0, TidsetJoin{minsup, kernel, universe, stats}, out,
-       size_histogram, guard);
-  arena.prefix().clear();
+  mine_seeded<Join>(arena, universe, minsup, kernel, out, size_histogram,
+                    stats, guard);
 }
 
-/// dEclat over one class into either sink.
-template <typename Sink>
-void mine_class_diffsets(const std::vector<Atom>& class_atoms, Count minsup,
-                         IntersectKernel kernel, TidArena& arena, Sink& out,
-                         std::vector<std::size_t>& size_histogram,
-                         IntersectStats* stats) {
-  if (class_atoms.size() < 2) return;
-  const Tid universe = seed_class(class_atoms, kernel, arena, stats);
-  mine(arena, 0, DiffsetJoin{minsup, kernel, universe, stats}, out,
-       size_histogram, nullptr);
-  arena.prefix().clear();
+/// Compute_Frequent or dEclat over the class [prefix], joined from the
+/// item tid-sets, into a store.
+template <typename Join>
+void mine_joined_class(const ItemTidSets& items, Item prefix,
+                       std::span<const Item> members, Count minsup,
+                       IntersectKernel kernel, TidArena& arena,
+                       ItemsetStore& out,
+                       std::vector<std::size_t>& size_histogram,
+                       IntersectStats* stats, MiningGuard* guard) {
+  if (members.size() < 2) return;
+  const Tid universe =
+      join_class(items, prefix, members, minsup, kernel, arena, stats);
+  mine_seeded<Join>(arena, universe, minsup, kernel, out, size_histogram,
+                    stats, guard);
 }
 
 }  // namespace
@@ -205,8 +238,8 @@ void compute_frequent(const std::vector<Atom>& class_atoms, Count minsup,
                       std::vector<FrequentItemset>& out,
                       std::vector<std::size_t>& size_histogram,
                       IntersectStats* stats, MiningGuard* guard) {
-  mine_class(class_atoms, minsup, kernel, arena, out, size_histogram, stats,
-             guard);
+  mine_class<TidsetJoin>(class_atoms, minsup, kernel, arena, out,
+                         size_histogram, stats, guard);
 }
 
 void compute_frequent(const std::vector<Atom>& class_atoms, Count minsup,
@@ -214,8 +247,18 @@ void compute_frequent(const std::vector<Atom>& class_atoms, Count minsup,
                       ItemsetStore& out,
                       std::vector<std::size_t>& size_histogram,
                       IntersectStats* stats, MiningGuard* guard) {
-  mine_class(class_atoms, minsup, kernel, arena, out, size_histogram, stats,
-             guard);
+  mine_class<TidsetJoin>(class_atoms, minsup, kernel, arena, out,
+                         size_histogram, stats, guard);
+}
+
+void compute_frequent(const ItemTidSets& items, Item prefix,
+                      std::span<const Item> members, Count minsup,
+                      IntersectKernel kernel, TidArena& arena,
+                      ItemsetStore& out,
+                      std::vector<std::size_t>& size_histogram,
+                      IntersectStats* stats, MiningGuard* guard) {
+  mine_joined_class<TidsetJoin>(items, prefix, members, minsup, kernel, arena,
+                                out, size_histogram, stats, guard);
 }
 
 void compute_frequent(const std::vector<Atom>& class_atoms, Count minsup,
@@ -234,8 +277,8 @@ void compute_frequent_diffsets(const std::vector<Atom>& class_atoms,
                                std::vector<FrequentItemset>& out,
                                std::vector<std::size_t>& size_histogram,
                                IntersectStats* stats) {
-  mine_class_diffsets(class_atoms, minsup, kernel, arena, out,
-                      size_histogram, stats);
+  mine_class<DiffsetJoin>(class_atoms, minsup, kernel, arena, out,
+                          size_histogram, stats, nullptr);
 }
 
 void compute_frequent_diffsets(const std::vector<Atom>& class_atoms,
@@ -243,8 +286,18 @@ void compute_frequent_diffsets(const std::vector<Atom>& class_atoms,
                                TidArena& arena, ItemsetStore& out,
                                std::vector<std::size_t>& size_histogram,
                                IntersectStats* stats) {
-  mine_class_diffsets(class_atoms, minsup, kernel, arena, out,
-                      size_histogram, stats);
+  mine_class<DiffsetJoin>(class_atoms, minsup, kernel, arena, out,
+                          size_histogram, stats, nullptr);
+}
+
+void compute_frequent_diffsets(const ItemTidSets& items, Item prefix,
+                               std::span<const Item> members, Count minsup,
+                               IntersectKernel kernel, TidArena& arena,
+                               ItemsetStore& out,
+                               std::vector<std::size_t>& size_histogram,
+                               IntersectStats* stats) {
+  mine_joined_class<DiffsetJoin>(items, prefix, members, minsup, kernel,
+                                 arena, out, size_histogram, stats, nullptr);
 }
 
 }  // namespace eclat

@@ -38,6 +38,16 @@ void compute_frequent_diffsets(const std::vector<Atom>& class_atoms,
                                std::vector<std::size_t>& size_histogram,
                                IntersectStats* stats = nullptr);
 
+/// dEclat for the class [prefix] with sorted `members`, its level 0
+/// joined from the shared item tid-sets (join_class), as for
+/// compute_frequent's item form.
+void compute_frequent_diffsets(const ItemTidSets& items, Item prefix,
+                               std::span<const Item> members, Count minsup,
+                               IntersectKernel kernel, TidArena& arena,
+                               ItemsetStore& out,
+                               std::vector<std::size_t>& size_histogram,
+                               IntersectStats* stats = nullptr);
+
 /// Convenience overload: paper kernel, call-local arena.
 void compute_frequent_diffsets(const std::vector<Atom>& class_atoms,
                                Count minsup,

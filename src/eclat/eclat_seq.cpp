@@ -39,32 +39,39 @@ MiningResult eclat_sequential(const HorizontalDatabase& db,
     result.itemsets.push_back(pair, counter.get(pair[0], pair[1]));
   }
 
-  // --- Transformation: exact-size vertical tid-lists for the pairs of
-  // every class that generates candidates (second and final horizontal
-  // scan). ---
+  // --- Transformation: exact-size vertical tid-lists of every item that
+  // occurs in a class that generates candidates (second and final
+  // horizontal scan), each seeded once into a TidSet under the run's
+  // kernel over the database's tid universe. ---
   const std::vector<EquivalenceClass> classes =
       partition_into_classes(frequent_pairs);
-  std::vector<TidList> tidlists =
-      PairSlots(mined_pairs(classes)).invert(all, counter);
+  ItemSlots item_slots(mined_items(classes));
+  std::vector<TidList> lists = item_slots.invert(all, item_counts);
   ++result.database_scans;
+  ItemTidSets items(std::move(item_slots), db.tid_universe());
+  for (std::size_t s = 0; s < lists.size(); ++s) {
+    items.seed(s, std::move(lists[s]), config.kernel, stats);
+  }
 
-  // --- Asynchronous phase: mine each equivalence class to completion. ---
+  // --- Asynchronous phase: mine each equivalence class to completion,
+  // joining its atoms from the item tid-sets. ---
   std::vector<std::size_t> size_histogram(3, 0);
   size_histogram[2] = frequent_pairs.size();
 
   // One arena reused across every class: level buffers warm up on the
   // first few classes, after which the recursion allocates nothing.
   TidArena arena;
-  for (std::vector<Atom>& atoms : atoms_by_class(classes, tidlists)) {
-    if (atoms.empty()) continue;  // singleton class: no candidates (§4.1)
+  for (const EquivalenceClass& eq_class : classes) {
+    // A singleton class generates no candidates (§4.1) and mines nothing.
     if (config.use_diffsets) {
-      compute_frequent_diffsets(atoms, config.minsup, config.kernel, arena,
+      compute_frequent_diffsets(items, eq_class.prefix, eq_class.members,
+                                config.minsup, config.kernel, arena,
                                 result.itemsets, size_histogram, stats);
     } else {
-      compute_frequent(atoms, config.minsup, config.kernel, arena,
-                       result.itemsets, size_histogram, stats);
+      compute_frequent(items, eq_class.prefix, eq_class.members,
+                       config.minsup, config.kernel, arena, result.itemsets,
+                       size_histogram, stats);
     }
-    atoms.clear();  // free the class's tid-lists before the next class
   }
 
   for (std::size_t k = 2; k < size_histogram.size(); ++k) {

@@ -2,10 +2,13 @@
 // algorithm (and the baseline for the speedup curves of Figure 7).
 //
 // Phases: (1) count items, then the 2-itemsets of frequent items, in one
-// horizontal scan via a triangular array; (2) invert the database into
-// tid-lists of the frequent 2-itemsets (second scan) and split L2 into
-// equivalence classes; (3) mine each class to completion with
-// Compute_Frequent. No hash trees, no candidate pruning.
+// horizontal scan via a triangular array; (2) split L2 into equivalence
+// classes and invert the database into the tid-lists of the items of
+// every class that generates candidates (second scan), each seeded once
+// into a TidSet; (3) mine each class to completion with Compute_Frequent,
+// its atoms t(prefix) ∩ t(member) joined from those item tid-sets when it
+// starts, so only one class's pair tid-lists are ever alive. No hash
+// trees, no candidate pruning.
 #pragma once
 
 #include "common/result.hpp"
@@ -31,7 +34,8 @@ struct EclatConfig {
   bool include_singletons = true;
 };
 
-/// Mine all frequent itemsets of `db` with sequential Eclat.
+/// Mine all frequent itemsets of `db` with sequential Eclat. `stats`
+/// counts every join, the level-0 item joins of each class included.
 MiningResult eclat_sequential(const HorizontalDatabase& db,
                               const EclatConfig& config,
                               IntersectStats* stats = nullptr);

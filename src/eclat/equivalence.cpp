@@ -43,6 +43,19 @@ std::vector<PairKey> mined_pairs(std::span<const EquivalenceClass> classes) {
   return pairs;
 }
 
+std::vector<Item> mined_items(std::span<const EquivalenceClass> classes) {
+  std::vector<Item> items;
+  for (const EquivalenceClass& eq_class : classes) {
+    if (eq_class.size() < 2) continue;
+    items.push_back(eq_class.prefix);
+    items.insert(items.end(), eq_class.members.begin(),
+                 eq_class.members.end());
+  }
+  std::sort(items.begin(), items.end());
+  items.erase(std::unique(items.begin(), items.end()), items.end());
+  return items;
+}
+
 std::vector<std::vector<Atom>> atoms_by_class(
     std::span<const EquivalenceClass> classes, std::span<TidList> lists) {
   std::vector<std::vector<Atom>> atoms(classes.size());

@@ -47,6 +47,11 @@ std::vector<EquivalenceClass> partition_into_classes(
 /// (§4.1). Sorted, and each such class owns one contiguous run.
 std::vector<PairKey> mined_pairs(std::span<const EquivalenceClass> classes);
 
+/// The items whose tid-lists the native miners join a class's atoms from:
+/// the prefix and members of every class of size >= 2. Sorted and
+/// duplicate-free.
+std::vector<Item> mined_items(std::span<const EquivalenceClass> classes);
+
 /// The atoms of every class of size >= 2, indexed by class id (singleton
 /// classes get none), moved out of `lists`, which holds one tid-list per
 /// entry of mined_pairs(classes), in that order.

@@ -190,10 +190,22 @@ void ExecFaultInjector::corrupt_result(
 
 void validate_class_result(const EquivalenceClass& eq_class, Count minsup,
                            const ItemsetStore& result) {
+  if (result.empty()) return;
+  // One mark per item over the members' span, so membership is one load.
   // Members arrive sorted from the frequent-pair split, but the contract
-  // check must not rely on that: sort a local copy once per validation.
-  std::vector<Item> members = eq_class.members;
-  std::sort(members.begin(), members.end());
+  // check must not rely on that.
+  Item base = 0;
+  std::vector<bool> marked;
+  if (!eq_class.members.empty()) {
+    const auto [low, high] = std::minmax_element(eq_class.members.begin(),
+                                                 eq_class.members.end());
+    base = *low;
+    marked.resize(std::size_t{*high} - base + 1);
+    for (Item member : eq_class.members) marked[member - base] = true;
+  }
+  const auto is_member = [&](Item item) {
+    return item >= base && item - base < marked.size() && marked[item - base];
+  };
   for (std::size_t i = 0; i < result.size(); ++i) {
     const ItemsetView found = result[i];
     const auto reject = [&](const std::string& why) {
@@ -215,8 +227,7 @@ void validate_class_result(const EquivalenceClass& eq_class, Count minsup,
         reject("items not strictly ascending at position " +
                std::to_string(k));
       }
-      if (!std::binary_search(members.begin(), members.end(),
-                              found.items[k])) {
+      if (!is_member(found.items[k])) {
         reject("item " + std::to_string(found.items[k]) +
                " is not a class member");
       }

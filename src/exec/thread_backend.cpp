@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <cstdint>
 #include <exception>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -14,6 +16,7 @@
 #include "common/check.hpp"
 #include "common/clock.hpp"
 #include "eclat/compute_frequent.hpp"
+#include "eclat/equivalence.hpp"
 #include "eclat/mining_guard.hpp"
 #include "eclat/tid_arena.hpp"
 #include "exec/exec_fault.hpp"
@@ -53,6 +56,28 @@ void parallel_region(std::size_t workers, Body&& body) {
   }
 }
 
+// A region of two steps: every worker runs first(w), waits at a barrier
+// until all have, then runs then(w). The barrier orders every worker's
+// first-step writes before any second step, as a region boundary would,
+// without joining and respawning the threads. A worker whose first step
+// throws still arrives, and then no worker runs its second step.
+template <typename First, typename Then>
+void parallel_region(std::size_t workers, First&& first, Then&& then) {
+  std::atomic<bool> failed{false};
+  std::barrier sync(static_cast<std::ptrdiff_t>(workers));
+  parallel_region(workers, [&](std::size_t w) {
+    try {
+      first(w);
+    } catch (...) {
+      failed.store(true, std::memory_order_relaxed);
+      sync.arrive_and_wait();
+      throw;
+    }
+    sync.arrive_and_wait();
+    if (!failed.load(std::memory_order_relaxed)) then(w);
+  });
+}
+
 }  // namespace
 
 par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
@@ -75,11 +100,11 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
   // ----- Phase 1: initialization. Per-worker item counts, summed into
   // the global ones; then each worker counts its block's pairs of
   // frequent items (C2 = L1 x L1) into a counter it allocates and zeroes
-  // itself from those read-only sums, and an in-place prefix sum:
-  // counters[w] ends up holding blocks 0..w, so the last one is the
-  // merged L2 and counters[w-1] is where block w's tids start in every
-  // global tid-list. Exact integer arithmetic, so the merged counts equal
-  // the simulator's tree reduction for any W. -----
+  // itself from those read-only sums and, once every block is counted,
+  // adds one cell range of the W counters into the first, which is then
+  // the merged L2. Exact integer arithmetic, so the merged counts equal
+  // the simulator's tree reduction for any W. The per-block item counts
+  // stay: they place each block's tids in the item tid-lists. -----
   std::vector<std::vector<Count>> item_partials(W);
   parallel_region(W, [&](std::size_t w) {
     item_partials[w] =
@@ -92,32 +117,54 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
     }
   }
   std::vector<std::optional<TriangleCounter>> counters(W);
-  parallel_region(W, [&](std::size_t w) {
-    counters[w].emplace(item_counts, config.minsup)
-        .count(par::local_partition(db, topo, w));
-  });
-  for (std::size_t w = 1; w < W; ++w) counters[w]->merge(*counters[w - 1]);
-  const TriangleCounter& counter = *counters.back();
+  parallel_region(
+      W,
+      [&](std::size_t w) {
+        counters[w].emplace(item_counts, config.minsup)
+            .count(par::local_partition(db, topo, w));
+      },
+      [&](std::size_t w) {
+        const std::span<Count> sum = counters.front()->raw();
+        const std::size_t begin = sum.size() * w / W;
+        const std::size_t end = sum.size() * (w + 1) / W;
+        for (std::size_t v = 1; v < W; ++v) {
+          const std::span<const Count> part =
+              std::as_const(*counters[v]).raw();
+          for (std::size_t i = begin; i < end; ++i) sum[i] += part[i];
+        }
+      });
+  counters.resize(1);
+  const TriangleCounter& counter = *counters.front();
   const double t_init = wall.elapsed_seconds();
 
   // ----- Phase 2: transformation. The plan is a pure function of the
-  // merged counts. Every global tid-list is sized exactly at its merged
-  // count, and each worker writes its block's tids in place from the
-  // pair's count over the earlier blocks (paper §6.3): the ranges are
-  // disjoint, so writers never collide and the lists come out sorted with
-  // no merge. exchanged_pairs is class-contiguous, so each class's atoms
-  // are a moved run of lists. -----
+  // merged counts. The tid-list of every item that occurs in a class of
+  // two or more members is sized exactly at the item's count, and each
+  // worker writes its block's tids in place from the item's count over
+  // the earlier blocks (paper §6.3): the ranges are disjoint, so writers
+  // never collide and the lists come out sorted with no merge. Once every
+  // block is written, each list is seeded once into a shared, read-only
+  // TidSet under the run's kernel over the database's tid universe; a
+  // class task joins its atoms from those. -----
   const par::MiningPlan plan =
       par::derive_plan(counter, config.minsup, W, config.schedule);
-  const PairSlots pair_slots(plan.exchanged_pairs);
-  std::vector<TidList> lists = pair_slots.make_lists(counter);
-  parallel_region(W, [&](std::size_t w) {
-    std::vector<Tid*> cursors =
-        pair_slots.cursors(lists, w == 0 ? nullptr : &*counters[w - 1]);
-    pair_slots.write(par::local_partition(db, topo, w), cursors);
-  });
-  std::vector<std::vector<Atom>> class_atoms =
-      atoms_by_class(plan.classes, lists);
+  ItemTidSets items(ItemSlots(mined_items(plan.classes)), db.tid_universe());
+  std::vector<TidList> lists = items.slots().sized_lists(item_counts);
+  parallel_region(
+      W,
+      [&](std::size_t w) {
+        const ItemSlots& slots = items.slots();
+        std::vector<Tid*> at =
+            slots.cursors(lists, std::span(item_partials).first(w));
+        slots.write(par::local_partition(db, topo, w), at);
+      },
+      [&](std::size_t w) {
+        for (std::size_t s = w; s < lists.size(); s += W) {
+          items.seed(s, std::move(lists[s]), config.kernel, nullptr);
+        }
+      });
+  std::vector<TidList>().swap(lists);
+  std::vector<std::vector<Count>>().swap(item_partials);
   const double t_transform = wall.elapsed_seconds();
 
   // ----- Phase 3: asynchronous. Workers take classes through an atomic
@@ -125,14 +172,14 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
   // worker w walks its own queue, its greedy assignment, so nothing
   // migrates; under `steal` all workers walk one queue of every class, so
   // the worker that frees up first takes the heaviest class left (paper
-  // §5.2.1's greedy rule applied online). Each attempt runs isolated
-  // over the worker's arena into its scratch store, and a failed attempt
-  // runs again at once on the same worker, so a class has one live
-  // attempt and its result slot, an exact-size store, one writer. The
-  // level histogram is recomputed from the final result
-  // (finalize_result), so the per-worker one is scratch. part_sizes[1 + c]
-  // holds slot c's per-size counts for the reduction, whose part 0 is the
-  // head (singletons and pairs). -----
+  // §5.2.1's greedy rule applied online). Each attempt joins the class's
+  // atoms from the item tid-sets into the worker's arena and mines them,
+  // isolated, into its scratch store, and a failed attempt runs again at
+  // once on the same worker, so a class has one live attempt and its
+  // result slot, an exact-size store, one writer. The level histogram is
+  // recomputed from the final result (finalize_result), so the per-worker
+  // one is scratch. part_sizes[1 + c] holds slot c's per-size counts for
+  // the reduction, whose part 0 is the head (singletons and pairs). -----
   const std::size_t num_classes = plan.classes.size();
   std::vector<ItemsetStore> slots(num_classes);
   std::vector<std::vector<std::size_t>> part_sizes(num_classes + 1);
@@ -174,10 +221,10 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
         if (fault == ExecFaultKind::kThrow) {
           throw InjectedTaskThrow(c, attempt);
         }
-        if (!class_atoms[c].empty()) {
-          compute_frequent(class_atoms[c], config.minsup, config.kernel,
-                           arena, scratch, histogram, nullptr, guard);
-        }
+        compute_frequent(items, plan.classes[c].prefix,
+                         plan.classes[c].members, config.minsup,
+                         config.kernel, arena, scratch, histogram, nullptr,
+                         guard);
         if (fault == ExecFaultKind::kCorrupt) {
           injector.corrupt_result(c, attempt, config.minsup, scratch);
         }
@@ -192,11 +239,9 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
         std::optional<std::string> error = attempt_class(c, attempt);
         if (!error) {
           // The copy is exact-size; scratch keeps its capacity for the
-          // next class. A committed class is never retried, so its
-          // tid-lists go.
+          // next class.
           slots[c] = scratch;
           part_sizes[1 + c] = size_counts(slots[c]);
-          std::vector<Atom>().swap(class_atoms[c]);
           break;
         }
         if (++failures[c] > max_retries_) {
@@ -207,6 +252,7 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
     }
     worker_peak[w] = budget.peak_bytes();
   });
+  items = ItemTidSets();
 
   // Every failure counts; every failure within the budget was retried.
   std::uint64_t total_failures = 0;

@@ -4,18 +4,27 @@
 //
 //   1. Initialization — each worker counts items and pairs over its block
 //      of the same T-way partition the simulator uses
-//      (par::local_partition), then the partial counters are sum-merged.
-//   2. Transformation — every worker derives the identical MiningPlan
-//      from the merged counts (pure function). The global tid-lists are
-//      allocated once, exact-size from the merged counts, and each worker
-//      writes its block's tids in place through PairSlots cursors that
-//      start at the pair's count over the earlier blocks: block order is
-//      tid order, so the lists come out globally sorted (paper §6.3) with
-//      no merge.
+//      (par::local_partition); once every block is counted, each worker
+//      sums one cell range of the W pair counters into the first, in the
+//      same region behind a barrier, and the others are freed.
+//   2. Transformation — the MiningPlan is derived from the merged counts
+//      (pure function). The tid-list of every item that occurs in a class
+//      of two or more members is allocated once, exact-size from the
+//      merged item counts, and each worker writes its block's tids in
+//      place through ItemSlots cursors that start at the item's count
+//      over the earlier blocks: block order is tid order, so the lists
+//      come out globally sorted (paper §6.3) with no merge. Once every
+//      block is written, the same region seeds each list once into a
+//      shared, read-only TidSet under the run's kernel over the
+//      database's tid universe (under auto a dense item is a bitmap). No
+//      pair tid-list is built here.
 //   3. Asynchronous — each class runs as an isolated task with
-//      compute_frequent over a per-worker TidArena. Workers take classes
-//      through an atomic cursor over a queue sorted by descending C(s,2):
-//      under static, worker w walks its own queue, the paper's greedy
+//      compute_frequent over a per-worker TidArena, its atoms
+//      t(prefix) ∩ t(member) joined from the item tid-sets when the task
+//      starts, so the item tid-sets and one class per worker are all the
+//      tid-lists alive (paper §5.3). Workers take classes through an
+//      atomic cursor over a queue sorted by descending C(s,2): under
+//      static, worker w walks its own queue, the paper's greedy
 //      assignment; under steal, all workers walk one queue of every
 //      class, so whichever frees up first takes the heaviest class left.
 //      Every attempt runs inside capture_class_failure: an exception
@@ -28,14 +37,14 @@
 //      quarantine outcome are pure functions of (plan, seed, class id,
 //      attempt index) — DESIGN.md §11.
 //   4. Final reduction — results are committed into per-class slots
-//      (exact-size flat stores; a committed class frees its tid-lists),
-//      then scattered by the W workers to offsets prefix-summed from the
-//      per-size counts of singletons, pairs and slots in ascending class
-//      id (paper §6.3), so the result arrives in canonical order and
-//      normalize only verifies it; output is therefore byte-identical to
-//      the sequential reference and to the mc backend regardless of
-//      worker count, scheduler, interleaving, or recovered faults
-//      (DESIGN.md §9).
+//      (exact-size flat stores; the item tid-sets are freed once every
+//      class is mined), then scattered by the W workers to offsets
+//      prefix-summed from the per-size counts of singletons, pairs and
+//      slots in ascending class id (paper §6.3), so the result arrives in
+//      canonical order and normalize only verifies it; output is
+//      therefore byte-identical to the sequential reference and to the mc
+//      backend regardless of worker count, scheduler, interleaving, or
+//      recovered faults (DESIGN.md §9).
 //
 // A run either completes with the byte-identical result or throws the
 // typed clean abort ExecClassQuarantined after the workers joined

@@ -278,7 +278,6 @@ ProbeResult FaultInjector::probe(std::size_t proc, FaultOp op,
   // Read-only (several minority processors probe the same window
   // concurrently), so no trigger state to race on.
   if (is_collective(op) && partition_minority(proc, now)) {
-    injected_.fetch_add(1, std::memory_order_relaxed);
     throw ProcessorPartitioned(
         proc, std::string(to_string(op)) +
                   (phase.empty() ? "" : "/" + phase));
@@ -303,7 +302,6 @@ ProbeResult FaultInjector::probe(std::size_t proc, FaultOp op,
     }
     if (fires) {
       state.fired = true;
-      injected_.fetch_add(1, std::memory_order_relaxed);
       const std::string site = std::string(to_string(op)) +
                                (phase.empty() ? "" : "/" + phase) +
                                (label.empty() ? "" : "/" + label);
@@ -338,28 +336,21 @@ bool FaultInjector::corrupt_message(std::size_t dst, std::size_t src,
     if (payload.empty()) continue;  // nothing to corrupt; keep waiting
     if (state.hits++ != event.after_calls) continue;
     state.fired = true;
-    injected_.fetch_add(1, std::memory_order_relaxed);
     mutate(payload, static_cast<std::size_t>(event.severity), fold_rng_);
     corrupted = true;
   }
   return corrupted;
 }
 
-double FaultInjector::hub_divisor(double now) {
+double FaultInjector::hub_divisor(double now) const {
   double divisor = 1.0;
-  for (EventState& state : events_) {
+  for (const EventState& state : events_) {
     const FaultEvent& event = state.event;
     if (event.kind != FaultKind::kHubDegrade) continue;
     const double from = std::max(event.at_time, 0.0);
     const bool active =
         now >= from && (event.duration < 0.0 || now < from + event.duration);
-    if (active) {
-      if (!state.fired) {
-        state.fired = true;
-        injected_.fetch_add(1, std::memory_order_relaxed);
-      }
-      divisor *= event.severity;
-    }
+    if (active) divisor *= event.severity;
   }
   return std::max(divisor, 1.0);
 }
@@ -384,10 +375,6 @@ bool FaultInjector::partition_minority(std::size_t proc, double now) const {
     if (side_size * 2 <= total_processors_) return true;
   }
   return false;
-}
-
-std::size_t FaultInjector::injected() const {
-  return injected_.load(std::memory_order_relaxed);
 }
 
 void FaultInjector::mutate(std::vector<std::uint8_t>& bytes,

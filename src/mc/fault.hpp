@@ -49,7 +49,6 @@
 #pragma once
 // eclat-lint: allow-file(det-thread) injector state spans processor threads; every trigger counter is advanced only by its owning thread, so replays are exact
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
@@ -246,8 +245,8 @@ struct ProbeResult {
 /// Thread-safety contract: probe() is called from the target processor's
 /// own thread, and each probed event's trigger state is owned by that
 /// single thread (enforced by requiring an explicit processor on those
-/// kinds). corrupt_message() and hub_divisor() fold
-/// shared trigger state; folds are serialized by the barrier lock, and
+/// kinds). corrupt_message() folds shared trigger state; folds are
+/// serialized by the barrier lock, and hub_divisor() only reads the plan.
 /// corrupt_message() additionally serializes itself internally because
 /// retransmissions re-probe it from processor threads. Plans that corrupt
 /// retransmissions should therefore name an explicit dst *and* src, so
@@ -270,16 +269,13 @@ class FaultInjector {
                        std::vector<std::uint8_t>& payload);
 
   /// Aggregate-bandwidth divisor active at virtual time `now` (>= 1.0).
-  double hub_divisor(double now);
+  double hub_divisor(double now) const;
 
   /// True when `proc` sits on a side without quorum of a kPartition
   /// window active at virtual time `now`. Read-only (no trigger state) so
   /// processors may poll it between collectives — e.g. to defer commits
   /// that need a quorum acknowledgement until the partition heals.
   bool partition_minority(std::size_t proc, double now) const;
-
-  /// Total faults injected so far (all kinds, all processors).
-  std::size_t injected() const;
 
  private:
   struct EventState {
@@ -296,7 +292,6 @@ class FaultInjector {
   Rng fold_rng_;               ///< fold-side draws (message corruption)
   std::mutex message_mutex_;   ///< serializes corrupt_message (folds and
                                ///< per-processor retransmissions)
-  std::atomic<std::size_t> injected_{0};
 };
 
 }  // namespace eclat::mc

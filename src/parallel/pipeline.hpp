@@ -3,12 +3,14 @@
 // Every execution backend — the deterministic mc::Cluster simulator and
 // the native shared-memory thread pool (src/exec) — runs the *same*
 // logical pipeline: count L1/L2, derive the replicated mining plan
-// (frequent pairs → equivalence classes → class schedule), build global
-// tid-lists per class, mine each class with Compute_Frequent, and
-// assemble the result in deterministic commit order. This header is that
-// shared logic, as pure functions of their inputs: no virtual time, no
-// threads, no wire formats. What differs per backend is only *how* the
-// stages are placed on processors and how the data moves between them.
+// (frequent pairs → equivalence classes → class schedule), build the
+// vertical tid-lists (each class's pair lists on the simulator, the
+// shared item lists each class task joins its atoms from on the thread
+// pool), mine each class with Compute_Frequent, and assemble the result
+// in deterministic commit order. This header is that shared logic, as
+// pure functions of their inputs: no virtual time, no threads, no wire
+// formats. What differs per backend is only *how* the stages are placed
+// on processors and how the data moves between them.
 //
 // Determinism contract: every function here is a pure function of its
 // arguments. derive_plan in particular assigns class ids by ascending

@@ -31,6 +31,14 @@ void count_simd_sparse(IntersectStats* stats) {
   }
 }
 
+/// The representation seed_tidset gives a list of `size` tids: sparse
+/// under the paper's kernels, threshold-chosen under kAuto.
+TidRep seed_rep(std::size_t size, Tid universe, IntersectKernel kernel) {
+  return kernel == IntersectKernel::kAuto
+             ? TidSet::preferred_rep(size, universe)
+             : TidRep::kSparse;
+}
+
 std::optional<Count> at_least(std::size_t count, Count minsup) {
   if (count < minsup) return std::nullopt;
   return count;
@@ -250,9 +258,7 @@ TidList TidSet::to_tidlist() const {
 void seed_tidset(std::span<const Tid> tids, Tid universe,
                  IntersectKernel kernel, TidSet& out,
                  IntersectStats* stats) {
-  const TidRep rep = kernel == IntersectKernel::kAuto
-                         ? TidSet::preferred_rep(tids.size(), universe)
-                         : TidRep::kSparse;
+  const TidRep rep = seed_rep(tids.size(), universe, kernel);
   if (rep == TidRep::kDense) {
     out.bits_.assign(tids, universe);
   } else {
@@ -261,6 +267,18 @@ void seed_tidset(std::span<const Tid> tids, Tid universe,
   out.rep_ = rep;
   out.last_conv_ = 0;
   if (stats != nullptr && rep != TidRep::kSparse) ++stats->densified;
+}
+
+void seed_tidset(TidList&& tids, Tid universe, IntersectKernel kernel,
+                 TidSet& out, IntersectStats* stats) {
+  TidList taken = std::move(tids);
+  if (seed_rep(taken.size(), universe, kernel) == TidRep::kDense) {
+    seed_tidset(std::span<const Tid>(taken), universe, kernel, out, stats);
+    return;
+  }
+  out.tids_ = std::move(taken);
+  out.rep_ = TidRep::kSparse;
+  out.last_conv_ = 0;
 }
 
 std::optional<Count> intersect(const TidSet& a, const TidSet& b, Count minsup,

@@ -117,6 +117,8 @@ class TidSet {
  private:
   friend void seed_tidset(std::span<const Tid>, Tid, IntersectKernel,
                           TidSet&, IntersectStats*);
+  friend void seed_tidset(TidList&&, Tid, IntersectKernel, TidSet&,
+                          IntersectStats*);
   friend std::optional<Count> intersect(const TidSet&, const TidSet&, Count,
                                         IntersectKernel, Tid, TidSet*,
                                         IntersectStats*);
@@ -138,6 +140,11 @@ class TidSet {
 void seed_tidset(std::span<const Tid> tids, Tid universe,
                  IntersectKernel kernel, TidSet& out,
                  IntersectStats* stats);
+
+/// seed_tidset taking `tids` over: a sparse seed keeps its buffer rather
+/// than copying it, and a dense one frees it once the bitmap is built.
+void seed_tidset(TidList&& tids, Tid universe, IntersectKernel kernel,
+                 TidSet& out, IntersectStats* stats);
 
 /// |a ∩ b| through the dispatched join when it reaches `minsup`, nullopt
 /// once the result provably misses it (then *out is unspecified). With

@@ -148,8 +148,37 @@ std::vector<TidList> PairSlots::invert(
 std::vector<TidList> PairSlots::invert(
     std::span<const Transaction> transactions,
     const TriangleCounter& counts) const {
-  std::vector<TidList> lists = make_lists(counts);
-  std::vector<Tid*> at = cursors(lists, nullptr);
+  const auto count = [&](std::size_t s) {
+    return counts.get(pair_first(pairs_[s]), pair_second(pairs_[s]));
+  };
+  std::vector<TidList> lists(size());
+  for (std::size_t s = 0; s < size(); ++s) lists[s].reserve(count(s));
+  scan(transactions,
+       [&](std::uint32_t slot, Tid tid) { lists[slot].push_back(tid); });
+  for (std::size_t s = 0; s < size(); ++s) {
+    ECLAT_DCHECK(lists[s].size() == count(s));
+  }
+  return lists;
+}
+
+ItemSlots::ItemSlots(std::span<const Item> items)
+    : items_(items.begin(), items.end()) {
+  ECLAT_DCHECK(std::adjacent_find(items_.begin(), items_.end(),
+                                  std::greater_equal<>()) == items_.end());
+  ECLAT_CHECK(items_.size() < kAbsent);
+  if (!items_.empty()) {
+    slot_.assign(std::size_t{items_.back()} + 1, kAbsent);
+  }
+  for (std::size_t s = 0; s < items_.size(); ++s) {
+    slot_[items_[s]] = static_cast<std::uint32_t>(s);
+  }
+}
+
+std::vector<TidList> ItemSlots::invert(
+    std::span<const Transaction> transactions,
+    std::span<const Count> counts) const {
+  std::vector<TidList> lists = sized_lists(counts);
+  std::vector<Tid*> at = cursors(lists, {});
   write(transactions, at);
   for (std::size_t s = 0; s < size(); ++s) {
     ECLAT_DCHECK(at[s] == lists[s].data() + lists[s].size());
@@ -157,34 +186,39 @@ std::vector<TidList> PairSlots::invert(
   return lists;
 }
 
-std::vector<TidList> PairSlots::make_lists(
-    const TriangleCounter& counts) const {
+std::vector<TidList> ItemSlots::sized_lists(
+    std::span<const Count> counts) const {
   std::vector<TidList> lists(size());
-  for (std::size_t s = 0; s < size(); ++s) {
-    lists[s].resize(counts.get(pair_first(pairs_[s]), pair_second(pairs_[s])));
-  }
+  for (std::size_t s = 0; s < size(); ++s) lists[s].resize(counts[items_[s]]);
   return lists;
 }
 
-std::vector<Tid*> PairSlots::cursors(std::span<TidList> lists,
-                                     const TriangleCounter* before) const {
+std::vector<Tid*> ItemSlots::cursors(
+    std::span<TidList> lists,
+    std::span<const std::vector<Count>> earlier) const {
   ECLAT_DCHECK(lists.size() == size());
   std::vector<Tid*> at(size());
   for (std::size_t s = 0; s < size(); ++s) {
-    const std::size_t offset =
-        before == nullptr
-            ? 0
-            : before->get(pair_first(pairs_[s]), pair_second(pairs_[s]));
+    std::size_t offset = 0;
+    for (const std::vector<Count>& block : earlier) offset += block[items_[s]];
     ECLAT_DCHECK(offset <= lists[s].size());
     at[s] = lists[s].data() + offset;
   }
   return at;
 }
 
-void PairSlots::write(std::span<const Transaction> block,
+void ItemSlots::write(std::span<const Transaction> block,
                       std::span<Tid*> cursors) const {
   ECLAT_DCHECK(cursors.size() == size());
-  scan(block, [&](std::uint32_t slot, Tid tid) { *cursors[slot]++ = tid; });
+  const std::size_t limit = slot_.size();
+  const std::uint32_t* const slot = slot_.data();
+  for (const Transaction& t : block) {
+    for (Item item : t.items) {
+      if (item >= limit) break;  // sorted: no later item is requested
+      const std::uint32_t s = slot[item];
+      if (s != kAbsent) *cursors[s]++ = t.tid;
+    }
+  }
 }
 
 std::unordered_map<PairKey, TidList> invert_pairs(

@@ -81,8 +81,9 @@ class DenseTriangle {
 
 }  // namespace detail
 
-/// Slot-indexed pair inversion: the transformation phase's kernel (paper
-/// §5.2.2 / §6.3). Built once from a sorted, duplicate-free list of
+/// Slot-indexed pair inversion: the paper's transformation kernel (paper
+/// §5.2.2 / §6.3), run by the simulator, MaxEclat, Clique-Eclat and the
+/// external transform. Built once from a sorted, duplicate-free list of
 /// requested pairs; slot i is pairs[i], and every result list is indexed
 /// by slot. The K items that occur in some requested pair get dense local
 /// ids, and a K(K-1)/2 triangular table maps each local-id pair to its
@@ -104,25 +105,11 @@ class PairSlots {
   /// callers that do not know the counts).
   std::vector<TidList> invert(std::span<const Transaction> transactions) const;
 
-  /// Tid-lists of every slot over one scan into lists sized exactly at
-  /// `counts`, which must hold the pairs' supports over `transactions`.
+  /// Tid-lists of every slot over one scan, each reserved exactly at its
+  /// count in `counts`, which must hold the pairs' supports over
+  /// `transactions`.
   std::vector<TidList> invert(std::span<const Transaction> transactions,
                               const TriangleCounter& counts) const;
-
-  /// Zero-filled lists sized exactly at each pair's count in `counts`.
-  std::vector<TidList> make_lists(const TriangleCounter& counts) const;
-
-  /// Write cursors of one block into lists from make_lists: slot i starts
-  /// at before->get(pairs[i]), the pair's count over all earlier blocks,
-  /// or at 0 for the first block (`before == nullptr`).
-  std::vector<Tid*> cursors(std::span<TidList> lists,
-                            const TriangleCounter* before) const;
-
-  /// The in-place block writer (§6.3): writes the tid of every occurrence
-  /// of slot i's pair in `block` at cursors[i], advancing it. Blocks that
-  /// write through disjoint cursor ranges may run concurrently.
-  void write(std::span<const Transaction> block,
-             std::span<Tid*> cursors) const;
 
  private:
   static constexpr std::uint32_t kAbsent = 0xffffffffU;
@@ -133,6 +120,54 @@ class PairSlots {
   std::vector<PairKey> pairs_;
   detail::DenseTriangle ids_;        ///< requested items -> local ids
   std::vector<std::uint32_t> slot_;  ///< local-id triangle -> slot
+};
+
+/// Slot-indexed item inversion: the native miners' transformation. Built
+/// once from a sorted, duplicate-free list of requested items; slot i is
+/// items[i], and every result list is indexed by slot. A table maps each
+/// item to its slot, so a scan costs one load per item occurrence. Lists
+/// are sized exactly at the items' counts, and blocks write them in place
+/// from the items' counts over the earlier blocks (paper §6.3): the lists
+/// come out sorted with no merge.
+class ItemSlots {
+ public:
+  ItemSlots() = default;
+  explicit ItemSlots(std::span<const Item> items);
+
+  std::size_t size() const { return items_.size(); }
+
+  /// The slot of `item`, or size() when it is not a requested item.
+  std::size_t slot(Item item) const {
+    return item < slot_.size() && slot_[item] != kAbsent ? slot_[item]
+                                                         : size();
+  }
+
+  /// Tid-lists of every slot over one scan. `counts`, indexed by item,
+  /// must hold the items' supports over `transactions`.
+  std::vector<TidList> invert(std::span<const Transaction> transactions,
+                              std::span<const Count> counts) const;
+
+  /// Lists sized exactly at each requested item's count in `counts`.
+  std::vector<TidList> sized_lists(std::span<const Count> counts) const;
+
+  /// Write cursors of one block into lists from sized_lists: slot i
+  /// starts at its item's count over the earlier blocks, the sum of the
+  /// per-item counts in `earlier` (one vector per earlier block).
+  std::vector<Tid*> cursors(
+      std::span<TidList> lists,
+      std::span<const std::vector<Count>> earlier) const;
+
+  /// The in-place block writer (§6.3): writes the tid of every occurrence
+  /// of slot i's item in `block` at cursors[i], advancing it. Blocks that
+  /// write through disjoint cursor ranges may run concurrently.
+  void write(std::span<const Transaction> block,
+             std::span<Tid*> cursors) const;
+
+ private:
+  static constexpr std::uint32_t kAbsent = 0xffffffffU;
+
+  std::vector<Item> items_;
+  std::vector<std::uint32_t> slot_;  ///< item -> slot, or kAbsent
 };
 
 /// Tid-lists of the given 2-itemsets over a span of transactions, keyed
@@ -179,8 +214,8 @@ class TriangleCounter {
   /// All counted pairs whose count is >= minsup, in lexicographic order.
   std::vector<PairKey> frequent_pairs(Count minsup) const;
 
-  /// Direct access for the Memory Channel reduction (row-major triangle
-  /// over the counted items).
+  /// Direct access for the Memory Channel reduction and the thread
+  /// backend's cell-range sum (row-major triangle over the counted items).
   std::span<const Count> raw() const { return counts_; }
   std::span<Count> raw() { return counts_; }
 

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "api/mining.hpp"
+#include "apriori/apriori.hpp"
 #include "data/result_io.hpp"
 #include "eclat/eclat_seq.hpp"
 #include "exec/backend.hpp"
@@ -134,6 +135,51 @@ TEST(ExecBackend, StealHeavySkewStaysIdentical) {
       run_threads(db, config, 4, exec::ClassScheduler::kStatic);
   EXPECT_EQ(result_to_bytes(stolen.result), reference);
   EXPECT_EQ(result_to_bytes(pinned.result), reference);
+}
+
+// Phase 1 sums the W pair triangles by cell ranges, one range per worker,
+// and phase 2 writes each block's item tids from the per-block item
+// counts. At every W from 1 to 8, under both schedulers and every kernel,
+// the result stays the mc backend's bytes and sequential Eclat's and
+// dEclat's itemsets — including W that do not divide the triangle's cells.
+TEST(ExecBackend, EveryWorkerCountSumsTheTriangleAndMatchesMcAndSequential) {
+  const HorizontalDatabase db = small_quest_db(500, 13, 23);
+  constexpr Count kMinsup = 3;
+  const std::vector<Count> item_counts =
+      count_items(db.transactions(), db.num_items());
+  const std::size_t k = static_cast<std::size_t>(
+      std::count_if(item_counts.begin(), item_counts.end(),
+                    [](Count n) { return n >= kMinsup; }));
+  const std::size_t cells = k * (k - 1) / 2;
+  ASSERT_EQ(cells, 45u);  // 10 frequent items: 2, 4, 6, 7 and 8 leave a rest
+  for (IntersectKernel kernel : kAllKernels) {
+    par::ParEclatConfig config;
+    config.minsup = kMinsup;
+    config.kernel = kernel;
+    const std::vector<std::uint8_t> reference =
+        result_to_bytes(run_mc(db, config, {1, 4}).result);
+    EclatConfig seq_config;
+    seq_config.minsup = kMinsup;
+    seq_config.kernel = kernel;
+    const MiningResult eclat = eclat_sequential(db, seq_config);
+    seq_config.use_diffsets = true;
+    const MiningResult declat = eclat_sequential(db, seq_config);
+    EXPECT_EQ(eclat.itemsets, result_from_bytes(reference).itemsets)
+        << kernel_name(kernel);
+    EXPECT_EQ(declat.itemsets, eclat.itemsets) << kernel_name(kernel);
+    for (std::size_t threads = 1; threads <= 8; ++threads) {
+      for (exec::ClassScheduler scheduler :
+           {exec::ClassScheduler::kStatic,
+            exec::ClassScheduler::kWorkStealing}) {
+        EXPECT_EQ(
+            result_to_bytes(run_threads(db, config, threads, scheduler).result),
+            reference)
+            << kernel_name(kernel) << " threads=" << threads
+            << " scheduler=" << exec::to_string(scheduler)
+            << " cells % threads=" << cells % threads;
+      }
+    }
+  }
 }
 
 // Universes of fewer than two items have no pair to count: the thread

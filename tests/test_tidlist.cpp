@@ -1006,8 +1006,11 @@ TEST(TidList, GallopEdgeCases) {
 TEST(MergeKernel, MiningStatsAreEqualAtEveryIsaLevel) {
   // Quest baskets renumbered 2048 tids apart: every tid-list stays far
   // below the dense threshold (n·128 < U), so `auto` takes its
-  // sparse∩sparse path too, and at minsup 30 no pair is skewed enough
-  // (32×) to gallop, whose probe counts differ per level.
+  // sparse∩sparse path too, and no join is skewed enough (32×) to gallop,
+  // whose probe counts differ per level. `auto` joins level 0 from the
+  // item tid-lists, and at minsup 30 two mined items are over 32× apart
+  // in support (1548 against 33), so its leg mines at minsup 50: every
+  // mined item then reaches 50, and 32 × 50 exceeds the top item's 1548.
   gen::QuestConfig quest;
   quest.num_transactions = 3000;
   quest.num_items = 100;
@@ -1028,7 +1031,7 @@ TEST(MergeKernel, MiningStatsAreEqualAtEveryIsaLevel) {
        {IntersectKernel::kMerge, IntersectKernel::kMergeShortCircuit,
         IntersectKernel::kAuto}) {
     EclatConfig config;
-    config.minsup = 30;
+    config.minsup = kernel == IntersectKernel::kAuto ? 50 : 30;
     config.kernel = kernel;
     std::optional<MiningResult> first_result;
     std::optional<IntersectStats> first;

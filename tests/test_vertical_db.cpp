@@ -238,44 +238,6 @@ TEST(PairSlots, SlotOfEveryRequestedPairAndOfNoOther) {
   EXPECT_EQ(PairSlots({}).slot(make_pair_key(0, 1)), 0u);
 }
 
-// The §6.3 invariant: W blocks written concurrently in place, each from
-// its pairs' counts over the earlier blocks, give byte for byte the lists
-// of one pass over the whole database, at any W.
-TEST(PairSlots, BlockWriterMatchesSinglePassAtAnyWorkerCount) {
-  const HorizontalDatabase db = quest_db(700, 40, 11);
-  TriangleCounter whole(db.num_items());
-  whole.count(db.transactions());
-  const std::vector<PairKey> pairs = whole.frequent_pairs(3);
-  ASSERT_FALSE(pairs.empty());
-  const PairSlots slots(pairs);
-  const std::vector<TidList> single = slots.invert(db.transactions());
-  for (std::size_t workers = 1; workers <= 5; ++workers) {
-    SCOPED_TRACE(workers);
-    const std::vector<Block> blocks = db.block_partition(workers);
-    // Prefix sums of the block counts: prefix[w] covers blocks 0..w.
-    std::vector<TriangleCounter> prefix(workers,
-                                        TriangleCounter(db.num_items()));
-    for (std::size_t w = 0; w < workers; ++w) {
-      prefix[w].count(db.view(blocks[w]));
-      if (w > 0) prefix[w].merge(prefix[w - 1]);
-    }
-    std::vector<TidList> lists = slots.make_lists(prefix.back());
-    std::vector<std::thread> pool;
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&, w] {
-        std::vector<Tid*> cursors =
-            slots.cursors(lists, w == 0 ? nullptr : &prefix[w - 1]);
-        slots.write(db.view(blocks[w]), cursors);
-      });
-    }
-    for (std::thread& t : pool) t.join();
-    ASSERT_EQ(lists.size(), single.size());
-    for (std::size_t s = 0; s < lists.size(); ++s) {
-      ASSERT_EQ(lists[s], single[s]) << "slot " << s;
-    }
-  }
-}
-
 TEST(PairSlotsDeathTest, RejectsUnsortedOrDuplicatedPairs) {
 #if ECLAT_DCHECKS_ENABLED
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
