@@ -1,10 +1,10 @@
 // Cost of the thread backend's fault-tolerance layer: one injected fault
 // on class 0 (throw, corrupt) against a fault-free run, on the kernel
-// bench's databases (the sparse T10.I4 and the dense T10.I4.N64), on the
-// steal scheduler. The retry runs at once on the worker that holds the
-// class. Each row reports the wall-clock recovery overhead (min of R
-// repeats), the failure/retry counters, and the byte-identical check
-// against the mc reference: what one retry costs end to end.
+// bench's databases (the sparse T10.I4 and the dense T10.I4.N64). The
+// retry runs at once on the worker that holds the class. Each row
+// reports the wall-clock recovery overhead (min of R repeats), the
+// failure/retry counters, and the byte-identical check against the mc
+// reference: what one retry costs end to end.
 //
 // Writes BENCH_exec_faults.json. Wall-clock numbers; the JSON carries
 // `host_cores` since a 1-core container serializes the workers.

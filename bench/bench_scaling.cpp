@@ -5,11 +5,11 @@
 //
 // For each database (the sparse T10.I4 and the dense T10.I4.N64 of the
 // kernel bench) and each worker count 1..N (powers of two up to the
-// resolved --exec-threads), the bench times the static greedy C(s,2)
-// schedule (a queue per worker) against steal (one shared queue, taken
-// heaviest class first) and byte-compares every output against the mc
-// reference run — the determinism contract of DESIGN.md §9 as a
-// benchmark invariant.
+// resolved --exec-threads), the bench times the backend (the thread
+// pool's workers share one class queue, heaviest class first; the
+// simulator places classes by the paper's static greedy schedule) and
+// byte-compares every output against the mc reference run — the
+// determinism contract of DESIGN.md §9 as a benchmark invariant.
 //
 // Each row is one warm-up call and then kRepeats timed calls, every one
 // byte-checked. A row reports the median, the fastest run and the
@@ -22,7 +22,7 @@
 // trajectory is only meaningful on runners with real parallelism.
 //
 //   ./bench_scaling [--scale=0.25] [--support=0.0025] [--backend=threads]
-//                   [--exec-threads=0] [--exec-sched=both] [--json=true]
+//                   [--exec-threads=0] [--json=true]
 #include <cstdio>
 #include <string>
 #include <string_view>
@@ -44,11 +44,10 @@ constexpr std::size_t kRepeats = 5;
 struct Row {
   std::string database;
   std::size_t threads = 0;
-  std::string scheduler;
   /// Backend clock over the repeats (wall for threads, virtual for mc).
   eclat::bench::RepeatStats seconds;
   double wall_seconds = 0.0;  ///< median host wall clock of the repeats
-  double speedup = 0.0;  ///< median vs the 1-worker median, same scheduler
+  double speedup = 0.0;  ///< median vs the 1-worker median
   bool identical = false;  ///< every call byte-identical to the mc reference
 };
 
@@ -60,12 +59,9 @@ int main(int argc, char** argv) {
   const Flags flags(argc, argv);
 
   constexpr std::string_view kBackendChoices[] = {"mc", "threads"};
-  constexpr std::string_view kSchedChoices[] = {"both", "static", "steal"};
   const exec::BackendKind backend_kind =
       exec::parse_backend(flags.get_choice("backend", kBackendChoices,
                                            "threads"));
-  const std::string sched_choice =
-      flags.get_choice("exec-sched", kSchedChoices, "both");
   const std::uint64_t requested = flags.get_uint("exec-threads", 0);
   const std::size_t max_threads =
       exec::resolve_threads(static_cast<std::size_t>(requested));
@@ -86,19 +82,6 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> sweep;
   for (std::size_t t = 1; t <= max_threads; t *= 2) sweep.push_back(t);
   if (sweep.back() != max_threads) sweep.push_back(max_threads);
-
-  // The mc simulator has no shared class queue; its sweep is the static
-  // schedule only.
-  std::vector<exec::ClassScheduler> schedulers;
-  if (backend_kind == exec::BackendKind::kThreads && sched_choice != "steal") {
-    schedulers.push_back(exec::ClassScheduler::kStatic);
-  }
-  if (backend_kind == exec::BackendKind::kThreads && sched_choice != "static") {
-    schedulers.push_back(exec::ClassScheduler::kWorkStealing);
-  }
-  if (backend_kind == exec::BackendKind::kMc) {
-    schedulers.assign(1, exec::ClassScheduler::kStatic);
-  }
 
   struct Database {
     std::string name;
@@ -130,7 +113,7 @@ int main(int argc, char** argv) {
     config.minsup = absolute_support(spec.support, spec.db.size());
 
     // The mc backend at T = 1 is the reference every run must match
-    // byte-for-byte — cross-backend, cross-thread-count, cross-scheduler.
+    // byte-for-byte — cross-backend and cross-thread-count.
     const std::unique_ptr<exec::Backend> reference = exec::make_backend(
         exec::BackendKind::kMc, mc::Topology{1, 1}, mc::CostModel{}, {});
     const std::vector<std::uint8_t> reference_bytes =
@@ -142,48 +125,42 @@ int main(int argc, char** argv) {
                 result_from_bytes(reference_bytes).itemsets.size());
     print_rule('-', 64);
 
-    for (exec::ClassScheduler scheduler : schedulers) {
-      double base_seconds = 0.0;
-      for (std::size_t threads : sweep) {
-        exec::ThreadBackendOptions thread_options;
-        thread_options.threads = threads;
-        thread_options.scheduler = scheduler;
-        const std::unique_ptr<exec::Backend> backend = exec::make_backend(
-            backend_kind, mc::Topology{1, threads}, mc::CostModel{},
-            thread_options);
+    double base_seconds = 0.0;
+    for (std::size_t threads : sweep) {
+      exec::ThreadBackendOptions thread_options;
+      thread_options.threads = threads;
+      const std::unique_ptr<exec::Backend> backend = exec::make_backend(
+          backend_kind, mc::Topology{1, threads}, mc::CostModel{},
+          thread_options);
 
-        Row row;
-        row.database = spec.name;
-        row.scheduler = exec::to_string(scheduler);
-        row.identical = true;
-        std::vector<double> seconds;
-        std::vector<double> wall_seconds;
-        for (std::size_t call = 0; call <= kRepeats; ++call) {
-          const par::ParallelOutput run = backend->mine(spec.db, config);
-          row.threads = run.exec_threads;
-          row.identical = row.identical &&
-                          result_to_bytes(run.result) == reference_bytes;
-          if (call == 0) continue;  // the warm-up
-          seconds.push_back(run.total_seconds);
-          wall_seconds.push_back(run.wall_seconds);
-        }
-        row.seconds = eclat::bench::repeat_stats(seconds);
-        row.wall_seconds = eclat::bench::repeat_stats(wall_seconds).median;
-        if (threads == sweep.front()) base_seconds = row.seconds.median;
-        row.speedup = row.seconds.median > 0
-                          ? base_seconds / row.seconds.median
-                          : 0.0;
-        std::printf(
-            "  %-7s T=%-3zu median %8.4f s  min %8.4f  IQR %7.4f   "
-            "speedup %5.2fx   %s\n",
-            row.scheduler.c_str(), row.threads, row.seconds.median,
-            row.seconds.min, row.seconds.iqr, row.speedup,
-            row.identical ? "identical" : "OUTPUT DIVERGED");
-        rows.push_back(row);
-        if (!row.identical) {
-          std::fprintf(stderr, "output diverged from the mc reference\n");
-          return 1;
-        }
+      Row row;
+      row.database = spec.name;
+      row.identical = true;
+      std::vector<double> seconds;
+      std::vector<double> wall_seconds;
+      for (std::size_t call = 0; call <= kRepeats; ++call) {
+        const par::ParallelOutput run = backend->mine(spec.db, config);
+        row.threads = run.exec_threads;
+        row.identical = row.identical &&
+                        result_to_bytes(run.result) == reference_bytes;
+        if (call == 0) continue;  // the warm-up
+        seconds.push_back(run.total_seconds);
+        wall_seconds.push_back(run.wall_seconds);
+      }
+      row.seconds = eclat::bench::repeat_stats(seconds);
+      row.wall_seconds = eclat::bench::repeat_stats(wall_seconds).median;
+      if (threads == sweep.front()) base_seconds = row.seconds.median;
+      row.speedup =
+          row.seconds.median > 0 ? base_seconds / row.seconds.median : 0.0;
+      std::printf(
+          "  T=%-3zu median %8.4f s  min %8.4f  IQR %7.4f   "
+          "speedup %5.2fx   %s\n",
+          row.threads, row.seconds.median, row.seconds.min, row.seconds.iqr,
+          row.speedup, row.identical ? "identical" : "OUTPUT DIVERGED");
+      rows.push_back(row);
+      if (!row.identical) {
+        std::fprintf(stderr, "output diverged from the mc reference\n");
+        return 1;
       }
     }
     std::printf("\n");
@@ -210,14 +187,12 @@ int main(int argc, char** argv) {
       const Row& row = rows[i];
       std::fprintf(out,
                    "    {\"database\": \"%s\", \"threads\": %zu, "
-                   "\"scheduler\": \"%s\", \"seconds\": %.6f, "
-                   "\"seconds_min\": %.6f, \"seconds_iqr\": %.6f, "
-                   "\"wall_seconds\": %.6f, \"speedup\": %.4f, "
-                   "\"identical\": %s}%s\n",
-                   row.database.c_str(), row.threads, row.scheduler.c_str(),
-                   row.seconds.median, row.seconds.min, row.seconds.iqr,
-                   row.wall_seconds, row.speedup,
-                   row.identical ? "true" : "false",
+                   "\"seconds\": %.6f, \"seconds_min\": %.6f, "
+                   "\"seconds_iqr\": %.6f, \"wall_seconds\": %.6f, "
+                   "\"speedup\": %.4f, \"identical\": %s}%s\n",
+                   row.database.c_str(), row.threads, row.seconds.median,
+                   row.seconds.min, row.seconds.iqr, row.wall_seconds,
+                   row.speedup, row.identical ? "true" : "false",
                    i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(out, "  ]\n}\n");

@@ -68,7 +68,6 @@ par::ParallelOutput mine_with_stats(const HorizontalDatabase& db,
       config.replication = options.replication;
       exec::ThreadBackendOptions thread_options;
       thread_options.threads = options.exec_threads;
-      thread_options.scheduler = options.exec_scheduler;
       thread_options.max_retries = options.exec_max_retries;
       thread_options.mem_budget = options.exec_mem_budget;
       thread_options.faults = options.exec_faults;

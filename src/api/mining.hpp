@@ -50,8 +50,6 @@ struct MineOptions {
   exec::BackendKind backend = exec::BackendKind::kMc;
   /// Worker threads for the threads backend; 0 = hardware concurrency.
   std::size_t exec_threads = 0;
-  /// Class scheduler for the threads backend.
-  exec::ClassScheduler exec_scheduler = exec::ClassScheduler::kWorkStealing;
   /// Per-class retry budget on the threads backend: a class failing more
   /// than this many attempts quarantines the run (clean typed abort,
   /// exec::ExecClassQuarantined).

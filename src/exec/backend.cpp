@@ -19,16 +19,6 @@ const char* to_string(BackendKind kind) {
   return "?";
 }
 
-const char* to_string(ClassScheduler scheduler) {
-  switch (scheduler) {
-    case ClassScheduler::kStatic:
-      return "static";
-    case ClassScheduler::kWorkStealing:
-      return "steal";
-  }
-  return "?";
-}
-
 BackendKind parse_backend(std::string_view name) {
   if (name == "mc") return BackendKind::kMc;
   if (name == "threads") return BackendKind::kThreads;
@@ -36,15 +26,6 @@ BackendKind parse_backend(std::string_view name) {
       "unknown backend '" + std::string(name) +
       "' (expected 'mc' for the deterministic virtual-time simulator or "
       "'threads' for the native shared-memory pool)");
-}
-
-ClassScheduler parse_scheduler(std::string_view name) {
-  if (name == "static") return ClassScheduler::kStatic;
-  if (name == "steal") return ClassScheduler::kWorkStealing;
-  throw std::invalid_argument(
-      "unknown scheduler '" + std::string(name) +
-      "' (expected 'static' for the greedy C(s,2) assignment or 'steal' "
-      "for one shared queue, heaviest class first; thread backend only)");
 }
 
 std::size_t resolve_threads(std::size_t requested) {

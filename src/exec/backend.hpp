@@ -5,15 +5,18 @@
 //   - "mc"      the deterministic virtual-time cluster simulator
 //               (mc/cluster.hpp), wrapped as McBackend. Replayable:
 //               makespans, faults, stragglers and leases are pure
-//               functions of (plan, seed). The research backend.
+//               functions of (plan, seed). The research backend; it
+//               places classes by the paper's static greedy schedule
+//               (par::derive_plan).
 //   - "threads" a native shared-memory pool (ThreadBackend): one worker
 //               per core, per-worker TidArenas, and classes taken
-//               heaviest-first through an atomic cursor over a class
-//               queue. Real wall-clock speed, with a deterministic
-//               per-class fault-tolerance layer (exec_fault.hpp) that
-//               every run takes: task isolation, result validation,
-//               bounded retry, quarantine-then-clean-abort and a
-//               per-class memory budget. DESIGN.md §11.
+//               heaviest-first through an atomic cursor over one queue
+//               of every class. Real wall-clock speed, with a
+//               deterministic per-class fault-tolerance layer
+//               (exec_fault.hpp) that every run takes: task isolation,
+//               result validation, bounded retry,
+//               quarantine-then-clean-abort and a per-class memory
+//               budget. DESIGN.md §11.
 //
 // Both backends produce byte-identical mined output for the same input
 // and config — the commit-order reduction rule (results assembled per
@@ -39,28 +42,11 @@ enum class BackendKind : std::uint8_t {
   kThreads,  ///< native shared-memory thread pool
 };
 
-/// How the asynchronous phase places equivalence classes on workers
-/// (thread backend only; the mc backend always uses the paper's static
-/// greedy schedule). Either way a worker takes its classes heaviest
-/// C(s,2) first.
-enum class ClassScheduler : std::uint8_t {
-  /// One queue per worker, its greedy assignment: nothing migrates.
-  kStatic,
-  /// One shared queue: a worker that frees up takes the heaviest class
-  /// left.
-  kWorkStealing,
-};
-
 const char* to_string(BackendKind kind);
-const char* to_string(ClassScheduler scheduler);
 
 /// Parse "mc" | "threads"; throws std::invalid_argument naming the
 /// allowed values otherwise.
 BackendKind parse_backend(std::string_view name);
-
-/// Parse "static" | "steal"; throws std::invalid_argument naming the
-/// allowed values otherwise.
-ClassScheduler parse_scheduler(std::string_view name);
 
 /// One execution substrate the Par-Eclat pipeline runs on.
 class Backend {
@@ -75,8 +61,8 @@ class Backend {
   virtual std::size_t workers() const = 0;
 
   /// Run the full Par-Eclat pipeline. The mined result is byte-identical
-  /// across backends, worker counts and schedulers; only the timing
-  /// accounting differs.
+  /// across backends and worker counts; only the timing accounting
+  /// differs.
   virtual par::ParallelOutput mine(const HorizontalDatabase& db,
                                    const par::ParEclatConfig& config) = 0;
 };
@@ -85,9 +71,6 @@ struct ThreadBackendOptions {
   /// Worker threads; 0 resolves to the hardware concurrency (and the
   /// resolved value is echoed in ParallelOutput::exec_threads).
   std::size_t threads = 0;
-  /// Class placement (--exec-sched). Under kWorkStealing the greedy
-  /// assignment of ParEclatConfig::schedule places nothing.
-  ClassScheduler scheduler = ClassScheduler::kWorkStealing;
   /// Retry budget per class (--exec-max-retries): a class whose attempts
   /// fail more than this many times is quarantined and the run ends in
   /// the typed clean abort (ExecClassQuarantined).

@@ -5,6 +5,7 @@
 #include <barrier>
 #include <cstdint>
 #include <exception>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <string>
@@ -137,8 +138,9 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
   const TriangleCounter& counter = *counters.front();
   const double t_init = wall.elapsed_seconds();
 
-  // ----- Phase 2: transformation. The plan is a pure function of the
-  // merged counts. The tid-list of every item that occurs in a class of
+  // ----- Phase 2: transformation. The frequent pairs and their classes
+  // are pure functions of the merged counts, derived as eclat_sequential
+  // derives them. The tid-list of every item that occurs in a class of
   // two or more members is sized exactly at the item's count, and each
   // worker writes its block's tids in place from the item's count over
   // the earlier blocks (paper §6.3): the ranges are disjoint, so writers
@@ -146,9 +148,11 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
   // block is written, each list is seeded once into a shared, read-only
   // TidSet under the run's kernel over the database's tid universe; a
   // class task joins its atoms from those. -----
-  const par::MiningPlan plan =
-      par::derive_plan(counter, config.minsup, W, config.schedule);
-  ItemTidSets items(ItemSlots(mined_items(plan.classes)), db.tid_universe());
+  const std::vector<PairKey> frequent_pairs =
+      counter.frequent_pairs(config.minsup);
+  const std::vector<EquivalenceClass> classes =
+      partition_into_classes(frequent_pairs);
+  ItemTidSets items(ItemSlots(mined_items(classes)), db.tid_universe());
   std::vector<TidList> lists = items.slots().sized_lists(item_counts);
   parallel_region(
       W,
@@ -167,35 +171,28 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
   std::vector<std::vector<Count>>().swap(item_partials);
   const double t_transform = wall.elapsed_seconds();
 
-  // ----- Phase 3: asynchronous. Workers take classes through an atomic
-  // cursor over a class queue sorted by descending C(s,2). Under `static`
-  // worker w walks its own queue, its greedy assignment, so nothing
-  // migrates; under `steal` all workers walk one queue of every class, so
-  // the worker that frees up first takes the heaviest class left (paper
-  // §5.2.1's greedy rule applied online). Each attempt joins the class's
-  // atoms from the item tid-sets into the worker's arena and mines them,
-  // isolated, into its scratch store, and a failed attempt runs again at
-  // once on the same worker, so a class has one live attempt and its
-  // result slot, an exact-size store, one writer. The level histogram is
-  // recomputed from the final result (finalize_result), so the per-worker
-  // one is scratch. part_sizes[1 + c] holds slot c's per-size counts for
-  // the reduction, whose part 0 is the head (singletons and pairs). -----
-  const std::size_t num_classes = plan.classes.size();
+  // ----- Phase 3: asynchronous. All workers take classes through one
+  // atomic cursor over one queue of every class, sorted by descending
+  // C(s,2) with ties by class id, so the worker that frees up first takes
+  // the heaviest class left (paper §5.2.1's greedy rule applied online).
+  // Each attempt joins the class's atoms from the item tid-sets into the
+  // worker's arena and mines them, isolated, into its scratch store, and
+  // a failed attempt runs again at once on the same worker, so a class has
+  // one live attempt and its result slot, an exact-size store, one
+  // writer. The level histogram is recomputed from the final result
+  // (finalize_result), so the per-worker one is scratch. part_sizes[1 + c]
+  // holds slot c's per-size counts for the reduction, whose part 0 is the
+  // head (singletons and pairs). -----
+  const std::size_t num_classes = classes.size();
   std::vector<ItemsetStore> slots(num_classes);
   std::vector<std::vector<std::size_t>> part_sizes(num_classes + 1);
-  const bool shared_queue = scheduler_ == ClassScheduler::kWorkStealing;
-  std::vector<std::vector<std::size_t>> queues(shared_queue ? 1 : W);
-  for (std::size_t c = 0; c < num_classes; ++c) {
-    queues[shared_queue ? 0 : plan.assignment[c]].push_back(c);
-  }
-  for (std::vector<std::size_t>& queue : queues) {
-    std::stable_sort(queue.begin(), queue.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return plan.classes[a].weight() >
-                              plan.classes[b].weight();
-                     });
-  }
-  std::vector<std::atomic<std::size_t>> cursors(queues.size());
+  std::vector<std::size_t> queue(num_classes);
+  std::iota(queue.begin(), queue.end(), std::size_t{0});
+  std::stable_sort(queue.begin(), queue.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return classes[a].weight() > classes[b].weight();
+                   });
+  std::atomic<std::size_t> cursor{0};
   // Per-class failure count and last diagnostic: written only by the
   // worker that took the class, read after the join.
   std::vector<std::uint32_t> failures(num_classes, 0);
@@ -209,9 +206,6 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
     MiningGuard* const guard = mem_budget_ != 0 ? &budget : nullptr;
     ItemsetStore scratch;
     std::vector<std::size_t> histogram;
-    const std::size_t q = shared_queue ? 0 : w;
-    const std::vector<std::size_t>& queue = queues[q];
-    std::atomic<std::size_t>& cursor = cursors[q];
 
     const auto attempt_class = [&](std::size_t c, std::uint32_t attempt) {
       budget.set_class(c);
@@ -221,14 +215,13 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
         if (fault == ExecFaultKind::kThrow) {
           throw InjectedTaskThrow(c, attempt);
         }
-        compute_frequent(items, plan.classes[c].prefix,
-                         plan.classes[c].members, config.minsup,
-                         config.kernel, arena, scratch, histogram, nullptr,
-                         guard);
+        compute_frequent(items, classes[c].prefix, classes[c].members,
+                         config.minsup, config.kernel, arena, scratch,
+                         histogram, nullptr, guard);
         if (fault == ExecFaultKind::kCorrupt) {
           injector.corrupt_result(c, attempt, config.minsup, scratch);
         }
-        validate_class_result(plan.classes[c], config.minsup, scratch);
+        validate_class_result(classes[c], config.minsup, scratch);
       });
     };
 
@@ -292,7 +285,7 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
           : static_cast<std::size_t>(
                 std::count_if(item_counts.begin(), item_counts.end(),
                               [&](Count n) { return n >= config.minsup; }));
-  part_sizes[0] = {0, singletons, plan.frequent_pairs.size()};
+  part_sizes[0] = {0, singletons, frequent_pairs.size()};
   ResultScatter scatter(part_sizes);
   std::atomic<std::size_t> next_part{0};
   parallel_region(W, [&](std::size_t /*w*/) {
@@ -308,7 +301,7 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
       if (config.include_singletons) {
         par::append_singletons(head, item_counts, config.minsup);
       }
-      par::append_frequent_pairs(head, plan.frequent_pairs, counter);
+      par::append_frequent_pairs(head, frequent_pairs, counter);
       scatter.copy(0, head.itemsets);
     }
   });

@@ -7,13 +7,16 @@
 //      (par::local_partition); once every block is counted, each worker
 //      sums one cell range of the W pair counters into the first, in the
 //      same region behind a barrier, and the others are freed.
-//   2. Transformation — the MiningPlan is derived from the merged counts
-//      (pure function). The tid-list of every item that occurs in a class
-//      of two or more members is allocated once, exact-size from the
-//      merged item counts, and each worker writes its block's tids in
-//      place through ItemSlots cursors that start at the item's count
-//      over the earlier blocks: block order is tid order, so the lists
-//      come out globally sorted (paper §6.3) with no merge. Once every
+//   2. Transformation — the frequent pairs and their equivalence classes
+//      are derived from the merged counts (pure functions, as in
+//      eclat_sequential; the simulator's MiningPlan, with its static
+//      schedule and exchange lists, is not built here). The tid-list of
+//      every item that occurs in a class of two or more members is
+//      allocated once, exact-size from the merged item counts, and each
+//      worker writes its block's tids in place through ItemSlots cursors
+//      that start at the item's count over the earlier blocks: block
+//      order is tid order, so the lists come out globally sorted (paper
+//      §6.3) with no merge. Once every
 //      block is written, the same region seeds each list once into a
 //      shared, read-only TidSet under the run's kernel over the
 //      database's tid universe (under auto a dense item is a bitmap). No
@@ -22,11 +25,13 @@
 //      compute_frequent over a per-worker TidArena, its atoms
 //      t(prefix) ∩ t(member) joined from the item tid-sets when the task
 //      starts, so the item tid-sets and one class per worker are all the
-//      tid-lists alive (paper §5.3). Workers take classes through an
-//      atomic cursor over a queue sorted by descending C(s,2): under
-//      static, worker w walks its own queue, the paper's greedy
-//      assignment; under steal, all workers walk one queue of every
-//      class, so whichever frees up first takes the heaviest class left.
+//      tid-lists alive (paper §5.3). All workers take classes through
+//      one atomic cursor over one queue of every class, sorted by
+//      descending C(s,2) with ties by class id, so whichever frees up
+//      first takes the heaviest class left. Every worker joins any class
+//      from the same shared item tid-sets, so pinning a class to a worker
+//      (the paper's static placement, §5.2.1, which the simulator keeps)
+//      would keep no locality here.
 //      Every attempt runs inside capture_class_failure: an exception
 //      fails only that attempt, and the class runs again at once on the
 //      same worker, up to --exec-max-retries, then is quarantined; with
@@ -43,14 +48,15 @@
 //      slots in ascending class id (paper §6.3), so the result arrives in
 //      canonical order and normalize only verifies it; output is
 //      therefore byte-identical to the sequential reference and to the mc
-//      backend regardless of worker count, scheduler, interleaving, or
-//      recovered faults (DESIGN.md §9).
+//      backend regardless of worker count, interleaving, or recovered
+//      faults (DESIGN.md §9).
 //
 // A run either completes with the byte-identical result or throws the
 // typed clean abort ExecClassQuarantined after the workers joined
-// (lowest quarantined class id, deterministic). ParEclatConfig's mc
-// lease/retransmit knobs are still ignored (those model the simulated
-// cluster, not this pool); the run report is all-kFinished on success.
+// (lowest quarantined class id, deterministic). ParEclatConfig's
+// schedule, lease, retransmit and replication knobs are ignored (they
+// model the simulated cluster, not this pool); the run report is
+// all-kFinished on success.
 #pragma once
 
 #include "exec/backend.hpp"
@@ -61,7 +67,6 @@ class ThreadBackend final : public Backend {
  public:
   explicit ThreadBackend(const ThreadBackendOptions& options)
       : threads_(resolve_threads(options.threads)),
-        scheduler_(options.scheduler),
         max_retries_(options.max_retries),
         mem_budget_(options.mem_budget),
         faults_(options.faults) {}
@@ -78,7 +83,6 @@ class ThreadBackend final : public Backend {
 
  private:
   std::size_t threads_;
-  ClassScheduler scheduler_;
   std::uint32_t max_retries_;
   std::size_t mem_budget_;
   ExecFaultPlan faults_;

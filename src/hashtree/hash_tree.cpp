@@ -151,16 +151,6 @@ void HashTree::for_each(
   }
 }
 
-void HashTree::for_each_mutable(const std::function<void(Candidate&)>& fn) {
-  std::vector<Node*> stack = {root_.get()};
-  while (!stack.empty()) {
-    Node* node = stack.back();
-    stack.pop_back();
-    for (StampedCandidate& entry : node->candidates) fn(entry.candidate);
-    for (auto& child : node->children) stack.push_back(child.get());
-  }
-}
-
 const Candidate* HashTree::find(const Itemset& itemset) const {
   if (itemset.size() != k_) return nullptr;
   const Node* node = root_.get();

@@ -60,9 +60,6 @@ class HashTree {
   /// Visit every candidate (order unspecified).
   void for_each(const std::function<void(const Candidate&)>& fn) const;
 
-  /// Visit every candidate mutably (used by the count sum-reduction).
-  void for_each_mutable(const std::function<void(Candidate&)>& fn);
-
   /// Exact count lookup; returns nullptr if the itemset was never inserted.
   const Candidate* find(const Itemset& itemset) const;
 

@@ -252,8 +252,6 @@ void Processor::lease_acquire(std::size_t task) {
   cluster_->lease_board_.acquire(id_, task, now());
 }
 
-void Processor::lease_renew() { cluster_->lease_board_.renew_all(id_, now()); }
-
 void Processor::lease_release(std::size_t task) {
   cluster_->lease_board_.release(id_, task, now());
 }
@@ -286,15 +284,6 @@ LeaseView Processor::lease_view(const LeasePolicy& policy) {
 
 std::vector<bool> Processor::failed_snapshot() const {
   return cluster_->epoch_failed_;
-}
-
-std::vector<std::size_t> Processor::failed_processors() const {
-  std::vector<std::size_t> ids;
-  const std::vector<bool>& failed = cluster_->epoch_failed_;
-  for (std::size_t p = 0; p < failed.size(); ++p) {
-    if (failed[p]) ids.push_back(p);
-  }
-  return ids;
 }
 
 std::size_t Processor::commit_epoch() const {

@@ -226,9 +226,6 @@ class Processor {
   /// keeps SPMD failure-handling decisions globally consistent.
   std::vector<bool> failed_snapshot() const;
 
-  /// Ids set in failed_snapshot().
-  std::vector<std::size_t> failed_processors() const;
-
   /// Commit epoch as of this processor's most recent collective: the
   /// number of processors in its epoch snapshot that had failed. The
   /// counter is monotone and advances exactly when the failed set grows,
@@ -265,8 +262,6 @@ class Processor {
 
   /// Start a progress lease on `task`, held by this processor.
   void lease_acquire(std::size_t task);
-  /// Renew every lease this processor holds (also done by fault_point).
-  void lease_renew();
   /// Drop the lease on `task` without committing (work migrated away).
   void lease_release(std::size_t task);
   /// Announce a speculative claim on a suspected peer's task.
@@ -327,11 +322,8 @@ class Cluster {
 
   /// Attach a deterministic failure schedule; each subsequent run()
   /// instantiates a fresh FaultInjector from it, so every run replays the
-  /// identical schedule. Pass an empty plan (or clear_fault_plan) to run
-  /// fault-free.
+  /// identical schedule. Pass an empty plan to run fault-free.
   void set_fault_plan(FaultPlan plan) { fault_plan_ = std::move(plan); }
-  void clear_fault_plan() { fault_plan_ = FaultPlan{}; }
-  const FaultPlan& fault_plan() const { return fault_plan_; }
 
   /// Outcomes of the last run (also returned by run()).
   const RunReport& last_run_report() const { return report_; }

@@ -201,9 +201,4 @@ LeaseView LeaseBoard::view_at(std::size_t observer, double time,
   return view;
 }
 
-std::size_t LeaseBoard::lease_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return leases_.size();
-}
-
 }  // namespace eclat::mc

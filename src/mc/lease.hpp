@@ -175,9 +175,6 @@ class LeaseBoard {
   LeaseView view_at(std::size_t observer, double time,
                     const LeasePolicy& policy);
 
-  /// Number of lease acquisitions recorded this run (diagnostics).
-  std::size_t lease_count() const;
-
  private:
   struct LeaseRecord {
     std::size_t task = 0;

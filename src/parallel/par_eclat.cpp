@@ -46,7 +46,7 @@ mc::Blob open_exchange_payload(mc::Processor& self, std::size_t src,
     if (wire::open_frame(blob)) return blob;
   }
   self.lease_suspect(src);
-  throw std::runtime_error(
+  throw TransferAbandoned(
       "exchange payload from processor " + std::to_string(src) +
       " still corrupt after " + std::to_string(config.max_retransmits) +
       " retransmissions: sender suspected, transfer abandoned");
@@ -227,8 +227,9 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
     // schedule is always computed over all T processors — including ones
     // that already failed — so class ids, weights and the fault-free
     // ownership are identical in every run; failures only relocate work.
-    // derive_plan is the backend-shared stage (parallel/pipeline.hpp): the
-    // thread backend derives the identical plan from the identical counts.
+    // The thread backend derives the same frequent pairs and classes from
+    // the same counts, but builds no schedule: its workers share one
+    // class queue.
     MiningPlan plan = self.compute([&] {
       return derive_plan(counter, config.minsup, total, config.schedule);
     });

@@ -46,6 +46,8 @@
 // byte-identical across {speculation on, off, fault-free}.
 #pragma once
 
+#include <stdexcept>
+
 #include "eclat/compute_frequent.hpp"
 #include "eclat/equivalence.hpp"
 #include "parallel/parallel_common.hpp"
@@ -56,6 +58,10 @@ namespace eclat::par {
 struct ParEclatConfig {
   Count minsup = 1;
   IntersectKernel kernel = IntersectKernel::kMergeShortCircuit;
+  /// Static class placement over the simulated processors (§5.2.1).
+  /// Simulator only, like the lease, retransmit and replication knobs
+  /// below: the thread backend's workers take classes from one shared
+  /// queue, heaviest first.
   ScheduleHeuristic schedule = ScheduleHeuristic::kGreedyWeight;
   /// Report frequent 1-itemsets too (costed extra work in the first scan;
   /// off reproduces the paper exactly, on makes results comparable with
@@ -82,8 +88,18 @@ struct ParEclatConfig {
   std::size_t replication = 0;
 };
 
+/// The clean abort of an exchange payload that is still corrupt after
+/// max_retransmits retransmissions: the sender is suspected and the
+/// transfer abandoned. par_eclat lets it escape once the cluster joins.
+class TransferAbandoned final : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// Run parallel Eclat on the cluster. Fills phase_seconds with
 /// "initialization", "transformation", "asynchronous" and "reduction".
+/// Throws TransferAbandoned when a payload stays corrupt past its
+/// retransmission budget.
 ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
                          const ParEclatConfig& config);
 

@@ -2,21 +2,27 @@
 //
 // Every execution backend — the deterministic mc::Cluster simulator and
 // the native shared-memory thread pool (src/exec) — runs the *same*
-// logical pipeline: count L1/L2, derive the replicated mining plan
-// (frequent pairs → equivalence classes → class schedule), build the
-// vertical tid-lists (each class's pair lists on the simulator, the
-// shared item lists each class task joins its atoms from on the thread
-// pool), mine each class with Compute_Frequent, and assemble the result
-// in deterministic commit order. This header is that shared logic, as
-// pure functions of their inputs: no virtual time, no threads, no wire
-// formats. What differs per backend is only *how* the stages are placed
-// on processors and how the data moves between them.
+// logical pipeline: count L1/L2, derive the frequent pairs and their
+// equivalence classes, build the vertical tid-lists (each class's pair
+// lists on the simulator, the shared item lists each class task joins
+// its atoms from on the thread pool), mine each class with
+// Compute_Frequent, and assemble the result in deterministic commit
+// order. This header is that shared logic, as pure functions of their
+// inputs: no virtual time, no threads, no wire formats. What differs per
+// backend is only *how* the stages are placed on processors and how the
+// data moves between them.
+//
+// The simulator's placement lives here too: the replicated MiningPlan
+// (derive_plan — the classes plus the paper's static class schedule and
+// the exchange lists) serves the simulated algorithms only. The thread
+// pool derives just the classes (partition_into_classes, as
+// eclat_sequential does) and its workers share one queue of them.
 //
 // Determinism contract: every function here is a pure function of its
-// arguments. derive_plan in particular assigns class ids by ascending
-// prefix item, which is the commit order the final reduction walks —
-// results assembled per class id are byte-identical no matter which
-// worker mined which class, or in what interleaving (see DESIGN.md §9).
+// arguments. Class ids ascend with the prefix item, which is the commit
+// order the final reduction walks — results assembled per class id are
+// byte-identical no matter which worker mined which class, or in what
+// interleaving (see DESIGN.md §9).
 #pragma once
 
 #include <cstddef>
@@ -45,17 +51,18 @@ std::vector<std::size_t> make_schedule(
     std::span<const EquivalenceClass> classes, std::size_t bins,
     ScheduleHeuristic heuristic, const TriangleCounter& counter);
 
-/// The replicated mining plan every participant derives independently
-/// from the globally reduced L2 counts (paper §5.2.1: "done concurrently
-/// on all the processors since all of them have access to the global
-/// L2"). Class ids are dense and ordered by ascending prefix item; they
-/// are both the scheduling unit and the commit order of the final
-/// reduction.
+/// The replicated mining plan every simulated processor derives
+/// independently from the globally reduced L2 counts (paper §5.2.1:
+/// "done concurrently on all the processors since all of them have
+/// access to the global L2"). Class ids are dense and ordered by
+/// ascending prefix item; they are both the scheduling unit and the
+/// commit order of the final reduction. Simulator only: the thread
+/// backend builds no schedule or exchange lists.
 struct MiningPlan {
   std::vector<PairKey> frequent_pairs;
   std::vector<EquivalenceClass> classes;
-  /// Static owner of each class (processor for par_eclat and the thread
-  /// backend, host for hybrid_eclat).
+  /// Static owner of each class (processor for par_eclat, host for
+  /// hybrid_eclat).
   std::vector<std::size_t> assignment;
   /// Pairs belonging to classes of size >= 2 — the tid-lists that move in
   /// the vertical exchange. Singleton classes generate no candidates

@@ -307,15 +307,6 @@ Count TriangleCounter::get(Item a, Item b) const {
   return counts_[index(a, b)];
 }
 
-void TriangleCounter::merge(const TriangleCounter& other) {
-  if (other.num_items_ != num_items_ || other.ids_ != ids_) {
-    throw std::invalid_argument("TriangleCounters count different items");
-  }
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-}
-
 std::vector<PairKey> TriangleCounter::frequent_pairs(Count minsup) const {
   std::vector<Item> items = ids_.items();
   if (ids_.empty()) {

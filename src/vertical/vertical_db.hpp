@@ -71,9 +71,6 @@ class DenseTriangle {
   template <typename Visit>
   bool scan(std::span<const Transaction> transactions, Visit&& visit) const;
 
-  friend bool operator==(const DenseTriangle&,
-                         const DenseTriangle&) = default;
-
  private:
   std::vector<std::uint32_t> id_;  ///< item -> dense id, or kAbsent
   std::size_t k_ = 0;
@@ -204,10 +201,6 @@ class TriangleCounter {
   /// Support of pair {a, b}; a != b, and both must be counted, or it
   /// throws std::out_of_range.
   Count get(Item a, Item b) const;
-
-  /// Element-wise accumulate another counter (the sum-reduction step).
-  /// Both must count the same items, or it throws std::invalid_argument.
-  void merge(const TriangleCounter& other);
 
   Item num_items() const { return num_items_; }
 

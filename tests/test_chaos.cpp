@@ -243,11 +243,8 @@ TEST(Chaos, ExecSweepHoldsTheContractAcrossExecutionShapes) {
   for (std::uint64_t seed = 0; seed < 60; ++seed) {
     const exec::ExecFaultPlan plan = generate_exec_plan(seed, knobs);
     ExecChaosOptions options;
-    // Rotate the execution shape per seed, mirroring the CLI sweep.
+    // Rotate the worker count per seed, mirroring the CLI sweep.
     options.threads = 1 + seed % 5;
-    options.scheduler = (seed >> 3) % 2 == 0
-                            ? exec::ClassScheduler::kWorkStealing
-                            : exec::ClassScheduler::kStatic;
     const ExecChaosRun run = run_exec_plan(test_db(), plan, options);
     expect_exec_contract(run, "exec seed " + std::to_string(seed));
     run.completed ? ++completed : ++aborted;

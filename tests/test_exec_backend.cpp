@@ -1,9 +1,9 @@
 // Differential tests for the execution-backend seam: the native thread
 // backend must emit byte-identical results to the mc simulator backend
 // and to the sequential oracle — across every intersect kernel, a minsup
-// grid, every worker count, both class schedulers, and a steal-heavy
-// skewed workload. This is the determinism contract of DESIGN.md §9 as
-// an executable spec.
+// grid, every worker count, every simulator schedule heuristic, and a
+// skewed workload whose weight sits in a few classes. This is the
+// determinism contract of DESIGN.md §9 as an executable spec.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +17,7 @@
 #include "apriori/apriori.hpp"
 #include "data/result_io.hpp"
 #include "eclat/eclat_seq.hpp"
+#include "eclat/equivalence.hpp"
 #include "exec/backend.hpp"
 #include "exec/exec_fault.hpp"
 #include "exec/mc_backend.hpp"
@@ -38,11 +39,9 @@ constexpr IntersectKernel kAllKernels[] = {IntersectKernel::kMerge,
 
 par::ParallelOutput run_threads(const HorizontalDatabase& db,
                                 const par::ParEclatConfig& config,
-                                std::size_t threads,
-                                exec::ClassScheduler scheduler) {
+                                std::size_t threads) {
   exec::ThreadBackendOptions options;
   options.threads = threads;
-  options.scheduler = scheduler;
   exec::ThreadBackend backend(options);
   return backend.mine(db, config);
 }
@@ -56,8 +55,9 @@ par::ParallelOutput run_mc(const HorizontalDatabase& db,
 
 /// Deliberately skewed database: a dense overlapping core on items 0..11
 /// concentrates almost all C(s,2) mining weight in the first few
-/// equivalence classes, so under the static greedy schedule one worker
-/// owns nearly everything and the others must steal to help.
+/// equivalence classes, so under the simulator's static greedy schedule
+/// one processor owns nearly everything, and on the thread backend the
+/// workers that take the light classes soon find the queue drained.
 HorizontalDatabase skewed_db() {
   DatabaseBuilder builder;
   for (Tid t = 0; t < 600; ++t) {
@@ -85,8 +85,7 @@ TEST(ExecBackend, ThreadsMatchesMcAndOracleAcrossKernelsAndMinsup) {
       const MiningResult oracle = eclat_sequential(db, seq_config);
 
       const par::ParallelOutput mc_run = run_mc(db, config, {1, 4});
-      const par::ParallelOutput threads_run =
-          run_threads(db, config, 3, exec::ClassScheduler::kWorkStealing);
+      const par::ParallelOutput threads_run = run_threads(db, config, 3);
 
       const std::string label = "kernel=" + std::string(kernel_name(kernel)) +
                                 " minsup=" + std::to_string(minsup);
@@ -99,7 +98,7 @@ TEST(ExecBackend, ThreadsMatchesMcAndOracleAcrossKernelsAndMinsup) {
   }
 }
 
-TEST(ExecBackend, ByteIdenticalAcrossThreadCountsAndSchedulers) {
+TEST(ExecBackend, ByteIdenticalAcrossThreadCounts) {
   const HorizontalDatabase db = small_quest_db(350, 28, 11);
   par::ParEclatConfig config;
   config.minsup = 5;
@@ -107,16 +106,11 @@ TEST(ExecBackend, ByteIdenticalAcrossThreadCountsAndSchedulers) {
   const std::vector<std::uint8_t> reference =
       result_to_bytes(run_mc(db, config, {2, 2}).result);
   for (std::size_t threads : {1u, 2u, 3u, 4u, 5u}) {
-    for (exec::ClassScheduler scheduler :
-         {exec::ClassScheduler::kStatic, exec::ClassScheduler::kWorkStealing}) {
-      const par::ParallelOutput run =
-          run_threads(db, config, threads, scheduler);
-      EXPECT_EQ(result_to_bytes(run.result), reference)
-          << "threads=" << threads
-          << " scheduler=" << exec::to_string(scheduler);
-      EXPECT_EQ(run.exec_threads, threads);
-      EXPECT_EQ(run.backend, "threads");
-    }
+    const par::ParallelOutput run = run_threads(db, config, threads);
+    EXPECT_EQ(result_to_bytes(run.result), reference)
+        << "threads=" << threads;
+    EXPECT_EQ(run.exec_threads, threads);
+    EXPECT_EQ(run.backend, "threads");
   }
 }
 
@@ -129,19 +123,17 @@ TEST(ExecBackend, StealHeavySkewStaysIdentical) {
       result_to_bytes(run_mc(db, config, {1, 4}).result);
   ASSERT_FALSE(result_from_bytes(reference).itemsets.empty());
 
-  const par::ParallelOutput stolen =
-      run_threads(db, config, 4, exec::ClassScheduler::kWorkStealing);
-  const par::ParallelOutput pinned =
-      run_threads(db, config, 4, exec::ClassScheduler::kStatic);
-  EXPECT_EQ(result_to_bytes(stolen.result), reference);
-  EXPECT_EQ(result_to_bytes(pinned.result), reference);
+  const par::ParallelOutput shared = run_threads(db, config, 4);
+  EXPECT_EQ(result_to_bytes(shared.result), reference);
 }
 
 // Phase 1 sums the W pair triangles by cell ranges, one range per worker,
 // and phase 2 writes each block's item tids from the per-block item
-// counts. At every W from 1 to 8, under both schedulers and every kernel,
-// the result stays the mc backend's bytes and sequential Eclat's and
-// dEclat's itemsets — including W that do not divide the triangle's cells.
+// counts. At every W from 1 to 8 and every kernel, the result stays the
+// mc backend's bytes and sequential Eclat's and dEclat's itemsets —
+// including W that do not divide the triangle's cells — whichever
+// schedule heuristic the config names: only the simulator places classes
+// by it.
 TEST(ExecBackend, EveryWorkerCountSumsTheTriangleAndMatchesMcAndSequential) {
   const HorizontalDatabase db = small_quest_db(500, 13, 23);
   constexpr Count kMinsup = 3;
@@ -168,14 +160,15 @@ TEST(ExecBackend, EveryWorkerCountSumsTheTriangleAndMatchesMcAndSequential) {
         << kernel_name(kernel);
     EXPECT_EQ(declat.itemsets, eclat.itemsets) << kernel_name(kernel);
     for (std::size_t threads = 1; threads <= 8; ++threads) {
-      for (exec::ClassScheduler scheduler :
-           {exec::ClassScheduler::kStatic,
-            exec::ClassScheduler::kWorkStealing}) {
-        EXPECT_EQ(
-            result_to_bytes(run_threads(db, config, threads, scheduler).result),
-            reference)
+      for (par::ScheduleHeuristic schedule :
+           {par::ScheduleHeuristic::kGreedyWeight,
+            par::ScheduleHeuristic::kGreedySupport,
+            par::ScheduleHeuristic::kRoundRobin}) {
+        config.schedule = schedule;
+        EXPECT_EQ(result_to_bytes(run_threads(db, config, threads).result),
+                  reference)
             << kernel_name(kernel) << " threads=" << threads
-            << " scheduler=" << exec::to_string(scheduler)
+            << " schedule=" << static_cast<int>(schedule)
             << " cells % threads=" << cells % threads;
       }
     }
@@ -204,15 +197,9 @@ TEST(ExecBackend, TinyItemUniversesMatchSequentialAndMc) {
     EXPECT_EQ(result_to_bytes(run_mc(db, config, {1, 2}).result), reference)
         << "num_items=" << num_items;
     for (std::size_t threads : {1u, 2u, 3u}) {
-      for (exec::ClassScheduler scheduler :
-           {exec::ClassScheduler::kStatic,
-            exec::ClassScheduler::kWorkStealing}) {
-        EXPECT_EQ(
-            result_to_bytes(run_threads(db, config, threads, scheduler).result),
-            reference)
-            << "num_items=" << num_items << " threads=" << threads
-            << " scheduler=" << exec::to_string(scheduler);
-      }
+      EXPECT_EQ(result_to_bytes(run_threads(db, config, threads).result),
+                reference)
+          << "num_items=" << num_items << " threads=" << threads;
     }
   }
 }
@@ -221,8 +208,7 @@ TEST(ExecBackend, PhaseAccountingAndRunReport) {
   const HorizontalDatabase db = small_quest_db();
   par::ParEclatConfig config;
   config.minsup = 4;
-  const par::ParallelOutput run =
-      run_threads(db, config, 2, exec::ClassScheduler::kWorkStealing);
+  const par::ParallelOutput run = run_threads(db, config, 2);
 
   EXPECT_TRUE(run.run_report.all_finished());
   EXPECT_EQ(run.run_report.outcomes.size(), 2u);
@@ -262,25 +248,12 @@ TEST(ExecBackend, McBackendEchoesBackendFields) {
 TEST(ExecBackend, ParseHelpersRejectUnknownNamesActionably) {
   EXPECT_EQ(exec::parse_backend("mc"), exec::BackendKind::kMc);
   EXPECT_EQ(exec::parse_backend("threads"), exec::BackendKind::kThreads);
-  EXPECT_EQ(exec::parse_scheduler("static"), exec::ClassScheduler::kStatic);
-  EXPECT_EQ(exec::parse_scheduler("steal"),
-            exec::ClassScheduler::kWorkStealing);
   try {
     exec::parse_backend("gpu");
     FAIL() << "expected invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("'gpu'"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("threads"), std::string::npos);
-  }
-  EXPECT_THROW(exec::parse_scheduler("lifo"), std::invalid_argument);
-  try {
-    exec::parse_scheduler("fifo");
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("'static'"), std::string::npos)
-        << e.what();
-    EXPECT_NE(std::string(e.what()).find("'steal'"), std::string::npos)
-        << e.what();
   }
   // Case and whitespace are not forgiven: flag spellings are exact.
   EXPECT_THROW(exec::parse_backend("Threads"), std::invalid_argument);
@@ -308,15 +281,13 @@ TEST(ExecBackend, ScalarPinnedThreadsRunStaysByteIdentical) {
 
   const std::vector<std::uint8_t> reference =
       result_to_bytes(run_mc(db, config, {1, 3}).result);
-  const std::vector<std::uint8_t> full_isa = result_to_bytes(
-      run_threads(db, config, 3, exec::ClassScheduler::kWorkStealing)
-          .result);
+  const std::vector<std::uint8_t> full_isa =
+      result_to_bytes(run_threads(db, config, 3).result);
   EXPECT_EQ(full_isa, reference);
 
   simd::override_isa_level(simd::IsaLevel::kScalar);
-  const std::vector<std::uint8_t> scalar = result_to_bytes(
-      run_threads(db, config, 3, exec::ClassScheduler::kWorkStealing)
-          .result);
+  const std::vector<std::uint8_t> scalar =
+      result_to_bytes(run_threads(db, config, 3).result);
   simd::override_isa_level(std::nullopt);
   EXPECT_EQ(scalar, reference)
       << "scalar-pinned threads run diverged from the mc reference";
@@ -331,14 +302,14 @@ TEST(ExecBackend, ClassRetriedAfterCorruptAttemptLandsExactlyOnce) {
   config.minsup = 5;
   TriangleCounter counter(db.num_items());
   counter.count(db.transactions());
-  const par::MiningPlan plan = par::derive_plan(
-      counter, config.minsup, 1, par::ScheduleHeuristic::kGreedyWeight);
+  const std::vector<EquivalenceClass> classes =
+      partition_into_classes(counter.frequent_pairs(config.minsup));
   // The heaviest class: the one whose itemsets a double commit would show.
   std::size_t target = 0;
-  for (std::size_t c = 1; c < plan.classes.size(); ++c) {
-    if (plan.classes[c].weight() > plan.classes[target].weight()) target = c;
+  for (std::size_t c = 1; c < classes.size(); ++c) {
+    if (classes[c].weight() > classes[target].weight()) target = c;
   }
-  const Item prefix = plan.classes[target].prefix;
+  const Item prefix = classes[target].prefix;
   const auto class_itemsets = [&](const MiningResult& result) {
     return std::count_if(result.itemsets.begin(), result.itemsets.end(),
                          [&](const ItemsetView& f) {
@@ -347,8 +318,7 @@ TEST(ExecBackend, ClassRetriedAfterCorruptAttemptLandsExactlyOnce) {
                          });
   };
 
-  const par::ParallelOutput clean =
-      run_threads(db, config, 1, exec::ClassScheduler::kStatic);
+  const par::ParallelOutput clean = run_threads(db, config, 1);
   const std::vector<std::uint8_t> reference = result_to_bytes(clean.result);
   ASSERT_GT(class_itemsets(clean.result), 0);
   for (std::size_t threads : {1u, 2u, 3u, 4u}) {
@@ -378,30 +348,22 @@ TEST(ExecBackend, EveryClassIsTakenExactlyOnce) {
   TriangleCounter counter(db.num_items());
   counter.count(db.transactions());
   const std::size_t classes =
-      par::derive_plan(counter, config.minsup, 1,
-                       par::ScheduleHeuristic::kGreedyWeight)
-          .classes.size();
+      partition_into_classes(counter.frequent_pairs(config.minsup)).size();
   ASSERT_EQ(classes, 16u);
   const std::vector<std::uint8_t> reference =
       result_to_bytes(run_mc(db, config, {1, 4}).result);
-  for (exec::ClassScheduler scheduler :
-       {exec::ClassScheduler::kStatic, exec::ClassScheduler::kWorkStealing}) {
-    for (std::size_t threads : {1u, 2u, 3u, 4u, 6u, 8u}) {
-      exec::ThreadBackendOptions options;
-      options.threads = threads;
-      options.scheduler = scheduler;
-      options.max_retries = 1;
-      options.faults.events.push_back(exec::ExecFaultPlan::hashed(
-          exec::ExecFaultKind::kThrow, 1, 0, 1));
-      exec::ThreadBackend backend(options);
-      const par::ParallelOutput run = backend.mine(db, config);
-      const std::string label = std::string("scheduler=") +
-                                exec::to_string(scheduler) +
-                                " threads=" + std::to_string(threads);
-      EXPECT_EQ(run.exec_task_failures, classes) << label;
-      EXPECT_EQ(run.exec_task_retries, classes) << label;
-      EXPECT_EQ(result_to_bytes(run.result), reference) << label;
-    }
+  for (std::size_t threads : {1u, 2u, 3u, 4u, 6u, 8u}) {
+    exec::ThreadBackendOptions options;
+    options.threads = threads;
+    options.max_retries = 1;
+    options.faults.events.push_back(
+        exec::ExecFaultPlan::hashed(exec::ExecFaultKind::kThrow, 1, 0, 1));
+    exec::ThreadBackend backend(options);
+    const par::ParallelOutput run = backend.mine(db, config);
+    const std::string label = "threads=" + std::to_string(threads);
+    EXPECT_EQ(run.exec_task_failures, classes) << label;
+    EXPECT_EQ(run.exec_task_retries, classes) << label;
+    EXPECT_EQ(result_to_bytes(run.result), reference) << label;
   }
 }
 

@@ -220,7 +220,7 @@ TEST(ExecFault, CorruptResultAlwaysTripsTheValidator) {
 }
 
 // ---------------------------------------------------------------------------
-// The contract matrix: kind x times x scheduler x threads
+// The contract matrix: kind x times x threads
 // ---------------------------------------------------------------------------
 
 // times <= max_retries faults recover; times == max_retries + 1 pushes the
@@ -235,58 +235,52 @@ TEST(ExecFault, ContractMatrixByteIdenticalOrCleanTypedAbort) {
 
   for (ExecFaultKind kind : {ExecFaultKind::kThrow, ExecFaultKind::kCorrupt}) {
     for (std::uint32_t times : {1u, 2u, 3u}) {
-      for (exec::ClassScheduler scheduler :
-           {exec::ClassScheduler::kStatic,
-            exec::ClassScheduler::kWorkStealing}) {
-        for (std::size_t threads : {1u, 2u, 3u, 4u, 5u}) {
-          exec::ThreadBackendOptions options;
-          options.threads = threads;
-          options.scheduler = scheduler;
-          options.max_retries = 2;
-          options.faults.seed = 0xC0FFEE ^ times;
-          options.faults.events.push_back(
-              ExecFaultPlan::hashed(kind, 3, 1, times));
-          const std::string label =
-              std::string("kind=") + exec::to_string(kind) +
-              " times=" + std::to_string(times) +
-              " scheduler=" + exec::to_string(scheduler) +
-              " threads=" + std::to_string(threads);
+      for (std::size_t threads : {1u, 2u, 3u, 4u, 5u}) {
+        exec::ThreadBackendOptions options;
+        options.threads = threads;
+        options.max_retries = 2;
+        options.faults.seed = 0xC0FFEE ^ times;
+        options.faults.events.push_back(
+            ExecFaultPlan::hashed(kind, 3, 1, times));
+        const std::string label =
+            std::string("kind=") + exec::to_string(kind) +
+            " times=" + std::to_string(times) +
+            " threads=" + std::to_string(threads);
 
-          bool first_completed = false;
-          std::size_t first_quarantined = 0;
-          for (int replay = 0; replay < 2; ++replay) {
-            try {
-              const par::ParallelOutput run = run_threads(db, config, options);
-              EXPECT_EQ(result_to_bytes(run.result), reference)
-                  << label << " replay=" << replay
-                  << ": completed run diverged from the mc reference";
-              if (replay == 0) {
-                first_completed = true;
-              } else {
-                EXPECT_TRUE(first_completed)
-                    << label << ": replay completed but the first run aborted";
-              }
-              EXPECT_GT(run.exec_task_failures, 0u) << label;
-              EXPECT_GT(run.exec_task_retries, 0u) << label;
-            } catch (const exec::ExecClassQuarantined& e) {
-              EXPECT_EQ(times, 3u)
-                  << label << ": quarantined although the fault budget ("
-                  << times << ") fits max_retries";
-              EXPECT_EQ(e.attempts(), 3u) << label;
-              if (replay == 0) {
-                first_quarantined = e.class_id();
-              } else {
-                EXPECT_FALSE(first_completed)
-                    << label << ": replay aborted but the first run completed";
-                EXPECT_EQ(e.class_id(), first_quarantined)
-                    << label << ": replay quarantined a different class";
-              }
+        bool first_completed = false;
+        std::size_t first_quarantined = 0;
+        for (int replay = 0; replay < 2; ++replay) {
+          try {
+            const par::ParallelOutput run = run_threads(db, config, options);
+            EXPECT_EQ(result_to_bytes(run.result), reference)
+                << label << " replay=" << replay
+                << ": completed run diverged from the mc reference";
+            if (replay == 0) {
+              first_completed = true;
+            } else {
+              EXPECT_TRUE(first_completed)
+                  << label << ": replay completed but the first run aborted";
+            }
+            EXPECT_GT(run.exec_task_failures, 0u) << label;
+            EXPECT_GT(run.exec_task_retries, 0u) << label;
+          } catch (const exec::ExecClassQuarantined& e) {
+            EXPECT_EQ(times, 3u)
+                << label << ": quarantined although the fault budget ("
+                << times << ") fits max_retries";
+            EXPECT_EQ(e.attempts(), 3u) << label;
+            if (replay == 0) {
+              first_quarantined = e.class_id();
+            } else {
+              EXPECT_FALSE(first_completed)
+                  << label << ": replay aborted but the first run completed";
+              EXPECT_EQ(e.class_id(), first_quarantined)
+                  << label << ": replay quarantined a different class";
             }
           }
-          // A recoverable plan must actually have completed.
-          if (times <= 2) {
-            EXPECT_TRUE(first_completed) << label;
-          }
+        }
+        // A recoverable plan must actually have completed.
+        if (times <= 2) {
+          EXPECT_TRUE(first_completed) << label;
         }
       }
     }
@@ -403,31 +397,25 @@ void expect_exact_budget_boundary(const HorizontalDatabase& db,
       run_threads(db, config, metering).exec_arena_peak_bytes;
   ASSERT_GT(peak, 0u);
   for (const std::size_t threads : {1, 2, 3, 4}) {
-    for (const exec::ClassScheduler scheduler :
-         {exec::ClassScheduler::kStatic,
-          exec::ClassScheduler::kWorkStealing}) {
-      const std::string where = "|D|=" + std::to_string(db.size()) +
-                                " W=" + std::to_string(threads) + " " +
-                                exec::to_string(scheduler) + " peak " +
-                                std::to_string(peak);
-      exec::ThreadBackendOptions options;
-      options.threads = threads;
-      options.scheduler = scheduler;
-      options.mem_budget = peak;
-      const par::ParallelOutput run = run_threads(db, config, options);
-      EXPECT_EQ(result_to_bytes(run.result), reference) << where;
-      EXPECT_EQ(run.exec_task_failures, 0u) << where;
-      EXPECT_EQ(run.exec_arena_peak_bytes, peak) << where;
+    const std::string where = "|D|=" + std::to_string(db.size()) +
+                              " W=" + std::to_string(threads) + " peak " +
+                              std::to_string(peak);
+    exec::ThreadBackendOptions options;
+    options.threads = threads;
+    options.mem_budget = peak;
+    const par::ParallelOutput run = run_threads(db, config, options);
+    EXPECT_EQ(result_to_bytes(run.result), reference) << where;
+    EXPECT_EQ(run.exec_task_failures, 0u) << where;
+    EXPECT_EQ(run.exec_arena_peak_bytes, peak) << where;
 
-      options.mem_budget = peak - 1;
-      try {
-        run_threads(db, config, options);
-        ADD_FAILURE() << where << ": a budget below the peak completed";
-      } catch (const exec::ExecClassQuarantined& e) {
-        EXPECT_NE(std::string(e.what()).find("memory budget"),
-                  std::string::npos)
-            << where << ": " << e.what();
-      }
+    options.mem_budget = peak - 1;
+    try {
+      run_threads(db, config, options);
+      ADD_FAILURE() << where << ": a budget below the peak completed";
+    } catch (const exec::ExecClassQuarantined& e) {
+      EXPECT_NE(std::string(e.what()).find("memory budget"),
+                std::string::npos)
+          << where << ": " << e.what();
     }
   }
 }
@@ -458,21 +446,14 @@ TEST(ExecFault, MeteredPeakIsAFunctionOfTheInput) {
   config.kernel = IntersectKernel::kAuto;
   std::size_t first = 0;
   for (const std::size_t threads : {1, 2, 3, 4}) {
-    for (const exec::ClassScheduler scheduler :
-         {exec::ClassScheduler::kStatic,
-          exec::ClassScheduler::kWorkStealing}) {
-      for (int repeat = 0; repeat < 3; ++repeat) {
-        exec::ThreadBackendOptions options;
-        options.threads = threads;
-        options.scheduler = scheduler;
-        options.mem_budget = std::size_t{1} << 40;
-        const std::size_t peak =
-            run_threads(db, config, options).exec_arena_peak_bytes;
-        if (first == 0) first = peak;
-        EXPECT_EQ(peak, first) << "W=" << threads << " "
-                               << exec::to_string(scheduler) << " repeat "
-                               << repeat;
-      }
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      exec::ThreadBackendOptions options;
+      options.threads = threads;
+      options.mem_budget = std::size_t{1} << 40;
+      const std::size_t peak =
+          run_threads(db, config, options).exec_arena_peak_bytes;
+      if (first == 0) first = peak;
+      EXPECT_EQ(peak, first) << "W=" << threads << " repeat " << repeat;
     }
   }
   EXPECT_GT(first, 0u);

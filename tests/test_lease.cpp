@@ -402,8 +402,8 @@ TEST(Lease, SamePlanSameSeedReplaysBitIdentically) {
 TEST(Lease, RetransmissionExhaustionEscalatesToSuspicion) {
   // Every copy of one link's exchange payload arrives corrupted: original
   // delivery plus all four retransmissions. The receiver must give up,
-  // suspect the sender, and surface the abandoned transfer as an error —
-  // not retry forever.
+  // suspect the sender, and surface the abandoned transfer as its typed
+  // error — not retry forever.
   const HorizontalDatabase db = test_db();
   mc::Trace trace;
   mc::FaultPlan plan;
@@ -415,7 +415,7 @@ TEST(Lease, RetransmissionExhaustionEscalatesToSuspicion) {
   cluster.set_trace(&trace);
   ParEclatConfig config;
   config.minsup = kMinsup;
-  EXPECT_THROW((void)par_eclat(cluster, db, config), std::runtime_error);
+  EXPECT_THROW((void)par_eclat(cluster, db, config), TransferAbandoned);
   EXPECT_EQ(cluster.last_run_report().outcomes[1],
             mc::ProcessorOutcome::kAborted);
   EXPECT_GE(count_events(trace, mc::TraceKind::kFault, "suspect"), 1u);

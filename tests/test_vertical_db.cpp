@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "apriori/apriori.hpp"
 #include "common/check.hpp"
@@ -286,25 +288,6 @@ TEST(TriangleCounter, IndexingCoversWholeTriangleWithoutCollision) {
   }
 }
 
-TEST(TriangleCounter, MergeAccumulatesElementwise) {
-  TriangleCounter a(3);
-  TriangleCounter b(3);
-  const HorizontalDatabase first = database_of({{0, {0, 1}}}, 3);
-  const HorizontalDatabase second = database_of({{1, {0, 1}}, {2, {1, 2}}}, 3);
-  a.count(first.transactions());
-  b.count(second.transactions());
-  a.merge(b);
-  EXPECT_EQ(a.get(0, 1), 2u);
-  EXPECT_EQ(a.get(1, 2), 1u);
-  EXPECT_EQ(a.get(0, 2), 0u);
-}
-
-TEST(TriangleCounter, MergeRejectsSizeMismatch) {
-  TriangleCounter a(3);
-  TriangleCounter b(4);
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
-}
-
 TEST(TriangleCounter, FrequentPairsSortedAndThresholded) {
   TriangleCounter counter(4);
   const HorizontalDatabase db = sample_db();
@@ -402,22 +385,6 @@ TEST(TriangleCounter, FilteredGetOfUncountedItemThrows) {
   EXPECT_THROW(counter.get(0, 4), std::out_of_range);
 }
 
-TEST(TriangleCounter, FilteredMergeNeedsTheSameCountedItems) {
-  const std::vector<Count> first = {5, 5, 0, 5};
-  const std::vector<Count> second = {5, 0, 5, 5};
-  TriangleCounter a(first, 1);
-  const TriangleCounter b(second, 1);  // as many cells, other items
-  EXPECT_EQ(a.raw().size(), b.raw().size());
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
-  EXPECT_THROW(a.merge(TriangleCounter(4)), std::invalid_argument);
-  EXPECT_THROW(a.merge(TriangleCounter(std::vector<Count>{5, 5, 0}, 1)),
-               std::invalid_argument);
-  EXPECT_NO_THROW(a.merge(TriangleCounter(first, 2)));
-  // Every item counted: the num_items counter's state.
-  TriangleCounter all(first, 0);
-  EXPECT_NO_THROW(all.merge(TriangleCounter(4)));
-}
-
 TEST(TriangleCounter, FilteredCountRejectsOutOfRangeItem) {
   TriangleCounter counter(std::vector<Count>{3, 0, 3}, 1);
   const HorizontalDatabase out_of_range = database_of({{0, {0, 2, 3}}}, 4);
@@ -425,9 +392,10 @@ TEST(TriangleCounter, FilteredCountRejectsOutOfRangeItem) {
 }
 
 // The thread backend's initialization: per-block filtered counters, built
-// from the whole database's item counts, counted on W threads and
-// prefix-merged, equal one count over the whole database at any W; every
-// prefix equals a count over its blocks.
+// from the whole database's item counts, counted on W threads and summed
+// cell by cell through raw() in block order, equal one count over the
+// whole database at any W; every prefix sum equals a count over its
+// blocks.
 TEST(TriangleCounter, FilteredBlockCountersPrefixMergeToOneWholeCount) {
   const HorizontalDatabase db = quest_db(700, 40, 11);
   const std::vector<Count> items =
@@ -450,7 +418,12 @@ TEST(TriangleCounter, FilteredBlockCountersPrefixMergeToOneWholeCount) {
     for (std::thread& t : pool) t.join();
     TriangleCounter upto(items, kMinsup);
     for (std::size_t w = 0; w < workers; ++w) {
-      if (w > 0) prefix[w]->merge(*prefix[w - 1]);
+      if (w > 0) {
+        const std::span<Count> sum = prefix[w]->raw();
+        const std::span<const Count> earlier =
+            std::as_const(*prefix[w - 1]).raw();
+        for (std::size_t i = 0; i < sum.size(); ++i) sum[i] += earlier[i];
+      }
       upto.count(db.view(blocks[w]));
       ASSERT_TRUE(std::ranges::equal(prefix[w]->raw(), upto.raw()))
           << "prefix " << w;

@@ -230,18 +230,6 @@ mc::FaultPlan plan_from_text(const std::string& text) {
   return plan;
 }
 
-namespace {
-
-/// Diagnostics a compound schedule may legitimately end a run with. Any
-/// other exception out of the pipeline is an invariant violation the
-/// sweep must surface.
-bool is_expected_abort(const std::string& error) {
-  return error.find("sender suspected") != std::string::npos ||
-         error == "no survivors";
-}
-
-}  // namespace
-
 ChaosRun run_plan(const HorizontalDatabase& db, const mc::FaultPlan& plan,
                   const ChaosOptions& options, mc::Trace* trace) {
   ChaosRun out;
@@ -288,7 +276,11 @@ ChaosRun run_plan(const HorizontalDatabase& db, const mc::FaultPlan& plan,
     out.error = e.what();
     out.makespan = cluster.makespan();
     fold_report(cluster.last_run_report());
-    out.clean_abort = is_expected_abort(out.error);
+    // The one abort a compound schedule may legitimately throw: a payload
+    // still corrupt past its retransmission budget. Any other exception
+    // out of the pipeline is an invariant violation the sweep surfaces.
+    out.clean_abort =
+        dynamic_cast<const par::TransferAbandoned*>(&e) != nullptr;
   }
   return out;
 }
@@ -344,7 +336,6 @@ ExecChaosRun run_exec_plan(const HorizontalDatabase& db,
   ExecChaosRun out;
   exec::ThreadBackendOptions backend_options;
   backend_options.threads = options.threads;
-  backend_options.scheduler = options.scheduler;
   backend_options.max_retries = options.max_retries;
   backend_options.mem_budget = options.mem_budget;
   backend_options.faults = plan;

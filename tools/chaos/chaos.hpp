@@ -12,9 +12,10 @@
 //      diagnostic — it never hangs and never silently drops itemsets;
 //   2. re-running the same (plan, seed) reproduces the identical outcome,
 //      makespan and bytes (virtual time makes replays exact);
-//   3. aborts are only ever *expected* ones (no quorum left, corruption
-//      beyond the retransmission budget) — an "assembly:" or "recovery:"
-//      diagnostic means an invariant broke and the sweep fails loudly.
+//   3. aborts are only ever *expected* ones (no survivors left, or
+//      corruption beyond the retransmission budget, thrown as
+//      par::TransferAbandoned) — any other exception means an invariant
+//      broke and the sweep fails loudly.
 //
 // Plans serialize to a line-based text form (plan_to_text/plan_from_text)
 // so a failing schedule found by the CI soak leg can be attached as an
@@ -86,10 +87,10 @@ struct ChaosRun {
   /// assembled; result_bytes then holds the canonical serialized result.
   bool completed = false;
   /// True when the run ended without output but deterministically: every
-  /// processor aborted (no survivors), or the pipeline raised one of the
-  /// *expected* abort diagnostics. completed and clean_abort are mutually
-  /// exclusive; both false means the run aborted with an unexpected
-  /// diagnostic — an invariant broke.
+  /// processor aborted (no survivors), or the pipeline threw the
+  /// expected par::TransferAbandoned. completed and clean_abort are
+  /// mutually exclusive; both false means the run aborted with an
+  /// unexpected exception — an invariant broke.
   bool clean_abort = false;
   std::string error;  ///< diagnostic of an aborted run, empty otherwise
   double makespan = 0.0;
@@ -147,7 +148,6 @@ exec::ExecFaultPlan generate_exec_plan(std::uint64_t seed,
 struct ExecChaosOptions {
   Count minsup = 2;
   std::size_t threads = 3;
-  exec::ClassScheduler scheduler = exec::ClassScheduler::kWorkStealing;
   std::uint32_t max_retries = 2;
   std::size_t mem_budget = 0;  ///< live bytes per class; 0 = unlimited
 };

@@ -5,14 +5,15 @@
 //   chaos --plan-file=fail.plan            # replay a schedule from a file
 //   chaos --sweep=500 --fail-file=bad.plan # save violating plans to a file
 //   chaos --backend=threads --sweep=200    # exec fault plans on real threads
-//   chaos --backend=both --sweep=200       # same seeds on both backends
+//   chaos --backend=both --sweep=200       # both legs, one seed list
 //
 // --backend selects the leg: "mc" (default) sweeps compound cluster
 // schedules on the virtual-time simulator; "threads" sweeps seeded
 // ExecFaultPlans (injected throws and corrupt results) on the native
-// thread backend, rotating worker count and scheduler per seed unless
-// pinned with --exec-threads / --exec-sched; "both" runs the two legs
-// off the same seeds and diffs their outcomes.
+// thread backend, rotating the worker count per seed unless pinned with
+// --exec-threads; "both" runs the two legs off one seed list. The legs
+// draw their plans from distinct RNG streams, so a seed's two outcomes
+// share no cause and are not compared with each other.
 //
 // Every run is checked against the harness contract: byte-identical output
 // to the fault-free reference, or a deterministic expected clean abort —
@@ -24,7 +25,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -127,20 +127,11 @@ int run_chaos(int argc, char** argv) {
       flags.get_uint<std::uint32_t>("exec-max-retries", 2);
   exec_base.mem_budget = flags.get_uint("exec-mem-budget", 0);
   const std::uint64_t pinned_threads = flags.get_uint("exec-threads", 0);
-  const bool pinned_scheduler = flags.has("exec-sched");
-  if (pinned_scheduler) {
-    exec_base.scheduler =
-        exec::parse_scheduler(flags.get("exec-sched", "steal"));
-  }
-  // Unpinned sweeps rotate the execution shape per seed so one sweep
-  // covers threads 1..5 under both schedulers.
+  // Unpinned sweeps rotate the worker count per seed so one sweep covers
+  // threads 1..5.
   const auto exec_options_for = [&](std::uint64_t seed) {
     chaos::ExecChaosOptions o = exec_base;
     o.threads = pinned_threads != 0 ? pinned_threads : 1 + seed % 5;
-    if (!pinned_scheduler) {
-      o.scheduler = (seed >> 3) % 2 == 0 ? exec::ClassScheduler::kWorkStealing
-                                         : exec::ClassScheduler::kStatic;
-    }
     return o;
   };
 
@@ -271,7 +262,6 @@ int run_chaos(int argc, char** argv) {
 
   // --- mc leg ---
   std::size_t completed = 0, aborted = 0;
-  std::map<std::uint64_t, char> mc_outcome;  // 'c'ompleted / 'a'borted / '!'
   for (const auto& [seed, plan] : plans) {
     if (flags.get_bool("print-plan", false)) {
       std::fputs(chaos::plan_to_text(plan).c_str(), stdout);
@@ -280,15 +270,12 @@ int run_chaos(int argc, char** argv) {
     std::string what;
     if (run.completed) {
       ++completed;
-      mc_outcome[seed] = 'c';
       if (run.result_bytes != reference.result_bytes) {
         what = "completed run diverged from the fault-free reference bytes";
       }
     } else if (run.clean_abort) {
       ++aborted;
-      mc_outcome[seed] = 'a';
     } else {
-      mc_outcome[seed] = '!';
       what = "unexpected abort: " + run.error;
     }
     if (what.empty() && flags.get_bool("replay-check", true)) {
@@ -333,7 +320,7 @@ int run_chaos(int argc, char** argv) {
   }
 
   // --- threads leg ---
-  std::size_t exec_completed = 0, exec_aborted = 0, joint_agree = 0;
+  std::size_t exec_completed = 0, exec_aborted = 0;
   for (const auto& [seed, plan] : exec_plans) {
     const chaos::ExecChaosOptions run_options = exec_options_for(seed);
     if (flags.get_bool("print-plan", false)) {
@@ -381,26 +368,11 @@ int run_chaos(int argc, char** argv) {
     if (!what.empty()) {
       report(seed, "threads", what, exec::exec_plan_to_text(plan));
     }
-    // Joint diff (--backend=both): both legs already byte-check against
-    // the same reference, so cross-backend divergence on a completed
-    // pair is impossible without a violation above; the diff reports how
-    // the two failure domains resolved the same seed.
-    if (const auto it = mc_outcome.find(seed); it != mc_outcome.end()) {
-      const char exec_code = run.completed ? 'c' : run.clean_abort ? 'a' : '!';
-      if (it->second == exec_code) ++joint_agree;
-      if (flags.get_bool("verbose", false)) {
-        std::printf("both seed %llu: mc=%c threads=%c\n",
-                    static_cast<unsigned long long>(seed), it->second,
-                    exec_code);
-      }
-    }
     if (flags.get_bool("verbose", false)) {
       std::printf(
-          "threads seed %llu: %s threads=%zu scheduler=%s failures=%llu "
-          "retries=%llu%s%s\n",
+          "threads seed %llu: %s threads=%zu failures=%llu retries=%llu%s%s\n",
           static_cast<unsigned long long>(seed),
           run.completed ? "completed" : "aborted ", run_options.threads,
-          exec::to_string(run_options.scheduler),
           static_cast<unsigned long long>(run.failures),
           static_cast<unsigned long long>(run.retries),
           run.error.empty() ? "" : " error=", run.error.c_str());
@@ -425,11 +397,6 @@ int run_chaos(int argc, char** argv) {
             violations.begin(), violations.end(),
             [](const Violation& v) { return v.backend == "threads"; })));
   }
-  if (run_mc_leg && run_exec_leg) {
-    std::printf("chaos[both]: %zu/%zu seeds resolved identically across "
-                "backends\n",
-                joint_agree, exec_plans.size());
-  }
   return violations.empty() ? 0 : 1;
 }
 
@@ -439,7 +406,7 @@ int main(int argc, char** argv) {
   try {
     return run_chaos(argc, argv);
   } catch (const std::invalid_argument& e) {
-    // A malformed flag value, e.g. --sweep=abc or --exec-sched=bogus.
+    // A malformed flag value, e.g. --sweep=abc or --minsup=-1.
     std::fprintf(stderr, "chaos: %s\n", e.what());
     return 1;
   }
