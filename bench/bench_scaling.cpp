@@ -15,7 +15,9 @@
 // byte-checked. A row reports the median, the fastest run and the
 // interquartile range, and its speedup is the ratio of medians: on a host
 // whose parallelism comes and goes, one call can read several times the
-// speedup its median does.
+// speedup its median does. Beside the total, a row reports the median of
+// the `initialization` phase (item and pair counting), so whether phase 1
+// grows with W can be read off the file.
 //
 // Writes BENCH_scaling.json. The file carries a `host_cores` field: on a
 // 1-core container every wall-clock "speedup" is honestly ~1x, and the
@@ -47,6 +49,7 @@ struct Row {
   /// Backend clock over the repeats (wall for threads, virtual for mc).
   eclat::bench::RepeatStats seconds;
   double wall_seconds = 0.0;  ///< median host wall clock of the repeats
+  double init_seconds = 0.0;  ///< median initialization phase, backend clock
   double speedup = 0.0;  ///< median vs the 1-worker median
   bool identical = false;  ///< every call byte-identical to the mc reference
 };
@@ -138,6 +141,7 @@ int main(int argc, char** argv) {
       row.identical = true;
       std::vector<double> seconds;
       std::vector<double> wall_seconds;
+      std::vector<double> init_seconds;
       for (std::size_t call = 0; call <= kRepeats; ++call) {
         const par::ParallelOutput run = backend->mine(spec.db, config);
         row.threads = run.exec_threads;
@@ -146,17 +150,20 @@ int main(int argc, char** argv) {
         if (call == 0) continue;  // the warm-up
         seconds.push_back(run.total_seconds);
         wall_seconds.push_back(run.wall_seconds);
+        init_seconds.push_back(run.phase_seconds.at("initialization"));
       }
       row.seconds = eclat::bench::repeat_stats(seconds);
       row.wall_seconds = eclat::bench::repeat_stats(wall_seconds).median;
+      row.init_seconds = eclat::bench::repeat_stats(init_seconds).median;
       if (threads == sweep.front()) base_seconds = row.seconds.median;
       row.speedup =
           row.seconds.median > 0 ? base_seconds / row.seconds.median : 0.0;
       std::printf(
-          "  T=%-3zu median %8.4f s  min %8.4f  IQR %7.4f   "
+          "  T=%-3zu median %8.4f s  min %8.4f  IQR %7.4f  init %8.4f   "
           "speedup %5.2fx   %s\n",
           row.threads, row.seconds.median, row.seconds.min, row.seconds.iqr,
-          row.speedup, row.identical ? "identical" : "OUTPUT DIVERGED");
+          row.init_seconds, row.speedup,
+          row.identical ? "identical" : "OUTPUT DIVERGED");
       rows.push_back(row);
       if (!row.identical) {
         std::fprintf(stderr, "output diverged from the mc reference\n");
@@ -189,10 +196,12 @@ int main(int argc, char** argv) {
                    "    {\"database\": \"%s\", \"threads\": %zu, "
                    "\"seconds\": %.6f, \"seconds_min\": %.6f, "
                    "\"seconds_iqr\": %.6f, \"wall_seconds\": %.6f, "
+                   "\"init_seconds\": %.6f, "
                    "\"speedup\": %.4f, \"identical\": %s}%s\n",
                    row.database.c_str(), row.threads, row.seconds.median,
                    row.seconds.min, row.seconds.iqr, row.wall_seconds,
-                   row.speedup, row.identical ? "true" : "false",
+                   row.init_seconds, row.speedup,
+                   row.identical ? "true" : "false",
                    i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(out, "  ]\n}\n");

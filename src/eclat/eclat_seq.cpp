@@ -14,10 +14,10 @@ MiningResult eclat_sequential(const HorizontalDatabase& db,
   const std::span<const Transaction> all(db.transactions());
 
   // --- Initialization: count items, then the 2-itemsets of frequent
-  // items, in one scan. ---
+  // items, in one scan, into 4-byte cells. The triangle is freed once the
+  // pairs are in the result, before the transformation allocates
+  // anything. ---
   const std::vector<Count> item_counts = count_items(all, db.num_items());
-  TriangleCounter counter(item_counts, config.minsup);
-  counter.count(all);
   ++result.database_scans;
 
   if (config.include_singletons) {
@@ -32,11 +32,15 @@ MiningResult eclat_sequential(const HorizontalDatabase& db,
   result.levels.push_back(LevelStats{
       1, static_cast<std::size_t>(db.num_items()), l1});
 
-  const std::vector<PairKey> frequent_pairs =
-      counter.frequent_pairs(config.minsup);
-  for (PairKey key : frequent_pairs) {
-    const Item pair[] = {pair_first(key), pair_second(key)};
-    result.itemsets.push_back(pair, counter.get(pair[0], pair[1]));
+  std::vector<PairKey> frequent_pairs;
+  {
+    TriangleCounter32 counter(item_counts, config.minsup);
+    counter.count(all);
+    frequent_pairs = counter.frequent_pairs(config.minsup);
+    for (PairKey key : frequent_pairs) {
+      const Item pair[] = {pair_first(key), pair_second(key)};
+      result.itemsets.push_back(pair, counter.get(pair[0], pair[1]));
+    }
   }
 
   // --- Transformation: exact-size vertical tid-lists of every item that

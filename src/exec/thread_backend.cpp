@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <barrier>
 #include <cstdint>
-#include <exception>
 #include <numeric>
 #include <optional>
 #include <span>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -20,6 +17,7 @@
 #include "eclat/equivalence.hpp"
 #include "eclat/mining_guard.hpp"
 #include "eclat/tid_arena.hpp"
+#include "exec/crew.hpp"
 #include "exec/exec_fault.hpp"
 #include "exec/fault_capture.hpp"
 #include "exec/mem_budget.hpp"
@@ -29,57 +27,6 @@
 #include "vertical/vertical_db.hpp"
 
 namespace eclat::exec {
-
-namespace {
-
-// Spawn-join SPMD region: run `body(w)` on `workers` real threads, join
-// them all, then rethrow the first exception any worker raised. Every
-// region boundary is a full barrier (thread join), so plain writes made
-// inside one region are visible in the next without further
-// synchronization.
-template <typename Body>
-void parallel_region(std::size_t workers, Body&& body) {
-  std::vector<std::exception_ptr> errors(workers);
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&, w] {
-      try {
-        body(w);
-      } catch (...) {
-        errors[w] = std::current_exception();
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
-}
-
-// A region of two steps: every worker runs first(w), waits at a barrier
-// until all have, then runs then(w). The barrier orders every worker's
-// first-step writes before any second step, as a region boundary would,
-// without joining and respawning the threads. A worker whose first step
-// throws still arrives, and then no worker runs its second step.
-template <typename First, typename Then>
-void parallel_region(std::size_t workers, First&& first, Then&& then) {
-  std::atomic<bool> failed{false};
-  std::barrier sync(static_cast<std::ptrdiff_t>(workers));
-  parallel_region(workers, [&](std::size_t w) {
-    try {
-      first(w);
-    } catch (...) {
-      failed.store(true, std::memory_order_relaxed);
-      sync.arrive_and_wait();
-      throw;
-    }
-    sync.arrive_and_wait();
-    if (!failed.load(std::memory_order_relaxed)) then(w);
-  });
-}
-
-}  // namespace
 
 par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
                                         const par::ParEclatConfig& config) {
@@ -97,17 +44,22 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
   // sorted (paper §6.3) for any W.
   const mc::Topology topo{1, W};
   WallStopwatch wall;
+  // One crew for the whole call: this thread is worker 0, and the W - 1
+  // helpers start here, once. Each crew.run is one step on every worker
+  // and ends at a barrier; the code between the steps runs on this thread.
+  Crew crew(W);
 
   // ----- Phase 1: initialization. Per-worker item counts, summed into
   // the global ones; then each worker counts its block's pairs of
-  // frequent items (C2 = L1 x L1) into a counter it allocates and zeroes
-  // itself from those read-only sums and, once every block is counted,
-  // adds one cell range of the W counters into the first, which is then
-  // the merged L2. Exact integer arithmetic, so the merged counts equal
-  // the simulator's tree reduction for any W. The per-block item counts
-  // stay: they place each block's tids in the item tid-lists. -----
+  // frequent items (C2 = L1 x L1) into the 4-byte cells of a counter it
+  // allocates and zeroes itself from those read-only sums, and in the
+  // next step adds one cell range of the W counters into the first,
+  // which is then the merged L2. Exact integer arithmetic, so the merged
+  // counts equal the simulator's tree reduction for any W. The per-block
+  // item counts stay: they place each block's tids in the item
+  // tid-lists. -----
   std::vector<std::vector<Count>> item_partials(W);
-  parallel_region(W, [&](std::size_t w) {
+  crew.run([&](std::size_t w) {
     item_partials[w] =
         count_items(par::local_partition(db, topo, w), db.num_items());
   });
@@ -117,56 +69,61 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
       item_counts[i] += partial[i];
     }
   }
-  std::vector<std::optional<TriangleCounter>> counters(W);
-  parallel_region(
-      W,
-      [&](std::size_t w) {
-        counters[w].emplace(item_counts, config.minsup)
-            .count(par::local_partition(db, topo, w));
-      },
-      [&](std::size_t w) {
-        const std::span<Count> sum = counters.front()->raw();
-        const std::size_t begin = sum.size() * w / W;
-        const std::size_t end = sum.size() * (w + 1) / W;
-        for (std::size_t v = 1; v < W; ++v) {
-          const std::span<const Count> part =
-              std::as_const(*counters[v]).raw();
-          for (std::size_t i = begin; i < end; ++i) sum[i] += part[i];
-        }
-      });
-  counters.resize(1);
-  const TriangleCounter& counter = *counters.front();
+  std::vector<std::optional<TriangleCounter32>> counters(W);
+  crew.run([&](std::size_t w) {
+    counters[w].emplace(item_counts, config.minsup)
+        .count(par::local_partition(db, topo, w));
+  });
+  crew.run([&](std::size_t w) {
+    const std::span<std::uint32_t> sum = counters.front()->raw();
+    const std::size_t begin = sum.size() * w / W;
+    const std::size_t end = sum.size() * (w + 1) / W;
+    for (std::size_t v = 1; v < W; ++v) {
+      const std::span<const std::uint32_t> part =
+          std::as_const(*counters[v]).raw();
+      for (std::size_t i = begin; i < end; ++i) sum[i] += part[i];
+    }
+  });
   const double t_init = wall.elapsed_seconds();
 
   // ----- Phase 2: transformation. The frequent pairs and their classes
   // are pure functions of the merged counts, derived as eclat_sequential
-  // derives them. The tid-list of every item that occurs in a class of
-  // two or more members is sized exactly at the item's count, and each
-  // worker writes its block's tids in place from the item's count over
-  // the earlier blocks (paper §6.3): the ranges are disjoint, so writers
-  // never collide and the lists come out sorted with no merge. Once every
-  // block is written, each list is seeded once into a shared, read-only
-  // TidSet under the run's kernel over the database's tid universe; a
-  // class task joins its atoms from those. -----
+  // derives them. The result's head (singletons, when reported, then the
+  // frequent pairs with their supports) is built from the merged counts,
+  // and then every triangle is freed, before the transformation allocates
+  // anything: the merged one sits in this thread's malloc arena, where
+  // the item lists and the result store can reuse it. The tid-list of
+  // every item that occurs in a class of two or more members is sized
+  // exactly at the item's count, and each worker writes its block's tids
+  // in place from the item's count over the earlier blocks (paper §6.3):
+  // the ranges are disjoint, so writers never collide and the lists come
+  // out sorted with no merge. Once every block is written, each list is
+  // seeded once into a shared, read-only TidSet under the run's kernel
+  // over the database's tid universe; a class task joins its atoms from
+  // those. -----
   const std::vector<PairKey> frequent_pairs =
-      counter.frequent_pairs(config.minsup);
+      counters.front()->frequent_pairs(config.minsup);
+  MiningResult head;
+  if (config.include_singletons) {
+    par::append_singletons(head, item_counts, config.minsup);
+  }
+  par::append_frequent_pairs(head, frequent_pairs, *counters.front());
+  std::vector<std::optional<TriangleCounter32>>().swap(counters);
   const std::vector<EquivalenceClass> classes =
       partition_into_classes(frequent_pairs);
   ItemTidSets items(ItemSlots(mined_items(classes)), db.tid_universe());
   std::vector<TidList> lists = items.slots().sized_lists(item_counts);
-  parallel_region(
-      W,
-      [&](std::size_t w) {
-        const ItemSlots& slots = items.slots();
-        std::vector<Tid*> at =
-            slots.cursors(lists, std::span(item_partials).first(w));
-        slots.write(par::local_partition(db, topo, w), at);
-      },
-      [&](std::size_t w) {
-        for (std::size_t s = w; s < lists.size(); s += W) {
-          items.seed(s, std::move(lists[s]), config.kernel, nullptr);
-        }
-      });
+  crew.run([&](std::size_t w) {
+    const ItemSlots& slots = items.slots();
+    std::vector<Tid*> at =
+        slots.cursors(lists, std::span(item_partials).first(w));
+    slots.write(par::local_partition(db, topo, w), at);
+  });
+  crew.run([&](std::size_t w) {
+    for (std::size_t s = w; s < lists.size(); s += W) {
+      items.seed(s, std::move(lists[s]), config.kernel, nullptr);
+    }
+  });
   std::vector<TidList>().swap(lists);
   std::vector<std::vector<Count>>().swap(item_partials);
   const double t_transform = wall.elapsed_seconds();
@@ -182,7 +139,7 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
   // writer. The level histogram is recomputed from the final result
   // (finalize_result), so the per-worker one is scratch. part_sizes[1 + c]
   // holds slot c's per-size counts for the reduction, whose part 0 is the
-  // head (singletons and pairs). -----
+  // head. -----
   const std::size_t num_classes = classes.size();
   std::vector<ItemsetStore> slots(num_classes);
   std::vector<std::vector<std::size_t>> part_sizes(num_classes + 1);
@@ -194,12 +151,12 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
                    });
   std::atomic<std::size_t> cursor{0};
   // Per-class failure count and last diagnostic: written only by the
-  // worker that took the class, read after the join.
+  // worker that took the class, read after the step.
   std::vector<std::uint32_t> failures(num_classes, 0);
   std::vector<std::string> last_error(num_classes);
   std::vector<std::uint64_t> worker_peak(W, 0);
 
-  parallel_region(W, [&](std::size_t w) {
+  crew.run([&](std::size_t w) {
     TidArena arena;
     ArenaBudget budget(arena, mem_budget_);
     // Unbudgeted runs mine with the null guard, the recursion's fast path.
@@ -254,7 +211,7 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
     total_failures += f;
     total_retries += std::min(f, max_retries_);
   }
-  // Clean typed abort, decided after the join: every class ran to its
+  // Clean typed abort, decided after the step: every class ran to its
   // own conclusion, so the *lowest* quarantined class id — and with it
   // the whole diagnostic — is a pure function of the fault plan, not of
   // thread interleaving.
@@ -267,42 +224,25 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
   const double t_async = wall.elapsed_seconds();
 
   // ----- Phase 4: final reduction by offset scatter (paper §6.3). The
-  // commit order — singletons, pairs, then the class slots by ascending
-  // class id — is placed stably by size; each part's destination ranges
-  // are a prefix sum of the per-size counts, so the W workers copy the
-  // parts straight to their final offsets, freeing each slot once
-  // copied.
+  // commit order — the head, then the class slots by ascending class
+  // id — is placed stably by size; each part's destination ranges are a
+  // prefix sum of the per-size counts, so the W workers copy the parts
+  // straight to their final offsets, freeing each part once copied.
   // Each size's itemsets arrive in lexicographic order, so the result is
   // canonical as assembled and normalize only verifies it. This is what
   // makes the output independent of scheduling and interleaving. -----
   par::ParallelOutput output;
   output.result.database_scans = 3;  // two horizontal scans + vertical read
-  // Part 0 is the head: singletons (when reported), then frequent pairs.
-  // Its counts are known up front, so it is assembled in the region too.
-  const std::size_t singletons =
-      !config.include_singletons
-          ? 0
-          : static_cast<std::size_t>(
-                std::count_if(item_counts.begin(), item_counts.end(),
-                              [&](Count n) { return n >= config.minsup; }));
-  part_sizes[0] = {0, singletons, frequent_pairs.size()};
+  part_sizes[0] = size_counts(head.itemsets);
   ResultScatter scatter(part_sizes);
   std::atomic<std::size_t> next_part{0};
-  parallel_region(W, [&](std::size_t /*w*/) {
+  crew.run([&](std::size_t /*w*/) {
     for (std::size_t p = next_part.fetch_add(1, std::memory_order_relaxed);
          p <= num_classes;
          p = next_part.fetch_add(1, std::memory_order_relaxed)) {
-      if (p != 0) {
-        scatter.copy(p, slots[p - 1]);
-        slots[p - 1] = ItemsetStore();
-        continue;
-      }
-      MiningResult head;
-      if (config.include_singletons) {
-        par::append_singletons(head, item_counts, config.minsup);
-      }
-      par::append_frequent_pairs(head, frequent_pairs, counter);
-      scatter.copy(0, head.itemsets);
+      ItemsetStore& part = p == 0 ? head.itemsets : slots[p - 1];
+      scatter.copy(p, part);
+      part = ItemsetStore();
     }
   });
   output.result.itemsets = scatter.take();

@@ -1,26 +1,31 @@
 // Native shared-memory execution of the Par-Eclat pipeline: the same
 // four phases as the simulator path (parallel/pipeline.hpp), placed on a
-// real thread pool instead of simulated processors.
+// real thread pool instead of simulated processors. A call runs on one
+// Crew (exec/crew.hpp): the calling thread is worker 0 and the W - 1
+// helpers start once per call, none at W = 1. Each parallel step runs on
+// every worker and ends at a barrier; the serial code between the steps
+// runs on the caller.
 //
-//   1. Initialization — each worker counts items and pairs over its block
-//      of the same T-way partition the simulator uses
-//      (par::local_partition); once every block is counted, each worker
-//      sums one cell range of the W pair counters into the first, in the
-//      same region behind a barrier, and the others are freed.
+//   1. Initialization — each worker counts items and then pairs over its
+//      block of the same T-way partition the simulator uses
+//      (par::local_partition), the pairs into a 4-byte-cell
+//      TriangleCounter32; in the next step each worker sums one cell
+//      range of the W pair counters into the first.
 //   2. Transformation — the frequent pairs and their equivalence classes
 //      are derived from the merged counts (pure functions, as in
 //      eclat_sequential; the simulator's MiningPlan, with its static
-//      schedule and exchange lists, is not built here). The tid-list of
-//      every item that occurs in a class of two or more members is
-//      allocated once, exact-size from the merged item counts, and each
-//      worker writes its block's tids in place through ItemSlots cursors
-//      that start at the item's count over the earlier blocks: block
-//      order is tid order, so the lists come out globally sorted (paper
-//      §6.3) with no merge. Once every
-//      block is written, the same region seeds each list once into a
-//      shared, read-only TidSet under the run's kernel over the
-//      database's tid universe (under auto a dense item is a bitmap). No
-//      pair tid-list is built here.
+//      schedule and exchange lists, is not built here). The caller builds
+//      the result's head (singletons, then frequent pairs with their
+//      supports) and frees every triangle before anything below is
+//      allocated. The tid-list of every item that occurs in a class of
+//      two or more members is allocated once, exact-size from the merged
+//      item counts, and each worker writes its block's tids in place
+//      through ItemSlots cursors that start at the item's count over the
+//      earlier blocks: block order is tid order, so the lists come out
+//      globally sorted (paper §6.3) with no merge. In the next step each
+//      list is seeded once into a shared, read-only TidSet under the
+//      run's kernel over the database's tid universe (under auto a dense
+//      item is a bitmap). No pair tid-list is built here.
 //   3. Asynchronous — each class runs as an isolated task with
 //      compute_frequent over a per-worker TidArena, its atoms
 //      t(prefix) ∩ t(member) joined from the item tid-sets when the task
@@ -43,16 +48,16 @@
 //      attempt index) — DESIGN.md §11.
 //   4. Final reduction — results are committed into per-class slots
 //      (exact-size flat stores; the item tid-sets are freed once every
-//      class is mined), then scattered by the W workers to offsets
-//      prefix-summed from the per-size counts of singletons, pairs and
-//      slots in ascending class id (paper §6.3), so the result arrives in
-//      canonical order and normalize only verifies it; output is
-//      therefore byte-identical to the sequential reference and to the mc
-//      backend regardless of worker count, interleaving, or recovered
+//      class is mined), then the head and the slots are scattered by the
+//      W workers to offsets prefix-summed from their per-size counts, in
+//      ascending class id after the head (paper §6.3), so the result
+//      arrives in canonical order and normalize only verifies it; output
+//      is therefore byte-identical to the sequential reference and to the
+//      mc backend regardless of worker count, interleaving, or recovered
 //      faults (DESIGN.md §9).
 //
 // A run either completes with the byte-identical result or throws the
-// typed clean abort ExecClassQuarantined after the workers joined
+// typed clean abort ExecClassQuarantined after the asynchronous step
 // (lowest quarantined class id, deterministic). ParEclatConfig's
 // schedule, lease, retransmit and replication knobs are ignored (they
 // model the simulated cluster, not this pool); the run report is

@@ -81,15 +81,6 @@ void append_singletons(MiningResult& result,
   }
 }
 
-void append_frequent_pairs(MiningResult& result,
-                           std::span<const PairKey> frequent_pairs,
-                           const TriangleCounter& counter) {
-  for (PairKey key : frequent_pairs) {
-    const Item pair[] = {pair_first(key), pair_second(key)};
-    result.itemsets.push_back(pair, counter.get(pair[0], pair[1]));
-  }
-}
-
 void finalize_result(MiningResult& result) {
   normalize(result);
   result.levels = level_stats(result);

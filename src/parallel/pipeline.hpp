@@ -107,10 +107,17 @@ std::vector<Atom> rebuild_class_atoms(
 void append_singletons(MiningResult& result,
                        std::span<const Count> item_counts, Count minsup);
 
-/// Append every frequent pair with its globally counted support.
+/// Append every frequent pair with its globally counted support, read
+/// from a counter of either cell width.
+template <typename Cell>
 void append_frequent_pairs(MiningResult& result,
                            std::span<const PairKey> frequent_pairs,
-                           const TriangleCounter& counter);
+                           const BasicTriangleCounter<Cell>& counter) {
+  for (PairKey key : frequent_pairs) {
+    const Item pair[] = {pair_first(key), pair_second(key)};
+    result.itemsets.push_back(pair, counter.get(pair[0], pair[1]));
+  }
+}
 
 /// Canonical order (normalize) + per-level frequency stats. After this
 /// the result is a pure function of the itemset *set*, independent of the

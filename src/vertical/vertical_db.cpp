@@ -233,7 +233,9 @@ std::unordered_map<PairKey, TidList> invert_pairs(
   return lists;
 }
 
-TriangleCounter::TriangleCounter(Item num_items) : num_items_(num_items) {
+template <typename Cell>
+BasicTriangleCounter<Cell>::BasicTriangleCounter(Item num_items)
+    : num_items_(num_items) {
   if (num_items < 2) {
     throw std::invalid_argument("TriangleCounter needs >= 2 items");
   }
@@ -241,8 +243,9 @@ TriangleCounter::TriangleCounter(Item num_items) : num_items_(num_items) {
   counts_.assign(n * (n - 1) / 2, 0);
 }
 
-TriangleCounter::TriangleCounter(std::span<const Count> item_counts,
-                                 Count minsup)
+template <typename Cell>
+BasicTriangleCounter<Cell>::BasicTriangleCounter(
+    std::span<const Count> item_counts, Count minsup)
     : num_items_(static_cast<Item>(item_counts.size())) {
   ECLAT_CHECK(item_counts.size() < detail::DenseTriangle::kAbsent);
   std::vector<std::uint32_t> marks(item_counts.size(),
@@ -259,7 +262,8 @@ TriangleCounter::TriangleCounter(std::span<const Count> item_counts,
   counts_.assign(k < 2 ? 0 : k * (k - 1) / 2, 0);
 }
 
-std::size_t TriangleCounter::index(Item a, Item b) const {
+template <typename Cell>
+std::size_t BasicTriangleCounter<Cell>::index(Item a, Item b) const {
   if (a > b) std::swap(a, b);
   if (a == b || b >= num_items_) {
     throw std::out_of_range("invalid pair for TriangleCounter");
@@ -274,8 +278,10 @@ std::size_t TriangleCounter::index(Item a, Item b) const {
   return ids_.cell(id_a, id_b);
 }
 
-void TriangleCounter::count(std::span<const Transaction> transactions) {
-  Count* const counts = counts_.data();
+template <typename Cell>
+void BasicTriangleCounter<Cell>::count(
+    std::span<const Transaction> transactions) {
+  Cell* const counts = counts_.data();
   if (!ids_.empty()) {
     // The table covers every item below num_items(), so an item beyond
     // it is out of range.
@@ -303,11 +309,14 @@ void TriangleCounter::count(std::span<const Transaction> transactions) {
   }
 }
 
-Count TriangleCounter::get(Item a, Item b) const {
+template <typename Cell>
+Count BasicTriangleCounter<Cell>::get(Item a, Item b) const {
   return counts_[index(a, b)];
 }
 
-std::vector<PairKey> TriangleCounter::frequent_pairs(Count minsup) const {
+template <typename Cell>
+std::vector<PairKey> BasicTriangleCounter<Cell>::frequent_pairs(
+    Count minsup) const {
   std::vector<Item> items = ids_.items();
   if (ids_.empty()) {
     items.resize(num_items_);
@@ -315,7 +324,7 @@ std::vector<PairKey> TriangleCounter::frequent_pairs(Count minsup) const {
   }
   // Row-major, so the cells of pairs (a, a+1..K-1) follow one another.
   std::vector<PairKey> pairs;
-  const Count* cell = counts_.data();
+  const Cell* cell = counts_.data();
   for (std::size_t a = 0; a + 1 < items.size(); ++a) {
     for (std::size_t b = a + 1; b < items.size(); ++b) {
       if (*cell++ >= minsup) pairs.push_back(make_pair_key(items[a], items[b]));
@@ -323,5 +332,8 @@ std::vector<PairKey> TriangleCounter::frequent_pairs(Count minsup) const {
   }
   return pairs;
 }
+
+template class BasicTriangleCounter<Count>;
+template class BasicTriangleCounter<std::uint32_t>;
 
 }  // namespace eclat

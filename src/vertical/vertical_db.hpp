@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -35,7 +36,12 @@ constexpr Item pair_second(PairKey key) {
 std::vector<TidList> invert_items(std::span<const Transaction> transactions,
                                   Item num_items);
 
-class TriangleCounter;
+template <typename Cell>
+class BasicTriangleCounter;
+/// 8-byte cells: the simulator's counter, whose triangle its Memory
+/// Channel reduction sums, and that of every miner but the native ones
+/// (TriangleCounter32, below).
+using TriangleCounter = BasicTriangleCounter<Count>;
 
 namespace detail {
 
@@ -182,16 +188,18 @@ std::unordered_map<PairKey, TidList> invert_pairs(
 /// the paper does. The filtered one counts only the pairs of the K items
 /// whose count reaches minsup (C2 = L1 x L1), in a K(K-1)/2 triangle over
 /// their dense ids. A pair with an infrequent item is infrequent itself,
-/// so both give the same frequent pairs and supports.
-class TriangleCounter {
+/// so both give the same frequent pairs and supports. `Cell` is one
+/// count's type: TriangleCounter and TriangleCounter32 below.
+template <typename Cell>
+class BasicTriangleCounter {
  public:
   /// Counts every pair of items below `num_items`, which must be >= 2.
-  explicit TriangleCounter(Item num_items);
+  explicit BasicTriangleCounter(Item num_items);
 
   /// Counts the pairs of the items whose count in `item_counts` is >=
   /// `minsup`; num_items() is item_counts.size(). Fewer than two such
   /// items give an empty triangle.
-  TriangleCounter(std::span<const Count> item_counts, Count minsup);
+  BasicTriangleCounter(std::span<const Count> item_counts, Count minsup);
 
   /// Count every counted 2-subset of every transaction in the span. Items
   /// must be strictly sorted; an item >= num_items() throws
@@ -209,15 +217,25 @@ class TriangleCounter {
 
   /// Direct access for the Memory Channel reduction and the thread
   /// backend's cell-range sum (row-major triangle over the counted items).
-  std::span<const Count> raw() const { return counts_; }
-  std::span<Count> raw() { return counts_; }
+  std::span<const Cell> raw() const { return counts_; }
+  std::span<Cell> raw() { return counts_; }
 
  private:
   std::size_t index(Item a, Item b) const;
 
   Item num_items_;
   detail::DenseTriangle ids_;  ///< counted items; empty: every item
-  std::vector<Count> counts_;
+  std::vector<Cell> counts_;
 };
+
+extern template class BasicTriangleCounter<Count>;
+
+/// 4-byte cells, half the triangle: the native miners' counter (the thread
+/// backend and eclat_sequential). A cell cannot overflow: a pair counts at
+/// most once per transaction, and kTidLimit keeps a database at most
+/// 2^32 - 1 transactions, the largest 4-byte value.
+using TriangleCounter32 = BasicTriangleCounter<std::uint32_t>;
+static_assert(kTidLimit <= std::numeric_limits<std::uint32_t>::max());
+extern template class BasicTriangleCounter<std::uint32_t>;
 
 }  // namespace eclat

@@ -12,6 +12,7 @@
 #include "apriori/apriori.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "exec/crew.hpp"
 #include "gen/quest.hpp"
 #include "test_util.hpp"
 
@@ -429,6 +430,58 @@ TEST(TriangleCounter, FilteredBlockCountersPrefixMergeToOneWholeCount) {
           << "prefix " << w;
     }
     ASSERT_TRUE(std::ranges::equal(prefix.back()->raw(), whole.raw()));
+  }
+}
+
+
+// The native miners count pairs into 4-byte cells and the simulator into
+// 8-byte ones. On one Quest database the two widths hold the same counts
+// cell for cell and read the same through get and frequent_pairs, and the
+// thread backend's phase-1 reduction in 4-byte cells — one counter per
+// block, counted on a crew, then each worker's cell range of the W
+// counters summed into the first — gives the whole count's cells at
+// W = 1..8.
+TEST(TriangleCounter, FourAndEightByteCellsAgreeThroughEveryReader) {
+  const HorizontalDatabase db = quest_db(900, 50, 13);
+  const std::vector<Count> items =
+      count_items(db.transactions(), db.num_items());
+  constexpr Count kMinsup = 40;
+  TriangleCounter wide(items, kMinsup);
+  wide.count(db.transactions());
+  TriangleCounter32 narrow(items, kMinsup);
+  narrow.count(db.transactions());
+  ASSERT_GT(narrow.raw().size(), 100u);
+  ASSERT_TRUE(std::ranges::equal(narrow.raw(), wide.raw()));
+  for (const PairKey key : wide.frequent_pairs(0)) {  // every counted pair
+    const Item a = pair_first(key);
+    const Item b = pair_second(key);
+    ASSERT_EQ(narrow.get(a, b), wide.get(a, b)) << a << "," << b;
+    ASSERT_EQ(narrow.get(b, a), wide.get(a, b)) << a << "," << b;
+  }
+  for (const Count minsup : {Count{1}, Count{5}, Count{20}, Count{60}}) {
+    ASSERT_FALSE(wide.frequent_pairs(minsup).empty());
+    EXPECT_EQ(narrow.frequent_pairs(minsup), wide.frequent_pairs(minsup))
+        << "minsup " << minsup;
+  }
+  for (std::size_t workers = 1; workers <= 8; ++workers) {
+    SCOPED_TRACE(workers);
+    const std::vector<Block> blocks = db.block_partition(workers);
+    std::vector<std::optional<TriangleCounter32>> counters(workers);
+    exec::Crew crew(workers);
+    crew.run([&](std::size_t w) {
+      counters[w].emplace(items, kMinsup).count(db.view(blocks[w]));
+    });
+    crew.run([&](std::size_t w) {
+      const std::span<std::uint32_t> sum = counters.front()->raw();
+      const std::size_t begin = sum.size() * w / workers;
+      const std::size_t end = sum.size() * (w + 1) / workers;
+      for (std::size_t v = 1; v < workers; ++v) {
+        const std::span<const std::uint32_t> part =
+            std::as_const(*counters[v]).raw();
+        for (std::size_t i = begin; i < end; ++i) sum[i] += part[i];
+      }
+    });
+    EXPECT_TRUE(std::ranges::equal(counters.front()->raw(), wide.raw()));
   }
 }
 
