@@ -12,7 +12,6 @@
 //   ./bench_exec_faults [--scale=0.1] [--support=0.0025] [--repeats=5]
 //                       [--exec-threads=3] [--json=true]
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,9 +19,10 @@
 #include "bench_util.hpp"
 #include "common/clock.hpp"
 #include "data/result_io.hpp"
-#include "exec/backend.hpp"
 #include "exec/thread_backend.hpp"
 #include "gen/quest.hpp"
+#include "mc/cluster.hpp"
+#include "parallel/par_eclat.hpp"
 
 namespace {
 
@@ -40,13 +40,6 @@ struct RecoveryRow {
     return clean_seconds > 0 ? faulted_seconds / clean_seconds - 1.0 : 0.0;
   }
 };
-
-par::ParallelOutput run_threads(const HorizontalDatabase& db,
-                                const par::ParEclatConfig& config,
-                                const exec::ThreadBackendOptions& options) {
-  exec::ThreadBackend backend(options);
-  return backend.mine(db, config);
-}
 
 /// Minimum wall seconds over `repeats` identical runs — the standard
 /// noise filter for wall-clock micro-comparisons.
@@ -107,15 +100,15 @@ int main(int argc, char** argv) {
     par::ParEclatConfig config;
     config.minsup = absolute_support(spec.support, spec.db.size());
 
-    const std::unique_ptr<exec::Backend> reference = exec::make_backend(
-        exec::BackendKind::kMc, mc::Topology{1, 1}, mc::CostModel{}, {});
+    mc::Cluster reference(mc::Topology{1, 1}, mc::CostModel{});
     const std::vector<std::uint8_t> reference_bytes =
-        result_to_bytes(reference->mine(spec.db, config).result);
+        result_to_bytes(par::par_eclat(reference, spec.db, config).result);
 
     exec::ThreadBackendOptions clean;
     clean.threads = threads;
     const double clean_seconds = min_wall_seconds(repeats, [&] {
-      const par::ParallelOutput run = run_threads(spec.db, config, clean);
+      const par::ParallelOutput run =
+          exec::thread_eclat(spec.db, config, clean);
       if (result_to_bytes(run.result) != reference_bytes) diverged = true;
       return run.wall_seconds;
     });
@@ -135,7 +128,8 @@ int main(int argc, char** argv) {
       recovery.clean_seconds = clean_seconds;
       recovery.identical = true;
       recovery.faulted_seconds = min_wall_seconds(repeats, [&] {
-        const par::ParallelOutput run = run_threads(spec.db, config, faulted);
+        const par::ParallelOutput run =
+            exec::thread_eclat(spec.db, config, faulted);
         recovery.failures = run.exec_task_failures;
         recovery.retries = run.exec_task_retries;
         if (result_to_bytes(run.result) != reference_bytes) {

@@ -1,15 +1,14 @@
-// Shared-memory scaling of the Par-Eclat pipeline through the execution
-// backend seam: the same sweep runs on the native thread pool (wall
-// seconds, the point of this bench) or on the mc simulator (virtual
-// seconds, the paper's Fig 7 shape) — selected with --backend.
+// Shared-memory scaling of the Par-Eclat pipeline on native threads
+// (exec::thread_eclat, wall seconds). The simulator's sweep of the same
+// pipeline, in virtual seconds, is bench_fig7_speedup.
 //
 // For each database (the sparse T10.I4 and the dense T10.I4.N64 of the
 // kernel bench) and each worker count 1..N (powers of two up to the
-// resolved --exec-threads), the bench times the backend (the thread
-// pool's workers share one class queue, heaviest class first; the
-// simulator places classes by the paper's static greedy schedule) and
-// byte-compares every output against the mc reference run — the
-// determinism contract of DESIGN.md §9 as a benchmark invariant.
+// resolved --exec-threads), the bench times the thread backend (its
+// workers share one class queue, heaviest class first) and
+// byte-compares every output against the simulator's reference run, a
+// direct par::par_eclat call: the determinism contract of DESIGN.md §9 as
+// a benchmark invariant.
 //
 // Each row is one warm-up call and then kRepeats timed calls, every one
 // byte-checked. A row reports the median, the fastest run and the
@@ -23,19 +22,20 @@
 // 1-core container every wall-clock "speedup" is honestly ~1x, and the
 // trajectory is only meaningful on runners with real parallelism.
 //
-//   ./bench_scaling [--scale=0.25] [--support=0.0025] [--backend=threads]
-//                   [--exec-threads=0] [--json=true]
+//   ./bench_scaling [--scale=0.25] [--support=0.0025] [--exec-threads=0]
+//                   [--json=true]
 #include <cstdio>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/clock.hpp"
 #include "data/result_io.hpp"
-#include "exec/backend.hpp"
+#include "exec/thread_backend.hpp"
 #include "gen/quest.hpp"
+#include "mc/cluster.hpp"
+#include "parallel/par_eclat.hpp"
 
 namespace {
 
@@ -46,10 +46,10 @@ constexpr std::size_t kRepeats = 5;
 struct Row {
   std::string database;
   std::size_t threads = 0;
-  /// Backend clock over the repeats (wall for threads, virtual for mc).
+  /// Wall seconds over the repeats.
   eclat::bench::RepeatStats seconds;
   double wall_seconds = 0.0;  ///< median host wall clock of the repeats
-  double init_seconds = 0.0;  ///< median initialization phase, backend clock
+  double init_seconds = 0.0;  ///< median initialization phase
   double speedup = 0.0;  ///< median vs the 1-worker median
   bool identical = false;  ///< every call byte-identical to the mc reference
 };
@@ -61,10 +61,6 @@ int main(int argc, char** argv) {
   const WallStopwatch bench_watch;
   const Flags flags(argc, argv);
 
-  constexpr std::string_view kBackendChoices[] = {"mc", "threads"};
-  const exec::BackendKind backend_kind =
-      exec::parse_backend(flags.get_choice("backend", kBackendChoices,
-                                           "threads"));
   const std::uint64_t requested = flags.get_uint("exec-threads", 0);
   const std::size_t max_threads =
       exec::resolve_threads(static_cast<std::size_t>(requested));
@@ -77,8 +73,8 @@ int main(int argc, char** argv) {
     std::printf("--exec-threads=0 resolved to %zu (hardware concurrency)\n",
                 max_threads);
   }
-  std::printf("backend=%s host_cores=%u max_threads=%zu\n\n",
-              exec::to_string(backend_kind), host_cores, max_threads);
+  std::printf("backend=threads host_cores=%u max_threads=%zu\n\n",
+              host_cores, max_threads);
 
   // Worker counts: powers of two up to the resolved maximum, plus the
   // maximum itself when it is not a power of two.
@@ -115,12 +111,11 @@ int main(int argc, char** argv) {
     par::ParEclatConfig config;
     config.minsup = absolute_support(spec.support, spec.db.size());
 
-    // The mc backend at T = 1 is the reference every run must match
+    // The simulator at T = 1 is the reference every run must match
     // byte-for-byte — cross-backend and cross-thread-count.
-    const std::unique_ptr<exec::Backend> reference = exec::make_backend(
-        exec::BackendKind::kMc, mc::Topology{1, 1}, mc::CostModel{}, {});
+    mc::Cluster reference(mc::Topology{1, 1}, mc::CostModel{});
     const std::vector<std::uint8_t> reference_bytes =
-        result_to_bytes(reference->mine(spec.db, config).result);
+        result_to_bytes(par::par_eclat(reference, spec.db, config).result);
 
     std::printf("%-16s |D|=%zu minsup=%llu (%zu itemsets)\n",
                 spec.name.c_str(), spec.db.size(),
@@ -132,9 +127,6 @@ int main(int argc, char** argv) {
     for (std::size_t threads : sweep) {
       exec::ThreadBackendOptions thread_options;
       thread_options.threads = threads;
-      const std::unique_ptr<exec::Backend> backend = exec::make_backend(
-          backend_kind, mc::Topology{1, threads}, mc::CostModel{},
-          thread_options);
 
       Row row;
       row.database = spec.name;
@@ -143,7 +135,8 @@ int main(int argc, char** argv) {
       std::vector<double> wall_seconds;
       std::vector<double> init_seconds;
       for (std::size_t call = 0; call <= kRepeats; ++call) {
-        const par::ParallelOutput run = backend->mine(spec.db, config);
+        const par::ParallelOutput run =
+            exec::thread_eclat(spec.db, config, thread_options);
         row.threads = run.exec_threads;
         row.identical = row.identical &&
                         result_to_bytes(run.result) == reference_bytes;
@@ -181,10 +174,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::fprintf(out, "{\n  \"benchmark\": \"scaling\",\n");
-    eclat::bench::write_backend_fields(
-        out, exec::to_string(backend_kind),
-        backend_kind == exec::BackendKind::kMc ? "virtual" : "wall",
-        bench_watch.elapsed_seconds());
+    eclat::bench::write_backend_fields(out, "threads", "wall",
+                                       bench_watch.elapsed_seconds());
     std::fprintf(out,
                  "  \"host_cores\": %u,\n  \"max_threads\": %zu,\n"
                  "  \"scale\": %g,\n  \"repeats\": %zu,\n"

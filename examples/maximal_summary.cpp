@@ -1,23 +1,14 @@
-// Maximal-itemset summarization + bounded-memory transformation: two of
-// the library's extensions working together on one workload.
-//
-// A full frequent-itemset listing explodes combinatorially at low support;
-// the maximal family (MaxEclat) is the compact antichain that covers it.
-// The external transformation builds the vertical database under a fixed
-// memory budget — the paper's §7 answer to its own memory-footprint
-// critique.
+// Maximal-itemset summarization: a full frequent-itemset listing explodes
+// combinatorially at low support; the maximal family (MaxEclat) is the
+// compact antichain that covers it.
 //
 //   ./maximal_summary [--transactions=10000] [--support=0.005]
-//                     [--budget-kb=256]
 #include <cstdio>
-#include <sstream>
 
 #include "common/flags.hpp"
 #include "eclat/eclat_seq.hpp"
-#include "eclat/external_transform.hpp"
 #include "eclat/max_eclat.hpp"
 #include "gen/quest.hpp"
-#include "vertical/vertical_db.hpp"
 
 int main(int argc, char** argv) {
   const eclat::Flags flags(argc, argv);
@@ -59,31 +50,5 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(f.support));
   }
 
-  // Bounded-memory vertical transformation of the same data.
-  eclat::TriangleCounter counter(db.num_items());
-  counter.count(db.transactions());
-  const std::vector<eclat::PairKey> pairs = counter.frequent_pairs(minsup);
-  std::vector<eclat::Count> counts;
-  counts.reserve(pairs.size());
-  for (eclat::PairKey key : pairs) {
-    counts.push_back(
-        counter.get(eclat::pair_first(key), eclat::pair_second(key)));
-  }
-
-  eclat::ExternalTransformConfig transform_config;
-  transform_config.memory_budget =
-      static_cast<std::size_t>(flags.get_int("budget-kb", 256)) * 1024;
-  std::stringstream vertical_file;
-  const eclat::ExternalTransformStats transform_stats =
-      eclat::external_transform(db.transactions(), pairs, counts,
-                                vertical_file, transform_config);
-
-  std::printf("\nexternal transformation of %zu tid-lists under a %zu KB "
-              "budget:\n  %zu passes, peak memory %.1f KB, %.2f MB written\n",
-              pairs.size(), transform_config.memory_budget / 1024,
-              transform_stats.passes,
-              static_cast<double>(transform_stats.peak_memory_bytes) /
-                  1024.0,
-              static_cast<double>(vertical_file.str().size()) / 1e6);
   return 0;
 }

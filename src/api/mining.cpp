@@ -66,14 +66,16 @@ par::ParallelOutput mine_with_stats(const HorizontalDatabase& db,
       config.minsup = minsup;
       config.kernel = options.kernel;
       config.replication = options.replication;
+      if (options.backend == exec::BackendKind::kMc) {
+        mc::Cluster cluster(options.topology, options.cost);
+        return par::par_eclat(cluster, db, config);
+      }
       exec::ThreadBackendOptions thread_options;
       thread_options.threads = options.exec_threads;
       thread_options.max_retries = options.exec_max_retries;
       thread_options.mem_budget = options.exec_mem_budget;
       thread_options.faults = options.exec_faults;
-      const std::unique_ptr<exec::Backend> backend = exec::make_backend(
-          options.backend, options.topology, options.cost, thread_options);
-      return backend->mine(db, config);
+      return exec::thread_eclat(db, config, thread_options);
     }
     case Algorithm::kHybridEclat: {
       require_mc_backend(options, "hybrid");

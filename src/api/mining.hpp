@@ -1,6 +1,10 @@
 // Public facade of the library: one include for the common "mine this
 // database" workflows. Power users can target the per-module headers
-// directly (eclat/, apriori/, parallel/, rules/).
+// directly (eclat/, apriori/, parallel/, exec/, rules/). Par-Eclat runs on
+// one of two substrates, each a direct call: par::par_eclat on an
+// mc::Cluster (MineOptions::backend = kMc) or exec::thread_eclat
+// (kThreads); hybrid Eclat and Count Distribution run on the simulator
+// only.
 #pragma once
 
 #include <string>
@@ -10,7 +14,7 @@
 #include "common/result.hpp"
 #include "data/horizontal.hpp"
 #include "eclat/eclat_seq.hpp"
-#include "exec/backend.hpp"
+#include "exec/thread_backend.hpp"
 #include "mc/cluster.hpp"
 #include "parallel/count_distribution.hpp"
 #include "parallel/hybrid.hpp"
@@ -43,10 +47,10 @@ struct MineOptions {
   /// Cluster shape for the parallel algorithms; ignored by sequential ones.
   mc::Topology topology{1, 1};
   mc::CostModel cost;
-  /// Execution backend for kParEclat: the deterministic virtual-time
-  /// simulator (default) or the native shared-memory thread pool. The
-  /// other parallel algorithms are simulator-only for now and reject
-  /// kThreads with an actionable error.
+  /// Substrate for kParEclat: par::par_eclat on the deterministic
+  /// virtual-time simulator (default) or exec::thread_eclat on native
+  /// threads. The other parallel algorithms are simulator-only for now
+  /// and reject kThreads with an actionable error.
   exec::BackendKind backend = exec::BackendKind::kMc;
   /// Worker threads for the threads backend; 0 = hardware concurrency.
   std::size_t exec_threads = 0;

@@ -1,5 +1,6 @@
 #include "common/parse.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -13,6 +14,13 @@ std::invalid_argument plan_error(std::string_view dialect, std::size_t line,
                                std::to_string(line) + ": " + why);
 }
 
+/// The first token of a plan line; empty for a blank or '#' line.
+std::string line_head(const std::string& line) {
+  std::string head;
+  if (!line.empty() && line[0] != '#') std::istringstream(line) >> head;
+  return head;
+}
+
 }  // namespace
 
 void PlanField::reject() const {
@@ -24,12 +32,13 @@ void PlanField::reject() const {
 std::uint64_t read_plan_text(
     const std::string& text, std::string_view dialect, std::string_view prefix,
     const std::function<void()>& on_event,
-    const std::function<bool(const PlanField&)>& bind) {
+    const std::function<bool(const PlanField&)>& bind,
+    std::size_t first_line) {
   const std::string seed_head = std::string(prefix) + "seed";
   const std::string event_head = std::string(prefix) + "event";
   std::istringstream in(text);
   std::string line;
-  std::size_t line_no = 0;
+  std::size_t line_no = first_line - 1;
   std::optional<std::uint64_t> seed;
   while (std::getline(in, line)) {
     ++line_no;
@@ -38,6 +47,11 @@ std::uint64_t read_plan_text(
     std::string head;
     tokens >> head;
     if (head == seed_head) {
+      if (seed) {
+        throw plan_error(dialect, line_no,
+                         "a second '" + seed_head +
+                             "' line; a plan has one");
+      }
       std::string value;
       std::string extra;
       tokens >> value;
@@ -76,6 +90,35 @@ std::uint64_t read_plan_text(
                                 seed_head + "' line");
   }
   return *seed;
+}
+
+std::vector<PlanPart> split_plan_text(
+    const std::string& text, std::initializer_list<std::string_view> prefixes) {
+  std::vector<PlanPart> parts;
+  bool seeded = false;  // the last part has met its seed line
+  std::istringstream in(text);
+  std::string line;
+  std::size_t line_no = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    const std::string head = line_head(line);
+    const auto prefix = std::find_if(
+        prefixes.begin(), prefixes.end(),
+        [&](std::string_view p) { return head == std::string(p) + "seed"; });
+    const bool seed_line = prefix != prefixes.end();
+    if (parts.empty() || (seed_line && seeded)) {
+      parts.push_back({std::string(*prefixes.begin()), line_no, ""});
+      seeded = false;
+    }
+    if (seed_line) {
+      parts.back().prefix = *prefix;
+      seeded = true;
+    }
+    parts.back().text += line;
+    parts.back().text += '\n';
+  }
+  if (parts.empty()) parts.push_back({std::string(*prefixes.begin()), 1, ""});
+  return parts;
 }
 
 }  // namespace eclat

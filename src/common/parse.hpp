@@ -12,12 +12,16 @@
 // only in a line-head prefix ("" and "exec-") and in their event keys:
 //
 //   # comment                  blank and '#' lines are skipped
-//   <prefix>seed N             N a whole u64; at least one seed line
+//   <prefix>seed N             N a whole u64; exactly one seed line
 //   <prefix>event k=v k=v ...  one event per line
 //
 // A dialect binds each key to its event field through PlanField; the
 // reader owns the line loop, the seed line, the key=value split and
 // every diagnostic, which names the dialect, the line and the key.
+//
+// split_plan_text: a plan file may hold several plans, of either dialect
+// (chaos --fail-file appends every violating plan to one file). It is cut
+// at its seed lines, and each part is named by its seed line's prefix.
 #pragma once
 
 #include <charconv>
@@ -29,6 +33,7 @@
 #include <string>
 #include <string_view>
 #include <system_error>
+#include <vector>
 
 namespace eclat {
 
@@ -81,15 +86,33 @@ struct PlanField {
 };
 
 /// Read a plan in the dialect whose line heads carry `prefix`, named
-/// `dialect` in diagnostics. Returns the seed (the last seed line's).
+/// `dialect` in diagnostics. Returns the seed of its one seed line.
 /// Each event line calls `on_event`, then `bind` once per token in line
 /// order; `bind` returns false for a key the dialect does not know.
-/// Throws std::invalid_argument naming the offending line, or the
-/// missing seed line.
+/// Throws std::invalid_argument naming the offending line (a second seed
+/// line among them), or the missing seed line. Diagnostics number the
+/// text's lines from `first_line`, the line of a plan file it starts at
+/// (PlanPart::first_line).
 std::uint64_t read_plan_text(const std::string& text,
                              std::string_view dialect,
                              std::string_view prefix,
                              const std::function<void()>& on_event,
-                             const std::function<bool(const PlanField&)>& bind);
+                             const std::function<bool(const PlanField&)>& bind,
+                             std::size_t first_line = 1);
+
+/// One plan of a plan file, as split_plan_text cuts it.
+struct PlanPart {
+  std::string prefix;          ///< its seed line's prefix, i.e. its dialect
+  std::size_t first_line = 1;  ///< the file's line its text starts at
+  std::string text;            ///< its lines
+};
+
+/// Cut `text` at the lines headed "<p>seed" for any p in `prefixes`: each
+/// plan runs from its seed line to the line before the next one, and the
+/// lines before the first seed line belong to the first plan. A text with
+/// no seed line is one part under prefixes[0], which read_plan_text
+/// rejects for its missing seed line.
+std::vector<PlanPart> split_plan_text(
+    const std::string& text, std::initializer_list<std::string_view> prefixes);
 
 }  // namespace eclat

@@ -261,16 +261,6 @@ void compute_frequent(const ItemTidSets& items, Item prefix,
                                 out, size_histogram, stats, guard);
 }
 
-void compute_frequent(const std::vector<Atom>& class_atoms, Count minsup,
-                      IntersectKernel kernel,
-                      std::vector<FrequentItemset>& out,
-                      std::vector<std::size_t>& size_histogram,
-                      IntersectStats* stats) {
-  TidArena arena;
-  compute_frequent(class_atoms, minsup, kernel, arena, out, size_histogram,
-                   stats);
-}
-
 void compute_frequent_diffsets(const std::vector<Atom>& class_atoms,
                                Count minsup, IntersectKernel kernel,
                                TidArena& arena,

@@ -134,13 +134,6 @@ void compute_frequent(const ItemTidSets& items, Item prefix,
                       IntersectStats* stats = nullptr,
                       MiningGuard* guard = nullptr);
 
-/// Convenience overload with a call-local arena, for tests.
-void compute_frequent(const std::vector<Atom>& class_atoms, Count minsup,
-                      IntersectKernel kernel,
-                      std::vector<FrequentItemset>& out,
-                      std::vector<std::size_t>& size_histogram,
-                      IntersectStats* stats = nullptr);
-
 /// Single intersection through the selected kernel, on plain tid-lists.
 /// Returns an empty optional when the result provably misses `minsup`.
 /// For kAuto's density thresholds the universe is taken as

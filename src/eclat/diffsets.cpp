@@ -10,15 +10,4 @@ std::optional<TidList> difference_bounded(std::span<const Tid> a,
   return out;
 }
 
-void compute_frequent_diffsets(const std::vector<Atom>& class_atoms,
-                               Count minsup,
-                               std::vector<FrequentItemset>& out,
-                               std::vector<std::size_t>& size_histogram,
-                               IntersectStats* stats) {
-  TidArena arena;
-  compute_frequent_diffsets(class_atoms, minsup,
-                            IntersectKernel::kMergeShortCircuit, arena, out,
-                            size_histogram, stats);
-}
-
 }  // namespace eclat

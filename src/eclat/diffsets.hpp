@@ -48,13 +48,6 @@ void compute_frequent_diffsets(const ItemTidSets& items, Item prefix,
                                std::vector<std::size_t>& size_histogram,
                                IntersectStats* stats = nullptr);
 
-/// Convenience overload: paper kernel, call-local arena.
-void compute_frequent_diffsets(const std::vector<Atom>& class_atoms,
-                               Count minsup,
-                               std::vector<FrequentItemset>& out,
-                               std::vector<std::size_t>& size_histogram,
-                               IntersectStats* stats = nullptr);
-
 /// Bounded set difference: a \ b, abandoned (nullopt) as soon as the
 /// result would exceed `max_size` elements — the diffset analogue of the
 /// paper's short-circuited intersection (|d| > sup(parent) - minsup means

@@ -89,7 +89,8 @@ std::string exec_plan_to_text(const ExecFaultPlan& plan) {
   return out.str();
 }
 
-ExecFaultPlan exec_plan_from_text(const std::string& text) {
+ExecFaultPlan exec_plan_from_text(const std::string& text,
+                                  std::size_t first_line) {
   ExecFaultPlan plan;
   plan.seed = read_plan_text(
       text, "exec fault plan", "exec-", [&] { plan.events.emplace_back(); },
@@ -114,7 +115,8 @@ ExecFaultPlan exec_plan_from_text(const std::string& text) {
           return false;
         }
         return true;
-      });
+      },
+      first_line);
   return plan;
 }
 

@@ -1,8 +1,8 @@
 // Deterministic, seeded fault injection for the native thread backend —
 // the exec-level mirror of mc/fault.hpp.
 //
-// An ExecFaultPlan is a list of ExecFaultEvents attached to a
-// ThreadBackend before a run. The injection site is a *class attempt*:
+// An ExecFaultPlan is a list of ExecFaultEvents handed to thread_eclat
+// with a run's options. The injection site is a *class attempt*:
 // (class id, attempt index), where attempts of one class are numbered
 // 0, 1, 2, ... (the first attempt is 0; every retry takes the next
 // index). A class's attempts run back to back on the worker that took
@@ -93,8 +93,11 @@ void validate_exec_plan(const ExecFaultPlan& plan);
 /// the "exec-" dialect of the shared plan reader (common/parse.hpp): it
 /// throws std::invalid_argument naming the offending line and key, and
 /// every number must be the whole unsigned value, in range for its field.
+/// Diagnostics number the text's lines from `first_line` (a PlanPart of a
+/// plan file starts there).
 std::string exec_plan_to_text(const ExecFaultPlan& plan);
-ExecFaultPlan exec_plan_from_text(const std::string& text);
+ExecFaultPlan exec_plan_from_text(const std::string& text,
+                                  std::size_t first_line = 1);
 
 /// Raised at task start when a kThrow event fires.
 class InjectedTaskThrow final : public std::runtime_error {
@@ -110,7 +113,7 @@ class ClassResultCorrupt final : public std::runtime_error {
 };
 
 /// The clean typed abort of a threads-backend run: a class exceeded its
-/// retry budget. Thrown by ThreadBackend::mine after the workers joined
+/// retry budget. Thrown by thread_eclat after the workers joined
 /// (every other class ran to its own conclusion), naming the lowest
 /// quarantined class id — which makes the diagnostic, like the outcome,
 /// a pure function of the plan. failures() and retries() are the run's

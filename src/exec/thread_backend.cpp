@@ -7,6 +7,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -28,10 +29,19 @@
 
 namespace eclat::exec {
 
-par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
-                                        const par::ParEclatConfig& config) {
-  const std::size_t W = threads_;
-  const ExecFaultInjector injector(faults_);
+std::size_t resolve_threads(std::size_t requested) {
+  if (requested != 0) return requested;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
+}
+
+par::ParallelOutput thread_eclat(const HorizontalDatabase& db,
+                                 const par::ParEclatConfig& config,
+                                 const ThreadBackendOptions& options) {
+  const std::size_t W = resolve_threads(options.threads);
+  const std::uint32_t max_retries = options.max_retries;
+  const std::size_t mem_budget = options.mem_budget;
+  const ExecFaultInjector injector(options.faults);
   // Resolve the SIMD kernel table once on the coordinating thread (the
   // cpuid probe and ECLAT_FORCE_SCALAR read live behind magic statics,
   // so workers then only load a settled pointer) and cross-check every
@@ -158,9 +168,9 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
 
   crew.run([&](std::size_t w) {
     TidArena arena;
-    ArenaBudget budget(arena, mem_budget_);
+    ArenaBudget budget(arena, mem_budget);
     // Unbudgeted runs mine with the null guard, the recursion's fast path.
-    MiningGuard* const guard = mem_budget_ != 0 ? &budget : nullptr;
+    MiningGuard* const guard = mem_budget != 0 ? &budget : nullptr;
     ItemsetStore scratch;
     std::vector<std::size_t> histogram;
 
@@ -194,7 +204,7 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
           part_sizes[1 + c] = size_counts(slots[c]);
           break;
         }
-        if (++failures[c] > max_retries_) {
+        if (++failures[c] > max_retries) {
           last_error[c] = std::move(*error);  // quarantined: no more attempts
           break;
         }
@@ -209,14 +219,14 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
   std::uint64_t total_retries = 0;
   for (const std::uint32_t f : failures) {
     total_failures += f;
-    total_retries += std::min(f, max_retries_);
+    total_retries += std::min(f, max_retries);
   }
   // Clean typed abort, decided after the step: every class ran to its
   // own conclusion, so the *lowest* quarantined class id — and with it
   // the whole diagnostic — is a pure function of the fault plan, not of
   // thread interleaving.
   for (std::size_t c = 0; c < num_classes; ++c) {
-    if (failures[c] > max_retries_) {
+    if (failures[c] > max_retries) {
       throw ExecClassQuarantined(c, failures[c], last_error[c],
                                  total_failures, total_retries);
     }

@@ -1,10 +1,26 @@
-// Native shared-memory execution of the Par-Eclat pipeline: the same
-// four phases as the simulator path (parallel/pipeline.hpp), placed on a
-// real thread pool instead of simulated processors. A call runs on one
-// Crew (exec/crew.hpp): the calling thread is worker 0 and the W - 1
-// helpers start once per call, none at W = 1. Each parallel step runs on
-// every worker and ends at a barrier; the serial code between the steps
-// runs on the caller.
+// Native shared-memory execution of the Par-Eclat pipeline. The pipeline
+// (L1/L2 counting, transformation, asynchronous class mining,
+// deterministic final reduction; parallel/pipeline.hpp) runs on two
+// substrates, each called directly:
+//
+//   - "mc"      par::par_eclat on an mc::Cluster (parallel/par_eclat.hpp):
+//               the deterministic virtual-time simulator. Makespans,
+//               faults, stragglers and leases are pure functions of
+//               (plan, seed), and classes are placed by the paper's static
+//               greedy schedule (par::derive_plan).
+//   - "threads" thread_eclat below: real wall-clock speed on a native
+//               pool, with a deterministic per-class fault-tolerance layer
+//               (exec_fault.hpp) that every run takes. DESIGN.md §11.
+//
+// Both produce byte-identical mined output for the same input and config
+// (DESIGN.md §9); api::mine_with_stats picks one by BackendKind.
+//
+// thread_eclat runs the same four phases as the simulator path, placed on
+// real threads instead of simulated processors. A call runs on one Crew
+// (exec/crew.hpp): the calling thread is worker 0 and the W - 1 helpers
+// start once per call, none at W = 1. Each parallel step runs on every
+// worker and ends at a barrier; the serial code between the steps runs on
+// the caller.
 //
 //   1. Initialization — each worker counts items and then pairs over its
 //      block of the same T-way partition the simulator uses
@@ -64,33 +80,48 @@
 // all-kFinished on success.
 #pragma once
 
-#include "exec/backend.hpp"
+#include <cstddef>
+#include <cstdint>
+
+#include "data/horizontal.hpp"
+#include "exec/exec_fault.hpp"
+#include "parallel/par_eclat.hpp"
+#include "parallel/parallel_common.hpp"
 
 namespace eclat::exec {
 
-class ThreadBackend final : public Backend {
- public:
-  explicit ThreadBackend(const ThreadBackendOptions& options)
-      : threads_(resolve_threads(options.threads)),
-        max_retries_(options.max_retries),
-        mem_budget_(options.mem_budget),
-        faults_(options.faults) {}
-
-  std::string_view name() const override { return "threads"; }
-  /// Resolved worker count (--exec-threads=0 -> hardware concurrency).
-  std::size_t workers() const override { return threads_; }
-
-  /// total_seconds and wall_seconds are both host wall-clock here;
-  /// phase_seconds carries the usual four phase labels. Throws
-  /// ExecClassQuarantined when a class exhausts its retry budget.
-  par::ParallelOutput mine(const HorizontalDatabase& db,
-                           const par::ParEclatConfig& config) override;
-
- private:
-  std::size_t threads_;
-  std::uint32_t max_retries_;
-  std::size_t mem_budget_;
-  ExecFaultPlan faults_;
+/// Which substrate api::mine_with_stats runs Par-Eclat on.
+enum class BackendKind : std::uint8_t {
+  kMc,       ///< deterministic virtual-time simulator (the default)
+  kThreads,  ///< native shared-memory threads (thread_eclat)
 };
+
+struct ThreadBackendOptions {
+  /// Worker threads; 0 resolves to the hardware concurrency (and the
+  /// resolved value is echoed in ParallelOutput::exec_threads).
+  std::size_t threads = 0;
+  /// Retry budget per class (--exec-max-retries): a class whose attempts
+  /// fail more than this many times is quarantined and the run ends in
+  /// the typed clean abort (ExecClassQuarantined).
+  std::uint32_t max_retries = 2;
+  /// Memory budget in bytes on the live tid-sets of the class being mined
+  /// (--exec-mem-budget); 0 = unlimited (metering disabled). See
+  /// mem_budget.hpp for the ladder.
+  std::size_t mem_budget = 0;
+  /// Deterministic class-attempt fault schedule (empty = fault-free).
+  ExecFaultPlan faults;
+};
+
+/// Resolve a requested thread count: 0 means hardware concurrency,
+/// clamped to at least 1.
+std::size_t resolve_threads(std::size_t requested);
+
+/// Run Par-Eclat on resolve_threads(options.threads) workers.
+/// total_seconds and wall_seconds are both host wall-clock here;
+/// phase_seconds carries the usual four phase labels. Throws
+/// ExecClassQuarantined when a class exhausts its retry budget.
+par::ParallelOutput thread_eclat(const HorizontalDatabase& db,
+                                 const par::ParEclatConfig& config,
+                                 const ThreadBackendOptions& options);
 
 }  // namespace eclat::exec

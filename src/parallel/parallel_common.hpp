@@ -29,18 +29,17 @@ struct ParallelOutput {
   /// (the break-up column of the paper's Table 2).
   std::map<std::string, double> phase_seconds;
 
-  /// Which execution backend produced this run ("mc" = deterministic
-  /// virtual-time simulator, "threads" = native shared-memory pool); the
-  /// benchmarks label every published number with it.
+  /// Which substrate produced this run: "mc" (the default; the
+  /// deterministic virtual-time simulator) or "threads", which
+  /// exec::thread_eclat sets.
   std::string backend = "mc";
-  /// Resolved worker count of the execution backend (the thread backend
-  /// resolves --exec-threads=0 to hardware concurrency and echoes the
-  /// result here; the mc backend reports the topology's T).
+  /// Resolved worker count of exec::thread_eclat (--exec-threads=0
+  /// resolves to hardware concurrency, echoed here); 0 on the simulator,
+  /// whose width is its topology's T.
   std::size_t exec_threads = 0;
-  /// Host wall-clock seconds of the run, when the caller measured it
-  /// (filled by the exec backends; 0 when only virtual time is known).
-  /// Unlike total_seconds this is machine-dependent and never feeds
-  /// virtual time.
+  /// Host wall-clock seconds of an exec::thread_eclat run; 0 on the
+  /// simulator, which knows only virtual time. Unlike total_seconds this
+  /// is machine-dependent and never feeds virtual time.
   double wall_seconds = 0.0;
 
   std::uint64_t mc_bytes = 0;     ///< Memory Channel traffic of the run

@@ -1,6 +1,7 @@
 // libFuzzer harness for the fault-plan reader (read_plan_text in
 // common/parse.hpp), through both of its dialects: the exec one
-// (exec_plan_from_text) and the mc one (chaos::plan_from_text). Plan files
+// (exec_plan_from_text) and the mc one (chaos::plan_from_text), on the
+// whole input and on each plan split_plan_text cuts from it. Plan files
 // are outside input (`chaos --plan-file`), so arbitrary bytes fed to
 // either dialect must parse or raise std::invalid_argument — no other
 // exception and no crash — and an accepted plan's text form must parse
@@ -18,6 +19,7 @@
 
 #include "chaos.hpp"
 #include "common/check.hpp"
+#include "common/parse.hpp"
 #include "exec/exec_fault.hpp"
 
 namespace {
@@ -38,10 +40,24 @@ void check_parser(const std::string& text, Parse parse, Print print) {
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   const std::string text(reinterpret_cast<const char*>(data), size);
-  check_parser(text, eclat::exec::exec_plan_from_text,
-               eclat::exec::exec_plan_to_text);
-  check_parser(text, eclat::chaos::plan_from_text,
-               eclat::chaos::plan_to_text);
+  const auto exec_parse = [](const std::string& plan) {
+    return eclat::exec::exec_plan_from_text(plan);
+  };
+  const auto mc_parse = [](const std::string& plan) {
+    return eclat::chaos::plan_from_text(plan);
+  };
+  check_parser(text, exec_parse, eclat::exec::exec_plan_to_text);
+  check_parser(text, mc_parse, eclat::chaos::plan_to_text);
+  // A plan file is first cut at its seed lines; each part goes to the
+  // dialect its seed line names.
+  for (const eclat::PlanPart& part :
+       eclat::split_plan_text(text, {"", "exec-"})) {
+    if (part.prefix == "exec-") {
+      check_parser(part.text, exec_parse, eclat::exec::exec_plan_to_text);
+    } else {
+      check_parser(part.text, mc_parse, eclat::chaos::plan_to_text);
+    }
+  }
   return 0;
 }
 

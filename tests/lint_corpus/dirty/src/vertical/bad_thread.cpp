@@ -1,6 +1,6 @@
 // Corpus: raw threading outside the deterministic layers AND outside
-// src/exec — det-thread is banned tree-wide except in the execution
-// backends, with a hint pointing at the Backend seam.
+// src/exec — det-thread is banned tree-wide except in the thread
+// backend, with a hint pointing at src/exec.
 #include <thread>
 
 void sneak_parallelism() {

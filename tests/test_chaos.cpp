@@ -4,6 +4,7 @@
 // aborts cleanly with an expected diagnostic, never hangs, and replays
 // bit-identically. The CLI in tools/chaos sweeps far more seeds in the
 // CI soak leg; the fixed seeds here keep every local `ctest` honest.
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "chaos.hpp"
+#include "common/parse.hpp"
 #include "exec/thread_backend.hpp"
 #include "mc/fault.hpp"
 
@@ -203,6 +205,75 @@ TEST(Chaos, MalformedPlanTextNamesTheOffendingLine) {
   EXPECT_THROW((void)plan_from_text(""), std::invalid_argument);
 }
 
+TEST(Chaos, PlanWithTwoSeedLinesIsRejectedNamingTheLine) {
+  // A plan has one seed line, and a second is an error naming its line;
+  // a file of several plans is split at its seed lines first
+  // (split_plan_text).
+  const auto what_of = [](const auto& parse) {
+    try {
+      parse();
+    } catch (const std::invalid_argument& error) {
+      return std::string(error.what());
+    }
+    return std::string();
+  };
+  std::string what = what_of([] {
+    (void)plan_from_text(
+        "seed 5\nevent kind=crash processor=0\n# next\nseed 6\n");
+  });
+  EXPECT_NE(what.find("line 4"), std::string::npos) << what;
+  EXPECT_NE(what.find("'seed'"), std::string::npos) << what;
+  what = what_of([] {
+    (void)exec::exec_plan_from_text(
+        "exec-seed 5\nexec-seed 6\nexec-event kind=throw class=1\n");
+  });
+  EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+  EXPECT_NE(what.find("'exec-seed'"), std::string::npos) << what;
+}
+
+TEST(Chaos, SplitPlanTextCutsAtSeedLinesKeepingLineNumbers) {
+  const std::string mc_text = plan_to_text(generate_plan(5, default_knobs()));
+  const std::string exec_text =
+      exec::exec_plan_to_text(generate_exec_plan(5, ExecChaosKnobs{}));
+  const std::string file = "# mc seed 5\n" + mc_text + "\n# threads seed 5\n" +
+                           exec_text + "\n# mc again\n" + mc_text;
+  const std::vector<PlanPart> parts = split_plan_text(file, {"", "exec-"});
+  ASSERT_EQ(parts.size(), 3u);
+  EXPECT_EQ(parts[0].prefix, "");
+  EXPECT_EQ(parts[1].prefix, "exec-");
+  EXPECT_EQ(parts[2].prefix, "");
+  // The first part starts at line 1, every later one at its seed line.
+  const auto lines = [](const std::string& text) {
+    return static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
+  };
+  EXPECT_EQ(parts[0].first_line, 1u);
+  EXPECT_EQ(parts[1].first_line, 4 + lines(mc_text));
+  EXPECT_EQ(parts[2].first_line, 6 + lines(mc_text) + lines(exec_text));
+  EXPECT_EQ(plan_to_text(plan_from_text(parts[0].text)), mc_text);
+  EXPECT_EQ(exec::exec_plan_to_text(exec::exec_plan_from_text(parts[1].text)),
+            exec_text);
+  EXPECT_EQ(plan_to_text(plan_from_text(parts[2].text)), mc_text);
+
+  // A diagnostic names the line of the whole file.
+  const std::vector<PlanPart> bad =
+      split_plan_text("seed 1\n\nexec-seed 2\nevent kind=crash\n",
+                      {"", "exec-"});
+  ASSERT_EQ(bad.size(), 2u);
+  EXPECT_EQ(bad[1].first_line, 3u);
+  try {
+    (void)exec::exec_plan_from_text(bad[1].text, bad[1].first_line);
+    ADD_FAILURE() << "an mc event line passed as an exec one";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("line 4"), std::string::npos)
+        << error.what();
+  }
+  // No seed line: one part, which the reader rejects for it.
+  const std::vector<PlanPart> none =
+      split_plan_text("# empty\n", {"", "exec-"});
+  ASSERT_EQ(none.size(), 1u);
+  EXPECT_THROW((void)plan_from_text(none[0].text), std::invalid_argument);
+}
+
 // --- Exec-side chaos: the same gate for the native thread backend. ---
 
 /// The exec chaos contract: completed-and-byte-identical to the mc
@@ -282,9 +353,8 @@ TEST(Chaos, ExecBudgetedSweepStillHoldsTheContract) {
   metering.mem_budget = std::size_t{1} << 40;
   par::ParEclatConfig config;
   config.minsup = ExecChaosOptions{}.minsup;
-  const std::size_t peak = exec::ThreadBackend(metering)
-                               .mine(test_db(), config)
-                               .exec_arena_peak_bytes;
+  const std::size_t peak =
+      exec::thread_eclat(test_db(), config, metering).exec_arena_peak_bytes;
   ASSERT_GT(peak, 0u);
   const ExecChaosKnobs knobs;
   std::size_t memory_quarantines = 0;

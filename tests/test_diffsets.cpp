@@ -71,14 +71,17 @@ TEST(ComputeFrequentDiffsets, MatchesTidsetRecursionOnOneClass) {
       {{0, 4}, {0, 2, 3, 5}},
   };
   for (Count minsup : {1u, 2u, 3u, 4u}) {
+    TidArena arena;
     std::vector<FrequentItemset> tidset_out;
     std::vector<std::size_t> h1;
     compute_frequent(atoms, minsup, IntersectKernel::kMergeShortCircuit,
-                     tidset_out, h1);
+                     arena, tidset_out, h1);
 
     std::vector<FrequentItemset> diffset_out;
     std::vector<std::size_t> h2;
-    compute_frequent_diffsets(atoms, minsup, diffset_out, h2);
+    compute_frequent_diffsets(atoms, minsup,
+                              IntersectKernel::kMergeShortCircuit, arena,
+                              diffset_out, h2);
 
     auto by_items = [](const FrequentItemset& a, const FrequentItemset& b) {
       return lex_less(a.items, b.items);

@@ -24,8 +24,9 @@ TEST(ComputeFrequent, MinesOneClassExhaustively) {
       {{0, 1}, tids}, {{0, 2}, tids}, {{0, 3}, tids}};
   std::vector<FrequentItemset> out;
   std::vector<std::size_t> histogram;
-  compute_frequent(atoms, 2, IntersectKernel::kMergeShortCircuit, out,
-                   histogram);
+  TidArena arena;
+  compute_frequent(atoms, 2, IntersectKernel::kMergeShortCircuit, arena,
+                   out, histogram);
   // Expected: {0,1,2}, {0,1,3}, {0,2,3}, {0,1,2,3}.
   ASSERT_EQ(out.size(), 4u);
   EXPECT_EQ(histogram[3], 3u);
@@ -40,8 +41,9 @@ TEST(ComputeFrequent, RespectsMinimumSupport) {
   };
   std::vector<FrequentItemset> out;
   std::vector<std::size_t> histogram;
-  compute_frequent(atoms, 2, IntersectKernel::kMergeShortCircuit, out,
-                   histogram);
+  TidArena arena;
+  compute_frequent(atoms, 2, IntersectKernel::kMergeShortCircuit, arena,
+                   out, histogram);
   EXPECT_TRUE(out.empty());  // intersection {2} has support 1 < 2
 }
 
@@ -49,8 +51,9 @@ TEST(ComputeFrequent, SingletonClassYieldsNothing) {
   std::vector<Atom> atoms = {{{0, 1}, {0, 1, 2}}};
   std::vector<FrequentItemset> out;
   std::vector<std::size_t> histogram;
-  compute_frequent(atoms, 1, IntersectKernel::kMergeShortCircuit, out,
-                   histogram);
+  TidArena arena;
+  compute_frequent(atoms, 1, IntersectKernel::kMergeShortCircuit, arena,
+                   out, histogram);
   EXPECT_TRUE(out.empty());
 }
 
@@ -63,8 +66,9 @@ TEST(ComputeFrequent, StatsTrackShortCircuits) {
   IntersectStats stats;
   std::vector<FrequentItemset> out;
   std::vector<std::size_t> histogram;
-  compute_frequent(atoms, 3, IntersectKernel::kMergeShortCircuit, out,
-                   histogram, &stats);
+  TidArena arena;
+  compute_frequent(atoms, 3, IntersectKernel::kMergeShortCircuit, arena,
+                   out, histogram, &stats);
   EXPECT_GT(stats.intersections, 0u);
   EXPECT_GT(stats.short_circuited, 0u);
 }

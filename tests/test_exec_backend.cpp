@@ -1,14 +1,14 @@
-// Differential tests for the execution-backend seam: the native thread
-// backend must emit byte-identical results to the mc simulator backend
-// and to the sequential oracle — across every intersect kernel, a minsup
-// grid, every worker count, every simulator schedule heuristic, and a
-// skewed workload whose weight sits in a few classes. This is the
-// determinism contract of DESIGN.md §9 as an executable spec.
+// Differential tests for Par-Eclat's two substrates: the native thread
+// backend (exec::thread_eclat) must emit byte-identical results to the
+// mc simulator (par::par_eclat on an mc::Cluster) and to the sequential
+// oracle — across every intersect kernel, a minsup grid, every worker
+// count, every simulator schedule heuristic, and a skewed workload whose
+// weight sits in a few classes. This is the determinism contract of
+// DESIGN.md §9 as an executable spec.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -18,10 +18,10 @@
 #include "data/result_io.hpp"
 #include "eclat/eclat_seq.hpp"
 #include "eclat/equivalence.hpp"
-#include "exec/backend.hpp"
 #include "exec/exec_fault.hpp"
-#include "exec/mc_backend.hpp"
 #include "exec/thread_backend.hpp"
+#include "mc/cluster.hpp"
+#include "parallel/par_eclat.hpp"
 #include "parallel/pipeline.hpp"
 #include "test_util.hpp"
 #include "vertical/simd/dispatch.hpp"
@@ -42,15 +42,14 @@ par::ParallelOutput run_threads(const HorizontalDatabase& db,
                                 std::size_t threads) {
   exec::ThreadBackendOptions options;
   options.threads = threads;
-  exec::ThreadBackend backend(options);
-  return backend.mine(db, config);
+  return exec::thread_eclat(db, config, options);
 }
 
 par::ParallelOutput run_mc(const HorizontalDatabase& db,
                            const par::ParEclatConfig& config,
                            const mc::Topology& topology) {
-  exec::McBackend backend(topology, mc::CostModel{});
-  return backend.mine(db, config);
+  mc::Cluster cluster(topology, mc::CostModel{});
+  return par::par_eclat(cluster, db, config);
 }
 
 /// Deliberately skewed database: a dense overlapping core on items 0..11
@@ -224,41 +223,13 @@ TEST(ExecBackend, PhaseAccountingAndRunReport) {
 TEST(ExecBackend, ZeroThreadsResolvesToHardwareConcurrency) {
   const std::size_t resolved = exec::resolve_threads(0);
   EXPECT_GE(resolved, 1u);
-  exec::ThreadBackend backend(exec::ThreadBackendOptions{});
-  EXPECT_EQ(backend.workers(), resolved);
 
   const HorizontalDatabase db = testutil::handmade_db();
   par::ParEclatConfig config;
   config.minsup = 3;
-  const par::ParallelOutput run = backend.mine(db, config);
+  const par::ParallelOutput run =
+      exec::thread_eclat(db, config, exec::ThreadBackendOptions{});
   EXPECT_EQ(run.exec_threads, resolved);  // resolved value echoed
-}
-
-TEST(ExecBackend, McBackendEchoesBackendFields) {
-  const HorizontalDatabase db = testutil::handmade_db();
-  par::ParEclatConfig config;
-  config.minsup = 3;
-  const par::ParallelOutput run = run_mc(db, config, {2, 2});
-  EXPECT_EQ(run.backend, "mc");
-  EXPECT_EQ(run.exec_threads, 4u);
-  EXPECT_GT(run.wall_seconds, 0.0);
-  EXPECT_GT(run.total_seconds, 0.0);  // virtual makespan, not wall
-}
-
-TEST(ExecBackend, ParseHelpersRejectUnknownNamesActionably) {
-  EXPECT_EQ(exec::parse_backend("mc"), exec::BackendKind::kMc);
-  EXPECT_EQ(exec::parse_backend("threads"), exec::BackendKind::kThreads);
-  try {
-    exec::parse_backend("gpu");
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("'gpu'"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("threads"), std::string::npos);
-  }
-  // Case and whitespace are not forgiven: flag spellings are exact.
-  EXPECT_THROW(exec::parse_backend("Threads"), std::invalid_argument);
-  EXPECT_THROW(exec::parse_backend(" mc"), std::invalid_argument);
-  EXPECT_THROW(exec::parse_backend(""), std::invalid_argument);
 }
 
 TEST(ExecBackend, ResolveThreadsPassesThroughAndClampsToOne) {
@@ -326,8 +297,7 @@ TEST(ExecBackend, ClassRetriedAfterCorruptAttemptLandsExactlyOnce) {
     options.threads = threads;
     options.faults.events.push_back(
         exec::ExecFaultPlan::corrupt_on(target, 2));
-    exec::ThreadBackend backend(options);
-    const par::ParallelOutput run = backend.mine(db, config);
+    const par::ParallelOutput run = exec::thread_eclat(db, config, options);
     EXPECT_EQ(run.exec_task_failures, 2u) << "threads=" << threads;
     EXPECT_EQ(run.exec_task_retries, 2u) << "threads=" << threads;
     EXPECT_EQ(class_itemsets(run.result), class_itemsets(clean.result))
@@ -358,8 +328,7 @@ TEST(ExecBackend, EveryClassIsTakenExactlyOnce) {
     options.max_retries = 1;
     options.faults.events.push_back(
         exec::ExecFaultPlan::hashed(exec::ExecFaultKind::kThrow, 1, 0, 1));
-    exec::ThreadBackend backend(options);
-    const par::ParallelOutput run = backend.mine(db, config);
+    const par::ParallelOutput run = exec::thread_eclat(db, config, options);
     const std::string label = "threads=" + std::to_string(threads);
     EXPECT_EQ(run.exec_task_failures, classes) << label;
     EXPECT_EQ(run.exec_task_retries, classes) << label;

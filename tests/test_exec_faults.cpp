@@ -14,10 +14,10 @@
 #include "api/mining.hpp"
 #include "data/result_io.hpp"
 #include "eclat/tid_arena.hpp"
-#include "exec/backend.hpp"
 #include "exec/exec_fault.hpp"
-#include "exec/mc_backend.hpp"
 #include "exec/thread_backend.hpp"
+#include "mc/cluster.hpp"
+#include "parallel/par_eclat.hpp"
 #include "test_util.hpp"
 #include "vertical/tidset.hpp"
 
@@ -28,17 +28,10 @@ using exec::ExecFaultKind;
 using exec::ExecFaultPlan;
 using testutil::small_quest_db;
 
-par::ParallelOutput run_threads(const HorizontalDatabase& db,
-                                const par::ParEclatConfig& config,
-                                const exec::ThreadBackendOptions& options) {
-  exec::ThreadBackend backend(options);
-  return backend.mine(db, config);
-}
-
 std::vector<std::uint8_t> mc_reference(const HorizontalDatabase& db,
                                        const par::ParEclatConfig& config) {
-  exec::McBackend backend(mc::Topology{1, 4}, mc::CostModel{});
-  return result_to_bytes(backend.mine(db, config).result);
+  mc::Cluster cluster(mc::Topology{1, 4}, mc::CostModel{});
+  return result_to_bytes(par::par_eclat(cluster, db, config).result);
 }
 
 // ---------------------------------------------------------------------------
@@ -251,7 +244,8 @@ TEST(ExecFault, ContractMatrixByteIdenticalOrCleanTypedAbort) {
         std::size_t first_quarantined = 0;
         for (int replay = 0; replay < 2; ++replay) {
           try {
-            const par::ParallelOutput run = run_threads(db, config, options);
+            const par::ParallelOutput run =
+                exec::thread_eclat(db, config, options);
             EXPECT_EQ(result_to_bytes(run.result), reference)
                 << label << " replay=" << replay
                 << ": completed run diverged from the mc reference";
@@ -297,7 +291,7 @@ TEST(ExecFault, RetryCountersAreExactForAnExplicitTarget) {
   options.threads = 2;
   options.max_retries = 3;
   options.faults.events.push_back(ExecFaultPlan::throw_on(1, 2));
-  const par::ParallelOutput run = run_threads(db, config, options);
+  const par::ParallelOutput run = exec::thread_eclat(db, config, options);
   EXPECT_EQ(result_to_bytes(run.result), reference);
   EXPECT_EQ(run.exec_task_failures, 2u);
   EXPECT_EQ(run.exec_task_retries, 2u);
@@ -316,7 +310,7 @@ TEST(ExecFault, QuarantineNamesTheLowestDoomedClass) {
   options.faults.events.push_back(
       ExecFaultPlan::hashed(ExecFaultKind::kThrow, 1, 0, 1000));
   try {
-    run_threads(db, config, options);
+    exec::thread_eclat(db, config, options);
     FAIL() << "expected ExecClassQuarantined";
   } catch (const exec::ExecClassQuarantined& e) {
     EXPECT_EQ(e.class_id(), 0u);
@@ -341,7 +335,7 @@ TEST(ExecFault, QuarantineCarriesTheRunsCounters) {
     options.faults.events.push_back(ExecFaultPlan::throw_on(0, 1));
     options.faults.events.push_back(ExecFaultPlan::throw_on(1, 1000));
     try {
-      run_threads(db, config, options);
+      exec::thread_eclat(db, config, options);
       ADD_FAILURE() << "threads=" << threads
                     << ": expected ExecClassQuarantined";
     } catch (const exec::ExecClassQuarantined& e) {
@@ -358,7 +352,7 @@ TEST(ExecFault, FaultFreeRunReportsZeroFaultCounters) {
   config.minsup = 4;
   exec::ThreadBackendOptions options;
   options.threads = 3;
-  const par::ParallelOutput run = run_threads(db, config, options);
+  const par::ParallelOutput run = exec::thread_eclat(db, config, options);
   EXPECT_EQ(run.exec_task_failures, 0u);
   EXPECT_EQ(run.exec_task_retries, 0u);
   EXPECT_EQ(run.exec_arena_peak_bytes, 0u);  // budget off: metering off
@@ -378,7 +372,7 @@ TEST(ExecFault, HugeBudgetMetersPeakWithoutTripping) {
   exec::ThreadBackendOptions options;
   options.threads = 2;
   options.mem_budget = std::size_t{1} << 40;  // 1 TiB: never trips
-  const par::ParallelOutput run = run_threads(db, config, options);
+  const par::ParallelOutput run = exec::thread_eclat(db, config, options);
   EXPECT_EQ(result_to_bytes(run.result), reference);
   EXPECT_GT(run.exec_arena_peak_bytes, 0u);
   EXPECT_EQ(run.exec_task_failures, 0u);
@@ -394,7 +388,7 @@ void expect_exact_budget_boundary(const HorizontalDatabase& db,
   exec::ThreadBackendOptions metering;
   metering.mem_budget = std::size_t{1} << 40;
   const std::size_t peak =
-      run_threads(db, config, metering).exec_arena_peak_bytes;
+      exec::thread_eclat(db, config, metering).exec_arena_peak_bytes;
   ASSERT_GT(peak, 0u);
   for (const std::size_t threads : {1, 2, 3, 4}) {
     const std::string where = "|D|=" + std::to_string(db.size()) +
@@ -403,14 +397,14 @@ void expect_exact_budget_boundary(const HorizontalDatabase& db,
     exec::ThreadBackendOptions options;
     options.threads = threads;
     options.mem_budget = peak;
-    const par::ParallelOutput run = run_threads(db, config, options);
+    const par::ParallelOutput run = exec::thread_eclat(db, config, options);
     EXPECT_EQ(result_to_bytes(run.result), reference) << where;
     EXPECT_EQ(run.exec_task_failures, 0u) << where;
     EXPECT_EQ(run.exec_arena_peak_bytes, peak) << where;
 
     options.mem_budget = peak - 1;
     try {
-      run_threads(db, config, options);
+      exec::thread_eclat(db, config, options);
       ADD_FAILURE() << where << ": a budget below the peak completed";
     } catch (const exec::ExecClassQuarantined& e) {
       EXPECT_NE(std::string(e.what()).find("memory budget"),
@@ -451,7 +445,7 @@ TEST(ExecFault, MeteredPeakIsAFunctionOfTheInput) {
       options.threads = threads;
       options.mem_budget = std::size_t{1} << 40;
       const std::size_t peak =
-          run_threads(db, config, options).exec_arena_peak_bytes;
+          exec::thread_eclat(db, config, options).exec_arena_peak_bytes;
       if (first == 0) first = peak;
       EXPECT_EQ(peak, first) << "W=" << threads << " repeat " << repeat;
     }
@@ -467,7 +461,7 @@ TEST(ExecFault, StarvationBudgetQuarantinesWithAMemoryDiagnostic) {
   options.threads = 2;
   options.mem_budget = 64;  // no class fits
   try {
-    run_threads(db, config, options);
+    exec::thread_eclat(db, config, options);
     FAIL() << "expected ExecClassQuarantined";
   } catch (const exec::ExecClassQuarantined& e) {
     EXPECT_NE(std::string(e.what()).find("memory budget"), std::string::npos)

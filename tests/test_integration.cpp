@@ -270,9 +270,9 @@ TEST_F(LargeItemUniverse, ThreadBackend) {
   for (std::size_t threads : {1u, 2u, 3u}) {
     exec::ThreadBackendOptions options;
     options.threads = threads;
-    exec::ThreadBackend backend(options);
-    EXPECT_EQ(result_to_bytes(backend.mine(large_, config).result),
-              image(backend.mine(small_, config).result))
+    EXPECT_EQ(
+        result_to_bytes(exec::thread_eclat(large_, config, options).result),
+        image(exec::thread_eclat(small_, config, options).result))
         << "threads=" << threads;
   }
 }

@@ -176,7 +176,8 @@ std::string plan_to_text(const mc::FaultPlan& plan) {
   return out.str();
 }
 
-mc::FaultPlan plan_from_text(const std::string& text) {
+mc::FaultPlan plan_from_text(const std::string& text,
+                             std::size_t first_line) {
   FaultPlan plan;
   plan.seed = read_plan_text(
       text, "chaos plan", "", [&] { plan.events.emplace_back(); },
@@ -226,7 +227,8 @@ mc::FaultPlan plan_from_text(const std::string& text) {
           return false;
         }
         return true;
-      });
+      },
+      first_line);
   return plan;
 }
 
@@ -339,11 +341,11 @@ ExecChaosRun run_exec_plan(const HorizontalDatabase& db,
   backend_options.max_retries = options.max_retries;
   backend_options.mem_budget = options.mem_budget;
   backend_options.faults = plan;
-  exec::ThreadBackend backend(backend_options);
   par::ParEclatConfig config;
   config.minsup = options.minsup;
   try {
-    const par::ParallelOutput output = backend.mine(db, config);
+    const par::ParallelOutput output =
+        exec::thread_eclat(db, config, backend_options);
     out.completed = true;
     out.failures = output.exec_task_failures;
     out.retries = output.exec_task_retries;

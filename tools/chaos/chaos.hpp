@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "data/horizontal.hpp"
-#include "exec/backend.hpp"
+#include "exec/exec_fault.hpp"
 #include "mc/fault.hpp"
 #include "mc/topology.hpp"
 #include "mc/trace.hpp"
@@ -69,9 +69,11 @@ mc::FaultPlan generate_plan(std::uint64_t seed, const ChaosKnobs& knobs);
 /// unprefixed dialect of the shared plan reader (common/parse.hpp): it
 /// throws std::invalid_argument on malformed input, naming the offending
 /// line and key, and every number must be the whole value, in range for
-/// its field, with no sign on an unsigned one.
+/// its field, with no sign on an unsigned one. Diagnostics number the
+/// text's lines from `first_line` (a PlanPart of a plan file starts there).
 std::string plan_to_text(const mc::FaultPlan& plan);
-mc::FaultPlan plan_from_text(const std::string& text);
+mc::FaultPlan plan_from_text(const std::string& text,
+                             std::size_t first_line = 1);
 
 /// How to execute a plan.
 struct ChaosOptions {

@@ -2,7 +2,7 @@
 //
 //   chaos --sweep=200 --seed0=1            # 200 random compound schedules
 //   chaos --seed=42 --print-plan           # one schedule, dump its text form
-//   chaos --plan-file=fail.plan            # replay a schedule from a file
+//   chaos --plan-file=fail.plan            # replay every plan in a file
 //   chaos --sweep=500 --fail-file=bad.plan # save violating plans to a file
 //   chaos --backend=threads --sweep=200    # exec fault plans on real threads
 //   chaos --backend=both --sweep=200       # both legs, one seed list
@@ -13,7 +13,9 @@
 // thread backend, rotating the worker count per seed unless pinned with
 // --exec-threads; "both" runs the two legs off one seed list. The legs
 // draw their plans from distinct RNG streams, so a seed's two outcomes
-// share no cause and are not compared with each other.
+// share no cause and are not compared with each other. --plan-file
+// replays each plan of its file on the leg its seed line names ("seed"
+// mc, "exec-seed" threads), whatever --backend says.
 //
 // Every run is checked against the harness contract: byte-identical output
 // to the fault-free reference, or a deterministic expected clean abort —
@@ -31,6 +33,7 @@
 
 #include "chaos.hpp"
 #include "common/flags.hpp"
+#include "common/parse.hpp"
 #include "data/result_io.hpp"
 
 namespace {
@@ -42,21 +45,6 @@ struct Violation {
   std::string backend;
   std::string what;
 };
-
-/// First non-comment token of a plan file decides its dialect: "seed"
-/// opens an mc compound plan, "exec-seed" an exec fault plan.
-bool is_exec_plan_text(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream tokens(line);
-    std::string head;
-    tokens >> head;
-    return head == "exec-seed";
-  }
-  return false;
-}
 
 /// The whole command. Flag values are parsed as they are first needed, so
 /// a malformed one throws std::invalid_argument from here; main turns that
@@ -147,22 +135,27 @@ int run_chaos(int argc, char** argv) {
     }
     std::ostringstream text;
     text << in.rdbuf();
+    // A file may hold several plans of either dialect (--fail-file appends
+    // them); each is replayed on its own leg: "seed" opens an mc compound
+    // plan, "exec-seed" an exec fault plan.
     try {
-      if (is_exec_plan_text(text.str())) {
-        exec::ExecFaultPlan plan = exec::exec_plan_from_text(text.str());
-        run_mc_leg = false;
-        run_exec_leg = true;
-        exec_plans.emplace_back(plan.seed, std::move(plan));
-      } else {
-        mc::FaultPlan plan = chaos::plan_from_text(text.str());
-        run_mc_leg = true;
-        run_exec_leg = false;
-        plans.emplace_back(plan.seed, std::move(plan));
+      for (const PlanPart& part : split_plan_text(text.str(), {"", "exec-"})) {
+        if (part.prefix == "exec-") {
+          exec::ExecFaultPlan plan =
+              exec::exec_plan_from_text(part.text, part.first_line);
+          exec_plans.emplace_back(plan.seed, std::move(plan));
+        } else {
+          mc::FaultPlan plan =
+              chaos::plan_from_text(part.text, part.first_line);
+          plans.emplace_back(plan.seed, std::move(plan));
+        }
       }
     } catch (const std::invalid_argument& e) {
       std::fprintf(stderr, "chaos: %s: %s\n", path.c_str(), e.what());
       return 1;
     }
+    run_mc_leg = !plans.empty();
+    run_exec_leg = !exec_plans.empty();
   } else if (flags.has("sweep")) {
     const std::uint64_t sweep = count_flag("sweep", 200);
     const std::uint64_t seed0 = flags.get_uint("seed0", 1);

@@ -169,10 +169,10 @@ void analyze_determinism(const SourceFile& file, bool emission_path,
                          std::vector<Finding>& findings) {
   const bool deterministic_layer =
       file.module == "mc" || file.module == "parallel";
-  // Real threading primitives are legal only in src/exec (the execution
-  // backends); everywhere else in src/ they are banned — the deterministic
-  // layers because they must be pure functions of (plan, seed), the rest
-  // because concurrency belongs behind the Backend seam.
+  // Real threading primitives are legal only in src/exec (the thread
+  // backend and its crew); everywhere else in src/ they are banned — the
+  // deterministic layers because they must be pure functions of (plan,
+  // seed), the rest because native concurrency belongs in src/exec.
   const bool thread_ban_layer =
       !file.module.empty() && file.module != "exec";
   const std::vector<Token>& toks = file.tokens;
@@ -221,8 +221,8 @@ void analyze_determinism(const SourceFile& file, bool emission_path,
                  "substrate justification";
         } else {
           hint = "real threading primitives live in src/exec (the "
-                 "execution backends); route concurrency through a "
-                 "Backend instead of spawning threads in this layer";
+                 "thread backend and its crew); run parallel work there "
+                 "instead of spawning threads in this layer";
         }
         add(findings, file, t.line, ban.id,
             std::string(ban.what) + ": " +
